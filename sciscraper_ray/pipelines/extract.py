@@ -4,7 +4,7 @@ the engine's north-star dataflow (BASELINE.json north_rule).
     read_parquet(pages)                       column-pruned, streamed
       -> keep-latest dedup by url             ONE shuffle (hash on url),
                                               fed by per-batch partials
-      -> PayloadExtractor pool                per-row payload-magic routing:
+      -> PayloadExtractor                     per-row payload-magic routing:
                                               %PDF- -> layout parse, else
                                               readability strip — ONE pass,
                                               no dataset split/union (a
@@ -43,7 +43,8 @@ SPAN_TYPE = pa.list_(pa.struct([("start", pa.int64()), ("end", pa.int64())]))
 
 
 class PayloadExtractor:
-    """Actor-pool stage: sniff each payload's magic and extract.
+    """Task stage (a serialized instance; it holds only the payload column
+    name): sniff each payload's magic and extract.
 
     %PDF- payloads -> content-stream layout parse (pages joined " ",
     docscraper.py:205); everything else -> readability main-content strip.
@@ -211,48 +212,27 @@ def keep_latest_by_url(
     )
 
 
-def _cluster_cpus(default: int = 8) -> int:
-    """Actor-pool ceiling: scale with the cluster instead of a constant —
-    a fixed cap silently becomes the whole pipeline's speedup limit."""
-    import ray as _ray
-
-    try:
-        return max(1, int(_ray.cluster_resources().get("CPU", default)))
-    except Exception:  # noqa: BLE001 — uninitialised Ray in unit contexts
-        return default
-
-
 def extraction_pipeline(
     source: str | ray.data.Dataset,
     *,
     dedup: bool = True,
     analyze: bool = True,
     batch_size: int = 256,
-    concurrency: int | tuple[int, int] | None = None,
     dedup_key_merge: str = "auto",
 ) -> ray.data.Dataset:
     """pages (path or Dataset) -> extracted (and optionally analyzed) docs.
 
     ``batch_size`` is small because payload rows are wide (multi-KB to
-    multi-MB binary); the extract stage is the CPU-heavy pool.
+    multi-MB binary).
 
-    Pool sizing (round-2 rebalance, from measured ds.stats): the fused
-    keep_winners->PayloadExtractor stage carries ~85% of the job's CPU
-    (6x DocAnalyzer since identifier mining split across both), and its
-    FIXED actor pool is the whole pipeline's wall-clock ceiling — it gets
-    3/4 of cluster CPUs (exact cluster-size ratio: 3 actors at 4 CPUs, 12
-    at 16, so a 4N cluster really fields 4x the actors). A fixed pool
-    launches every actor in parallel up front; an autoscaling (min, max)
-    pool ramps one straggler at a time and the ramp becomes the serial
-    bottleneck on short jobs. DocAnalyzer's state is tiny (frozen word
-    sets), so it runs as TASK-based map_batches (serialized instance, the
-    guide's tiny-state rule) sharing the remaining 1/4 of slots
-    dynamically with the read/filter tasks — actors hold their CPU slot
-    while alive, so pools summing to the whole cluster would starve the
-    upstream reads and stall the pipeline.
+    Both map stages run as Ray tasks over serialized instances, not actor
+    pools: PayloadExtractor holds only a column name and DocAnalyzer two
+    frozen word sets. Tasks share every CPU slot with the reads, and Ray
+    fuses keep_winners -> PayloadExtractor -> project -> DocAnalyzer into
+    one operator with no actor start-up per execution. An actor would
+    hold its CPU slot for the whole execution; at one CPU the reads would
+    then never be scheduled (tests/test_single_cpu.py).
     """
-    cpus = _cluster_cpus()
-    extract_conc = concurrency if concurrency is not None else max(1, 3 * cpus // 4)
     est_rows = None
     if isinstance(source, str):
         from sciscraper_ray.pipelines.plan import parquet_row_bound
@@ -277,11 +257,10 @@ def extraction_pipeline(
         )
 
     extracted = ds.map_batches(
-        PayloadExtractor,
+        PayloadExtractor(),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,
-        concurrency=extract_conc,
     )
     # Pass lineage columns (fragment_id from run_resumable) through untouched;
     # a per-batch projection avoids ds.schema()'s partial execution.

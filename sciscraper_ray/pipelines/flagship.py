@@ -2,7 +2,7 @@
 (/root/reference/src/factories.py:38-52,101 — read text rows, run the
 document analyzer, emit the scored table).
 
-Shape: ``read_parquet(columns pruned)`` → ``map_batches(DocAnalyzer,
+Shape: ``read_parquet(columns pruned)`` → ``map_batches(DocAnalyzer(),
 pyarrow, zero-copy)`` → (caller consumes / writes). At 100 TB this is
 embarrassingly parallel — no shuffle anywhere.
 """
@@ -20,17 +20,14 @@ def wordscore_pipeline(
     text_column: str = "text",
     key_columns: tuple[str, ...] = ("doc_id",),
     batch_size: int = 2048,
-    concurrency: int | tuple[int, int] | None = None,
 ) -> ray.data.Dataset:
     """Score every document: tokenize, match terms, wordscore, top-3s.
 
     ``source`` is a parquet path (columns are pruned to key+text at the
     read) or an existing Dataset that already has ``text_column``.
+    DocAnalyzer runs as a task over a serialized instance (its state is two
+    frozen word sets), so it shares every CPU slot with the read.
     """
-    if concurrency is None:
-        from sciscraper_ray.pipelines.extract import _cluster_cpus
-
-        concurrency = (1, _cluster_cpus())
     if isinstance(source, str):
         ds = ray.data.read_parquet(
             source, columns=[*key_columns, text_column]
@@ -38,10 +35,8 @@ def wordscore_pipeline(
     else:
         ds = source
     return ds.map_batches(
-        DocAnalyzer,
-        fn_constructor_kwargs={"text_column": text_column},
+        DocAnalyzer(text_column=text_column),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,
-        concurrency=concurrency,
     )

@@ -15,6 +15,7 @@ keep working unchanged (tests and __ray_entry__ rely on this).
 from __future__ import annotations
 
 from sciscraper_ray.pipelines.queries._shared import (  # noqa: F401
+    NOT_RUN,
     ORACLE,
     QUERIES,
     register,

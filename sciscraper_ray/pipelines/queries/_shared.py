@@ -25,6 +25,9 @@ from sciscraper_ray.words import BYCATCH_WORDS, TARGET_WORDS, sql_in_list
 
 QUERIES: dict[str, Callable[[str], Any]] = {}
 ORACLE: dict[str, str] = {}
+# Queries left unregistered because an input they need is absent, with the
+# reason; the correctness harness lists them as not run.
+NOT_RUN: dict[str, str] = {}
 
 
 def register(name: str, oracle: str | None = None):

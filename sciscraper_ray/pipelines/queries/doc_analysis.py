@@ -10,9 +10,10 @@ from sciscraper_ray.words import TARGET_WORDS
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-from sciscraper_ray.words import sql_in_list
+from sciscraper_ray.words import REFERENCE_ROOT, sql_in_list
 
 from sciscraper_ray.pipelines.queries._shared import (
+    NOT_RUN,
     _SQL_TOKENS,
     _docs,
     _sql_ranked,
@@ -115,7 +116,7 @@ def doc_wordscore(sf_dir: str):
 
 def _ref_word_sets() -> tuple[frozenset, frozenset, list]:
     """The reference's PRODUCTION vocabulary (360 target + 120 bycatch
-    words, /root/reference/words/*.txt loaded with the reference's
+    words, REFERENCE_ROOT/words/*.txt loaded with the reference's
     strip().lower() semantics — docscraper.py:110-127) plus a deterministic
     mapping vocabulary: every single-token word from both sets and 120
     non-matching fillers. Multi-word entries stay in the SETS (they can
@@ -123,8 +124,8 @@ def _ref_word_sets() -> tuple[frozenset, frozenset, list]:
     from the mapping vocabulary so re-tokenization stays aligned."""
     from sciscraper_ray.words import load_word_file
 
-    tgt = load_word_file("/root/reference/words/target_words.txt")
-    byc = load_word_file("/root/reference/words/bycatch_words.txt")
+    tgt = load_word_file(str(REFERENCE_ROOT / "words" / "target_words.txt"))
+    byc = load_word_file(str(REFERENCE_ROOT / "words" / "bycatch_words.txt"))
     vocab = sorted(w for w in (tgt | byc) if w and " " not in w)
     vocab += [f"filler{i}" for i in range(120)]
     return tgt, byc, vocab
@@ -146,7 +147,6 @@ def _refwords_oracle() -> str:
     return body.replace("WITH toks AS", f"WITH {mapped}\n    toks AS", 1)
 
 
-@register("doc_wordscore_refwords", oracle=_refwords_oracle())
 def doc_wordscore_refwords(sf_dir: str):
     """M4/M5 parity on the reference's PRODUCTION word lists (north-star
     "against its pytest fixtures" closure): document tokens are mapped
@@ -190,6 +190,16 @@ def doc_wordscore_refwords(sf_dir: str):
     return out.select_columns(
         ["doc_id", "matching_terms", "bycatch_terms", "total_word_count", "wordscore"]
     )
+
+
+# The oracle embeds the reference word lists, so the query exists only where
+# the reference checkout does.
+if (REFERENCE_ROOT / "words").is_dir():
+    register("doc_wordscore_refwords", oracle=_refwords_oracle())(
+        doc_wordscore_refwords
+    )
+else:
+    NOT_RUN["doc_wordscore_refwords"] = f"reference absent ({REFERENCE_ROOT})"
 
 
 def _top3_exploded(sf_dir: str, word_set: frozenset[str]):

@@ -6,13 +6,13 @@ target/bycatch top-3 term matching → wordscore → parenthetical mining, all
 emitted as one wide Arrow batch. Differences from the reference that are
 deliberate scale fixes:
 
-- word sets are frozen in ``__init__`` once per actor (the reference
+- word sets are frozen in ``__init__`` once per instance (the reference
   re-reads both .txt files per document — docscraper.py:146-147);
 - everything except the parenthetical regex is vectorized Arrow/numpy;
 - rows never crash the task: nulls propagate as zero-count/empty rows.
 
-Use as ``ds.map_batches(DocAnalyzer, batch_format="pyarrow",
-zero_copy_batch=True, batch_size=..., concurrency=...)``.
+Use as a task over a serialized instance: ``ds.map_batches(DocAnalyzer(),
+batch_format="pyarrow", zero_copy_batch=True, batch_size=...)``.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ class DocAnalyzer:
         # EP1 parity: mine DOI/arXiv ids from the (extracted) text — the
         # text step of the doifrompdf fallback chain
         # (/root/reference/src/doifrompdf.py:30-52); metadata steps live in
-        # the PDF actor.
+        # PayloadExtractor.
         self.with_identifiers = with_identifiers
 
     def __call__(self, batch: pa.Table) -> pa.Table:

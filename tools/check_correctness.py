@@ -18,6 +18,10 @@ With ``--json`` the per-query verdicts are also written to OUT.json in the
 driver's CORRECTNESS_r{N}.json format ({name: {rows_match, schema_match,
 hash_match, spark_rows, oracle_rows, err}}), so a full local sweep can be
 committed as an auditable artifact.
+
+A query left unregistered because an input it needs is absent (see
+``NOT_RUN`` in the query registry) is listed as ``skip ...: not run: <reason>``
+with that ``err``: never a pass, and not counted as a failure.
 """
 
 from __future__ import annotations
@@ -67,6 +71,18 @@ def to_pandas(result) -> pd.DataFrame:
     return result.to_pandas()  # ray.data.Dataset
 
 
+def _record(err: str | None = None) -> dict:
+    """A per-query verdict in the CORRECTNESS_r{N}.json format, nothing matched."""
+    return {
+        "rows_match": False,
+        "schema_match": False,
+        "hash_match": False,
+        "spark_rows": None,
+        "oracle_rows": None,
+        "err": err,
+    }
+
+
 class _QueryTimeout(Exception):
     pass
 
@@ -108,6 +124,7 @@ def main() -> int:
     DataContext.get_current().enable_tensor_extension_casting = False
 
     import __ray_entry__ as e
+    from sciscraper_ray.pipelines.queries import NOT_RUN
 
     con = duckdb.connect()
     for t in TABLES:
@@ -119,18 +136,15 @@ def main() -> int:
     oracles = e.oracle_sql()
     failures = []
     records: dict[str, dict] = {}
+    for name, reason in NOT_RUN.items():
+        if only and name not in only:
+            continue
+        records[name] = _record(f"not run: {reason}")
+        print(f"skip {name}: not run: {reason}")
     for name, fn in queries.items():
         if only and name not in only:
             continue
-        rec = {
-            "rows_match": False,
-            "schema_match": False,
-            "hash_match": False,
-            "spark_rows": None,
-            "oracle_rows": None,
-            "err": None,
-        }
-        records[name] = rec
+        rec = records[name] = _record()
         if timeout_s:
             signal.alarm(timeout_s)
         try:
