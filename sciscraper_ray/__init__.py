@@ -7,9 +7,9 @@ docstrings) expressed as ``ray.data.Dataset`` pipelines:
 - pure kernels (``kernels/``) pin the reference's exact per-document
   semantics (tokenizer, wordscore, top-3 term frequencies, DOI/arXiv
   normalization, parenthetical mining) as vectorized Arrow/numpy functions;
-- stages (``stages/``) wrap kernels into ``map_batches`` callables — stateful
-  ones (word sets, compiled regexes, layout heuristics) are actor-pool
-  classes with setup in ``__init__``;
+- stages (``stages/``) wrap kernels into ``map_batches`` callables — ones
+  with state (word sets, compiled regexes, layout heuristics) are classes
+  with setup in ``__init__``, mapped as tasks over a serialized instance;
 - sources (``sources/``) read/synthesize Common-Crawl-style page tables;
 - pipelines (``pipelines/``) compose named end-to-end dataflows, the analog
   of the reference's SCISCRAPERS factory registry (factories.py:26-103);

@@ -227,11 +227,16 @@ def extraction_pipeline(
 
     Both map stages run as Ray tasks over serialized instances, not actor
     pools: PayloadExtractor holds only a column name and DocAnalyzer two
-    frozen word sets. Tasks share every CPU slot with the reads, and Ray
-    fuses keep_winners -> PayloadExtractor -> project -> DocAnalyzer into
-    one operator with no actor start-up per execution. An actor would
-    hold its CPU slot for the whole execution; at one CPU the reads would
-    then never be scheduled (tests/test_single_cpu.py).
+    frozen word sets. Tasks take CPU slots only while they run, so the
+    reads are never starved (an actor holds its slot for the whole
+    execution, and at one CPU the reads never ran —
+    tests/test_single_cpu.py). Ray fuses keep_winners -> PayloadExtractor
+    -> project -> DocAnalyzer into one operator whose tasks take bundles
+    of the LARGEST batch_size in the chain, so DocAnalyzer runs at
+    ``batch_size`` too and every fused task stays ``batch_size`` rows wide.
+    A 2048-row analyzer batch would make each task 2048 wide payload rows
+    and leave a handful of tasks for a whole crawl (tests/test_extract.py
+    checks the bundle size).
     """
     est_rows = None
     if isinstance(source, str):
@@ -280,6 +285,6 @@ def extraction_pipeline(
             ),
             batch_format="pyarrow",
             zero_copy_batch=True,
-            batch_size=2048,
+            batch_size=batch_size,
         )
     return out

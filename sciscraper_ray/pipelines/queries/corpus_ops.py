@@ -819,7 +819,7 @@ def url_canonicalize(sf_dir: str):
 def crawl_delta(sf_dir: str):
     """Snapshot diff over the page table (dup_mod=17 refetches, of which
     the ids also divisible by 3 carry revised content): full extraction
-    (HTML strip / PDF parse actor pools, dedup off — we NEED every
+    (HTML strip / PDF parse as task map_batches, dedup off — we NEED every
     fetch), then ONE shuffle on url; each url's tiny fetch group is
     sorted by warc_ts and the last two extracted texts compared. Only
     (url, warc_ts, doc_id, extracted_text) enter the shuffle — payload

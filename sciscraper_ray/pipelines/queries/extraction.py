@@ -323,9 +323,9 @@ def html_extract(sf_dir: str):
     oracle="SELECT doc_id, text AS extracted_text FROM documents",
 )
 def pdf_extract(sf_dir: str):
-    """PDF layout parse (PdfParser actor pool: content-stream interpret,
-    glyph clustering with x_tol=1/y_tol=3, pages joined ' ' —
-    docscraper.py:188-205): byte-identical text per url."""
+    """PDF layout parse (PayloadExtractor, a task map_batches stage:
+    content-stream interpret, glyph clustering with x_tol=1/y_tol=3, pages
+    joined ' ' — docscraper.py:188-205): byte-identical text per url."""
     from sciscraper_ray.pipelines.extract import extraction_pipeline
 
     out = extraction_pipeline(

@@ -11,15 +11,13 @@ The vocabulary is chosen to overlap the synthetic ``documents`` test table
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 # Checkout of the reference implementation (its production word lists and
-# test fixtures): ``~/reference`` unless SCISCRAPER_REFERENCE_ROOT names
-# another directory. Optional — what needs it registers only when present.
-REFERENCE_ROOT = Path(
-    os.environ.get("SCISCRAPER_REFERENCE_ROOT", Path.home() / "reference")
-)
+# test fixtures). The one place its location is set: the query registry and
+# the reference-fixture tests all build their paths from it. Optional —
+# what needs it registers only when present.
+REFERENCE_ROOT = Path.home() / "reference"
 
 # Query/engine-flavored "relevant" terms.
 TARGET_WORDS: frozenset[str] = frozenset(

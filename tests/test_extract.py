@@ -81,6 +81,32 @@ def test_extraction_pipeline_end_to_end():
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_extraction_tasks_stay_batch_size_wide():
+    """Ray fuses PayloadExtractor -> project -> DocAnalyzer into one
+    operator whose tasks take bundles of the largest batch_size in the
+    chain. DocAnalyzer must not widen them: 24 input blocks of 40 rows at
+    batch_size=64 bundle into 80-row tasks (12 output blocks); a 2048-row
+    analyzer batch would pull all 960 rows into a single task."""
+    import ray.data
+
+    from sciscraper_ray.pipelines.extract import extraction_pipeline
+
+    n = 960
+    docs = pa.table(
+        {
+            "doc_id": pa.array(range(n), pa.int64()),
+            "text": pa.array([f"scan join doc {i} hash sort" for i in range(n)]),
+            "lang": pa.array(["en"] * n),
+        }
+    )
+    pages = synth_pages_batch(docs)
+    ds = ray.data.from_arrow([pages.slice(i, 40) for i in range(0, n, 40)])
+    out = extraction_pipeline(ds, dedup=False, batch_size=64).materialize()
+    assert out.count() == n
+    assert out.num_blocks() >= n // (2 * 64)
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_extraction_error_rows_degrade():
     import ray.data
 

@@ -1,7 +1,7 @@
 """Golden kernel tests.
 
 The parametrized vectors are ported verbatim from the reference suite
-(/root/reference/tests/test_wordscore.py, test_doiregex.py,
+(tests/test_wordscore.py, test_doiregex.py,
 test_webscrapers.py:15-31, test_downloaders.py:87-108) — they pin the exact
 per-document semantics before any distribution. Additional tests check the
 vectorized Arrow/numpy forms against the scalar reference-parity forms.
@@ -28,6 +28,7 @@ from sciscraper_ray.kernels import (
     wordscore_vec,
 )
 from sciscraper_ray.kernels.nested import clean_nested_values
+from sciscraper_ray.words import REFERENCE_ROOT
 
 
 @pytest.mark.parametrize(
@@ -210,8 +211,8 @@ def test_reference_word_lists_parity(ray_session):
     from sciscraper_ray.stages.doc_analyzer import DocAnalyzer
     from sciscraper_ray.words import load_word_file
 
-    tgt = load_word_file("/root/reference/words/target_words.txt")
-    byc = load_word_file("/root/reference/words/bycatch_words.txt")
+    tgt = load_word_file(str(REFERENCE_ROOT / "words" / "target_words.txt"))
+    byc = load_word_file(str(REFERENCE_ROOT / "words" / "bycatch_words.txt"))
     assert len(tgt) >= 300 and len(byc) >= 100  # the real lists, not stubs
 
     vocab = sorted(w for w in (tgt | byc) if w and " " not in w)
@@ -257,7 +258,8 @@ def test_reference_word_lists_parity(ray_session):
         assert got_top == t_top  # Counter insertion-order tie-break
 
 
-REFERENCE_PDF = "/root/reference/tests/test_dirs/test_pdf_1.pdf"
+REFERENCE_FIXTURES = REFERENCE_ROOT / "tests" / "test_dirs"
+REFERENCE_PDF = str(REFERENCE_FIXTURES / "test_pdf_1.pdf")
 
 
 def test_reference_real_pdf_fixture_end_to_end():
@@ -308,7 +310,7 @@ def test_reference_txt_fixture_serializer_parity(ray_session):
 
     import ray.data
 
-    path = "/root/reference/tests/test_dirs/test_file_multiline.txt"
+    path = str(REFERENCE_FIXTURES / "test_file_multiline.txt")
     with open(path, encoding="utf-8") as f:
         expected = [w.strip().lower() for w in f]
 
@@ -339,7 +341,7 @@ def test_reference_csv_fixture_serializer_parity(ray_session):
 
     from sciscraper_ray.kernels.nested import clean_nested_values, fill_na
 
-    path = "/root/reference/tests/test_dirs/test_example_file_1.csv"
+    path = str(REFERENCE_FIXTURES / "test_example_file_1.csv")
     rows = ray.data.read_csv(path).to_pandas()
 
     doi = clean_nested_values(
@@ -381,7 +383,7 @@ def test_reference_blank_txt_fixture(ray_session):
     the distributed reader must agree (no phantom empty row)."""
     import ray.data
 
-    path = "/root/reference/tests/test_dirs/test_file_blank.txt"
+    path = str(REFERENCE_FIXTURES / "test_file_blank.txt")
     with open(path, encoding="utf-8") as f:
         assert [w.strip().lower() for w in f] == []
     got = ray.data.read_text(path, drop_empty_lines=False).take_all()

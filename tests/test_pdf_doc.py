@@ -14,8 +14,9 @@ from sciscraper_ray.stages.pdf_doc import (
     parse_tounicode,
 )
 from sciscraper_ray.stages.pdf_parse import extract_pdf_pages, extract_pdf_text
+from sciscraper_ray.words import REFERENCE_ROOT
 
-REFERENCE_PDF = "/root/reference/tests/test_dirs/test_pdf_1.pdf"
+REFERENCE_PDF = str(REFERENCE_ROOT / "tests" / "test_dirs" / "test_pdf_1.pdf")
 
 
 # ---------------------------------------------------------------------------

@@ -136,9 +136,11 @@ def main() -> int:
     oracles = e.oracle_sql()
     failures = []
     records: dict[str, dict] = {}
+    not_run = []
     for name, reason in NOT_RUN.items():
         if only and name not in only:
             continue
+        not_run.append(name)
         records[name] = _record(f"not run: {reason}")
         print(f"skip {name}: not run: {reason}")
     for name, fn in queries.items():
@@ -232,7 +234,10 @@ def main() -> int:
     if failures:
         print(f"\n{len(failures)} FAILED: {failures}")
         return 1
-    print("\nall queries match")
+    if not_run:
+        print(f"\nall run queries match; {len(not_run)} not run: {not_run}")
+    else:
+        print("\nall queries match")
     return 0
 
 
