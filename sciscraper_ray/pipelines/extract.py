@@ -240,10 +240,10 @@ def extraction_pipeline(
     """
     est_rows = None
     if isinstance(source, str):
-        from sciscraper_ray.pipelines.plan import parquet_row_bound
+        from sciscraper_ray.pipelines.plan import parquet_row_bound, read_parquet
 
-        ds = ray.data.read_parquet(source)
-        keys = ray.data.read_parquet(source, columns=["url", "warc_ts"])
+        ds = read_parquet(source)
+        keys = read_parquet(source, columns=["url", "warc_ts"])
         # free metadata row bound lets the dedup auto-plan skip its
         # materialize barrier (distinct urls <= rows)
         est_rows = parquet_row_bound(source)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ray.data
 
+from sciscraper_ray.pipelines.plan import read_parquet
 from sciscraper_ray.stages.doc_analyzer import DocAnalyzer
 
 
@@ -29,9 +30,7 @@ def wordscore_pipeline(
     frozen word sets), so it shares every CPU slot with the read.
     """
     if isinstance(source, str):
-        ds = ray.data.read_parquet(
-            source, columns=[*key_columns, text_column]
-        )
+        ds = read_parquet(source, columns=[*key_columns, text_column])
     else:
         ds = source
     return ds.map_batches(

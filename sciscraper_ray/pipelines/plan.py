@@ -24,6 +24,8 @@ threshold. Scale safety must not depend on a caller remembering a kwarg
 from __future__ import annotations
 
 import ray.data
+from ray.data.datasource import ParquetMetadataProvider
+from ray.data.datasource.parquet_meta_provider import PARALLELIZE_META_FETCH_THRESHOLD
 
 # Above this many key rows the driver merge plan is refused: ~50M rows of
 # a few-int64 columns ≈ 1-2 GB on the driver, the documented comfort bound.
@@ -61,6 +63,40 @@ def parquet_row_bound(path) -> int | None:
         return pads.dataset(path).count_rows()
     except Exception:  # noqa: BLE001 — fall back to the measured probe
         return None
+
+
+class _InProcessFooters(ParquetMetadataProvider):
+    """Reads parquet footers in the calling process, never in Ray tasks.
+
+    Past ``PARALLELIZE_META_FETCH_THRESHOLD`` files Ray Data fetches the
+    footers in 0.5-CPU tasks, up to twice as many at once as there are
+    CPUs. A local footer takes well under a millisecond, but when fewer
+    idle workers are up than fetch tasks run at once (Ray retires idle
+    workers after ~1 s), the call waits ~0.5 s for a worker to start. That
+    happens on some calls and not others. Chunks of at most the threshold
+    keep every fetch on Ray's in-process path."""
+
+    def prefetch_file_metadata(self, fragments, **ray_remote_args):
+        step = PARALLELIZE_META_FETCH_THRESHOLD
+        out = []
+        for i in range(0, len(fragments), step):
+            chunk = fragments[i : i + step]
+            got = super().prefetch_file_metadata(chunk, **ray_remote_args) or []
+            out += got
+            if len(got) < len(chunk):  # Ray stops at a fragment without a footer
+                break
+        return out
+
+
+def read_parquet(path: str, **kwargs) -> ray.data.Dataset:
+    """``ray.data.read_parquet`` that reads local footers in-process.
+
+    Remote paths (with a URI scheme) keep Ray's parallel footer fetch: an
+    object-store footer costs a round trip, and there the tasks pay off.
+    Ray Data marks ``meta_provider`` deprecated; 2.49 still honours it."""
+    if "://" not in path:
+        kwargs["meta_provider"] = _InProcessFooters()
+    return ray.data.read_parquet(path, **kwargs)
 
 
 def driver_frame(ds: ray.data.Dataset, limit: int, what: str):

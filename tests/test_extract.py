@@ -107,6 +107,35 @@ def test_extraction_tasks_stay_batch_size_wide():
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_local_parquet_footers_read_in_process(tmp_path, monkeypatch):
+    """Past Ray's parallel-fetch threshold, a local read's footers still come
+    from the calling process, one per file and in file order."""
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
+    from ray.data.datasource import parquet_meta_provider
+
+    from sciscraper_ray.pipelines.plan import _InProcessFooters, read_parquet
+
+    n_files = parquet_meta_provider.PARALLELIZE_META_FETCH_THRESHOLD + 6
+    for i in range(n_files):
+        pq.write_table(pa.table({"x": pa.array(range(i + 1), pa.int64())}),
+                       tmp_path / f"f{i:03d}.parquet")
+
+    def in_tasks(*args, **kwargs):
+        raise AssertionError("footers fetched in Ray tasks")
+
+    monkeypatch.setattr(parquet_meta_provider, "_fetch_metadata_parallel", in_tasks)
+    fragments = list(pads.dataset(str(tmp_path)).get_fragments())
+    footers = _InProcessFooters().prefetch_file_metadata(fragments)
+    assert [m.num_rows for m in footers] == [f.metadata.num_rows for f in fragments]
+    ds = read_parquet(str(tmp_path))
+    assert ds.count() == n_files * (n_files + 1) // 2
+    assert sorted(r["x"] for r in ds.take_all()) == sorted(
+        x for i in range(n_files) for x in range(i + 1)
+    )
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_extraction_error_rows_degrade():
     import ray.data
 
