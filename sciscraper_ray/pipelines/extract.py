@@ -217,26 +217,32 @@ def extraction_pipeline(
     *,
     dedup: bool = True,
     analyze: bool = True,
-    batch_size: int = 256,
     dedup_key_merge: str = "auto",
 ) -> ray.data.Dataset:
     """pages (path or Dataset) -> extracted (and optionally analyzed) docs.
-
-    ``batch_size`` is small because payload rows are wide (multi-KB to
-    multi-MB binary).
 
     Both map stages run as Ray tasks over serialized instances, not actor
     pools: PayloadExtractor holds only a column name and DocAnalyzer two
     frozen word sets. Tasks take CPU slots only while they run, so the
     reads are never starved (an actor holds its slot for the whole
     execution, and at one CPU the reads never ran —
-    tests/test_single_cpu.py). Ray fuses keep_winners -> PayloadExtractor
-    -> project -> DocAnalyzer into one operator whose tasks take bundles
-    of the LARGEST batch_size in the chain, so DocAnalyzer runs at
-    ``batch_size`` too and every fused task stays ``batch_size`` rows wide.
-    A 2048-row analyzer batch would make each task 2048 wide payload rows
-    and leave a handful of tasks for a whole crawl (tests/test_extract.py
-    checks the bundle size).
+    tests/test_single_cpu.py).
+
+    No map in the chain sets ``batch_size``. ``map_batches(batch_size=n)``
+    gives its operator ``min_rows_per_bundled_input=n``, and Ray's fusion
+    rule (``operator_fusion.py``, ``_can_fuse_map_ops``) keeps such a map
+    apart from an upstream operator that can change row counts — a Read
+    among them. Unbatched, Ray fuses ``ReadParquet -> keep_winners ->
+    PayloadExtractor -> project -> DocAnalyzer`` into ONE task operator
+    (``ReadParquet -> tag -> ... -> Write`` under ``run_resumable``): each
+    task reads one block and carries it through every stage, and the
+    operator gets as many tasks as the read has. Rows per call are
+    therefore one read block, which Ray bounds by the context's
+    ``target_max_block_size``; on a Dataset source, one input block
+    (tests/test_extract.py checks both shapes). A read of fewer files
+    than Ray's auto read parallelism (2 per CPU for small data) has its
+    blocks split (``ReadParquet->SplitBlocks``) and stays a separate
+    operator; the chain after it still runs one task per block.
     """
     est_rows = None
     if isinstance(source, str):
@@ -265,7 +271,6 @@ def extraction_pipeline(
         PayloadExtractor(),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        batch_size=batch_size,
     )
     # Pass lineage columns (fragment_id from run_resumable) through untouched;
     # a per-batch projection avoids ds.schema()'s partial execution.
@@ -285,6 +290,5 @@ def extraction_pipeline(
             ),
             batch_format="pyarrow",
             zero_copy_batch=True,
-            batch_size=batch_size,
         )
     return out

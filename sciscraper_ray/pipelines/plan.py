@@ -100,13 +100,26 @@ def read_parquet(path: str, **kwargs) -> ray.data.Dataset:
 
 
 def driver_frame(ds: ray.data.Dataset, limit: int, what: str):
-    """``to_pandas`` with the oversize guard every driver plan needs:
+    """``ds.to_pandas()`` with the oversize guard every driver plan needs:
     failing fast with a pointer at the shuffle plan beats a silent driver
-    OOM (ADVICE r1)."""
-    try:
-        return ds.to_pandas(limit=limit)
-    except ValueError as exc:
-        raise ValueError(
-            f"{what}: key table exceeds the driver plan limit ({limit} rows)"
-            " — rerun with the 'shuffle' plan (or 'auto')."
-        ) from exc
+    OOM (ADVICE r1).
+
+    Runs ``ds`` once. ``ds.to_pandas(limit=...)`` would run it twice: its
+    ``count()`` executes the whole plan, and collecting the rows executes
+    it again. Here rows are counted as the batches stream in, and the
+    guard raises as soon as the count passes ``limit``. The frame is built
+    the way ``to_pandas`` builds it."""
+    from ray.data._internal.pandas_block import PandasBlockBuilder
+    from ray.data.block import BlockAccessor
+
+    builder = PandasBlockBuilder()
+    rows = 0
+    for batch in ds.iter_batches(batch_format="pandas", batch_size=None):
+        rows += len(batch)
+        if rows > limit:
+            raise ValueError(
+                f"{what}: key table exceeds the driver plan limit ({limit} rows)"
+                " — rerun with the 'shuffle' plan (or 'auto')."
+            )
+        builder.add_block(batch)
+    return BlockAccessor.for_block(builder.build()).to_pandas()

@@ -308,8 +308,8 @@ def terms_from_csv(sf_dir: str):
     oracle="SELECT doc_id, text AS extracted_text FROM documents",
 )
 def html_extract(sf_dir: str):
-    """Readability/text-density boilerplate strip (HtmlMainContent actor
-    pool): byte-identical main content per url vs the known ground truth."""
+    """Readability/text-density boilerplate strip (PayloadExtractor's HTML
+    route): byte-identical main content per url vs the known ground truth."""
     from sciscraper_ray.pipelines.extract import extraction_pipeline
 
     out = extraction_pipeline(

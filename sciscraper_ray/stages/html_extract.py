@@ -1,5 +1,5 @@
 """HTML main-content extractor — readability/text-density boilerplate
-stripping as an actor-pool map_batches stage.
+stripping, the HTML route of ``PayloadExtractor`` (pipelines/extract.py).
 
 The reference has no HTML stripper (its DOM use is CSS-select scraping,
 webscrapers.py:163-183); the north-star requires one for the page table's
@@ -20,8 +20,6 @@ Kohlschütter-boilerplate signals:
 from __future__ import annotations
 
 from html.parser import HTMLParser
-
-import pyarrow as pa
 
 BLOCK_TAGS = frozenset(
     "p div article section main li ul ol nav footer header aside h1 h2 h3 h4 h5 h6 "
@@ -146,43 +144,3 @@ def extract_main_content(html: str) -> tuple[str, list[tuple[int, int]]]:
         pos += len(t) + 1  # the joining space
     return " ".join(kept), spans
 
-
-class HtmlMainContent:
-    """Actor-pool map_batches stage over HTML payload rows.
-
-    Appends ``extracted_text`` (large_string), ``spans``
-    (list<struct<start,end>>), ``extract_status``. Parse errors degrade to
-    null text + error status (never crash the task).
-    """
-
-    SPAN_TYPE = pa.list_(pa.struct([("start", pa.int64()), ("end", pa.int64())]))
-
-    def __init__(self, payload_col: str = "html", encoding: str = "utf-8"):
-        self.payload_col = payload_col
-        self.encoding = encoding
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts: list[str | None] = []
-        spans_col: list[list[dict] | None] = []
-        status: list[str] = []
-        for payload in batch[self.payload_col].to_pylist():
-            if payload is None:
-                texts.append(None)
-                spans_col.append(None)
-                status.append("error: null payload")
-                continue
-            try:
-                html = payload.decode(self.encoding, errors="replace")
-                text, spans = extract_main_content(html)
-                texts.append(text)
-                spans_col.append([{"start": s, "end": e} for s, e in spans])
-                status.append("ok")
-            except Exception as exc:  # noqa: BLE001 — degrade, never crash
-                texts.append(None)
-                spans_col.append(None)
-                status.append(f"error: {type(exc).__name__}")
-        return (
-            batch.append_column("extracted_text", pa.array(texts, type=pa.large_string()))
-            .append_column("spans", pa.array(spans_col, type=self.SPAN_TYPE))
-            .append_column("extract_status", pa.array(status, type=pa.string()))
-        )

@@ -1,4 +1,5 @@
-"""PDF layout parser — the actor-pool re-expression of the reference's
+"""PDF layout parser — the PDF route of ``PayloadExtractor``
+(pipelines/extract.py) and a re-expression of the reference's
 pdfplumber text path (/root/reference/src/docscraper.py:188-205): per page
 ``extract_text(x_tolerance=1, y_tolerance=3)``, pages joined with ``" "``.
 
@@ -24,8 +25,6 @@ from __future__ import annotations
 import bisect
 import re
 import zlib
-
-import pyarrow as pa
 
 from sciscraper_ray.stages.pdf_doc import (
     FontInfo,
@@ -554,51 +553,3 @@ def extract_pdf_text(payload: bytes) -> tuple[str, int]:
     pages = extract_pdf_pages(payload)
     return " ".join(pages), len(pages)
 
-
-class PdfParser:
-    """Actor-pool map_batches stage over binary PDF payloads.
-
-    Input: ``payload_col`` binary column (rows whose payload starts with
-    %PDF-). Output: appends ``extracted_text`` (large_string), ``n_pages``
-    int32, ``extract_status`` string ('ok' | 'error: ...') — errors degrade
-    to null text instead of crashing the task (SURVEY §4 retry semantics).
-    """
-
-    SPAN_TYPE = pa.list_(pa.struct([("start", pa.int64()), ("end", pa.int64())]))
-
-    def __init__(self, payload_col: str = "html"):
-        self.payload_col = payload_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        texts: list[str | None] = []
-        spans_col: list[list[dict] | None] = []
-        n_pages: list[int] = []
-        status: list[str] = []
-        for payload in batch[self.payload_col].to_pylist():
-            if payload is None or not payload.startswith(b"%PDF-"):
-                texts.append(None)
-                spans_col.append(None)
-                n_pages.append(0)
-                status.append("error: not a pdf")
-                continue
-            try:
-                pages = extract_pdf_pages(payload)
-                spans, pos = [], 0
-                for p in pages:
-                    spans.append({"start": pos, "end": pos + len(p)})
-                    pos += len(p) + 1
-                texts.append(" ".join(pages))
-                spans_col.append(spans)
-                n_pages.append(len(pages))
-                status.append("ok")
-            except Exception as exc:  # noqa: BLE001 — degrade, never crash
-                texts.append(None)
-                spans_col.append(None)
-                n_pages.append(0)
-                status.append(f"error: {type(exc).__name__}")
-        return (
-            batch.append_column("extracted_text", pa.array(texts, type=pa.large_string()))
-            .append_column("spans", pa.array(spans_col, type=self.SPAN_TYPE))
-            .append_column("n_pages", pa.array(n_pages, type=pa.int32()))
-            .append_column("extract_status", pa.array(status, type=pa.string()))
-        )

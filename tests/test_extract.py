@@ -81,12 +81,14 @@ def test_extraction_pipeline_end_to_end():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_extraction_tasks_stay_batch_size_wide():
-    """Ray fuses PayloadExtractor -> project -> DocAnalyzer into one
-    operator whose tasks take bundles of the largest batch_size in the
-    chain. DocAnalyzer must not widen them: 24 input blocks of 40 rows at
-    batch_size=64 bundle into 80-row tasks (12 output blocks); a 2048-row
-    analyzer batch would pull all 960 rows into a single task."""
+def test_extract_chain_runs_one_task_per_block(tmp_path):
+    """No map in the extract chain sets batch_size, so Ray fuses it into
+    one task operator that carries each input block through every stage:
+    24 input blocks give 24 output blocks, and on a parquet directory the
+    read fuses in too (a batch_size anywhere in the chain splits it out)."""
+    import pyarrow.parquet as pq
+
+    import ray
     import ray.data
 
     from sciscraper_ray.pipelines.extract import extraction_pipeline
@@ -101,9 +103,29 @@ def test_extraction_tasks_stay_batch_size_wide():
     )
     pages = synth_pages_batch(docs)
     ds = ray.data.from_arrow([pages.slice(i, 40) for i in range(0, n, 40)])
-    out = extraction_pipeline(ds, dedup=False, batch_size=64).materialize()
+    out = extraction_pipeline(ds, dedup=False).materialize()
     assert out.count() == n
-    assert out.num_blocks() >= n // (2 * 64)
+    assert out.num_blocks() == n // 40
+
+    # Ray wants 2 read blocks per CPU for small data; with fewer files it
+    # splits each read block (SplitBlocks), and a split read never fuses.
+    n_files = 2 * int(ray.cluster_resources()["CPU"])
+    step = -(-n // n_files)
+    for i in range(n_files):
+        pq.write_table(pages.slice(i * step, step), tmp_path / f"part{i}.parquet")
+    out = extraction_pipeline(str(tmp_path), dedup=False).materialize()
+    assert out.count() == n
+
+    def operator_names(summary):
+        names = [op.operator_name for op in summary.operators_stats]
+        for parent in summary.parents:
+            names += operator_names(parent)
+        return names
+
+    names = operator_names(out._get_stats_summary())
+    assert len(names) == 1, names
+    assert names[0].startswith("ReadParquet->"), names
+    assert names[0].endswith("MapBatches(DocAnalyzer)"), names
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -136,10 +158,44 @@ def test_local_parquet_footers_read_in_process(tmp_path, monkeypatch):
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_driver_frame_runs_its_input_once(tmp_path):
+    """driver_frame returns ds.to_pandas()'s frame from ONE execution of
+    its input (to_pandas(limit=...) counts first, running it twice), and
+    past the limit raises the plan-limit error."""
+    import pandas as pd
+
+    import ray.data
+
+    from sciscraper_ray.pipelines.plan import driver_frame
+
+    calls = tmp_path / "calls.txt"
+
+    def mark(batch):
+        with open(calls, "a") as f:
+            f.write("".join(f"{i}\n" for i in batch["id"]))
+        return batch.assign(name=batch["id"].map(lambda i: f"row{i}"))
+
+    ds = ray.data.range(10, override_num_blocks=4).map_batches(
+        mark, batch_format="pandas"
+    )
+    got = driver_frame(ds, 10, "probe")
+    # every row went through the map exactly once
+    assert sorted(int(i) for i in calls.read_text().split()) == list(range(10))
+
+    def by_id(df):
+        return df.sort_values("id").reset_index(drop=True)
+
+    pd.testing.assert_frame_equal(by_id(got), by_id(ds.to_pandas()))
+    with pytest.raises(ValueError, match=r"probe: key table exceeds the "
+                       r"driver plan limit \(9 rows\)"):
+        driver_frame(ds, 9, "probe")
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_extraction_error_rows_degrade():
     import ray.data
 
-    from sciscraper_ray.stages.pdf_parse import PdfParser
+    from sciscraper_ray.pipelines.extract import PayloadExtractor
 
     bad = pa.table(
         {
@@ -149,7 +205,7 @@ def test_extraction_error_rows_degrade():
     )
     out = (
         ray.data.from_arrow(bad)
-        .map_batches(PdfParser, batch_format="pyarrow", concurrency=1)
+        .map_batches(PayloadExtractor(), batch_format="pyarrow")
         .to_pandas()
     )
     assert out["extract_status"].str.startswith(("ok", "error")).all()
