@@ -5,11 +5,13 @@ Prints ONE JSON line:
     {"metric": ..., "value": N, "unit": "sec", "queries": {...}, "sf": ...,
      "num_cpus": N}
 
-``--scaling`` runs the flagship extraction pipeline twice in FRESH
-taskset-pinned processes (num_cpus=4 then 16) on the same input and reports throughput at
-both plus scaling efficiency (north_rule: >=0.8 N->4N) — the in-sandbox
-evidence for the two-cluster-size criterion. This script OWNS its Ray
-session (ray.init/ray.shutdown); the library never does.
+``--scaling`` runs the flagship extraction pipeline in FRESH
+taskset-pinned processes (num_cpus=4, 8 and 16 by default) on the same
+input and reports throughput at each level plus scaling efficiency
+(north_rule: >=0.8 N->4N). A level wider than this process's CPU
+affinity set is recorded as "not measured" instead of timing an
+oversubscribed run. This script OWNS its Ray session
+(ray.init/ray.shutdown); the library never does.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+# The CPUs this process may run on (not nproc, which OMP_NUM_THREADS caps).
+AFFINITY = sorted(os.sched_getaffinity(0))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", len(AFFINITY)))
 
 # Headline set: flagship extraction + one representative per operator family.
 HEADLINE = [
@@ -203,6 +207,24 @@ def run_child(sf_dir: str, num_cpus: int) -> dict:
             "docs_per_sec": round(n / best, 2)}
 
 
+NOT_MEASURED = "not measured"
+
+
+def run_child_process(sf_dir: str, cpus: int) -> dict:
+    """``run_child`` in a fresh process pinned to the first ``cpus`` CPUs of
+    this process's affinity set."""
+    cmd = [sys.executable, os.path.abspath(__file__), "--scaling-child",
+           str(cpus), sf_dir]
+    if shutil.which("taskset"):
+        cmd = ["taskset", "-c", ",".join(map(str, AFFINITY[:cpus]))] + cmd
+    out = subprocess.run(
+        cmd,
+        capture_output=True, text=True, check=True,
+        cwd=os.path.dirname(os.path.abspath(__file__)),
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
 def run_scaling(sf_dir: str) -> dict:
     """Same job, fresh ray.init at N and 4N CPUs -> scaling efficiency.
 
@@ -223,53 +245,51 @@ def run_scaling(sf_dir: str) -> dict:
     low, high = levels[0], levels[-1]
     passes = int(os.environ.get("BENCH_SCALING_PASSES", "2"))
 
-    def child(cpus: int) -> dict:
-        cmd = [sys.executable, os.path.abspath(__file__), "--scaling-child",
-               str(cpus), sf_dir]
-        if shutil.which("taskset"):
-            cmd = ["taskset", "-c", f"0-{cpus - 1}"] + cmd
-        out = subprocess.run(
-            cmd,
-            capture_output=True, text=True, check=True,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-        return json.loads(out.stdout.strip().splitlines()[-1])
-
     # Interleaved passes, best-of per LEVEL: the sandbox host shows
     # transient multi-minute throttles (identical back-to-back 16-cpu
     # legs measured 25% apart); a single unlucky pairing would report
     # host noise, not the program. Best-of-N per configuration is the
     # standard defense; all raw runs are reported for honesty.
+    measured = [c for c in levels if c <= len(AFFINITY)]
     all_runs: list[dict] = []
     for _ in range(passes):
-        for cpus in levels:
-            all_runs.append(child(cpus))
+        for cpus in measured:
+            all_runs.append(run_child_process(sf_dir, cpus))
     best = {
         cpus: max(
             (r for r in all_runs if r["num_cpus"] == cpus),
             key=lambda r: r["docs_per_sec"],
         )
-        for cpus in levels
+        for cpus in measured
     }
-    speedup = best[high]["docs_per_sec"] / best[low]["docs_per_sec"]
-    efficiency = speedup / (high / low)
+
+    def efficiency(a: int, b: int) -> float | str:
+        """Speedup from a to b CPUs over the ideal b / a."""
+        if a not in best or b not in best:
+            return NOT_MEASURED
+        speedup = best[b]["docs_per_sec"] / best[a]["docs_per_sec"]
+        return round(speedup / (b / a), 3)
+
+    value = efficiency(low, high)
+    speedup = (
+        NOT_MEASURED if value == NOT_MEASURED
+        else round(best[high]["docs_per_sec"] / best[low]["docs_per_sec"], 3)
+    )
     # per-adjacent-level efficiencies: the full curve, not one pairing
     curve = [
-        {
-            "from_cpus": a,
-            "to_cpus": b,
-            "efficiency": round(
-                (best[b]["docs_per_sec"] / best[a]["docs_per_sec"]) / (b / a), 3
-            ),
-        }
+        {"from_cpus": a, "to_cpus": b, "efficiency": efficiency(a, b)}
         for a, b in zip(levels, levels[1:])
     ]
     return {
         "metric": "scaling_efficiency",
-        "value": round(efficiency, 3),
+        "value": value,
         "unit": "ratio",
-        "speedup": round(speedup, 3),
-        "runs": [best[c] for c in levels],
+        "speedup": speedup,
+        "runs": [
+            best.get(c, {"num_cpus": c, "docs_per_sec": NOT_MEASURED,
+                         "reason": f"CPU affinity set has {len(AFFINITY)} CPUs"})
+            for c in levels
+        ],
         "curve": curve,
         "all_runs": all_runs,
         "flagship": FLAGSHIP,

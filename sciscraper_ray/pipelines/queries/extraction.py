@@ -625,7 +625,7 @@ def pdf_page_stats(sf_dir: str):
     """,
 )
 def page_block_density(sf_dir: str):
-    """Run the real block parser (stages/html_extract.py _BlockParser)
+    """Run the real block scanner (stages/html_extract.py _scan_blocks)
     over every rendered page and aggregate its block stream per
     innermost container, tagging the scorer's winning container. Pure
     map stage — one task per batch, no exchange; the page render and
@@ -636,10 +636,7 @@ def page_block_density(sf_dir: str):
     from collections import defaultdict
 
     from sciscraper_ray.sources.page_synth import render_html
-    from sciscraper_ray.stages.html_extract import (
-        _BlockParser,
-        _block_score,
-    )
+    from sciscraper_ray.stages.html_extract import _block_score, _scan_blocks
 
     def profile(batch: pa.Table) -> pa.Table:
         ids_, tags_, nbs_, tcs_, lcs_, win_ = [], [], [], [], [], []
@@ -649,12 +646,10 @@ def page_block_density(sf_dir: str):
             batch["lang"].to_pylist(),
         ):
             page = render_html(int(i), t, lg).decode("utf-8")
-            p = _BlockParser()
-            p.feed(page)
-            p.close()
+            blocks, container_tags, container_neg = _scan_blocks(page)
             agg: dict[int, list[int]] = defaultdict(lambda: [0, 0, 0])
             scores: dict[int, float] = defaultdict(float)
-            for text, lc, cid in p.blocks:
+            for text, lc, cid in blocks:
                 a = agg[cid]
                 a[0] += 1
                 a[1] += len(text)
@@ -663,12 +658,12 @@ def page_block_density(sf_dir: str):
             positive = {
                 c: s
                 for c, s in scores.items()
-                if s > 0 and not p.container_neg.get(c, False)
+                if s > 0 and not container_neg.get(c, False)
             }
             best = max(positive, key=lambda c: (positive[c], -c)) if positive else -1
             for cid, (nb, tc, lc) in agg.items():
                 ids_.append(int(i))
-                tags_.append(p.container_tags[cid])
+                tags_.append(container_tags[cid])
                 nbs_.append(nb)
                 tcs_.append(tc)
                 lcs_.append(lc)
@@ -981,6 +976,24 @@ def pdf_reading_order_extract(sf_dir: str):
     )
 
 
+def damage_page(doc_id: int, html: bytes) -> bytes:
+    """``page_extract_damage_matrix``'s damage class ``doc_id % 5`` applied
+    to a rendered page."""
+    m = doc_id % 5
+    if m == 0:
+        return b"\xef\xbb\xbf" + html
+    if m == 1:
+        return html.replace(b"</body></html>", b"")
+    if m == 2:
+        cut = html.find(b"</article>")
+        return html[: cut + len(b"</article>")]
+    if m == 3:
+        start = html.find(b'<article id="main">')
+        cut = html.find(b"</p>", start)
+        return html[: cut + len(b"</p>")]
+    return html[: html.find(b"<article")]
+
+
 @register(
     "page_extract_damage_matrix",
     oracle="""
@@ -1017,26 +1030,11 @@ def page_extract_damage_matrix(sf_dir: str):
     from sciscraper_ray.sources.page_synth import render_html
     from sciscraper_ray.stages.html_extract import extract_main_content
 
-    def damage(doc_id: int, html: bytes) -> bytes:
-        m = doc_id % 5
-        if m == 0:
-            return b"\xef\xbb\xbf" + html
-        if m == 1:
-            return html.replace(b"</body></html>", b"")
-        if m == 2:
-            cut = html.find(b"</article>")
-            return html[: cut + len(b"</article>")]
-        if m == 3:
-            start = html.find(b'<article id="main">')
-            cut = html.find(b"</p>", start)
-            return html[: cut + len(b"</p>")]
-        return html[: html.find(b"<article")]
-
     def run(b: pa.Table) -> pa.Table:
         ids = b["doc_id"].to_numpy(zero_copy_only=False)
         out = []
         for i, t, lang in zip(ids, b["text"].to_pylist(), b["lang"].to_pylist()):
-            payload = damage(int(i), render_html(int(i), t, lang))
+            payload = damage_page(int(i), render_html(int(i), t, lang))
             out.append(extract_main_content(payload.decode("utf-8"))[0])
         return pa.table(
             {
