@@ -88,15 +88,18 @@ class _InProcessFooters(ParquetMetadataProvider):
         return out
 
 
-def read_parquet(path: str, **kwargs) -> ray.data.Dataset:
+def read_parquet(paths: str | list[str], **kwargs) -> ray.data.Dataset:
     """``ray.data.read_parquet`` that reads local footers in-process.
 
-    Remote paths (with a URI scheme) keep Ray's parallel footer fetch: an
-    object-store footer costs a round trip, and there the tasks pay off.
-    Ray Data marks ``meta_provider`` deprecated; 2.49 still honours it."""
-    if "://" not in path:
+    ``paths`` is a file, a directory or a list of files (a resumable
+    run's wave). Remote paths (with a URI scheme) keep Ray's parallel
+    footer fetch: an object-store footer costs a round trip, and there the
+    tasks pay off. Ray Data marks ``meta_provider`` deprecated; 2.49 still
+    honours it."""
+    listed = [paths] if isinstance(paths, str) else paths
+    if not any("://" in p for p in listed):
         kwargs["meta_provider"] = _InProcessFooters()
-    return ray.data.read_parquet(path, **kwargs)
+    return ray.data.read_parquet(paths, **kwargs)
 
 
 def driver_frame(ds: ray.data.Dataset, limit: int, what: str):

@@ -16,6 +16,13 @@ re-run (its fragments are absent from the manifest). At cluster scale one
 wave is hundreds of fragments — the manifest stays tiny (one row per
 fragment) while the data tier streams.
 
+Each wave is one Ray Data execution whose plan fuses into a single
+``ReadParquet->tag->...->Write`` task operator. The write task writes its
+rows, reads back the files it wrote and returns a (fragment, rows, hash)
+partial per file; the driver adds the partials per fragment and commits
+them, so it never re-reads output. The wave's own DataContext is seeded so that
+every task of the operator can start at once (``_seed_wave_context``).
+
 The reference restarts from scratch and overwrites its day-stamped CSV
 (/root/reference/src/fetch.py:236-263); this is the scale replacement.
 """
@@ -25,15 +32,24 @@ from __future__ import annotations
 import os
 import shutil
 import time
+import uuid
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+from ray.data.block import BlockAccessor
+from ray.data.datasource import Datasink
 
-from sciscraper_ray.state.lineage import (
+from sciscraper_ray.state.lineage import (  # noqa: F401 — content_hash_of_dir: the benchmark's tracer wraps this name
+    HASH_MASK,
     LINEAGE_SCHEMA,
     content_hash_of_dir,
+    content_hash_of_files,
     fragment_id,
 )
+
+# Pre-sample output estimate for a wave's write-terminated operator (see
+# _seed_wave_context).
+WAVE_BLOCK_BYTES = 1 << 20
 
 
 class CheckpointStore:
@@ -112,6 +128,71 @@ class CheckpointStore:
         shutil.rmtree(self.fragment_dir(fid), ignore_errors=True)
 
 
+class _LineageSink(Datasink):
+    """Writes each task's rows under ``data_dir`` in the hive layout of
+    ``write_parquet(partition_cols=["fragment_id"])`` and returns, per
+    file it wrote, the ``(fragment_id, rows, content_hash)`` of that file
+    read back from disk. ``run_resumable`` sums them per fragment."""
+
+    def __init__(self, data_dir: str, columns: list[str] | None):
+        self.data_dir = os.path.abspath(data_dir)  # workers may run elsewhere
+        self.columns = columns
+        self.write_id = uuid.uuid4().hex  # per wave: task files never collide
+        self.partials: list[tuple[str, int, int]] = []
+
+    def write(self, blocks, ctx) -> list[tuple[str, int, int]]:
+        import pyarrow.dataset as pads
+
+        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+        tables = [t for t in tables if t.num_rows]
+        if not tables:
+            return []
+        schema = pa.unify_schemas([t.schema for t in tables])
+        tables = [t if t.schema.equals(schema) else t.cast(schema) for t in tables]
+        written = []
+        pads.write_dataset(
+            tables,
+            self.data_dir,
+            basename_template=f"{self.write_id}_{ctx.task_idx:06}-{{i}}.parquet",
+            format="parquet",
+            partitioning=["fragment_id"],
+            partitioning_flavor="hive",
+            schema=schema,
+            existing_data_behavior="overwrite_or_ignore",
+            file_visitor=lambda f: written.append(f.path),
+        )
+        partials = []
+        for path in written:
+            part = os.path.basename(os.path.dirname(path))  # fragment_id=<fid>
+            h, rows = content_hash_of_files([path], self.columns)
+            partials.append((part.split("=", 1)[1], rows, h))
+        return partials
+
+    def on_write_complete(self, write_result) -> None:
+        self.partials = [p for ret in write_result.write_returns for p in ret]
+
+
+def _seed_wave_context(ds) -> None:
+    """Let every task of a wave's fused operator start at once.
+
+    Until an operator has produced an output, Ray Data 2.49 sizes each
+    running task's pending output at ``target_max_block_size`` (128 MiB)
+    times ``_max_num_blocks_in_streaming_gen_buffer`` (2): 256 MiB. The
+    operators share half of the object store, so with a 512 MiB store one
+    task fills the budget and the next one waits for it to finish; every
+    wave paid that again. A wave's plan ends in a write, and its only
+    object-store output is one write receipt of a few hundred bytes per
+    task, so seeding the estimate at ``WAVE_BLOCK_BYTES`` (2 MiB per task)
+    costs nothing. Smaller blocks cost nothing either: the chain is
+    per-row Python, and its blocks move between fused stages in-process
+    and never reach the object store.
+
+    The setting goes on the wave dataset's own context, which every
+    dataset derived from it shares; ``DataContext.get_current()`` stays
+    as it is, so other pipelines keep Ray's defaults."""
+    ds.context.target_max_block_size = WAVE_BLOCK_BYTES
+
+
 def _list_fragments(input_path: str | list[str]) -> list[str]:
     if isinstance(input_path, list):
         return sorted(input_path)
@@ -141,9 +222,17 @@ def run_resumable(
     leave storage. ``max_waves`` caps this invocation (used by tests to
     simulate an interrupted run).
 
+    Each wave reads its files through ``plan.read_parquet`` (footers
+    in-process), on a DataContext seeded by ``_seed_wave_context`` so the
+    fused operator runs at full width. Its write tasks hash the files
+    they wrote (over ``lineage_columns``, default all); the driver sums
+    the partials per fragment and commits them with ``mark_done``. A
+    fragment whose rows were all dropped commits as 0 rows, hash 0, with
+    no directory.
+
     Returns ``{"skipped": n, "processed": n, "waves": n}``.
     """
-    import ray.data
+    from sciscraper_ray.pipelines.plan import read_parquet
 
     files = _list_fragments(input_path)
     root = input_path if isinstance(input_path, str) and os.path.isdir(input_path) else None
@@ -162,7 +251,8 @@ def run_resumable(
         for fid in fids.values():
             store.clear_fragment(fid)
 
-        ds = ray.data.read_parquet(wave, include_paths=True)
+        ds = read_parquet(wave, include_paths=True)
+        _seed_wave_context(ds)
         path_to_fid = {os.path.abspath(p): fid for p, fid in fids.items()}
 
         def tag(batch: pa.Table, _m=path_to_fid) -> pa.Table:
@@ -173,7 +263,8 @@ def run_resumable(
             return batch.drop_columns(["path"]).append_column("fragment_id", fid_col)
 
         out = pipeline_fn(ds.map_batches(tag, batch_format="pyarrow"))
-        out.write_parquet(store.data_dir, partition_cols=["fragment_id"])
+        sink = _LineageSink(store.data_dir, lineage_columns)
+        out.write_datasink(sink)
         wall = time.perf_counter() - t0
 
         wave_name = CheckpointStore.wave_name(fids.values())
@@ -191,17 +282,16 @@ def run_resumable(
             },
         )
 
+        lineage = {fid: (0, 0) for fid in fids.values()}
+        for fid, rows, h in sink.partials:
+            n, total = lineage[fid]
+            lineage[fid] = (n + rows, (total + h) & HASH_MASK)
         records = []
         for f in wave:
-            fid = fids[f]
-            frag_dir = store.fragment_dir(fid)
-            if os.path.isdir(frag_dir):
-                h, rows = content_hash_of_dir(frag_dir, lineage_columns)
-            else:
-                h, rows = 0, 0
+            rows, h = lineage[fids[f]]
             records.append(
                 {
-                    "fragment_id": fid,
+                    "fragment_id": fids[f],
                     "path": f,
                     "num_rows": rows,
                     "row_start": 0,

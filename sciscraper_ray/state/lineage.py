@@ -101,30 +101,38 @@ def content_hash(table: pa.Table, columns: list[str] | None = None) -> int:
     return int(row_hashes(table, columns).sum(dtype=np.uint64))
 
 
-def content_hash_of_dir(frag_dir: str, columns: list[str] | None = None) -> tuple[int, int]:
-    """(content_hash, num_rows) of a written fragment directory, streamed
-    one row group at a time — never the whole fragment in memory (the
-    lineage pass re-reads persisted bytes by design: it certifies what is
-    actually on disk, but must not concentrate a large fragment on the
-    driver)."""
-    import os
+# content_hash is a sum mod 2^64, so partial hashes over disjoint row sets
+# (row groups, files, write tasks) add up to the hash of their union.
+HASH_MASK = 0xFFFFFFFFFFFFFFFF
 
+
+def content_hash_of_files(paths, columns: list[str] | None = None) -> tuple[int, int]:
+    """(content_hash, num_rows) of the rows in these parquet files, read
+    back one row group at a time — never a whole fragment in memory."""
     import pyarrow.parquet as pq
 
     total = 0  # Python int accumulator, masked to uint64 wraparound
     rows = 0
-    for name in sorted(os.listdir(frag_dir)):
-        if not name.endswith(".parquet"):
-            continue
-        f = pq.ParquetFile(os.path.join(frag_dir, name))
+    for path in paths:
+        f = pq.ParquetFile(path)
         for rg in range(f.num_row_groups):
             t = f.read_row_group(rg)
             rows += t.num_rows
             if t.num_rows:
-                total = (
-                    total + int(row_hashes(t, columns).sum(dtype=np.uint64))
-                ) & 0xFFFFFFFFFFFFFFFF
+                total = (total + int(row_hashes(t, columns).sum(dtype=np.uint64))) & HASH_MASK
     return total, rows
+
+
+def content_hash_of_dir(frag_dir: str, columns: list[str] | None = None) -> tuple[int, int]:
+    """(content_hash, num_rows) of a written fragment directory.
+
+    The lineage pass certifies what is actually on disk. Under
+    ``run_resumable`` each write task calls :func:`content_hash_of_files`
+    on the files it has just written, and the driver adds the partials, so
+    the driver never re-reads output; this whole-directory form is the
+    reference those partials must sum to (tests/test_checkpoint.py)."""
+    names = sorted(n for n in os.listdir(frag_dir) if n.endswith(".parquet"))
+    return content_hash_of_files([os.path.join(frag_dir, n) for n in names], columns)
 
 
 def lineage_for_table(
