@@ -102,7 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-f", "--file", required=True, help="input parquet file/dir (or sf dir for query:)")
     p.add_argument("-e", "--export", required=True, help="export directory")
     p.add_argument("--date-stamp", default=None, help="YYMMDD run-dir stamp (default: today)")
-    p.add_argument("--wave-size", type=int, default=64, help="resume mode: fragments per wave")
+    p.add_argument(
+        "--wave-size", type=int, default=64,
+        help="resume mode: fragments per wave. Re-running the same command "
+             "resumes; after a killed run that started its own local Ray, "
+             "run `ray stop` first (its agents outlive the kill)",
+    )
     p.add_argument(
         "-p",
         "--profilers",

@@ -7,6 +7,12 @@ Reference semantics (/root/reference/src/docscraper.py:55-94):
 ``Counter.most_common`` tie-break: equal counts keep dict insertion order,
 i.e. FIRST-OCCURRENCE order of the token in the document. The vectorized
 form reproduces that via a per-group lexsort on (-count, first_occurrence).
+
+Tokens are counted by vocabulary id: one ``pc.index_in`` over the flat
+token buffer against ``sorted(word_set)`` gives each matching token its
+position in the sorted vocabulary, and non-matches come back null. No
+token is converted to a Python ``str``; the output strings are taken from
+the vocabulary by id.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ def top_terms_exploded(
     token_lists: pa.Array | pa.ChunkedArray,
     word_set: frozenset[str] | set[str],
     k: int = 3,
-) -> dict[str, np.ndarray]:
+) -> dict:
     """Vectorized per-document top-k matched-term frequencies.
 
     Input: a list<string> column (one token list per document) and a word
@@ -42,7 +48,9 @@ def top_terms_exploded(
 
     plus ``term_count``: int64 array of len(input) with the per-document sum
     of the top-k counts (0 where no matches) — the reference's
-    ``FreqDistAndCount.term_count``.
+    ``FreqDistAndCount.term_count`` — and, for Arrow consumers, ``vocab``
+    (the sorted word set as an Arrow array) with ``token_id``, each
+    exploded row's index into it.
     """
     if isinstance(token_lists, pa.ChunkedArray):
         token_lists = token_lists.combine_chunks()
@@ -53,26 +61,32 @@ def top_terms_exploded(
         count=np.empty(0, np.int64),
         rank=np.empty(0, np.int64),
         term_count=np.zeros(n_docs, np.int64),
+        token_id=np.empty(0, np.int64),
+        vocab=pa.array([], pa.string()),
     )
     if n_docs == 0:
         return empty
 
     flat = pc.list_flatten(token_lists)
-    parents = pc.list_parent_indices(token_lists).to_numpy(zero_copy_only=False)
     if len(flat) == 0:
         return empty
-    vocab = pa.array(sorted(word_set), type=pa.string())
-    mask = pc.is_in(flat, value_set=vocab).to_numpy(zero_copy_only=False)
-    hit_pos = np.nonzero(mask)[0]
+    words = sorted(word_set)
+    vocab = pa.array(words, type=flat.type)
+    ids = pc.fill_null(pc.index_in(flat, value_set=vocab), -1).to_numpy()
+    hit_pos = np.flatnonzero(ids >= 0)
     if hit_pos.size == 0:
         return empty
+    tok_ids = ids[hit_pos].astype(np.int64)
+    # Parent of each hit from the per-document lengths, which count only
+    # the values list_flatten emits (pc.list_parent_indices also counts
+    # the hidden values behind a null list slot).
+    lengths = pc.fill_null(pc.list_value_length(token_lists), 0).to_numpy()
+    mparents = np.searchsorted(np.cumsum(lengths), hit_pos, side="right")
 
-    matched = np.asarray(flat.take(pa.array(hit_pos)).to_pylist(), dtype=object)
-    mparents = parents[hit_pos]
-
-    # Encode (doc, token) pairs into a single int key for one-pass counting.
-    uniq_tokens, tok_ids = np.unique(matched, return_inverse=True)
-    n_tok = len(uniq_tokens)
+    # Encode (doc, token id) pairs into a single int key for one-pass
+    # counting. Ids follow the sorted vocabulary, the order np.unique
+    # would give the matched strings.
+    n_tok = len(words)
     pair_key = mparents * n_tok + tok_ids
 
     # hit_pos is ascending, so a stable sort by pair_key puts each group's
@@ -98,9 +112,12 @@ def top_terms_exploded(
     term_count = np.zeros(n_docs, np.int64)
     np.add.at(term_count, kdoc, kcount)
 
+    kid = gtok[rank_order][keep]
     return dict(
         parent=kdoc.astype(np.int64),
-        token=uniq_tokens[gtok[rank_order][keep]],
+        token=np.array(words, dtype=object)[kid],
+        token_id=kid,
+        vocab=vocab,
         count=kcount.astype(np.int64),
         rank=(rank[keep] + 1).astype(np.int64),
         term_count=term_count,

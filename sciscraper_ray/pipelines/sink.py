@@ -11,13 +11,23 @@
   projection — never a driver-side to_pandas of the data;
 - date-stamped run directory ``{export_dir}/{YYMMDD}_{prefix}/`` with
   partitioned part files (S5's single CSV becomes a resumable multi-file
-  layout; /root/reference/src/fetch.py:236-263, change_dir.py:16-26).
+  layout; /root/reference/src/fetch.py:236-263, change_dir.py:16-26);
+- list columns written to CSV as the Python ``repr`` of each row's list,
+  as pandas' ``to_csv`` prints them. Common columns take a fast path built
+  from Arrow string joins: a string renders as ``'s'``, an integer as its
+  decimal digits, a struct as ``{'name': value, ...}``. A column in which
+  any string is not printable ASCII free of ``'`` and ``\\``, any value
+  at any nesting level is null, or any type is other than string, integer
+  or a struct of those, falls back to per-row ``repr``; both give the same
+  bytes.
 """
 
 from __future__ import annotations
 
 import os
+import re
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -78,6 +88,67 @@ def nonempty_columns(ds: ray.data.Dataset) -> list[str]:
     return [c for c, n in totals.items() if n > 0]
 
 
+# Strings whose repr() is the string in single quotes with nothing escaped:
+# printable ASCII without ' or \.
+_PLAIN_REPR = r"^[ -&(-\[\]-~]*$"
+
+
+def _repr_values(arr: pa.Array) -> pa.Array | None:
+    """repr() of every value of ``arr`` as a string array, or None where
+    the fast path does not apply (see the module docstring)."""
+    if arr.null_count:
+        return None
+    t = arr.type
+    if pa.types.is_string(t) or pa.types.is_large_string(t):
+        plain = pc.match_substring_regex(arr, _PLAIN_REPR)
+        if not pc.all(plain, min_count=0).as_py():
+            return None
+        return pc.binary_join_element_wise("'", arr.cast(pa.string()), "'", "")
+    if pa.types.is_integer(t):
+        return arr.cast(pa.string())
+    if pa.types.is_struct(t):
+        names = [t.field(i).name for i in range(t.num_fields)]
+        if not names or len(set(names)) < len(names) or not all(
+            re.fullmatch(_PLAIN_REPR, name) for name in names
+        ):
+            return None
+        parts = []
+        for i, (name, child) in enumerate(zip(names, arr.flatten())):
+            rendered = _repr_values(child)
+            if rendered is None:
+                return None
+            parts += [("{" if i == 0 else ", ") + f"'{name}': ", rendered]
+        return pc.binary_join_element_wise(*parts, "}", "")
+    return None
+
+
+def _repr_lists(col: pa.Array) -> pa.Array:
+    """list or large_list array -> string array of each row's Python list
+    repr (null stays null)."""
+    rendered = _repr_values(pc.list_flatten(col))
+    if rendered is None:
+        return pa.array(
+            [repr(v) if v is not None else None for v in col.to_pylist()],
+            type=pa.string(),
+        )
+    offsets = np.zeros(len(col) + 1, np.int64)
+    np.cumsum(pc.fill_null(pc.list_value_length(col), 0).to_numpy(), out=offsets[1:])
+    lists = pa.LargeListArray.from_arrays(offsets, rendered, mask=col.is_null())
+    return pc.binary_join_element_wise("[", pc.binary_join(lists, ", "), "]", "")
+
+
+def csv_safe(batch: pa.Table) -> pa.Table:
+    """Make a batch CSV-writable: float16 renders via float32 (Arrow's CSV
+    writer has no float16) and list columns as their rows' Python repr."""
+    for i, name in enumerate(batch.column_names):
+        col = batch[name]
+        if pa.types.is_float16(col.type):
+            batch = batch.set_column(i, name, pc.cast(col, pa.float32()))
+        elif pa.types.is_list(col.type) or pa.types.is_large_list(col.type):
+            batch = batch.set_column(i, name, _repr_lists(col.combine_chunks()))
+    return batch
+
+
 def export_results(
     ds: ray.data.Dataset,
     export_dir: str,
@@ -102,27 +173,6 @@ def export_results(
     out = ds.map_batches(cast_declared_schema, batch_format="pyarrow")
     if also_parquet:
         out.write_parquet(os.path.join(run_dir, "parquet"))
-
-    # float16 is not CSV-serializable in arrow; render via float32 at the
-    # writer while keeping the declared parquet dtype exact.
-
-    def csv_safe(batch: pa.Table) -> pa.Table:
-        for name in batch.column_names:
-            col = batch[name]
-            if pa.types.is_float16(col.type):
-                batch = batch.set_column(
-                    batch.column_names.index(name), name, pc.cast(col, pa.float32())
-                )
-            elif pa.types.is_list(col.type) or pa.types.is_large_list(col.type):
-                batch = batch.set_column(
-                    batch.column_names.index(name),
-                    name,
-                    pa.array(
-                        [repr(v) if v is not None else None for v in col.to_pylist()],
-                        type=pa.string(),
-                    ),
-                )
-        return batch
 
     out.map_batches(csv_safe, batch_format="pyarrow").write_csv(
         os.path.join(run_dir, "csv")

@@ -8,7 +8,11 @@ deliberate scale fixes:
 
 - word sets are frozen in ``__init__`` once per instance (the reference
   re-reads both .txt files per document — docscraper.py:146-147);
-- everything except the parenthetical regex is vectorized Arrow/numpy;
+- everything except the parenthetical and identifier regexes is
+  vectorized Arrow/numpy: top-3 terms are counted by vocabulary id
+  (``kernels/terms.py``) and their token strings taken from the vocabulary,
+  so no per-token Python object is built; the text column is converted to
+  Python once, for the two regex miners;
 - rows never crash the task: nulls propagate as zero-count/empty rows.
 
 Use as a task over a serialized instance: ``ds.map_batches(DocAnalyzer(),
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from sciscraper_ray.kernels.parentheticals import parentheticals_array
 from sciscraper_ray.kernels.terms import top_terms_exploded
@@ -31,14 +36,16 @@ TOP_TERMS_TYPE = pa.list_(
 )
 
 
-def _top_terms_list_array(out: dict[str, np.ndarray], n_docs: int) -> pa.ListArray:
+def _top_terms_list_array(out: dict, n_docs: int) -> pa.ListArray:
     """Exploded top-k arrays -> list<struct<token,count>> (empty list when
-    a document has no matches). Exploded rows arrive ordered by (doc, rank)."""
+    a document has no matches). Exploded rows arrive ordered by (doc, rank);
+    their token strings are taken from the vocabulary by id."""
     per_doc = np.bincount(out["parent"], minlength=n_docs) if len(out["parent"]) else np.zeros(n_docs, np.int64)
     offsets = np.zeros(n_docs + 1, np.int64)
     np.cumsum(per_doc, out=offsets[1:])
+    tokens = out["vocab"].take(pa.array(out["token_id"], type=pa.int64()))
     values = pa.StructArray.from_arrays(
-        [pa.array(out["token"], type=pa.string()), pa.array(out["count"], type=pa.int64())],
+        [tokens.cast(pa.string()), pa.array(out["count"], type=pa.int64())],
         names=["token", "count"],
     )
     return pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()), values)
@@ -105,8 +112,10 @@ class DocAnalyzer:
         batch = batch.append_column(
             "bycatch_terms_top_3", _top_terms_list_array(bycatch, n)
         )
+        if self.with_parentheticals or self.with_identifiers:
+            texts = text.to_pylist()
         if self.with_parentheticals:
-            stats = parentheticals_array(text.to_pylist())
+            stats = parentheticals_array(texts)
             batch = batch.append_column(
                 "paper_parentheticals",
                 pa.array(stats.tolist(), type=pa.list_(pa.string())),
@@ -114,28 +123,23 @@ class DocAnalyzer:
         if self.with_identifiers:
             from sciscraper_ray.kernels.identifiers import extract_identifiers_array
 
-            ids, kinds = extract_identifiers_array(
-                [t if t is not None else "" for t in text.to_pylist()]
-            )
+            ids, kinds = extract_identifiers_array(texts)
+            ids = pa.array(ids, type=pa.string())
+            kinds = pa.array(kinds, type=pa.string())
             # doi_from_pdf chain order (doifrompdf.py:30-52): metadata /
             # pdf-info results (mined upstream in PayloadExtractor, where
             # the payload is open) take precedence over the text step; the
             # text chain only fills rows the metadata probes left empty.
             if "meta_identifier" in batch.column_names:
-                meta_col = batch["meta_identifier"]
-                if meta_col.null_count < len(meta_col):  # skip all-HTML batches
-                    m_ids = meta_col.to_pylist()
-                    m_kinds = batch["meta_identifier_type"].to_pylist()
-                    for i, (mi, mk) in enumerate(zip(m_ids, m_kinds)):
-                        if mi is not None:
-                            ids[i] = mi
-                            kinds[i] = mk
+                meta = batch["meta_identifier"]
+                if meta.null_count < len(meta):  # skip all-HTML batches
+                    has_meta = pc.is_valid(meta)
+                    ids = pc.if_else(has_meta, meta, ids)
+                    kinds = pc.if_else(has_meta, batch["meta_identifier_type"], kinds)
                 batch = batch.drop_columns(
                     ["meta_identifier", "meta_identifier_type"]
                 )
-            batch = batch.append_column(
-                "doi", pa.array(ids, type=pa.string())
-            ).append_column(
-                "identifier_type", pa.array(kinds, type=pa.string())
+            batch = batch.append_column("doi", ids).append_column(
+                "identifier_type", kinds
             )
         return batch

@@ -163,24 +163,71 @@ def test_top_terms_exploded_matches_counter():
     assert out["term_count"].tolist() == [7, 0, 0, 6, 0]
 
 
-@given(
-    st.lists(
-        st.lists(st.sampled_from("abcdefgh"), max_size=30),
-        max_size=20,
-    )
-)
-@settings(max_examples=100)
-def test_top_terms_exploded_property(docs):
-    word_set = frozenset({"a", "b", "c", "d"})
-    arr = pa.array(docs, type=pa.list_(pa.string()))
+def _assert_counter_parity(docs, arr, word_set):
+    """``top_terms_exploded(arr)`` equals ``match_terms`` on every doc of
+    ``docs`` (a None doc counts as no tokens), and the Arrow ``vocab`` /
+    ``token_id`` outputs name the same tokens as ``token``."""
     out = top_terms_exploded(arr, word_set)
     per_doc: dict[int, list] = {}
     for p, t, c in zip(out["parent"], out["token"], out["count"]):
         per_doc.setdefault(int(p), []).append((t, int(c)))
     for i, doc in enumerate(docs):
-        count, dist = match_terms(doc, word_set)
+        count, dist = match_terms(doc or [], word_set)
         assert per_doc.get(i, []) == dist
         assert out["term_count"][i] == count
+    assert len(out["term_count"]) == len(docs)
+    assert out["vocab"].take(pa.array(out["token_id"])).to_pylist() == list(out["token"])
+    assert [r for _, r in sorted(zip(out["parent"], out["rank"]))] == [
+        r for d in sorted(per_doc) for r in range(1, len(per_doc[d]) + 1)
+    ]
+
+
+# Tokens that are "", unicode, or prefixes of one another (the tokenizer
+# emits "" for every run of spaces).
+_TOKENS = ["a", "b", "c", "d", "e", "", "ab", "abc", "é", "éé", "ß", "日本", "x y"]
+_WORD_SETS = [
+    frozenset({"a", "b", "c", "d"}),
+    frozenset({"", "a", "ab", "é", "日本"}),
+    frozenset({"abc", "éé", "x y", "ß"}),
+    frozenset({"zzz", "not-a-token"}),  # none of the documents' tokens
+    frozenset(),
+]
+
+
+@given(
+    st.lists(
+        st.one_of(st.none(), st.lists(st.sampled_from(_TOKENS), max_size=30)),
+        max_size=20,
+    ),
+    st.sampled_from(_WORD_SETS),
+    st.sampled_from([pa.list_(pa.string()), pa.list_(pa.large_string()),
+                     pa.large_list(pa.large_string())]),
+    st.integers(0, 3),
+    st.integers(1, 4),
+)
+@settings(max_examples=200, deadline=None)
+def test_top_terms_exploded_property(docs, word_set, list_type, lead, n_chunks):
+    """Counter parity over string and large_string token lists, sliced
+    (offset != 0) and chunked inputs."""
+    padded = [["a", "b"]] * lead + docs
+    arr = pa.array(padded, type=list_type)
+    _assert_counter_parity(padded, arr, word_set)
+    _assert_counter_parity(docs, arr.slice(lead), word_set)
+    bounds = np.linspace(0, len(docs), n_chunks + 1).astype(int)
+    sliced = arr.slice(lead)
+    chunked = pa.chunked_array(
+        [sliced.slice(lo, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])],
+        type=list_type,
+    )
+    _assert_counter_parity(docs, chunked, word_set)
+
+
+def test_top_terms_exploded_null_slot_over_values():
+    """A null list slot may cover child values; they belong to no document."""
+    values = pa.array(["a", "a", "b", "b", "b", "a", "c"])
+    offsets = pa.array([0, 2, 5, 7], pa.int32())
+    arr = pa.ListArray.from_arrays(offsets, values, mask=pa.array([False, True, False]))
+    _assert_counter_parity([["a", "a"], None, ["a", "c"]], arr, frozenset({"a", "b"}))
 
 
 def test_parentheticals_greedy():
@@ -388,3 +435,45 @@ def test_reference_blank_txt_fixture(ray_session):
         assert [w.strip().lower() for w in f] == []
     got = ray.data.read_text(path, drop_empty_lines=False).take_all()
     assert got == []
+
+
+def test_doc_analyzer_identifier_overlay():
+    """DocAnalyzer's doi column: a metadata identifier mined upstream wins,
+    the text chain fills the rest, null text gives nulls; an all-null
+    metadata batch only drops the metadata columns."""
+    from sciscraper_ray.kernels.identifiers import extract_identifier, identifier_kind
+    from sciscraper_ray.stages.doc_analyzer import DocAnalyzer
+
+    texts = ["see doi:10.1234/abc.1 here", "arxiv:2345.67890v2 x", None,
+             "no id (p = .05)", "doi:10.9999/zz.9 again"]
+    meta = [None, "10.5555/meta.1", "10.5555/meta.2", None, None]
+    meta_kind = [None, "doi", "pdf2doi_identifier", None, None]
+    want_ids, want_kinds = [], []
+    for t, m, mk in zip(texts, meta, meta_kind):
+        ident = extract_identifier(t) if t is not None else None
+        kind = identifier_kind(t) if ident is not None else None
+        want_ids.append(m if m is not None else ident)
+        want_kinds.append(mk if m is not None else kind)
+    assert want_ids[0] is not None and want_ids[1] == "10.5555/meta.1"
+
+    analyzer = DocAnalyzer(with_identifiers=True)
+    batch = pa.table(
+        {
+            "text": pa.array(texts, pa.string()),
+            "meta_identifier": pa.array(meta, pa.string()),
+            "meta_identifier_type": pa.array(meta_kind, pa.string()),
+        }
+    )
+    out = analyzer(batch)
+    assert "meta_identifier" not in out.column_names
+    assert out["doi"].to_pylist() == want_ids
+    assert out["identifier_type"].to_pylist() == want_kinds
+    assert out.schema.field("doi").type == pa.string()
+    assert out["paper_parentheticals"].to_pylist()[3] == ["(p = .05)"]
+
+    no_meta = batch.set_column(1, "meta_identifier", pa.nulls(5, pa.string()))
+    out = analyzer(no_meta)
+    assert "meta_identifier_type" not in out.column_names
+    assert out["doi"].to_pylist() == [
+        extract_identifier(t) if t is not None else None for t in texts
+    ]

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import importlib.util
+import io
 import os
+from pathlib import Path
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.csv as pcsv
 import pyarrow.parquet as pq
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 
 def _input_table() -> pa.Table:
@@ -47,7 +55,193 @@ def test_export_cast_and_empty_drop(ray_session, tmp_path):
     )
 
     csv_dir = os.path.join(run_dir, "csv")
-    assert any(f for f in os.listdir(csv_dir))
+    # a null list is written as an unquoted empty cell
+    opts = pcsv.ConvertOptions(strings_can_be_null=True, quoted_strings_can_be_null=False)
+    csv = pa.concat_tables(
+        pcsv.read_csv(os.path.join(csv_dir, f), convert_options=opts)
+        for f in sorted(os.listdir(csv_dir))
+    ).sort_by("doc_id")
+    # list cells are the Python repr of the row's list
+    assert csv["tags"].to_pylist() == ["['a', 'b']", "[]", None]
+
+
+# ---- CSV rendering of list columns, against the per-row repr oracle ----
+
+
+def _oracle_csv_safe(batch: pa.Table) -> pa.Table:
+    """The sink's original per-row renderer: float16 via float32, list
+    columns as ``repr`` of each row's Python list."""
+    for i, name in enumerate(batch.column_names):
+        col = batch[name]
+        if pa.types.is_float16(col.type):
+            batch = batch.set_column(i, name, pc.cast(col, pa.float32()))
+        elif pa.types.is_list(col.type) or pa.types.is_large_list(col.type):
+            batch = batch.set_column(
+                i,
+                name,
+                pa.array(
+                    [repr(v) if v is not None else None for v in col.to_pylist()],
+                    type=pa.string(),
+                ),
+            )
+    return batch
+
+
+def _csv_bytes(table: pa.Table) -> bytes:
+    buf = io.BytesIO()
+    pcsv.write_csv(table, buf)
+    return buf.getvalue()
+
+
+def _assert_csv_parity(table: pa.Table) -> None:
+    from sciscraper_ray.pipelines.sink import csv_safe
+
+    got, want = csv_safe(table), _oracle_csv_safe(table)
+    assert got.schema == want.schema
+    assert got.to_pylist() == want.to_pylist()
+    assert _csv_bytes(got) == _csv_bytes(want)
+
+
+TERMS = pa.list_(pa.struct([("token", pa.string()), ("count", pa.int64())]))
+# Strings that repr() quotes or escapes, next to plain ones.
+ATOMS = ["a", "", "it's", 'say "hi"', "it's \"both\"", "back\\slash",
+         "line\nbreak", "café", "nb\xa0sp", "tab\t", "del\x7f", "{'k': 1}, [x]"]
+
+
+def test_csv_safe_benchmark_columns():
+    """The text_export benchmark's DocAnalyzer columns, after the sink's
+    cast: byte-identical CSV, and every list column on the fast path."""
+    from sciscraper_ray.pipelines.sink import _repr_values, cast_declared_schema
+    from sciscraper_ray.stages.doc_analyzer import DocAnalyzer
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    docs = inputs.documents(5000)
+    analyzer = DocAnalyzer(text_column="text")
+    batches = [
+        cast_declared_schema(analyzer(docs.slice(i, 2048)))
+        for i in range(0, docs.num_rows, 2048)
+    ]
+    for batch in batches:
+        for name in ("target_terms_top_3", "bycatch_terms_top_3", "paper_parentheticals"):
+            flat = pc.list_flatten(batch[name].combine_chunks())
+            assert _repr_values(flat) is not None, name
+        _assert_csv_parity(batch)
+
+
+def test_csv_safe_atoms():
+    """Quotes, escapes, non-ASCII, empty and null lists, null elements and
+    null struct fields, large_list, sliced and chunked inputs."""
+    strings = [[a] for a in ATOMS] + [ATOMS, [], None, ["a", None], [None]]
+    terms = [
+        [{"token": a, "count": i} for i, a in enumerate(ATOMS)],
+        [{"token": "a", "count": -3}],
+        [],
+        None,
+        [{"token": None, "count": 1}],
+        [{"token": "a", "count": None}],
+        [None],
+    ]
+    tables = [
+        pa.table({"s": pa.array(strings, pa.list_(pa.string()))}),
+        pa.table({"s": pa.array(strings, pa.large_list(pa.large_string()))}),
+        pa.table({"t": pa.array(terms, TERMS)}),
+        pa.table({"t": pa.array(terms, pa.large_list(TERMS.value_type))}),
+        pa.table({"i": pa.array([[1, -2, 2**62], [], None, [None]], pa.list_(pa.int64()))}),
+        pa.table({"u": pa.array([[0, 255], [7]], pa.list_(pa.uint8()))}),
+        pa.table({"f": pa.array([[1.5], [], None], pa.list_(pa.float64()))}),
+        pa.table({"b": pa.array([[True, False], []], pa.list_(pa.bool_()))}),
+        pa.table({"n": pa.array([[["a"], []], None], pa.list_(pa.list_(pa.string())))}),
+        pa.table({"w": pa.array([np.float16(0.5), None], pa.float16())}),
+    ]
+    for table in tables:
+        _assert_csv_parity(table)
+        for lo in (1, 2):
+            _assert_csv_parity(table.slice(lo))
+        col = table.column(0).combine_chunks()
+        chunked = pa.chunked_array([col.slice(0, 2), col.slice(2), col.slice(1, 1)])
+        _assert_csv_parity(pa.table({table.column_names[0]: chunked}))
+
+
+@pytest.mark.parametrize("atom", ATOMS)
+def test_csv_safe_each_atom(atom):
+    """One atom per column, so the fast path is decided on that atom alone."""
+    _assert_csv_parity(
+        pa.table(
+            {
+                "s": pa.array([[atom], [], None, ["a", atom]], pa.list_(pa.string())),
+                "t": pa.array(
+                    [[{"token": atom, "count": 2}], [], None, [{"token": "a", "count": 1}]],
+                    TERMS,
+                ),
+            }
+        )
+    )
+
+
+def test_csv_safe_struct_field_names():
+    """Field names are repr'd like strings; duplicate names fail as before."""
+    values = pa.StructArray.from_arrays(
+        [pa.array(["a", "b"]), pa.array([1, 2])], names=["it's", "café"]
+    )
+    offsets = pa.array([0, 2], pa.int32())
+    _assert_csv_parity(pa.table({"t": pa.ListArray.from_arrays(offsets, values)}))
+
+    from sciscraper_ray.pipelines.sink import csv_safe
+
+    dup = pa.StructArray.from_arrays(
+        [pa.array(["a", "b"]), pa.array([1, 2])], names=["x", "x"]
+    )
+    table = pa.table({"t": pa.ListArray.from_arrays(offsets, dup)})
+    for render in (csv_safe, _oracle_csv_safe):
+        with pytest.raises(ValueError):
+            render(table)
+
+
+def test_csv_safe_null_slot_over_values():
+    """A null list slot may cover child values; it still renders as null."""
+    values = pa.array(["a", "it's", "b"])
+    arr = pa.ListArray.from_arrays(
+        pa.array([0, 1, 2, 3], pa.int32()), values, mask=pa.array([False, True, False])
+    )
+    _assert_csv_parity(pa.table({"s": arr}))
+
+
+_atom = (
+    st.sampled_from(ATOMS)
+    | st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6)
+    | st.text(max_size=3)
+)
+_nullable = st.none() | _atom
+
+
+@given(
+    st.lists(st.none() | st.lists(_nullable, max_size=4), min_size=1, max_size=12),
+    st.lists(
+        st.none()
+        | st.lists(
+            st.none() | st.fixed_dictionaries(
+                {"token": _nullable, "count": st.none() | st.integers(-(2**63), 2**63 - 1)}
+            ),
+            max_size=4,
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.booleans(),
+    st.integers(0, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_csv_safe_property(strings, terms, large, lead):
+    """Random lists of the atoms (and arbitrary text), with nulls at every
+    level, as list or large_list, sliced: same cells and bytes as repr."""
+    list_of = pa.large_list if large else pa.list_
+    string_col = pa.array(strings, list_of(pa.string())).slice(min(lead, len(strings) - 1))
+    terms_col = pa.array(terms, list_of(TERMS.value_type)).slice(min(lead, len(terms) - 1))
+    _assert_csv_parity(pa.table({"s": string_col}))
+    _assert_csv_parity(pa.table({"t": terms_col}))
 
 
 def test_cli_wordscore_mode(ray_session, tmp_path):
