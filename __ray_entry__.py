@@ -19,7 +19,9 @@ def entry() -> Any:
     synthesized Common-Crawl-style pages (mixed HTML/PDF payloads,
     duplicate fetches) -> keep-latest url dedup -> payload routing ->
     HTML/PDF extraction -> DocAnalyzer."""
-    from sciscraper_ray.pipelines.queries import page_extract_pipeline
+    from sciscraper_ray.pipelines.queries.extraction import (
+        page_extract_pipeline,
+    )
 
     return page_extract_pipeline("/root/testdata/sf0.001")
 

@@ -1,102 +1,23 @@
 """Wire-format decoders for stored web payloads — from scratch.
 
-Two formats every crawl archive contains but no kernel here handled yet:
-
-- **Base64** (RFC 4648 §4, strict): the alphabet table is built from the
-  spec, decoding validates length, padding placement and every symbol
-  (a single `=` mid-stream or a 4k+1 length is an error, as in the
-  RFC's canonical-encoding requirements). Used by data: URIs, inline
-  images, and MIME bodies in stored pages.
 - **HTTP/1.1 chunked transfer coding** (RFC 9112 §7.1): hex chunk
   sizes with optional chunk extensions (`;ext=val` — parsed past, per
   spec), CRLF framing, the terminating zero chunk, and optional
   trailer fields returned to the caller. A stored raw HTTP body must
-  be de-chunked before any text pipeline sees it.
+  be de-chunked before any text pipeline sees it. No stdlib function
+  parses chunked transfer coding.
+- **HTTP/1.1 response framing**: status line and header fields.
 
-Both are pure byte-level kernels (no Ray, no state) — run inside
+Pure byte-level kernels (no Ray, no state) — run inside
 ``map_batches`` like the other per-payload decoders; the registry
-queries attest them against stdlib/closed-form producers.
+queries attest them against closed-form producers.
 """
 
 from __future__ import annotations
 
-_B64_ALPHABET = (
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-)
-_B64_VAL = {ord(c): i for i, c in enumerate(_B64_ALPHABET)}
-
 
 class WireError(ValueError):
-    """Malformed base64 / chunked-coding payload."""
-
-
-def base64_decode(data: bytes | str) -> bytes:
-    """Strict RFC 4648 base64 -> bytes (no whitespace tolerance)."""
-    if isinstance(data, str):
-        data = data.encode("ascii")
-    n = len(data)
-    if n % 4 != 0:
-        raise WireError(f"base64 length {n} not a multiple of 4")
-    out = bytearray()
-    if n == 0:
-        return bytes(out)
-    pad = 0
-    if data[-1] == 0x3D:  # '='
-        pad = 2 if data[-2] == 0x3D else 1
-    body_end = n - (4 if pad else 0)
-    for i in range(0, body_end, 4):
-        try:
-            v = (
-                (_B64_VAL[data[i]] << 18)
-                | (_B64_VAL[data[i + 1]] << 12)
-                | (_B64_VAL[data[i + 2]] << 6)
-                | _B64_VAL[data[i + 3]]
-            )
-        except KeyError as exc:
-            raise WireError(f"bad base64 symbol {exc.args[0]!r}") from None
-        out.append(v >> 16)
-        out.append((v >> 8) & 0xFF)
-        out.append(v & 0xFF)
-    if pad:
-        quad = data[-4:]
-        try:
-            v = (_B64_VAL[quad[0]] << 18) | (_B64_VAL[quad[1]] << 12)
-            if pad == 1:
-                v |= _B64_VAL[quad[2]] << 6
-        except KeyError as exc:
-            raise WireError(f"bad base64 symbol {exc.args[0]!r}") from None
-        if pad == 2 and quad[2] != 0x3D:
-            raise WireError("misplaced base64 padding")
-        out.append(v >> 16)
-        if pad == 1:
-            out.append((v >> 8) & 0xFF)
-        # canonical-encoding check: unused trailing bits must be zero
-        if pad == 2 and v & 0xFFFF:
-            raise WireError("non-canonical base64 (trailing bits set)")
-        if pad == 1 and v & 0xFF:
-            raise WireError("non-canonical base64 (trailing bits set)")
-    if b"=" in data[:body_end]:
-        raise WireError("mid-stream base64 padding")
-    return bytes(out)
-
-
-def base64_encode(data: bytes) -> bytes:
-    """RFC 4648 base64 encoder (fixture producer for the decoder)."""
-    out = bytearray()
-    a = _B64_ALPHABET.encode("ascii")
-    for i in range(0, len(data) - len(data) % 3, 3):
-        v = (data[i] << 16) | (data[i + 1] << 8) | data[i + 2]
-        out += bytes(
-            (a[v >> 18], a[(v >> 12) & 63], a[(v >> 6) & 63], a[v & 63])
-        )
-    rem = len(data) % 3
-    if rem == 1:
-        v = data[-1] << 16
-        out += bytes((a[v >> 18], a[(v >> 12) & 63])) + b"=="
-    elif rem == 2:
-        v = (data[-2] << 16) | (data[-1] << 8)
-        out += bytes((a[v >> 18], a[(v >> 12) & 63], a[(v >> 6) & 63])) + b"="
-    return bytes(out)
+    """Malformed chunked-coding or HTTP response payload."""
 
 
 def chunked_decode(data: bytes) -> tuple[bytes, dict[str, str]]:

@@ -4710,18 +4710,16 @@ def doc_stratified_sample(sf_dir: str):
 )
 def corpus_tarzst_shard_ingest(sf_dir: str):
     """WebDataset-shaped shard ingest, end to end: documents ->
-    .tar.zst shards on disk -> distributed read-back THROUGH THE
-    FROM-SCRATCH DECODE TIER. The write stage packs each Arrow block
-    into a tar (stdlib tarfile, one member per doc) and compresses it
-    with the REAL C++ zstd (the untrusted producer); the read stage
-    fans shard paths out to tasks that decompress with the from-scratch
-    RFC 8878 decoder (stages/zstd.py) and walk members with the
-    from-scratch tar parser (kernels/tar.py) — the exact ingest path a
-    100 TB multimodal corpus uses, with the codec layer fully owned.
-    Both sides are embarrassingly parallel (one file per fragment, no
-    driver table beyond the path manifest); the shard dir is
-    driver-created /tmp, so single-node/shared-FS like the
-    orc/jsonl sinks (multi-node points at network storage)."""
+    .tar.zst shards on disk -> distributed read-back. The write stage
+    packs each Arrow block into a tar (stdlib tarfile, one member per
+    doc) and compresses it with pyarrow's zstd codec; the read stage
+    fans shard paths out to tasks that stream each shard through
+    pyarrow's zstd input stream and walk its members with stdlib
+    tarfile — the ingest path of a multimodal corpus. Both sides are
+    embarrassingly parallel (one file per fragment, no driver table
+    beyond the path manifest); the shard dir is driver-created /tmp,
+    so single-node/shared-FS like the orc/jsonl sinks (multi-node
+    points at network storage)."""
     import os
     import tempfile
 
@@ -4761,21 +4759,21 @@ def corpus_tarzst_shard_ingest(sf_dir: str):
     )
 
     def read_shard(batch: pa.Table) -> pa.Table:
-        from sciscraper_ray.kernels.tar import tar_members
-        from sciscraper_ray.stages.zstd import zstd_decompress
+        import tarfile as _tarfile
 
         ids, tbs, ncs, fcs = [], [], [], []
         for p in batch["path"].to_pylist():
-            with open(p, "rb") as f:
-                tar_bytes = zstd_decompress(f.read())
-            for m in tar_members(tar_bytes):
-                text = m["payload"].decode("utf-8")
-                ids.append(int(m["name"].split(".")[0]))
-                tbs.append(m["size"])
-                # content-sensitive attest: decoded char count + first
-                # code point must match the oracle's length()/unicode()
-                ncs.append(len(text))
-                fcs.append(ord(text[0]) if text else -1)
+            with pa.input_stream(p, compression="zstd") as f, _tarfile.open(
+                fileobj=f, mode="r|"
+            ) as tf:
+                for m in tf:
+                    text = tf.extractfile(m).read().decode("utf-8")
+                    ids.append(int(m.name.split(".")[0]))
+                    tbs.append(m.size)
+                    # content-sensitive attest: decoded char count + first
+                    # code point must match the oracle's length()/unicode()
+                    ncs.append(len(text))
+                    fcs.append(ord(text[0]) if text else -1)
         return pa.table(
             {
                 "doc_id": pa.array(np.asarray(ids, np.int64)),
@@ -4788,103 +4786,3 @@ def corpus_tarzst_shard_ingest(sf_dir: str):
     return ray.data.from_items(
         [{"path": p} for p in sorted(paths)]
     ).map_batches(read_shard, batch_format="pyarrow")
-
-
-@register(
-    "table_parquet_raw_scan",
-    oracle="""
-    SELECT doc_id, lang, CAST(n_chars AS BIGINT) AS n_chars,
-           CAST(length(text) AS BIGINT) AS text_chars
-    FROM documents
-    """,
-)
-def table_parquet_raw_scan(sf_dir: str):
-    """The engine reads its OWN input format from scratch: the
-    documents.parquet bytes are decoded with the from-scratch Parquet
-    reader (kernels/parquet_raw.py — Thrift compact metadata, v1/v2
-    data pages, dictionary + PLAIN + DELTA + RLE encodings,
-    definition/repetition levels, and page decompression through the
-    repo's own Snappy/gzip/zstd decoders), with NO pyarrow parsing in
-    the path. One task per file (the natural multi-file parallelism of
-    a real corpus); every row's (doc_id, lang, n_chars, len(text))
-    must match DuckDB's read of the same bytes — a wrong bit anywhere
-    in the thrift walk, hybrid runs or page split shifts a value."""
-    import ray.data
-
-    def scan(batch: pa.Table) -> pa.Table:
-        from sciscraper_ray.kernels.parquet_raw import read_parquet_raw
-
-        tables = []
-        for p in batch["path"].to_pylist():
-            with open(p, "rb") as f:
-                cols = read_parquet_raw(f.read())
-            tables.append(
-                pa.table(
-                    {
-                        "doc_id": pa.array(cols["doc_id"], pa.int64()),
-                        "lang": pa.array(cols["lang"], pa.string()),
-                        "n_chars": pa.array(cols["n_chars"], pa.int64()),
-                        "text_chars": pa.array(
-                            [len(t) for t in cols["text"]], pa.int64()
-                        ),
-                    }
-                )
-            )
-        return pa.concat_tables(tables)
-
-    return ray.data.from_items(
-        [{"path": f"{sf_dir}/documents.parquet"}]
-    ).map_batches(scan, batch_format="pyarrow")
-
-
-@register(
-    "table_orc_raw_scan",
-    oracle="""
-    SELECT doc_id, lang, CAST(n_chars AS BIGINT) AS n_chars,
-           CAST(length(text) AS BIGINT) AS text_chars
-    FROM documents
-    """,
-)
-def table_orc_raw_scan(sf_dir: str):
-    """Warehouse-format scan with the from-scratch ORC reader
-    (kernels/orc_raw.py): each batch is written to real ORC by the C++
-    writer (pyarrow.orc, ZLIB compression so the stream framing decodes
-    through the repo's own inflater) and read back by walking the file
-    bytes — protobuf postscript/footer/stripe-footers, RLEv2 integer
-    runs, dictionary strings, presence bitmaps. Every recovered row
-    must match the oracle's read of the same documents; together with
-    table_parquet_raw_scan and doc_sqlite_scan this closes the
-    columnar-source trilogy with zero third-party parsing in the
-    path."""
-    import io
-
-    import pyarrow.orc as _orc
-
-    from sciscraper_ray.kernels.orc_raw import read_orc_raw
-
-    def sweep(b: pa.Table) -> pa.Table:
-        table = pa.table(
-            {
-                "doc_id": b["doc_id"],
-                "lang": b["lang"],
-                "n_chars": b["n_chars"],
-                "text": b["text"],
-            }
-        )
-        buf = io.BytesIO()
-        _orc.write_table(table, buf, compression="ZLIB")
-        cols = read_orc_raw(buf.getvalue())
-        return pa.table(
-            {
-                "doc_id": pa.array(cols["doc_id"], pa.int64()),
-                "lang": pa.array(cols["lang"], pa.string()),
-                "n_chars": pa.array(cols["n_chars"], pa.int64()),
-                "text_chars": pa.array(
-                    [len(t) for t in cols["text"]], pa.int64()
-                ),
-            }
-        )
-
-    return _docs(sf_dir, columns=("doc_id", "lang", "n_chars", "text")).map_batches(
-        sweep, batch_format="pyarrow"
-    )

@@ -2296,59 +2296,10 @@ def host_budget_waterfill(sf_dir: str):
 
 
 # --------------------------------------------------------------------------
-# Stored-payload wire formats (kernels/wire.py): data: URIs carrying
-# base64 bodies and HTTP/1.1 chunked transfer coding — both decoded from
-# scratch, attested against closed-form lengths + exact roundtrips.
+# Stored-payload wire formats (kernels/wire.py): HTTP/1.1 chunked
+# transfer coding and response framing, decoded from scratch and attested
+# against closed-form lengths + exact roundtrips.
 # --------------------------------------------------------------------------
-
-
-@register(
-    "page_data_uri_decode",
-    oracle="""
-    SELECT doc_id,
-           'text/plain' AS mime,
-           CAST(4 * ((octet_length(encode(text)) + 2) // 3) AS BIGINT)
-               AS b64_len,
-           CAST(octet_length(encode(text)) AS BIGINT) AS decoded_len,
-           CAST(1 AS BIGINT) AS roundtrip_exact
-    FROM documents
-    """,
-)
-def page_data_uri_decode(sf_dir: str):
-    """data: URI (RFC 2397) round trip: each doc's text becomes
-    ``data:text/plain;base64,<b64>`` via the from-scratch RFC 4648
-    encoder, then the URI is parsed and STRICT-decoded (padding
-    placement, canonical trailing bits, symbol validation —
-    kernels/wire.py). The oracle pins the base64 length closed-form
-    (4*ceil(n/3)) and the decoded byte length; roundtrip_exact attests
-    content equality, so one wrong sextet anywhere fails the hash."""
-    from sciscraper_ray.kernels.wire import base64_decode, base64_encode
-
-    def sweep(b: pa.Table) -> pa.Table:
-        ids = np.asarray(b["doc_id"].to_numpy(zero_copy_only=False), np.int64)
-        b64l = np.empty(len(ids), np.int64)
-        decl = np.empty(len(ids), np.int64)
-        exact = np.empty(len(ids), np.int64)
-        for j, t in enumerate(b["text"].to_pylist()):
-            raw = (t or "").encode("utf-8")
-            uri = b"data:text/plain;base64," + base64_encode(raw)
-            header, _, payload = uri.partition(b",")
-            assert header == b"data:text/plain;base64"
-            out = base64_decode(payload)
-            b64l[j] = len(payload)
-            decl[j] = len(out)
-            exact[j] = int(out == raw)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                "mime": pa.array(["text/plain"] * len(ids), pa.string()),
-                "b64_len": pa.array(b64l),
-                "decoded_len": pa.array(decl),
-                "roundtrip_exact": pa.array(exact),
-            }
-        )
-
-    return _docs(sf_dir).map_batches(sweep, batch_format="pyarrow")
 
 
 @register(
@@ -2425,13 +2376,11 @@ def page_chunked_decode(sf_dir: str):
     """,
 )
 def page_http_response_decode(sf_dir: str):
-    """Stored raw HTTP response decoding, three owned layers deep: the
-    fixture wraps each doc's text as a full HTTP/1.1 response with
-    ``Transfer-Encoding: chunked`` AND ``Content-Encoding: gzip``
-    (stdlib gzip is the inner untrusted producer); the decoder parses
-    the status line + headers (kernels/wire.py parse_http_response),
-    de-chunks with the from-scratch chunked decoder, and inflates with
-    the from-scratch DEFLATE inflater (stages/inflate.py) — the exact
+    """Stored raw HTTP response decoding: the fixture wraps each doc's
+    text as a full HTTP/1.1 response with ``Transfer-Encoding: chunked``
+    AND ``Content-Encoding: gzip``; the decoder parses the status line +
+    headers (kernels/wire.py parse_http_response), de-chunks with the
+    from-scratch chunked decoder, and inflates with stdlib gzip — the
     unwrap every WARC-stored crawl response needs. roundtrip_exact
     attests the recovered body byte-for-byte."""
     import gzip as _gzip
@@ -2441,7 +2390,6 @@ def page_http_response_decode(sf_dir: str):
         chunked_encode,
         parse_http_response,
     )
-    from sciscraper_ray.stages.inflate import gzip_decompress
 
     def sweep(b: pa.Table) -> pa.Table:
         ids = np.asarray(b["doc_id"].to_numpy(zero_copy_only=False), np.int64)
@@ -2464,7 +2412,7 @@ def page_http_response_decode(sf_dir: str):
             assert headers["transfer-encoding"] == "chunked"
             dechunked, _tr = chunked_decode(raw_body)
             assert headers["content-encoding"] == "gzip"
-            out = gzip_decompress(dechunked)
+            out = _gzip.decompress(dechunked)
             status[j] = st
             nh[j] = len(headers)
             bl[j] = len(out)
@@ -2544,139 +2492,6 @@ def doc_mojibake_repair(sf_dir: str):
                 "was_mojibake": pa.array(was),
                 "orig_chars": pa.array(oc),
                 "repaired_exact": pa.array(exact),
-            }
-        )
-
-    return _docs(sf_dir).map_batches(sweep, batch_format="pyarrow")
-
-
-@register(
-    "page_mime_multipart",
-    oracle="""
-    SELECT doc_id,
-           CAST(2 AS BIGINT) AS n_parts,
-           CAST(octet_length(encode(text)) AS BIGINT) AS text_bytes,
-           CAST(1 AS BIGINT) AS roundtrip_exact
-    FROM documents
-    """,
-)
-def page_mime_multipart(sf_dir: str):
-    """MIME multipart decoding (kernels/mime.py) over bodies built by
-    stdlib email (the real producer): each doc becomes a two-part
-    message — its text as a quoted-printable part and a deterministic
-    binary attachment as base64 — flattened to wire bytes, then walked
-    with the from-scratch boundary parser and decoded through the
-    from-scratch QP and base64 kernels. roundtrip_exact attests both
-    payloads byte-for-byte; the form-data/mail-archive unwrap every
-    crawl-adjacent corpus needs."""
-    import io
-    import re as _re
-    from email.generator import BytesGenerator
-    from email.message import EmailMessage
-
-    from sciscraper_ray.kernels.mime import multipart_parse
-
-    def sweep(b: pa.Table) -> pa.Table:
-        ids = np.asarray(b["doc_id"].to_numpy(zero_copy_only=False), np.int64)
-        nparts = np.empty(len(ids), np.int64)
-        tbytes = np.empty(len(ids), np.int64)
-        exact = np.empty(len(ids), np.int64)
-        for j, (i, t) in enumerate(zip(ids, b["text"].to_pylist())):
-            i = int(i)
-            text = t or ""
-            blob = bytes((i + k) % 256 for k in range(64))
-            msg = EmailMessage()
-            msg.set_content(text, cte="quoted-printable")
-            msg.add_attachment(
-                blob,
-                maintype="application",
-                subtype="octet-stream",
-                filename=f"{i}.bin",
-                cte="base64",
-            )
-            buf = io.BytesIO()
-            BytesGenerator(buf).flatten(msg)
-            raw = buf.getvalue().replace(b"\n", b"\r\n")
-            boundary = (
-                _re.search(rb'boundary="?([^"\r\n]+)"?', raw)
-                .group(1)
-                .decode()
-            )
-            body = raw[raw.index(b"\r\n\r\n") + 4 :]
-            parts = multipart_parse(body, boundary)
-            # set_content appends a trailing newline to text bodies
-            got_text = (
-                parts[0]["payload"].decode("utf-8").rstrip("\r\n")
-                if parts
-                else None
-            )
-            nparts[j] = len(parts)
-            tbytes[j] = len(text.encode("utf-8"))
-            exact[j] = int(
-                len(parts) == 2
-                and got_text == text
-                and parts[1]["payload"] == blob
-            )
-        return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                "n_parts": pa.array(nparts),
-                "text_bytes": pa.array(tbytes),
-                "roundtrip_exact": pa.array(exact),
-            }
-        )
-
-    return _docs(sf_dir).map_batches(sweep, batch_format="pyarrow")
-
-
-@register(
-    "page_bplist_metadata",
-    oracle="""
-    SELECT doc_id,
-           CAST(length(text) AS BIGINT) AS text_chars,
-           CAST(doc_id % 97 AS BIGINT) AS score,
-           CAST(1 AS BIGINT) AS roundtrip_exact
-    FROM documents
-    """,
-)
-def page_bplist_metadata(sf_dir: str):
-    """Binary-plist metadata extraction (kernels/bplist.py): stdlib
-    plistlib (the real producer) serializes each doc's sidecar record —
-    nested dict with the text, a score, flags and a binary token — as
-    bplist00 bytes; the from-scratch parser walks the offset table and
-    marker-typed objects to recover every field. roundtrip_exact
-    attests the full tree; the oracle pins the extracted scalars. The
-    app-bundle/browser-cache metadata shape a crawl of Apple-ecosystem
-    artifacts yields."""
-    import plistlib as _plistlib
-
-    from sciscraper_ray.kernels.bplist import bplist_parse
-
-    def sweep(b: pa.Table) -> pa.Table:
-        ids = np.asarray(b["doc_id"].to_numpy(zero_copy_only=False), np.int64)
-        tc = np.empty(len(ids), np.int64)
-        sc = np.empty(len(ids), np.int64)
-        exact = np.empty(len(ids), np.int64)
-        for j, (i, t) in enumerate(zip(ids, b["text"].to_pylist())):
-            i = int(i)
-            record = {
-                "text": t or "",
-                "score": i % 97,
-                "flags": {"indexed": True, "spam": False},
-                "token": bytes((i + k) % 256 for k in range(16)),
-                "tags": ["t%d" % (i % 5), "t%d" % (i % 7)],
-            }
-            raw = _plistlib.dumps(record, fmt=_plistlib.FMT_BINARY)
-            got = bplist_parse(raw)
-            tc[j] = len(got.get("text", ""))
-            sc[j] = got.get("score", -1)
-            exact[j] = int(got == record)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                "text_chars": pa.array(tc),
-                "score": pa.array(sc),
-                "roundtrip_exact": pa.array(exact),
             }
         )
 

@@ -804,98 +804,6 @@ def media_gif_interlace(sf_dir: str):
 
 
 @register(
-    "doc_gzip_inflate",
-    oracle="""
-    SELECT doc_id,
-           CAST(CASE doc_id % 4 WHEN 0 THEN 0 WHEN 1 THEN 1
-                WHEN 2 THEN 6 ELSE 9 END AS BIGINT) AS level,
-           CAST(octet_length(encode(text)) AS BIGINT) AS inflated_len,
-           CAST(1 AS BIGINT) AS roundtrip_exact
-    FROM documents
-    """,
-)
-def doc_gzip_inflate(sf_dir: str):
-    """Gzip member decode with the from-scratch DEFLATE inflater
-    (stages/inflate.py): stdlib gzip is the untrusted PRODUCER (levels
-    0/1/6/9 by doc_id — stored, fixed and dynamic Huffman blocks all
-    appear across the corpus), the from-scratch decoder walks the RFC
-    1952 header, inflates, and verifies CRC-32 + ISIZE; the decoded
-    bytes are compared to the original UTF-8 — any divergence flips
-    roundtrip_exact and fails the value hash (and a corrupt stream
-    raises, failing the query outright). Decode is per-payload batch
-    work; only (doc_id, scalar) rows move."""
-    import gzip as _gzip
-
-    from sciscraper_ray.stages.inflate import gzip_decompress
-
-    def sweep(b: pa.Table) -> pa.Table:
-        ids = np.asarray(b["doc_id"].to_numpy(zero_copy_only=False), np.int64)
-        texts = b["text"].to_pylist()
-        levels = np.empty(len(ids), np.int64)
-        lens = np.empty(len(ids), np.int64)
-        exact = np.empty(len(ids), np.int64)
-        for j, (i, t) in enumerate(zip(ids, texts)):
-            raw = (t or "").encode("utf-8")
-            level = (0, 1, 6, 9)[int(i) % 4]
-            member = _gzip.compress(raw, compresslevel=level, mtime=0)
-            out = gzip_decompress(member)
-            levels[j] = level
-            lens[j] = len(out)
-            exact[j] = int(out == raw)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                "level": pa.array(levels),
-                "inflated_len": pa.array(lens),
-                "roundtrip_exact": pa.array(exact),
-            }
-        )
-
-    return _docs(sf_dir).map_batches(sweep, batch_format="pyarrow")
-
-
-@register(
-    "doc_lz4_roundtrip",
-    oracle="""
-    SELECT doc_id,
-           CAST(octet_length(encode(text)) AS BIGINT) AS inflated_len,
-           CAST(1 AS BIGINT) AS roundtrip_exact
-    FROM documents
-    """,
-)
-def doc_lz4_roundtrip(sf_dir: str):
-    """LZ4 block-format roundtrip with the from-scratch codec
-    (stages/lz4.py): the greedy hash-table encoder emits real spec
-    blocks (deterministic across workers — exact 4-byte dict keys, not
-    Python's randomized hash) and the decoder replays them including
-    overlapping copies; decoded bytes are compared to the original
-    UTF-8, so any sequence-framing or window-copy bug flips
-    roundtrip_exact and fails the value hash. Per-payload batch work,
-    only (doc_id, scalar) rows move — LZ4 is the codec the shuffle
-    layer itself speaks at 100 TB."""
-    from sciscraper_ray.stages.lz4 import lz4_compress, lz4_decompress
-
-    def sweep(b: pa.Table) -> pa.Table:
-        ids = np.asarray(b["doc_id"].to_numpy(zero_copy_only=False), np.int64)
-        lens = np.empty(len(ids), np.int64)
-        exact = np.empty(len(ids), np.int64)
-        for j, t in enumerate(b["text"].to_pylist()):
-            raw = (t or "").encode("utf-8")
-            out = lz4_decompress(lz4_compress(raw))
-            lens[j] = len(raw)
-            exact[j] = int(out == raw)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                "inflated_len": pa.array(lens),
-                "roundtrip_exact": pa.array(exact),
-            }
-        )
-
-    return _docs(sf_dir).map_batches(sweep, batch_format="pyarrow")
-
-
-@register(
     "media_gif_animation",
     oracle="""
     WITH p AS (
@@ -987,402 +895,3 @@ def media_gif_animation(sf_dir: str):
     return _docs(sf_dir, columns=("doc_id",)).map_batches(
         sweep, batch_format="pyarrow"
     )
-
-
-@register(
-    "doc_snappy_decode",
-    oracle="""
-    SELECT doc_id,
-           CAST(octet_length(encode(text)) AS BIGINT) AS inflated_len,
-           CAST(1 AS BIGINT) AS roundtrip_exact
-    FROM documents
-    """,
-)
-def doc_snappy_decode(sf_dir: str):
-    """Snappy raw-format decode with the from-scratch decoder
-    (stages/snappy.py): the container's REAL C++ snappy
-    (pyarrow.Codec) is the untrusted producer — the exact codec
-    Parquet pages in this engine's own inputs use — and the
-    from-scratch decoder replays its literals and 1/2/4-byte-offset
-    copies; decoded bytes are compared to the original UTF-8 so any
-    tag-parse or window-copy bug flips roundtrip_exact and fails the
-    value hash. Per-payload batch work; only (doc_id, scalar) rows
-    move."""
-    import pyarrow as _pa_codec
-
-    from sciscraper_ray.stages.snappy import snappy_decompress
-
-    def sweep(b: pa.Table) -> pa.Table:
-        codec = _pa_codec.Codec("snappy")
-        ids = np.asarray(b["doc_id"].to_numpy(zero_copy_only=False), np.int64)
-        lens = np.empty(len(ids), np.int64)
-        exact = np.empty(len(ids), np.int64)
-        for j, t in enumerate(b["text"].to_pylist()):
-            raw = (t or "").encode("utf-8")
-            out = snappy_decompress(bytes(codec.compress(raw)))
-            lens[j] = len(raw)
-            exact[j] = int(out == raw)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                "inflated_len": pa.array(lens),
-                "roundtrip_exact": pa.array(exact),
-            }
-        )
-
-    return _docs(sf_dir).map_batches(sweep, batch_format="pyarrow")
-
-
-@register(
-    "doc_zstd_decode",
-    oracle="""
-    SELECT doc_id,
-           CAST(CASE doc_id % 4 WHEN 0 THEN 1 WHEN 1 THEN 3
-                WHEN 2 THEN 9 ELSE 19 END AS BIGINT) AS level,
-           CAST(octet_length(encode(text)) AS BIGINT) AS inflated_len,
-           CAST(1 AS BIGINT) AS roundtrip_exact
-    FROM documents
-    """,
-)
-def doc_zstd_decode(sf_dir: str):
-    """Zstandard frame decode with the from-scratch RFC 8878 decoder
-    (stages/zstd.py: FSE/tANS tables, backward bitstreams, Huffman
-    literals with FSE-compressed weights, sequence repeat-offset
-    history): the container's REAL C++ zstd (pyarrow.Codec) is the
-    untrusted producer at levels 1/3/9/19 chosen by doc_id — different
-    levels pick different block/mode strategies, so the corpus sweeps
-    RLE blocks, predefined vs compressed FSE and treeless literals.
-    Decoded bytes are compared to the original UTF-8; any entropy-table
-    or window-copy bug flips roundtrip_exact and fails the value hash.
-    Per-payload batch work; only (doc_id, scalar) rows move."""
-    import pyarrow as _pa_codec
-
-    from sciscraper_ray.stages.zstd import zstd_decompress
-
-    def sweep(b: pa.Table) -> pa.Table:
-        ids = np.asarray(b["doc_id"].to_numpy(zero_copy_only=False), np.int64)
-        levels = np.empty(len(ids), np.int64)
-        lens = np.empty(len(ids), np.int64)
-        exact = np.empty(len(ids), np.int64)
-        for j, (i, t) in enumerate(zip(ids, b["text"].to_pylist())):
-            raw = (t or "").encode("utf-8")
-            level = (1, 3, 9, 19)[int(i) % 4]
-            codec = _pa_codec.Codec("zstd", level)
-            out = zstd_decompress(bytes(codec.compress(raw)))
-            levels[j] = level
-            lens[j] = len(raw)
-            exact[j] = int(out == raw)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                "level": pa.array(levels),
-                "inflated_len": pa.array(lens),
-                "roundtrip_exact": pa.array(exact),
-            }
-        )
-
-    return _docs(sf_dir).map_batches(sweep, batch_format="pyarrow")
-
-
-@register(
-    "doc_bzip2_decode",
-    oracle="""
-    SELECT doc_id,
-           CAST(1 + doc_id % 9 AS BIGINT) AS level,
-           CAST(octet_length(encode(text)) AS BIGINT) AS inflated_len,
-           CAST(1 AS BIGINT) AS roundtrip_exact
-    FROM documents
-    """,
-)
-def doc_bzip2_decode(sf_dir: str):
-    """bzip2 decode with the from-scratch transform-stack decoder
-    (stages/bzip2.py: selector-switched multi-table Huffman, RUNA/RUNB
-    bijective zero runs, MTF inverse, counting-sort inverse BWT, RLE1,
-    both CRC layers): stdlib bz2 — the real libbzip2 — is the untrusted
-    producer at level 1 + doc_id%9, so all nine block-size levels
-    appear across the corpus. Decoded bytes are compared to the
-    original UTF-8; any BWT/MTF/Huffman slip flips roundtrip_exact and
-    fails the value hash (and the CRCs catch it first, loudly)."""
-    import bz2 as _bz2
-
-    from sciscraper_ray.stages.bzip2 import bzip2_decompress
-
-    def sweep(b: pa.Table) -> pa.Table:
-        ids = np.asarray(b["doc_id"].to_numpy(zero_copy_only=False), np.int64)
-        levels = np.empty(len(ids), np.int64)
-        lens = np.empty(len(ids), np.int64)
-        exact = np.empty(len(ids), np.int64)
-        for j, (i, t) in enumerate(zip(ids, b["text"].to_pylist())):
-            raw = (t or "").encode("utf-8")
-            level = 1 + int(i) % 9
-            out = bzip2_decompress(_bz2.compress(raw, level))
-            levels[j] = level
-            lens[j] = len(raw)
-            exact[j] = int(out == raw)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                "level": pa.array(levels),
-                "inflated_len": pa.array(lens),
-                "roundtrip_exact": pa.array(exact),
-            }
-        )
-
-    return _docs(sf_dir).map_batches(sweep, batch_format="pyarrow")
-
-
-@register(
-    "doc_tar_webdataset",
-    oracle="""
-    SELECT doc_id,
-           CAST(3 AS BIGINT) AS n_members,
-           CAST(octet_length(encode(text)) + 8
-                + length(CAST(doc_id AS VARCHAR)) + 1
-               AS BIGINT) AS payload_bytes,
-           CAST(1 AS BIGINT) AS roundtrip_exact
-    FROM documents
-    """,
-)
-def doc_tar_webdataset(sf_dir: str):
-    """WebDataset-style tar sample groups walked with the from-scratch
-    ustar/pax parser (kernels/tar.py): per doc, stdlib tarfile (the
-    untrusted producer, PAX mode) packs the sample's three files —
-    <id>.txt (the text), <id>.json ('{"id": N}'), <id>.cls (label) —
-    and the walker re-extracts them with checksum verification. The
-    oracle pins member count and the closed-form total payload size;
-    roundtrip_exact attests every payload byte-for-byte. This is the
-    shard-ingest shape of every multimodal training pipeline; walking
-    is per-payload batch work, only (doc_id, scalar) rows move."""
-    import io
-    import tarfile as _tarfile
-
-    from sciscraper_ray.kernels.tar import tar_members
-
-    def sweep(b: pa.Table) -> pa.Table:
-        ids = np.asarray(b["doc_id"].to_numpy(zero_copy_only=False), np.int64)
-        nm = np.empty(len(ids), np.int64)
-        pb = np.empty(len(ids), np.int64)
-        exact = np.empty(len(ids), np.int64)
-        for j, (i, t) in enumerate(zip(ids, b["text"].to_pylist())):
-            i = int(i)
-            files = [
-                (f"{i:08d}.txt", (t or "").encode("utf-8")),
-                (f"{i:08d}.json", b'{"id": %d}' % i),
-                (f"{i:08d}.cls", str(i % 10).encode()),
-            ]
-            buf = io.BytesIO()
-            with _tarfile.open(
-                fileobj=buf, mode="w", format=_tarfile.PAX_FORMAT
-            ) as tf:
-                for name, content in files:
-                    info = _tarfile.TarInfo(name)
-                    info.size = len(content)
-                    tf.addfile(info, io.BytesIO(content))
-            members = tar_members(buf.getvalue())
-            nm[j] = len(members)
-            pb[j] = sum(m["size"] for m in members)
-            exact[j] = int(
-                [(m["name"], m["payload"]) for m in members] == files
-            )
-        return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                "n_members": pa.array(nm),
-                "payload_bytes": pa.array(pb),
-                "roundtrip_exact": pa.array(exact),
-            }
-        )
-
-    return _docs(sf_dir).map_batches(sweep, batch_format="pyarrow")
-
-
-@register(
-    "doc_zip_extract",
-    oracle="""
-    SELECT doc_id,
-           CAST(2 AS BIGINT) AS n_members,
-           CAST(octet_length(encode(text)) AS BIGINT) AS txt_bytes,
-           CAST(1 AS BIGINT) AS roundtrip_exact
-    FROM documents
-    """,
-)
-def doc_zip_extract(sf_dir: str):
-    """ZIP member extraction with the from-scratch reader
-    (kernels/zip.py) over stdlib-zipfile-produced archives: each doc
-    packs its text twice — once STORED, once DEFLATED — so the deflated
-    copy flows through the repo's own from-scratch inflater
-    (stages/inflate.py) inside the ZIP framing, and the two extracted
-    payloads must agree with each other and the original (CRC-verified
-    per member). Oracle pins member count and text byte length;
-    roundtrip_exact attests both copies byte-for-byte."""
-    import io
-    import zipfile as _zipfile
-
-    from sciscraper_ray.kernels.zip import zip_members
-
-    def sweep(b: pa.Table) -> pa.Table:
-        ids = np.asarray(b["doc_id"].to_numpy(zero_copy_only=False), np.int64)
-        nm = np.empty(len(ids), np.int64)
-        tb = np.empty(len(ids), np.int64)
-        exact = np.empty(len(ids), np.int64)
-        for j, (i, t) in enumerate(zip(ids, b["text"].to_pylist())):
-            raw = (t or "").encode("utf-8")
-            buf = io.BytesIO()
-            with _zipfile.ZipFile(buf, "w") as zf:
-                zf.writestr(
-                    f"{int(i)}.stored.txt",
-                    raw,
-                    compress_type=_zipfile.ZIP_STORED,
-                )
-                zf.writestr(
-                    f"{int(i)}.deflated.txt",
-                    raw,
-                    compress_type=_zipfile.ZIP_DEFLATED,
-                )
-            members = zip_members(buf.getvalue())
-            nm[j] = len(members)
-            tb[j] = len(raw)
-            exact[j] = int(
-                len(members) == 2
-                and members[0]["payload"] == raw
-                and members[1]["payload"] == raw
-            )
-        return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                "n_members": pa.array(nm),
-                "txt_bytes": pa.array(tb),
-                "roundtrip_exact": pa.array(exact),
-            }
-        )
-
-    return _docs(sf_dir).map_batches(sweep, batch_format="pyarrow")
-
-
-@register(
-    "doc_sqlite_scan",
-    oracle="""
-    SELECT doc_id,
-           CAST(octet_length(encode(text)) AS BIGINT) AS txt_bytes,
-           CAST(n_chars AS BIGINT) AS n_chars,
-           CAST(1 AS BIGINT) AS roundtrip_exact
-    FROM documents
-    """,
-)
-def doc_sqlite_scan(sf_dir: str):
-    """SQLite-file table scan with the from-scratch reader
-    (kernels/sqlite.py): each BATCH is written into a real SQLite
-    database by stdlib sqlite3 (the untrusted producer — multi-page
-    table b-trees, overflow chains for long texts), then re-read by
-    walking the file bytes directly: sqlite_master bootstrap, b-tree
-    traversal, record decoding, rowid aliasing. Every doc's recovered
-    (text, n_chars) must match the batch input; the oracle pins byte
-    lengths and attests equality. At scale this is the ingest shape
-    for crawler-metadata sidecar DBs: one distributed read of the
-    files, no per-file subprocess."""
-    import os
-    import sqlite3 as _sqlite3
-    import tempfile
-
-    from sciscraper_ray.kernels.sqlite import SqliteFile
-
-    def sweep(b: pa.Table) -> pa.Table:
-        ids = np.asarray(b["doc_id"].to_numpy(zero_copy_only=False), np.int64)
-        texts = b["text"].to_pylist()
-        nchars = np.asarray(
-            b["n_chars"].to_numpy(zero_copy_only=False), np.int64
-        )
-        with tempfile.TemporaryDirectory() as d:
-            path = os.path.join(d, "batch.db")
-            con = _sqlite3.connect(path)
-            con.execute(
-                "CREATE TABLE docs (doc_id INTEGER PRIMARY KEY,"
-                " text TEXT, n_chars INTEGER)"
-            )
-            con.executemany(
-                "INSERT INTO docs VALUES (?,?,?)",
-                [
-                    (int(i), t or "", int(n))
-                    for i, t, n in zip(ids, texts, nchars)
-                ],
-            )
-            con.commit()
-            con.close()
-            recovered = {
-                rowid: rec
-                for rowid, rec in SqliteFile(
-                    open(path, "rb").read()
-                ).rows("docs")
-            }
-        tb = np.empty(len(ids), np.int64)
-        exact = np.empty(len(ids), np.int64)
-        for j, (i, t, n) in enumerate(zip(ids, texts, nchars)):
-            rec = recovered.get(int(i))
-            tb[j] = len((t or "").encode("utf-8"))
-            exact[j] = int(
-                rec is not None and rec[1] == (t or "") and rec[2] == int(n)
-            )
-        return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                "txt_bytes": pa.array(tb),
-                "n_chars": pa.array(nchars),
-                "roundtrip_exact": pa.array(exact),
-            }
-        )
-
-    return _docs(sf_dir, columns=("doc_id", "text", "n_chars")).map_batches(
-        sweep, batch_format="pyarrow"
-    )
-
-
-@register(
-    "doc_xz_decode",
-    oracle="""
-    SELECT doc_id,
-           CAST(octet_length(encode(text)) AS BIGINT) AS inflated_len,
-           CAST(1 AS BIGINT) AS roundtrip_exact
-    FROM documents
-    """,
-)
-def doc_xz_decode(sf_dir: str):
-    """xz/LZMA decode with the from-scratch decoder
-    (stages/lzma_raw.py: binary range coder with adaptive 11-bit
-    probabilities, the 12-state machine, matched literals, bit-tree
-    length/position coders, repeat-distance history, LZMA2 chunking
-    with state/dict resets, xz container with CRC32/CRC64/SHA-256
-    block checks): stdlib lzma — the real liblzma — is the untrusted
-    producer; docs alternate .xz (CRC64) and legacy .lzma ALONE
-    framing by doc_id parity. Decoded bytes are compared to the
-    original UTF-8; a single wrong range-coder bit cascades into a
-    wrong byte and flips roundtrip_exact."""
-    import lzma as _lzma
-
-    from sciscraper_ray.stages.lzma_raw import (
-        lzma_alone_decompress,
-        xz_decompress,
-    )
-
-    def sweep(b: pa.Table) -> pa.Table:
-        ids = np.asarray(b["doc_id"].to_numpy(zero_copy_only=False), np.int64)
-        lens = np.empty(len(ids), np.int64)
-        exact = np.empty(len(ids), np.int64)
-        for j, (i, t) in enumerate(zip(ids, b["text"].to_pylist())):
-            raw = (t or "").encode("utf-8")
-            if int(i) % 2:
-                out = xz_decompress(_lzma.compress(raw))
-            else:
-                out = lzma_alone_decompress(
-                    _lzma.compress(raw, format=_lzma.FORMAT_ALONE)
-                )
-            lens[j] = len(raw)
-            exact[j] = int(out == raw)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids),
-                "inflated_len": pa.array(lens),
-                "roundtrip_exact": pa.array(exact),
-            }
-        )
-
-    return _docs(sf_dir).map_batches(sweep, batch_format="pyarrow")

@@ -139,9 +139,16 @@ def _repr_lists(col: pa.Array) -> pa.Array:
 
 def csv_safe(batch: pa.Table) -> pa.Table:
     """Make a batch CSV-writable: float16 renders via float32 (Arrow's CSV
-    writer has no float16) and list columns as their rows' Python repr."""
+    writer has no float16) and list columns as their rows' Python repr.
+
+    Zero-length chunks are dropped first: pyarrow 16's ``write_csv``
+    repeats earlier rows for a column chunked ``[1, 2] | [] | [3]``
+    (it writes 1, 2, 1, 2, 3) and repeats the header for ``[] | [1]``."""
     for i, name in enumerate(batch.column_names):
         col = batch[name]
+        if any(len(chunk) == 0 for chunk in col.chunks):
+            col = pa.chunked_array([c for c in col.chunks if len(c)], col.type)
+            batch = batch.set_column(i, name, col)
         if pa.types.is_float16(col.type):
             batch = batch.set_column(i, name, pc.cast(col, pa.float32()))
         elif pa.types.is_list(col.type) or pa.types.is_large_list(col.type):

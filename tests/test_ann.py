@@ -10,7 +10,7 @@ import pytest
 def test_brute_force_matches_numpy():
     import ray
 
-    from sciscraper_ray.pipelines.queries import knn_cosine
+    from sciscraper_ray.pipelines.queries.embed import knn_cosine
     from sciscraper_ray.stages.ann import cosine_matrix
 
     sf = "/root/testdata/sf0.001"
@@ -36,7 +36,10 @@ def test_brute_force_matches_numpy():
 
 @pytest.mark.usefixtures("ray_session")
 def test_ivf_recall_vs_brute_force():
-    from sciscraper_ray.pipelines.queries import _ivf_neighbors, knn_cosine
+    from sciscraper_ray.pipelines.queries.embed import (
+        _ivf_neighbors,
+        knn_cosine,
+    )
 
     sf = "/root/testdata/sf0.001"
     exact = knn_cosine(sf).to_pandas()
@@ -51,7 +54,7 @@ def test_ivf_recall_vs_brute_force():
 def test_ann_ivf_recall_gate_all_true():
     """The registered ann_ivf query (the driver-checked recall gate) must
     emit recall_ok=True for every query id, matching its SQL oracle."""
-    from sciscraper_ray.pipelines.queries import ann_ivf
+    from sciscraper_ray.pipelines.queries.embed import ann_ivf
 
     got = ann_ivf("/root/testdata/sf0.001").to_pandas()
     assert len(got) == 10
@@ -98,7 +101,10 @@ def test_pruned_search_scans_only_probed_buckets():
 
 @pytest.mark.usefixtures("ray_session")
 def test_srp_bucketed_recall_vs_brute_force():
-    from sciscraper_ray.pipelines.queries import ann_srp_bucketed, knn_cosine
+    from sciscraper_ray.pipelines.queries.embed import (
+        ann_srp_bucketed,
+        knn_cosine,
+    )
 
     sf = "/root/testdata/sf0.01"
     exact = knn_cosine(sf).to_pandas()
@@ -140,7 +146,7 @@ def test_ivf_pq_adc_search():
     bit-exact rerun, and the ADC ranking agrees with a driver-side numpy
     replay of the same codebook math (the oracle equivalence itself is the
     correctness tool's job)."""
-    from sciscraper_ray.pipelines.queries import (
+    from sciscraper_ray.pipelines.queries.embed import (
         _IVFPQ_C,
         _IVFPQ_NPROBE,
         _PQ_K,

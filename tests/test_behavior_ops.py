@@ -7,11 +7,9 @@ import hashlib
 import numpy as np
 import pandas as pd
 
-from sciscraper_ray.pipelines.queries import (
-    QUERIES,
-    _SESSION_GAP_MIN,
-    _TOP_PATHS_K,
-)
+from sciscraper_ray.pipelines.queries import QUERIES
+from sciscraper_ray.pipelines.queries.corpus_ops import _TOP_PATHS_K
+from sciscraper_ray.pipelines.queries.dedup import _SESSION_GAP_MIN
 
 SF = "/root/testdata/sf0.001"
 
@@ -192,7 +190,7 @@ def test_zonemap_actually_prunes(ray_session):
 
     import ray.data
 
-    from sciscraper_ray.pipelines.queries import (
+    from sciscraper_ray.pipelines.queries.corpus_ops import (
         _ZONE_HI,
         _ZONE_LO,
         zonemap_prune,
@@ -251,7 +249,7 @@ def test_quantize_bounds_and_absmax(ray_session):
 
 
 def test_debounce_adjacent_gap_semantics(ray_session):
-    from sciscraper_ray.pipelines.queries import _DEBOUNCE_S
+    from sciscraper_ray.pipelines.queries.corpus_ops import _DEBOUNCE_S
 
     out = QUERIES["events_debounce"](SF).to_pandas()
     ev = _events().sort_values(["user_id", "event_type", "ts", "event_id"])

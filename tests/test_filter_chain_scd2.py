@@ -14,12 +14,12 @@ def test_filter_chain_matches_standalone_gates():
     """The fused pass must agree with each standalone query's verdict:
     keep == (lang != und) AND gopher keep AND repetition keep, and the
     reason names the FIRST failing gate in chain order."""
-    from sciscraper_ray.pipelines.queries import (
+    from sciscraper_ray.pipelines.queries.corpus_ops import (
         doc_filter_chain,
         doc_gopher_filter,
-        doc_lang_id,
-        doc_repetition,
     )
+    from sciscraper_ray.pipelines.queries.round2 import doc_repetition
+    from sciscraper_ray.pipelines.queries.text_analysis import doc_lang_id
 
     chain = doc_filter_chain(SF).to_pandas().set_index("doc_id").sort_index()
     lang = doc_lang_id(SF).to_pandas().set_index("doc_id").sort_index()
@@ -49,7 +49,7 @@ def test_scd2_interval_invariants():
     increasing, valid_to == next valid_from, exactly one open (NaT)
     interval per user, version_seq is 1..n, and consecutive intervals
     never carry the same state (runs are collapsed)."""
-    from sciscraper_ray.pipelines.queries import events_scd2
+    from sciscraper_ray.pipelines.queries.corpus_ops import events_scd2
 
     df = events_scd2(SF).to_pandas()
     assert df.groupby("user_id")["valid_to"].apply(lambda s: s.isna().sum()).eq(1).all()
@@ -72,7 +72,7 @@ def test_scd2_replays_event_log():
     that user's (ts, event_id)-ordered log."""
     import pyarrow.parquet as pq
 
-    from sciscraper_ray.pipelines.queries import events_scd2
+    from sciscraper_ray.pipelines.queries.corpus_ops import events_scd2
 
     df = events_scd2(SF).to_pandas()
     ev = pq.read_table(
@@ -87,7 +87,7 @@ def test_scd2_replays_event_log():
 
 @pytest.mark.usefixtures("ray_session")
 def test_budget_allocation_sums_exactly():
-    from sciscraper_ray.pipelines.queries import (
+    from sciscraper_ray.pipelines.queries.corpus_ops import (
         _ALLOC_BUDGET,
         source_budget_allocation,
     )
@@ -105,7 +105,7 @@ def test_bigram_lm_scores_repetitive_text_higher():
     broadcast LM on its bigrams, and n_bigrams == n_tokens - 1."""
     import pyarrow.parquet as pq
 
-    from sciscraper_ray.pipelines.queries import doc_bigram_lm_ppl
+    from sciscraper_ray.pipelines.queries.retrieval import doc_bigram_lm_ppl
 
     df = doc_bigram_lm_ppl(SF).to_pandas().set_index("doc_id").sort_index()
     docs = pq.read_table(

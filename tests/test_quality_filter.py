@@ -3,7 +3,8 @@ of the integer rule contract (oracle parity in tools/check_correctness.py)."""
 
 import pandas as pd
 
-from sciscraper_ray.pipelines.queries import QUERIES, _GOPHER_STOPS
+from sciscraper_ray.pipelines.queries import QUERIES
+from sciscraper_ray.pipelines.queries.corpus_ops import _GOPHER_STOPS
 
 SF = "/root/testdata/sf0.001"
 

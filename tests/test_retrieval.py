@@ -58,7 +58,11 @@ def test_bm25_per_batch_topk_is_lossless():
 @pytest.mark.usefixtures("ray_session")
 def test_lr_scorer_features_are_exact():
     """Hand-computed features on a tiny known doc match the stage."""
-    from sciscraper_ray.pipelines.queries import _LR_B, _LR_W, _LrScorer
+    from sciscraper_ray.pipelines.queries.retrieval import (
+        _LR_B,
+        _LR_W,
+        _LrScorer,
+    )
 
     batch = pa.table({"doc_id": [1], "text": ["join the 42 batch join"]})
     out = _LrScorer()(batch)

@@ -5,12 +5,9 @@ these tests pin the kernel-level contracts and degenerate inputs."""
 import numpy as np
 import pyarrow as pa
 
-from sciscraper_ray.pipelines.queries import (
-    QUERIES,
-    _ngram_positions,
-    _md5_mod,
-    _STRATA_RATES,
-)
+from sciscraper_ray.pipelines.queries import QUERIES
+from sciscraper_ray.pipelines.queries.dedup import _ngram_positions, _md5_mod
+from sciscraper_ray.pipelines.queries.round2 import _STRATA_RATES
 
 SF = "/root/testdata/sf0.001"
 

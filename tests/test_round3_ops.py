@@ -9,11 +9,11 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from sciscraper_ray.pipelines.queries import (
+from sciscraper_ray.pipelines.queries import QUERIES
+from sciscraper_ray.pipelines.queries.retrieval import (
     _BOOL_QUERIES,
     _LATEST_K,
     _MIXTURE_QUOTA,
-    QUERIES,
     _md5_hex15_np,
 )
 from sciscraper_ray.sources.page_synth import host_for, ref_targets, render_html
@@ -168,7 +168,7 @@ def _expected_boilerplate_strip(docs, df_min, width=8):
 
 
 def test_boilerplate_strip_matches_pandas(ray_session):
-    from sciscraper_ray.pipelines.queries import _BOILER_DF_MIN
+    from sciscraper_ray.pipelines.queries.corpus_ops import _BOILER_DF_MIN
 
     out = QUERIES["doc_boilerplate_strip"](SF).to_pandas()
     exp = _expected_boilerplate_strip(_docs(), _BOILER_DF_MIN)
@@ -253,7 +253,7 @@ def test_redirect_resolve_pointer_doubling(ray_session):
 
 
 def test_teaser_prefix_finds_every_injected_excerpt(ray_session):
-    from sciscraper_ray.pipelines.queries import (
+    from sciscraper_ray.pipelines.queries.retrieval import (
         _TEASER_MOD,
         _TEASER_OFFSET,
     )
@@ -286,7 +286,7 @@ def test_length_median_by_lang_matches_pandas(ray_session):
     assert sorted(out["doc_id"]) == sorted(keep)
 
 def test_crawl_waves_match_pandas_rank(ray_session):
-    from sciscraper_ray.pipelines.queries import _CRAWL_BUDGET
+    from sciscraper_ray.pipelines.queries.web_graph import _CRAWL_BUDGET
 
     out = QUERIES["crawl_schedule_waves"](SF).to_pandas()
     docs = _docs()

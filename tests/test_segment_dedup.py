@@ -6,7 +6,8 @@ import pandas as pd
 import pyarrow as pa
 
 from sciscraper_ray.kernels.tokenize import segment_column
-from sciscraper_ray.pipelines.queries import QUERIES, SEGDEDUP_W
+from sciscraper_ray.pipelines.queries import QUERIES
+from sciscraper_ray.pipelines.queries.corpus_ops import SEGDEDUP_W
 
 SF = "/root/testdata/sf0.001"
 

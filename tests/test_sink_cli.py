@@ -244,6 +244,53 @@ def test_csv_safe_property(strings, terms, large, lead):
     _assert_csv_parity(pa.table({"t": terms_col}))
 
 
+def _rows(start: int, stop: int) -> pa.Table:
+    ids = list(range(start, stop))
+    return pa.table(
+        {
+            "doc_id": pa.array(ids, pa.int64()),
+            "name": pa.array([f"doc {i}" for i in ids], pa.string()),
+            "wordscore": pa.array([i / 4 for i in ids]).cast(pa.float16()),
+            "tags": pa.array([["t"] * (i % 3) for i in ids], pa.list_(pa.string())),
+        }
+    )
+
+
+def test_csv_safe_drops_empty_chunks():
+    """pyarrow 16's write_csv repeats rows around a zero-length chunk; the
+    sink writes the same bytes as for the combined batch."""
+    from sciscraper_ray.pipelines.sink import csv_safe
+
+    empty = _rows(0, 0)
+    for parts in ([_rows(0, 2), empty, _rows(2, 3)], [empty, _rows(0, 1)], [empty, empty]):
+        batch = pa.concat_tables(parts)
+        assert any(len(c) == 0 for c in batch["doc_id"].chunks)
+        assert _csv_bytes(csv_safe(batch)) == _csv_bytes(csv_safe(batch.combine_chunks()))
+    # a column without empty chunks keeps its chunks
+    batch = pa.concat_tables([_rows(0, 2), _rows(2, 3)])
+    assert [len(c) for c in csv_safe(batch)["doc_id"].chunks] == [2, 1]
+
+
+def test_export_csv_rows_across_empty_blocks(ray_session, tmp_path):
+    """Empty blocks and a block with an empty chunk export their rows once."""
+    import ray.data
+
+    from sciscraper_ray.pipelines.sink import export_results
+
+    chunked = pa.concat_tables([_rows(3, 5), _rows(0, 0), _rows(5, 6)])
+    ds = ray.data.from_arrow([_rows(0, 2), _rows(0, 0), _rows(2, 3), chunked])
+    run_dir = export_results(ds, str(tmp_path), date_stamp="240101", also_parquet=False)
+    csv_dir = os.path.join(run_dir, "csv")
+    csv = pa.concat_tables(
+        pcsv.read_csv(os.path.join(csv_dir, f)) for f in sorted(os.listdir(csv_dir))
+    ).sort_by("doc_id")
+    want = _rows(0, 6)
+    assert csv["doc_id"].to_pylist() == want["doc_id"].to_pylist()
+    assert csv["name"].to_pylist() == want["name"].to_pylist()
+    assert csv["wordscore"].to_pylist() == [i / 4 for i in range(6)]
+    assert csv["tags"].to_pylist() == [repr(v) for v in want["tags"].to_pylist()]
+
+
 def test_cli_wordscore_mode(ray_session, tmp_path):
     from sciscraper_ray.cli import main
 

@@ -57,7 +57,8 @@ def test_hll_nulls_skipped():
 def test_cms_estimate_upper_bounds_truth(ray_session):
     import pandas as pd
 
-    from sciscraper_ray.pipelines.queries import QUERIES, _CMS_PROBES
+    from sciscraper_ray.pipelines.queries import QUERIES
+    from sciscraper_ray.pipelines.queries.corpus_ops import _CMS_PROBES
 
     sf = "/root/testdata/sf0.001"
     out = QUERIES["token_cms_estimate"](sf)

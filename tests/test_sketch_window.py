@@ -14,7 +14,9 @@ def test_quantile_sketch_brackets_exact_percentiles():
     """The sketch bucket must CONTAIN the exact percentile value (unit
     buckets: floor(exact_pctl) == bucket), and thresholds follow the
     ceil-rank definition."""
-    from sciscraper_ray.pipelines.queries import events_value_quantile_sketch
+    from sciscraper_ray.pipelines.queries.events import (
+        events_value_quantile_sketch,
+    )
 
     got = events_value_quantile_sketch(SF).to_pandas().set_index("q_pct")
     v = np.sort(
@@ -31,7 +33,7 @@ def test_quantile_sketch_brackets_exact_percentiles():
 
 @pytest.mark.usefixtures("ray_session")
 def test_distinct_sliding_matches_pandas_replay():
-    from sciscraper_ray.pipelines.queries import events_distinct_sliding
+    from sciscraper_ray.pipelines.queries.events import events_distinct_sliding
 
     got = (
         events_distinct_sliding(SF)
@@ -51,7 +53,9 @@ def test_distinct_sliding_matches_pandas_replay():
 
 @pytest.mark.usefixtures("ray_session")
 def test_compaction_preserves_content_and_reduces_files():
-    from sciscraper_ray.pipelines.queries import small_files_compaction
+    from sciscraper_ray.pipelines.queries.corpus_ops import (
+        small_files_compaction,
+    )
 
     got = small_files_compaction(SF).to_pandas().sort_values("lang")
     docs = pq.read_table(
@@ -65,7 +69,7 @@ def test_compaction_preserves_content_and_reduces_files():
 
 @pytest.mark.usefixtures("ray_session")
 def test_mad_flags_match_pandas_replay():
-    from sciscraper_ray.pipelines.queries import events_anomaly_mad
+    from sciscraper_ray.pipelines.queries.corpus_ops import events_anomaly_mad
 
     got = (
         events_anomaly_mad(SF).to_pandas().set_index("event_id").sort_index()

@@ -1,44 +1,15 @@
-"""Wire-format kernels: strict base64 (RFC 4648) against stdlib, and
-HTTP/1.1 chunked transfer coding with extensions + trailers."""
+"""Wire-format kernels: HTTP/1.1 chunked transfer coding with
+extensions + trailers, and response framing."""
 
 from __future__ import annotations
-
-import base64
-import random
 
 import pytest
 
 from sciscraper_ray.kernels.wire import (
     WireError,
-    base64_decode,
-    base64_encode,
     chunked_decode,
     chunked_encode,
 )
-
-
-def test_base64_parity_with_stdlib_all_remainders():
-    rng = random.Random(7)
-    for n in list(range(0, 20)) + [100, 3001, 5000]:
-        p = bytes(rng.randrange(256) for _ in range(n))
-        std = base64.b64encode(p)
-        assert base64_encode(p) == std
-        assert base64_decode(std) == p
-
-
-@pytest.mark.parametrize(
-    "bad", ["abc", "ab=c", "a===", "====", "ab!c", "QQ=x", "QR=="]
-)
-def test_base64_strictness(bad):
-    # QR== carries set trailing bits -> non-canonical, rejected
-    with pytest.raises(WireError):
-        base64_decode(bad)
-
-
-def test_base64_canonical_padding_ok():
-    assert base64_decode("QQ==") == b"A"
-    assert base64_decode("QUI=") == b"AB"
-    assert base64_decode("") == b""
 
 
 def test_chunked_roundtrip_with_trailers():
