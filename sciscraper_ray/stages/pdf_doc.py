@@ -26,6 +26,8 @@ import zlib
 
 _WS = b"\x00\t\n\x0c\r "
 _DELIMS = b"()<>[]{}/%"
+_NAME_ESCAPE_RE = re.compile(rb"#([0-9A-Fa-f]{2})")  # §7.3.5
+_REF_TAIL_RE = re.compile(rb"\s+(\d+)\s+R(?![A-Za-z0-9])")  # `gen R` after a number
 
 
 class Ref:
@@ -177,10 +179,8 @@ class ObjParser:
             raw = buf[i + 1 : j]
             # §7.3.5 #xx hex escapes in names
             if b"#" in raw:
-                raw = re.sub(
-                    rb"#([0-9A-Fa-f]{2})",
-                    lambda m: bytes([int(m.group(1), 16)]),
-                    raw,
+                raw = _NAME_ESCAPE_RE.sub(
+                    lambda m: bytes([int(m.group(1), 16)]), raw
                 )
             return Name(raw.decode("latin-1"))
         # number / ref / keyword
@@ -202,7 +202,7 @@ class ObjParser:
         except ValueError as exc:
             raise ValueError(f"bad token {tok[:20]!r}") from exc
         # `num gen R` lookahead -> Ref
-        m = re.compile(rb"\s+(\d+)\s+R(?![A-Za-z0-9])").match(buf, self.i)
+        m = _REF_TAIL_RE.match(buf, self.i)
         if m and num >= 0:
             self.i = m.end()
             return Ref(num)

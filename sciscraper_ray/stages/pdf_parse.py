@@ -18,6 +18,22 @@ Fonts that declare no metric for a code (and payloads with no page tree,
 e.g. raw fragments) fall back to the fixed 0.6 em advance the synthetic
 writer uses (sources/pdf_write.py) — documented there as the shared
 metric, which keeps synthetic round-trips byte-exact.
+
+A content stream reaches the operator dispatch (``_interpreter``) by one
+of two lanes, which differ only in how operands are found and parsed:
+
+- the regex lane: one compiled pattern must tile the WHOLE decoded stream
+  as (operands, operator) pairs, operands being numbers, names, plain
+  literal strings (no backslash, no nested parenthesis), hex strings and
+  flat arrays of those. The cover is checked in C (``fullmatch``), then
+  the pairs are collected with ``findall``; possessive quantifiers keep
+  both linear in the stream length;
+- the token lane: ``_tokenize`` and an operand stack, the rules for any
+  stream. A stream the pattern does not cover goes through this lane
+  whole (comments, escaped or nested literals, ``<<`` dictionaries,
+  inline images, stray delimiters, numbers such as ``1e5``, operators
+  inside arrays). It is also the oracle the regex lane is tested against
+  (tests/test_pdf_content_fastpath.py).
 """
 
 from __future__ import annotations
@@ -69,6 +85,15 @@ _WS_RUN_RE = re.compile(rb"[\x00\t\n\x0c\r ]+")
 _REG_TOK_RE = re.compile(rb"[^\x00\t\n\x0c\r ()<>\[\]{}/%]+")
 
 
+def _hex_string(body: bytes) -> bytes:
+    """Bytes of a <hex> string body: whitespace dropped, an odd final
+    digit padded with 0 (PDF spec §7.3.4.3)."""
+    digits = b"".join(body.split())
+    if len(digits) % 2:
+        digits += b"0"
+    return bytes.fromhex(digits.decode("ascii"))
+
+
 def _tokenize(stream: bytes):
     """Content-stream tokens: numbers, names, (strings)/<hex> as raw BYTES
     (codes, not text — the font maps codes to unicode), [arrays],
@@ -117,11 +142,8 @@ def _tokenize(stream: bytes):
             j = stream.find(b">", i + 1)
             if j == -1:
                 break
-            digits = b"".join(stream[i + 1 : j].split())
-            if len(digits) % 2:  # PDF spec §7.3.4.3: odd final digit -> pad 0
-                digits += b"0"
             try:
-                raw = bytes.fromhex(digits.decode("ascii"))
+                raw = _hex_string(stream[i + 1 : j])
             except (ValueError, UnicodeDecodeError):
                 # real-world streams embed non-text <...> runs (inline
                 # images, font programs); draw nothing rather than die
@@ -155,18 +177,121 @@ def _tokenize(stream: bytes):
             i = j if j > i else i + 1
 
 
-def _default_decode(raw: bytes) -> list[tuple[int, str]]:
-    """Code decode when no font table is known: UTF-16BE with BOM (the
-    synthetic writer's non-Latin path), else byte-identity latin-1."""
+def _token_lane(stream: bytes, run) -> None:
+    """Feed ``run`` every operator of ``stream`` with its operand stack,
+    tokenized by ``_tokenize``: the rules for any stream at all."""
+    stack: list = []
+    for kind, val in _tokenize(stream):
+        if kind in ("num", "str", "name"):
+            stack.append((kind, val))
+            continue
+        if kind == "arr_open":
+            stack.append(("arr_open", None))
+            continue
+        if kind == "arr_close":
+            arr = []
+            while stack and stack[-1][0] != "arr_open":
+                arr.append(stack.pop())
+            if stack:
+                stack.pop()
+            stack.append(("arr", list(reversed(arr))))
+            continue
+        run(val, stack)
+        stack = []  # operands are consumed by their operator
+
+
+# The regex lane: one pattern tiles a whole stream into (operands,
+# operator) pairs. Operands are numbers, names, plain literals (no
+# backslash, no nested parenthesis), hex strings and flat arrays of
+# those; each is a maximal token under ``_tokenize``'s rules, so a stream
+# the pattern covers tokenizes the same both ways. Every quantifier is
+# possessive and every operand starts with a byte no other operand or
+# operator starts with, so the cover check is linear in the stream.
+_W = rb"[\x00\t\n\x0c\r ]"
+_WS_DELIMS = rb"\x00\t\n\x0c\r ()<>\[\]{}/%"
+_REG = rb"[^" + _WS_DELIMS + rb"]"  # a byte of a regular token
+_NUM = rb"[+-]?+(?:\d++(?:\.\d*+)?+|\.\d++)(?!" + _REG + rb")"
+_NAME = rb"/" + _REG + rb"*+"
+_LIT = rb"\([^\\()]*+\)"
+_HEX = rb"<[0-9A-Fa-f\t\n\x0c\r ]*+>"
+_SCALAR = rb"(?:" + b"|".join((_NUM, _NAME, _LIT, _HEX)) + rb")"
+_OPERAND = (
+    rb"(?:" + _SCALAR + rb"|\[" + _W + rb"*+(?:" + _SCALAR + _W + rb"*+)*+\])"
+)
+# inline images (BI ... ID data EI) always take the token lane
+_OP = rb"(?!BI(?!" + _REG + rb"))[^" + _WS_DELIMS + rb"+\-.0-9]" + _REG + rb"*+"
+_OPERANDS = rb"(?:" + _OPERAND + _W + rb"*+)"
+_COVER_RE = re.compile(
+    rb"(?:" + _W + rb"*+" + _OPERANDS + rb"*+" + _OP + rb")*+" + _W + rb"*+"
+)
+# one pair, its operands split three ways: only numbers (the separators
+# exclude NUL, which bytes.split keeps), one plain literal, or any other
+# operand run
+_PAIR_RE = re.compile(
+    _W + rb"*+(?:("
+    + _NUM + rb"(?:[\t\n\x0c\r ]++" + _NUM + rb")*+)[\t\n\x0c\r ]*+|("
+    + _LIT + rb")" + _W + rb"*+|(" + _OPERANDS + rb"++))?(" + _OP + rb")"
+)
+_OPERAND_TOKEN_RE = re.compile(
+    rb"(" + _NUM + rb")|/(" + _REG + rb"*+)|\(([^\\()]*+)\)|<([^>]*+)>|(\[)|\]"
+)
+
+
+def _operands(span: bytes) -> list:
+    """Operand stack of a covered operand span, as ``_token_lane`` builds
+    it: (kind, value) pairs, an array as ("arr", [its scalars])."""
+    stack: list = []
+    top = stack
+    for m in _OPERAND_TOKEN_RE.finditer(span):
+        k = m.lastindex
+        if k == 1:
+            top.append(("num", float(m.group(1))))
+        elif k == 2:
+            top.append(("name", m.group(2).decode("latin-1")))
+        elif k == 3:
+            top.append(("str", m.group(3)))
+        elif k == 4:
+            top.append(("str", _hex_string(m.group(4))))
+        elif k == 5:
+            top = []
+        else:  # `]`
+            stack.append(("arr", top))
+            top = stack
+    return stack
+
+
+def _regex_lane(stream: bytes, run) -> bool:
+    """Feed ``run`` every operator of ``stream`` with its operand stack if
+    the cover pattern tiles the stream, and return True; else run nothing
+    and return False."""
+    if _COVER_RE.fullmatch(stream) is None:
+        return False
+    for nums, lit, other, op in _PAIR_RE.findall(stream):
+        if nums:
+            stack = [("num", float(t)) for t in nums.split()]
+        elif lit:
+            stack = [("str", lit[1:-1])]
+        elif other:
+            stack = _operands(other)
+        else:
+            stack = []
+        run(op.decode("latin-1"), stack)
+    return True
+
+
+def _default_chars(raw: bytes) -> str:
+    """Text of a code run when no font table is known: UTF-16BE with BOM
+    (the synthetic writer's non-Latin path), else byte-identity latin-1;
+    each char's code is its ``ord``."""
     if raw[:2] == b"\xfe\xff":
-        return [(ord(ch), ch) for ch in raw[2:].decode("utf-16-be", "replace")]
-    return [(b, chr(b)) for b in raw]
+        return raw[2:].decode("utf-16-be", "replace")
+    return raw.decode("latin-1")
 
 
-def _extract_glyphs(
-    stream: bytes, fonts: dict[str, FontInfo] | None = None
-) -> list[tuple[str, float, float, float]]:
-    """(char, x, y, advance) glyph placements from one content stream.
+def _interpreter(fonts: dict[str, FontInfo] | None):
+    """(glyphs, run) for one content stream: ``run(op, stack)`` applies
+    one operator to its operand stack, appending (char, x, y, advance)
+    placements to ``glyphs``. Both lanes drive the same ``run``.
 
     x/y are device coordinates (text matrix composed with the q/Q/cm
     graphics state); advance is the full device-space displacement
@@ -176,17 +301,15 @@ def _extract_glyphs(
     ctm = [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
     ctm_stack: list[list[float]] = []
     glyphs: list[tuple[str, float, float, float]] = []
-    stack: list = []
 
     def draw(raw: bytes) -> None:
         f = st.font
         # UTF-16BE BOM: the synthetic writer's non-Latin string convention
         # (sources/pdf_write.py) — not a font code sequence; a real 1-byte
         # code run can't start 0xFE 0xFF under any standard encoding
-        trivial = f is None or f.trivial
-        if trivial or raw[:2] == b"\xfe\xff":
-            units = _default_decode(raw)
-            trivial = True
+        trivial = f is None or f.trivial or raw[:2] == b"\xfe\xff"
+        if trivial:
+            chars = _default_chars(raw)
         else:
             units = f.decode(raw)
         size, tc, tw, hscale = st.size, st.tc, st.tw, st.hscale
@@ -194,7 +317,6 @@ def _extract_glyphs(
         a, b, tx, ty = tm[0], tm[1], tm[4], tm[5]
         c0, c1, c2, c3, c4, c5 = ctm
         em = DEFAULT_CHAR_EM * size
-        append = glyphs.append
         if trivial and tc == 0.0 and tw == 0.0 and b == 0.0 and c1 == 0.0:
             # batch fast path (the synthetic writer's shape: fixed metric,
             # no spacing params, unrotated matrices): constant advance,
@@ -204,17 +326,19 @@ def _extract_glyphs(
             x0 = tx * c0 + ty * c2 + c4
             y0 = tx * c1 + ty * c3 + c5
             glyphs.extend(
-                (ch, x0 + k * dev, y0, dev)
-                for k, (_, ch) in enumerate(units)
+                (ch, x0 + k * dev, y0, dev) for k, ch in enumerate(chars)
             )
-            n_units = len(units)
+            n_units = len(chars)
             tm[4] = tx + adv * n_units * a
             tm[5] = ty + adv * n_units * b
             return
-        width = f.width if (f is not None and not trivial) else None
+        if trivial:
+            units = [(ord(ch), ch) for ch in chars]
+        append = glyphs.append
+        width = None if trivial else f.width
         # §9.3.3: word spacing applies only to SINGLE-BYTE code 32 —
         # 2-byte Type0/CID code 32 must not pick up Tw
-        tw_applies = trivial or (f is not None and f.code_bytes == 1)
+        tw_applies = trivial or f.code_bytes == 1
         for code, text in units:
             if width is None:
                 gw = em
@@ -247,23 +371,16 @@ def _extract_glyphs(
         tm[4] = tx
         tm[5] = ty
 
-    for kind, val in _tokenize(stream):
-        if kind in ("num", "str", "name"):
-            stack.append((kind, val))
-            continue
-        if kind == "arr_open":
-            stack.append(("arr_open", None))
-            continue
-        if kind == "arr_close":
-            arr = []
-            while stack and stack[-1][0] != "arr_open":
-                arr.append(stack.pop())
-            if stack:
-                stack.pop()
-            stack.append(("arr", list(reversed(arr))))
-            continue
-        op = val
-        if op == "BT":
+    def run(op: str, stack: list) -> None:
+        nonlocal ctm
+        # the two operators of every positioned word come first
+        if op == "Tj" and stack and stack[-1][0] == "str":
+            draw(stack[-1][1])
+        elif op == "Tm" and len(stack) >= 6:
+            vals = [s[1] for s in stack[-6:]]
+            st.tm = vals
+            st.lm = list(vals)
+        elif op == "BT":
             st.tm = [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
             st.lm = list(st.tm)
         elif op == "q":
@@ -291,10 +408,6 @@ def _extract_glyphs(
             st.tw = stack[-1][1]
         elif op == "Tz" and stack:
             st.hscale = stack[-1][1] / 100.0
-        elif op == "Tm" and len(stack) >= 6:
-            vals = [s[1] for s in stack[-6:]]
-            st.tm = list(vals)
-            st.lm = list(vals)
         elif op in ("Td", "TD") and len(stack) >= 2:
             tx, ty = stack[-2][1], stack[-1][1]
             if op == "TD":
@@ -304,8 +417,6 @@ def _extract_glyphs(
             st.leading = stack[-1][1]
         elif op == "T*":
             st.translate_line(0.0, -st.leading)
-        elif op == "Tj" and stack and stack[-1][0] == "str":
-            draw(stack[-1][1])
         elif op == "'" and stack and stack[-1][0] == "str":
             st.translate_line(0.0, -st.leading)
             draw(stack[-1][1])
@@ -322,7 +433,19 @@ def _extract_glyphs(
                     tx = -v / 1000.0 * st.size * st.hscale
                     st.tm[4] += tx * st.tm[0]
                     st.tm[5] += tx * st.tm[1]
-        stack = []  # operands are consumed by their operator
+
+    return glyphs, run
+
+
+def _extract_glyphs(
+    stream: bytes, fonts: dict[str, FontInfo] | None = None
+) -> list[tuple[str, float, float, float]]:
+    """(char, x, y, advance) glyph placements from one content stream:
+    the regex lane when its pattern covers the stream, else the token
+    lane (see ``_interpreter`` for the coordinates)."""
+    glyphs, run = _interpreter(fonts)
+    if not _regex_lane(stream, run):
+        _token_lane(stream, run)
     return glyphs
 
 
