@@ -235,24 +235,47 @@ def extraction_pipeline(
     among them. Unbatched, Ray fuses ``ReadParquet -> keep_winners ->
     PayloadExtractor -> project -> DocAnalyzer`` into ONE task operator
     (``ReadParquet -> tag -> ... -> Write`` under ``run_resumable``): each
-    task reads one block and carries it through every stage, and the
-    operator gets as many tasks as the read has. Rows per call are
-    therefore one read block, which Ray bounds by the context's
-    ``target_max_block_size``; on a Dataset source, one input block
-    (tests/test_extract.py checks both shapes). A read of fewer files
-    than Ray's auto read parallelism (2 per CPU for small data) has its
-    blocks split (``ReadParquet->SplitBlocks``) and stays a separate
-    operator; the chain after it still runs one task per block.
+    task carries what it reads through every stage, and the operator gets
+    as many tasks as the read has.
+
+    On a path, both reads (payload, and the ``url``/``warc_ts`` key pass)
+    go through ``plan.read_at_full_width``. A small local input (at most
+    ``plan.FULL_WIDTH_MAX_BYTES`` on disk) of at least ``2 × cluster
+    CPUs`` files is read by exactly ``2 × CPUs`` tasks with blocks of at
+    most ``plan.READ_BLOCK_BYTES`` (256 KiB). Ray's own shape for such an
+    input is ``min(200, data MiB)`` tasks of about 1 MiB. Its executor
+    waits on the whole round of running tasks
+    (``ray.wait(num_returns=len(active_tasks), timeout=0.1)``), and until
+    an operator's first output it charges each running task a 256 MiB
+    output estimate, so on a 512 MiB object store a second task waited
+    for the first. On perfbench's ``crawl_extract`` input (32 files,
+    10,590 pages) at 2 CPUs the fused operator kept about 1.15 CPUs busy
+    that way, and keeps about 1.75 at full width. Any other input keeps
+    Ray's shape; with fewer files Ray splits the read blocks
+    (``ReadParquet->SplitBlocks``): the read leaves the fused operator,
+    but the chain still runs as wide as the cluster.
+
+    Rows per call: ``keep_winners`` gets one parquet reader batch, which
+    Ray sizes from the process-wide context (at most 10,000 rows or a
+    tenth of 128 MiB; a whole file of ``crawl_extract``'s input), or one
+    split block. The stages after it get blocks of at most
+    ``READ_BLOCK_BYTES``, about 180 pages of ``crawl_extract``'s input
+    (at Ray's shape, a whole ~1 MiB read task, about 750 pages). On a
+    Dataset source each call gets one input block. tests/test_extract.py
+    checks these shapes.
     """
     est_rows = None
     if isinstance(source, str):
-        from sciscraper_ray.pipelines.plan import parquet_row_bound, read_parquet
+        import pyarrow.dataset as pads
 
-        ds = read_parquet(source)
-        keys = read_parquet(source, columns=["url", "warc_ts"])
+        from sciscraper_ray.pipelines.plan import read_at_full_width
+
+        listing = pads.dataset(source)
+        ds = read_at_full_width(source, listing.files)
+        keys = read_at_full_width(source, listing.files, columns=["url", "warc_ts"])
         # free metadata row bound lets the dedup auto-plan skip its
         # materialize barrier (distinct urls <= rows)
-        est_rows = parquet_row_bound(source)
+        est_rows = listing.count_rows()
     else:
         # Dataset source + dedup: the two-pass dedup consumes the source
         # twice (key pass + filter pass). For a parquet path the key pass

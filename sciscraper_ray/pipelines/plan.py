@@ -19,9 +19,15 @@ would have to produce these rows anyway), counts it for free off the
 materialized metadata, and picks ``driver`` iff the count is under the
 threshold. Scale safety must not depend on a caller remembering a kwarg
 (BASELINE.json north_rule).
+
+``read_at_full_width`` picks a read's physical shape the same way, from
+what it can observe: the input's size and file count and the cluster's
+CPUs.
 """
 
 from __future__ import annotations
+
+import os
 
 import ray.data
 from ray.data.datasource import ParquetMetadataProvider
@@ -100,6 +106,69 @@ def read_parquet(paths: str | list[str], **kwargs) -> ray.data.Dataset:
     if not any("://" in p for p in listed):
         kwargs["meta_provider"] = _InProcessFooters()
     return ray.data.read_parquet(paths, **kwargs)
+
+
+# Largest block a full-width read hands to its fused chain (see
+# read_at_full_width).
+READ_BLOCK_BYTES = 256 << 10
+
+# Largest input, in bytes on disk, that read_at_full_width shapes. The
+# shape was measured on inputs of up to this size (crawl_extract's 32
+# files and inputs 8 and 16 times larger); larger ones keep Ray's shape.
+FULL_WIDTH_MAX_BYTES = 64 << 20
+
+
+def read_at_full_width(paths: str | list[str], files: list[str], **kwargs) -> ray.data.Dataset:
+    """``read_parquet`` shaped for a chain of per-row task maps that Ray
+    fuses into the read. ``files`` are the input's parquet files (a
+    listing the caller already holds).
+
+    A small local input (at most ``FULL_WIDTH_MAX_BYTES`` on disk) with at
+    least two files per cluster CPU is read by exactly ``2 × CPUs`` tasks
+    that emit blocks of at most ``READ_BLOCK_BYTES``. Two Ray Data 2.49
+    behaviours make Ray's own shape run such a chain at a fraction of the
+    cluster's width:
+
+    - Lockstep. A small input gets ``max(2 × CPUs, min(200, data MiB))``
+      read tasks, about 1 MiB each, and the executor collects finished
+      tasks with ``ray.wait(num_returns=len(active_tasks), timeout=0.1)``
+      (``streaming_executor_state.process_completed_tasks``). A new round
+      of tasks starts only after every running task has returned or
+      0.1 s has passed, so many short tasks leave CPUs idle between
+      rounds. Two tasks per CPU keep the rounds few.
+    - Pre-sample estimate. Until an operator has produced an output, each
+      running task is charged ``target_max_block_size`` (128 MiB) × 2
+      buffered blocks. Operators share half of the object store, so on a
+      512 MiB store the second task waits for the first to finish. At
+      ``READ_BLOCK_BYTES`` the charge is 512 KiB per task.
+
+    Any other input keeps Ray's shape. With fewer files than ``2 × CPUs``
+    Ray splits the read blocks (``ReadParquet->SplitBlocks``), which takes
+    the read out of the fused operator but runs the chain as wide as the
+    cluster; one task per file, or small blocks alone (Ray then counts
+    the small blocks as enough and does not split), would run a one-file
+    input serially. Large and remote inputs, and a process without a
+    running Ray, were not measured. The CPUs are counted when the plan is
+    built, as Ray counts them for its own ``2 × CPUs`` floor.
+
+    The block size goes on the dataset's own context, which every dataset
+    derived from it shares, never on ``DataContext.get_current()``: plans
+    that emit large blocks keep Ray's defaults.
+    ``ds.context.read_op_min_num_blocks`` cannot shape the read (Ray takes
+    it from the process-wide context), so the task count goes in as
+    ``override_num_blocks``."""
+    listed = [paths] if isinstance(paths, str) else paths
+    cpus = int(ray.cluster_resources().get("CPU", 0)) if ray.is_initialized() else 0
+    if (
+        not cpus
+        or len(files) < 2 * cpus
+        or any("://" in p for p in listed)
+        or sum(os.path.getsize(f) for f in files) > FULL_WIDTH_MAX_BYTES
+    ):
+        return read_parquet(paths, **kwargs)
+    ds = read_parquet(paths, override_num_blocks=2 * cpus, **kwargs)
+    ds.context.target_max_block_size = READ_BLOCK_BYTES
+    return ds
 
 
 def driver_frame(ds: ray.data.Dataset, limit: int, what: str):

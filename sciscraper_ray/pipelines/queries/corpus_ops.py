@@ -1247,27 +1247,27 @@ def zonemap_scan(sf_dir: str):
 
     import ray.data
 
-    out_dir = tempfile.mkdtemp(prefix="zonemap_", dir="/tmp")
-    (
-        ray.data.read_parquet(
-            f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
-        )
-        .sort("doc_id")
-        .repartition(8)
-        .write_parquet(out_dir)
-    )
-    picked, _total = zonemap_prune(out_dir, "doc_id", _ZONE_LO, _ZONE_HI)
-    lo = pa.scalar(_ZONE_LO, pa.int64())
-    hi = pa.scalar(_ZONE_HI, pa.int64())
-    return ray.data.read_parquet(picked).map_batches(
-        lambda b: b.filter(
-            pc.and_(
-                pc.greater_equal(b["doc_id"], lo),
-                pc.less_equal(b["doc_id"], hi),
+    with tempfile.TemporaryDirectory(prefix="zonemap_") as out_dir:
+        (
+            ray.data.read_parquet(
+                f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
             )
-        ),
-        batch_format="pyarrow",
-    )
+            .sort("doc_id")
+            .repartition(8)
+            .write_parquet(out_dir)
+        )
+        picked, _total = zonemap_prune(out_dir, "doc_id", _ZONE_LO, _ZONE_HI)
+        lo = pa.scalar(_ZONE_LO, pa.int64())
+        hi = pa.scalar(_ZONE_HI, pa.int64())
+        return ray.data.read_parquet(picked).map_batches(
+            lambda b: b.filter(
+                pc.and_(
+                    pc.greater_equal(b["doc_id"], lo),
+                    pc.less_equal(b["doc_id"], hi),
+                )
+            ),
+            batch_format="pyarrow",
+        ).materialize()
 
 
 # ---------------------------------------------------------------------------
@@ -1587,13 +1587,13 @@ def jsonl_roundtrip(sf_dir: str):
 
     import ray.data
 
-    out_dir = tempfile.mkdtemp(prefix="jsonl_", dir="/tmp")
-    ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "n_chars"]
-    ).write_json(out_dir)
-    return ray.data.read_json(out_dir).select_columns(
-        ["doc_id", "lang", "n_chars"]
-    )
+    with tempfile.TemporaryDirectory(prefix="jsonl_") as out_dir:
+        ray.data.read_parquet(
+            f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "n_chars"]
+        ).write_json(out_dir)
+        return ray.data.read_json(out_dir).select_columns(
+            ["doc_id", "lang", "n_chars"]
+        ).materialize()
 
 
 # ---------------------------------------------------------------------------
@@ -1696,37 +1696,37 @@ def lang_partitioned_write(sf_dir: str):
 
     import ray.data
 
-    out_dir = tempfile.mkdtemp(prefix="langpart_", dir="/tmp")
-    ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "n_chars"]
-    ).write_parquet(out_dir, partition_cols=["lang"])
+    with tempfile.TemporaryDirectory(prefix="langpart_") as out_dir:
+        ray.data.read_parquet(
+            f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "n_chars"]
+        ).write_parquet(out_dir, partition_cols=["lang"])
 
-    rows = []
-    for entry in sorted(os.listdir(out_dir)):
-        if not entry.startswith("lang="):
-            continue
-        lang = entry.split("=", 1)[1]
-        part = ray.data.read_parquet(os.path.join(out_dir, entry))
-        agg = part.map_batches(
-            lambda b: pa.table(
+        rows = []
+        for entry in sorted(os.listdir(out_dir)):
+            if not entry.startswith("lang="):
+                continue
+            lang = entry.split("=", 1)[1]
+            part = ray.data.read_parquet(os.path.join(out_dir, entry))
+            agg = part.map_batches(
+                lambda b: pa.table(
+                    {
+                        "n_docs": pa.array([len(b)], pa.int64()),
+                        "total_chars": pa.array(
+                            [int(b["n_chars"].to_numpy(zero_copy_only=False).sum())],
+                            pa.int64(),
+                        ),
+                    }
+                ),
+                batch_format="pyarrow",
+            ).to_pandas()  # bounded: one scalar row per block of one partition
+            rows.append(
                 {
-                    "n_docs": pa.array([len(b)], pa.int64()),
-                    "total_chars": pa.array(
-                        [int(b["n_chars"].to_numpy(zero_copy_only=False).sum())],
-                        pa.int64(),
-                    ),
+                    "lang": lang,
+                    "n_docs": int(agg["n_docs"].sum()),
+                    "total_chars": int(agg["total_chars"].sum()),
                 }
-            ),
-            batch_format="pyarrow",
-        ).to_pandas()  # bounded: one scalar row per block of one partition
-        rows.append(
-            {
-                "lang": lang,
-                "n_docs": int(agg["n_docs"].sum()),
-                "total_chars": int(agg["total_chars"].sum()),
-            }
-        )
-    return pd.DataFrame(rows)
+            )
+        return pd.DataFrame(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1786,59 +1786,59 @@ def bucketed_storage_join(sf_dir: str):
 
         return fn
 
-    base = tempfile.mkdtemp(prefix="bucketjoin_", dir="/tmp")
-    o_dir, c_dir = os.path.join(base, "orders"), os.path.join(base, "cust")
-    ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_custkey", "o_orderpriority", "o_totalprice"],
-    ).map_batches(add_bucket("o_custkey"), batch_format="pyarrow").write_parquet(
-        o_dir, partition_cols=["bucket"]
-    )
-    ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
-    ).map_batches(add_bucket("c_custkey"), batch_format="pyarrow").write_parquet(
-        c_dir, partition_cols=["bucket"]
-    )
+    with tempfile.TemporaryDirectory(prefix="bucketjoin_") as base:
+        o_dir, c_dir = os.path.join(base, "orders"), os.path.join(base, "cust")
+        ray.data.read_parquet(
+            f"{sf_dir}/orders.parquet",
+            columns=["o_custkey", "o_orderpriority", "o_totalprice"],
+        ).map_batches(add_bucket("o_custkey"), batch_format="pyarrow").write_parquet(
+            o_dir, partition_cols=["bucket"]
+        )
+        ray.data.read_parquet(
+            f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
+        ).map_batches(add_bucket("c_custkey"), batch_format="pyarrow").write_parquet(
+            c_dir, partition_cols=["bucket"]
+        )
 
-    @ray.remote
-    def join_bucket(b: int):
-        import pyarrow.parquet as pq
+        @ray.remote
+        def join_bucket(b: int):
+            import pyarrow.parquet as pq
 
-        op = os.path.join(o_dir, f"bucket={b}")
-        cp = os.path.join(c_dir, f"bucket={b}")
-        if not os.path.isdir(op) or not os.path.isdir(cp):
-            return pa.table(
-                {
-                    "o_orderpriority": pa.array([], pa.string()),
-                    "n_orders": pa.array([], pa.int64()),
-                    "revenue_cents": pa.array([], pa.int64()),
-                }
+            op = os.path.join(o_dir, f"bucket={b}")
+            cp = os.path.join(c_dir, f"bucket={b}")
+            if not os.path.isdir(op) or not os.path.isdir(cp):
+                return pa.table(
+                    {
+                        "o_orderpriority": pa.array([], pa.string()),
+                        "n_orders": pa.array([], pa.int64()),
+                        "revenue_cents": pa.array([], pa.int64()),
+                    }
+                )
+            orders = pq.read_table(op).to_pandas()  # bounded: one hash bucket (worker task)
+            cust = pq.read_table(cp).to_pandas()  # bounded: one hash bucket (worker task)
+            cust = cust[cust["c_mktsegment"] == "MACHINERY"]
+            j = orders.merge(
+                cust, left_on="o_custkey", right_on="c_custkey", how="inner"
             )
-        orders = pq.read_table(op).to_pandas()  # bounded: one hash bucket (worker task)
-        cust = pq.read_table(cp).to_pandas()  # bounded: one hash bucket (worker task)
-        cust = cust[cust["c_mktsegment"] == "MACHINERY"]
-        j = orders.merge(
-            cust, left_on="o_custkey", right_on="c_custkey", how="inner"
-        )
-        j["cents"] = np.round(j["o_totalprice"].to_numpy() * 100).astype(
-            np.int64
-        )
-        agg = (
-            j.groupby("o_orderpriority")
-            .agg(n_orders=("cents", "size"), revenue_cents=("cents", "sum"))
-            .reset_index()
-        )
-        return pa.Table.from_pandas(
-            agg.astype({"n_orders": "int64", "revenue_cents": "int64"}),
-            preserve_index=False,
-        )
+            j["cents"] = np.round(j["o_totalprice"].to_numpy() * 100).astype(
+                np.int64
+            )
+            agg = (
+                j.groupby("o_orderpriority")
+                .agg(n_orders=("cents", "size"), revenue_cents=("cents", "sum"))
+                .reset_index()
+            )
+            return pa.Table.from_pandas(
+                agg.astype({"n_orders": "int64", "revenue_cents": "int64"}),
+                preserve_index=False,
+            )
 
-    refs = [join_bucket.remote(b) for b in range(_STORAGE_BUCKETS)]
-    parts = ray.data.from_arrow_refs(refs)
-    return parts.groupby("o_orderpriority").aggregate(
-        Sum(on="n_orders", alias_name="n_orders"),
-        Sum(on="revenue_cents", alias_name="revenue_cents"),
-    )
+        refs = [join_bucket.remote(b) for b in range(_STORAGE_BUCKETS)]
+        parts = ray.data.from_arrow_refs(refs)
+        return parts.groupby("o_orderpriority").aggregate(
+            Sum(on="n_orders", alias_name="n_orders"),
+            Sum(on="revenue_cents", alias_name="revenue_cents"),
+        ).materialize()
 
 
 # ---------------------------------------------------------------------------
@@ -2587,25 +2587,28 @@ def small_files_compaction(sf_dir: str):
     import ray.data
     from ray.data.aggregate import Count, Sum
 
-    frag_dir = tempfile.mkdtemp(prefix="compact_in_", dir="/tmp")
-    out_dir = tempfile.mkdtemp(prefix="compact_out_", dir="/tmp")
-    ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "n_chars"]
-    ).repartition(64).write_parquet(frag_dir)
+    with (
+        tempfile.TemporaryDirectory(prefix="compact_in_") as frag_dir,
+        tempfile.TemporaryDirectory(prefix="compact_out_") as out_dir,
+    ):
+        ray.data.read_parquet(
+            f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "n_chars"]
+        ).repartition(64).write_parquet(frag_dir)
 
-    import os
+        import os
 
-    n_frag = len([f for f in os.listdir(frag_dir) if f.endswith(".parquet")])
-    ray.data.read_parquet(frag_dir).repartition(4).write_parquet(out_dir)
-    n_out = len([f for f in os.listdir(out_dir) if f.endswith(".parquet")])
-    if not (n_out < n_frag):
-        raise RuntimeError(f"compaction did not reduce files: {n_frag}->{n_out}")
+        n_frag = len([f for f in os.listdir(frag_dir) if f.endswith(".parquet")])
+        ray.data.read_parquet(frag_dir).repartition(4).write_parquet(out_dir)
+        n_out = len([f for f in os.listdir(out_dir) if f.endswith(".parquet")])
+        if not (n_out < n_frag):
+            raise RuntimeError(f"compaction did not reduce files: {n_frag}->{n_out}")
 
-    return (
-        ray.data.read_parquet(out_dir, columns=["lang", "n_chars"])
-        .groupby("lang")
-        .aggregate(Count(alias_name="n_docs"), Sum(on="n_chars", alias_name="total_chars"))
-    )
+        return (
+            ray.data.read_parquet(out_dir, columns=["lang", "n_chars"])
+            .groupby("lang")
+            .aggregate(Count(alias_name="n_docs"), Sum(on="n_chars", alias_name="total_chars"))
+            .materialize()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -3916,34 +3919,34 @@ def orc_roundtrip(sf_dir: str):
 
     import ray.data
 
-    out_dir = tempfile.mkdtemp(prefix="orc_", dir="/tmp")
-    cols = ["doc_id", "lang", "n_chars", "text"]
+    with tempfile.TemporaryDirectory(prefix="orc_") as out_dir:
+        cols = ["doc_id", "lang", "n_chars", "text"]
 
-    def write_shard(batch: pa.Table) -> pa.Table:
-        import pyarrow.orc as orc
+        def write_shard(batch: pa.Table) -> pa.Table:
+            import pyarrow.orc as orc
 
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        path = os.path.join(out_dir, f"shard-{int(ids.min()):08d}.orc")
-        orc.write_table(batch, path)
-        return pa.table({"path": pa.array([path], pa.string())})
+            ids = batch["doc_id"].to_numpy(zero_copy_only=False)
+            path = os.path.join(out_dir, f"shard-{int(ids.min()):08d}.orc")
+            orc.write_table(batch, path)
+            return pa.table({"path": pa.array([path], pa.string())})
 
-    paths = (
-        ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=cols)
-        .map_batches(write_shard, batch_format="pyarrow")
-        .to_pandas()["path"]  # bounded: one path per shard
-        .tolist()
-    )
-
-    def read_shard(batch: pa.Table) -> pa.Table:
-        import pyarrow.orc as orc
-
-        return pa.concat_tables(
-            [orc.ORCFile(p).read() for p in batch["path"].to_pylist()]
+        paths = (
+            ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=cols)
+            .map_batches(write_shard, batch_format="pyarrow")
+            .to_pandas()["path"]  # bounded: one path per shard
+            .tolist()
         )
 
-    return ray.data.from_items([{"path": p} for p in sorted(paths)]).map_batches(
-        read_shard, batch_format="pyarrow"
-    )
+        def read_shard(batch: pa.Table) -> pa.Table:
+            import pyarrow.orc as orc
+
+            return pa.concat_tables(
+                [orc.ORCFile(p).read() for p in batch["path"].to_pylist()]
+            )
+
+        return ray.data.from_items([{"path": p} for p in sorted(paths)]).map_batches(
+            read_shard, batch_format="pyarrow"
+        ).materialize()
 
 
 def _duckdb_fixture(sf_dir: str) -> str:
@@ -4433,78 +4436,77 @@ def protobuf_roundtrip(sf_dir: str):
 
     import ray.data
 
-    out_dir = tempfile.mkdtemp(prefix="pb_", dir="/tmp")
+    with tempfile.TemporaryDirectory(prefix="pb_") as out_dir:
+        def write_shard(batch: pa.Table) -> pa.Table:
+            ids = batch["doc_id"].to_numpy(zero_copy_only=False)
+            langs = batch["lang"].to_pylist()
+            ncs = batch["n_chars"].to_numpy(zero_copy_only=False)
+            buf = bytearray()
+            for k, (i, lg, nc) in enumerate(zip(ids, langs, ncs)):
+                body = bytearray()
+                body += b"\x08" + _pb_varint(int(i))  # field 1, varint
+                lb = lg.encode()
+                body += b"\x12" + _pb_varint(len(lb)) + lb  # field 2, LEN
+                body += b"\x18" + _pb_varint(int(nc))  # field 3, varint
+                if k % 7 == 0:  # unknown field 15 (varint) — must be skipped
+                    body += b"\x78" + _pb_varint(99)
+                buf += _pb_varint(len(body)) + body
+            path = os.path.join(out_dir, f"shard-{int(ids.min()):08d}.pb")
+            with open(path, "wb") as f:
+                f.write(bytes(buf))
+            return pa.table({"path": pa.array([path], pa.string())})
 
-    def write_shard(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        langs = batch["lang"].to_pylist()
-        ncs = batch["n_chars"].to_numpy(zero_copy_only=False)
-        buf = bytearray()
-        for k, (i, lg, nc) in enumerate(zip(ids, langs, ncs)):
-            body = bytearray()
-            body += b"\x08" + _pb_varint(int(i))  # field 1, varint
-            lb = lg.encode()
-            body += b"\x12" + _pb_varint(len(lb)) + lb  # field 2, LEN
-            body += b"\x18" + _pb_varint(int(nc))  # field 3, varint
-            if k % 7 == 0:  # unknown field 15 (varint) — must be skipped
-                body += b"\x78" + _pb_varint(99)
-            buf += _pb_varint(len(body)) + body
-        path = os.path.join(out_dir, f"shard-{int(ids.min()):08d}.pb")
-        with open(path, "wb") as f:
-            f.write(bytes(buf))
-        return pa.table({"path": pa.array([path], pa.string())})
-
-    paths = (
-        ray.data.read_parquet(
-            f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "n_chars"]
-        )
-        .map_batches(write_shard, batch_format="pyarrow")
-        .to_pandas()["path"]  # bounded: one path per shard
-        .tolist()
-    )
-
-    def read_shard(batch: pa.Table) -> pa.Table:
-        ids, langs, ncs = [], [], []
-        for p in batch["path"].to_pylist():
-            with open(p, "rb") as f:
-                buf = f.read()
-            pos = 0
-            while pos < len(buf):
-                mlen, pos = _pb_read_varint(buf, pos)
-                end = pos + mlen
-                i = nc = None
-                lg = None
-                while pos < end:
-                    tag, pos = _pb_read_varint(buf, pos)
-                    field, wt = tag >> 3, tag & 7
-                    if wt == 0:
-                        val, pos = _pb_read_varint(buf, pos)
-                        if field == 1:
-                            i = val
-                        elif field == 3:
-                            nc = val
-                        # unknown varint fields: skipped by the read
-                    elif wt == 2:
-                        ln, pos = _pb_read_varint(buf, pos)
-                        raw, pos = buf[pos : pos + ln], pos + ln
-                        if field == 2:
-                            lg = raw.decode()
-                    else:  # pragma: no cover - fixture emits only 0/2
-                        raise ValueError(f"unsupported wire type {wt}")
-                ids.append(i)
-                langs.append(lg)
-                ncs.append(nc)
-        return pa.table(
-            {
-                "doc_id": pa.array(ids, pa.int64()),
-                "lang": pa.array(langs, pa.string()),
-                "n_chars": pa.array(ncs, pa.int64()),
-            }
+        paths = (
+            ray.data.read_parquet(
+                f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "n_chars"]
+            )
+            .map_batches(write_shard, batch_format="pyarrow")
+            .to_pandas()["path"]  # bounded: one path per shard
+            .tolist()
         )
 
-    return ray.data.from_items([{"path": p} for p in sorted(paths)]).map_batches(
-        read_shard, batch_format="pyarrow"
-    )
+        def read_shard(batch: pa.Table) -> pa.Table:
+            ids, langs, ncs = [], [], []
+            for p in batch["path"].to_pylist():
+                with open(p, "rb") as f:
+                    buf = f.read()
+                pos = 0
+                while pos < len(buf):
+                    mlen, pos = _pb_read_varint(buf, pos)
+                    end = pos + mlen
+                    i = nc = None
+                    lg = None
+                    while pos < end:
+                        tag, pos = _pb_read_varint(buf, pos)
+                        field, wt = tag >> 3, tag & 7
+                        if wt == 0:
+                            val, pos = _pb_read_varint(buf, pos)
+                            if field == 1:
+                                i = val
+                            elif field == 3:
+                                nc = val
+                            # unknown varint fields: skipped by the read
+                        elif wt == 2:
+                            ln, pos = _pb_read_varint(buf, pos)
+                            raw, pos = buf[pos : pos + ln], pos + ln
+                            if field == 2:
+                                lg = raw.decode()
+                        else:  # pragma: no cover - fixture emits only 0/2
+                            raise ValueError(f"unsupported wire type {wt}")
+                    ids.append(i)
+                    langs.append(lg)
+                    ncs.append(nc)
+            return pa.table(
+                {
+                    "doc_id": pa.array(ids, pa.int64()),
+                    "lang": pa.array(langs, pa.string()),
+                    "n_chars": pa.array(ncs, pa.int64()),
+                }
+            )
+
+        return ray.data.from_items([{"path": p} for p in sorted(paths)]).map_batches(
+            read_shard, batch_format="pyarrow"
+        ).materialize()
 
 
 # ---------------------------------------------------------------------------
@@ -4727,62 +4729,61 @@ def corpus_tarzst_shard_ingest(sf_dir: str):
 
     import ray.data
 
-    out_dir = tempfile.mkdtemp(prefix="tarzst_", dir="/tmp")
+    with tempfile.TemporaryDirectory(prefix="tarzst_") as out_dir:
+        def write_shard(batch: pa.Table) -> pa.Table:
+            import io
+            import tarfile as _tarfile
 
-    def write_shard(batch: pa.Table) -> pa.Table:
-        import io
-        import tarfile as _tarfile
-
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        buf = io.BytesIO()
-        with _tarfile.open(
-            fileobj=buf, mode="w", format=_tarfile.PAX_FORMAT
-        ) as tf:
-            for i, t in zip(ids, batch["text"].to_pylist()):
-                raw = (t or "").encode("utf-8")
-                info = _tarfile.TarInfo(f"{int(i):012d}.txt")
-                info.size = len(raw)
-                tf.addfile(info, io.BytesIO(raw))
-        comp = bytes(_pa_codec.Codec("zstd", 3).compress(buf.getvalue()))
-        path = os.path.join(out_dir, f"shard-{int(ids.min()):012d}.tar.zst")
-        with open(path, "wb") as f:
-            f.write(comp)
-        return pa.table({"path": pa.array([path], pa.string())})
-
-    paths = (
-        ray.data.read_parquet(
-            f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-        )
-        .map_batches(write_shard, batch_format="pyarrow")
-        .to_pandas()["path"]  # bounded: one path per shard
-        .tolist()
-    )
-
-    def read_shard(batch: pa.Table) -> pa.Table:
-        import tarfile as _tarfile
-
-        ids, tbs, ncs, fcs = [], [], [], []
-        for p in batch["path"].to_pylist():
-            with pa.input_stream(p, compression="zstd") as f, _tarfile.open(
-                fileobj=f, mode="r|"
+            ids = batch["doc_id"].to_numpy(zero_copy_only=False)
+            buf = io.BytesIO()
+            with _tarfile.open(
+                fileobj=buf, mode="w", format=_tarfile.PAX_FORMAT
             ) as tf:
-                for m in tf:
-                    text = tf.extractfile(m).read().decode("utf-8")
-                    ids.append(int(m.name.split(".")[0]))
-                    tbs.append(m.size)
-                    # content-sensitive attest: decoded char count + first
-                    # code point must match the oracle's length()/unicode()
-                    ncs.append(len(text))
-                    fcs.append(ord(text[0]) if text else -1)
-        return pa.table(
-            {
-                "doc_id": pa.array(np.asarray(ids, np.int64)),
-                "txt_bytes": pa.array(np.asarray(tbs, np.int64)),
-                "n_chars_decoded": pa.array(np.asarray(ncs, np.int64)),
-                "first_cp": pa.array(np.asarray(fcs, np.int64)),
-            }
+                for i, t in zip(ids, batch["text"].to_pylist()):
+                    raw = (t or "").encode("utf-8")
+                    info = _tarfile.TarInfo(f"{int(i):012d}.txt")
+                    info.size = len(raw)
+                    tf.addfile(info, io.BytesIO(raw))
+            comp = bytes(_pa_codec.Codec("zstd", 3).compress(buf.getvalue()))
+            path = os.path.join(out_dir, f"shard-{int(ids.min()):012d}.tar.zst")
+            with open(path, "wb") as f:
+                f.write(comp)
+            return pa.table({"path": pa.array([path], pa.string())})
+
+        paths = (
+            ray.data.read_parquet(
+                f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
+            )
+            .map_batches(write_shard, batch_format="pyarrow")
+            .to_pandas()["path"]  # bounded: one path per shard
+            .tolist()
         )
 
-    return ray.data.from_items(
-        [{"path": p} for p in sorted(paths)]
-    ).map_batches(read_shard, batch_format="pyarrow")
+        def read_shard(batch: pa.Table) -> pa.Table:
+            import tarfile as _tarfile
+
+            ids, tbs, ncs, fcs = [], [], [], []
+            for p in batch["path"].to_pylist():
+                with pa.input_stream(p, compression="zstd") as f, _tarfile.open(
+                    fileobj=f, mode="r|"
+                ) as tf:
+                    for m in tf:
+                        text = tf.extractfile(m).read().decode("utf-8")
+                        ids.append(int(m.name.split(".")[0]))
+                        tbs.append(m.size)
+                        # content-sensitive attest: decoded char count + first
+                        # code point must match the oracle's length()/unicode()
+                        ncs.append(len(text))
+                        fcs.append(ord(text[0]) if text else -1)
+            return pa.table(
+                {
+                    "doc_id": pa.array(np.asarray(ids, np.int64)),
+                    "txt_bytes": pa.array(np.asarray(tbs, np.int64)),
+                    "n_chars_decoded": pa.array(np.asarray(ncs, np.int64)),
+                    "first_cp": pa.array(np.asarray(fcs, np.int64)),
+                }
+            )
+
+        return ray.data.from_items(
+            [{"path": p} for p in sorted(paths)]
+        ).map_batches(read_shard, batch_format="pyarrow").materialize()

@@ -158,24 +158,24 @@ def terms_from_txt(sf_dir: str):
 
     import ray.data
 
-    d = tempfile.mkdtemp(prefix="sciscraper_terms_")
-    path = os.path.join(d, "terms.txt")
-    with open(path, "w") as f:
-        for k in range(20):
-            f.write(f"  SRC-{k}\t \n")
+    with tempfile.TemporaryDirectory(prefix="sciscraper_terms_") as d:
+        path = os.path.join(d, "terms.txt")
+        with open(path, "w") as f:
+            for k in range(20):
+                f.write(f"  SRC-{k}\t \n")
 
-    def normalize(batch: pa.Table) -> pa.Table:
-        col = batch["text"]
-        return pa.table(
-            {"term": pc.utf8_lower(pc.utf8_trim_whitespace(col))}
-        )
+        def normalize(batch: pa.Table) -> pa.Table:
+            col = batch["text"]
+            return pa.table(
+                {"term": pc.utf8_lower(pc.utf8_trim_whitespace(col))}
+            )
 
-    # drop_empty_lines=False: serialize_from_txt keeps blank lines as ""
-    # (each raw line goes through strip().lower()) — byte-faithful parity
-    # is pinned on the reference's real multiline fixture in test_kernels.
-    return ray.data.read_text(path, drop_empty_lines=False).map_batches(
-        normalize, batch_format="pyarrow"
-    )
+        # drop_empty_lines=False: serialize_from_txt keeps blank lines as ""
+        # (each raw line goes through strip().lower()) — byte-faithful parity
+        # is pinned on the reference's real multiline fixture in test_kernels.
+        return ray.data.read_text(path, drop_empty_lines=False).map_batches(
+            normalize, batch_format="pyarrow"
+        ).materialize()
 
 
 @register(
@@ -267,40 +267,41 @@ def terms_from_csv(sf_dir: str):
     ids = pq.read_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id"]
     )["doc_id"].to_pylist()
-    d = tempfile.mkdtemp(prefix="sciscraper_csv_")
-    path = os.path.join(d, "input.csv")
-    with open(path, "w", newline="") as f:
-        wcsv = csv.writer(f)
-        wcsv.writerow(["doc_id", "doi", "other"])
-        for i in ids:
-            if i % 4 == 0:
-                doi = "{'doi': '10.55/x%d'}" % i  # dict-literal cell
-            elif i % 4 == 1:
-                doi = ""  # empty -> N/A
-            else:
-                doi = f"doi-{i}"
-            wcsv.writerow([i, doi, "x"])
+    with tempfile.TemporaryDirectory(prefix="sciscraper_csv_") as d:
+        path = os.path.join(d, "input.csv")
+        with open(path, "w", newline="") as f:
+            wcsv = csv.writer(f)
+            wcsv.writerow(["doc_id", "doi", "other"])
+            for i in ids:
+                if i % 4 == 0:
+                    doi = "{'doi': '10.55/x%d'}" % i  # dict-literal cell
+                elif i % 4 == 1:
+                    doi = ""  # empty -> N/A
+                else:
+                    doi = f"doi-{i}"
+                wcsv.writerow([i, doi, "x"])
 
-    def unwrap(batch: pa.Table) -> pa.Table:
-        # empty/missing -> null -> fillna('N/A'), then M14 nested unwrap
-        raw = pa.array(
-            [v if v else None for v in batch["doi"].to_pylist()],
-            type=pa.string(),
-        )
-        na_filled = fill_na(raw, "N/A").to_pylist()
-        unwrapped = [clean_nested_values([v], "doi")[0] for v in na_filled]
-        return pa.table(
-            {
-                "doc_id": batch["doc_id"],
-                "doi": pa.array(unwrapped, type=pa.string()),
-            }
-        )
+        def unwrap(batch: pa.Table) -> pa.Table:
+            # empty/missing -> null -> fillna('N/A'), then M14 nested unwrap
+            raw = pa.array(
+                [v if v else None for v in batch["doi"].to_pylist()],
+                type=pa.string(),
+            )
+            na_filled = fill_na(raw, "N/A").to_pylist()
+            unwrapped = [clean_nested_values([v], "doi")[0] for v in na_filled]
+            return pa.table(
+                {
+                    "doc_id": batch["doc_id"],
+                    "doi": pa.array(unwrapped, type=pa.string()),
+                }
+            )
 
-    return (
-        ray.data.read_csv(path)
-        .select_columns(["doc_id", "doi"])
-        .map_batches(unwrap, batch_format="pyarrow")
-    )
+        return (
+            ray.data.read_csv(path)
+            .select_columns(["doc_id", "doi"])
+            .map_batches(unwrap, batch_format="pyarrow")
+            .materialize()
+        )
 
 
 @register(
@@ -831,92 +832,91 @@ def csv_quoted_roundtrip(sf_dir: str):
     import pandas as pd
     import ray.data
 
-    base = tempfile.mkdtemp(prefix="csv_quoted_")
+    with tempfile.TemporaryDirectory(prefix="csv_quoted_") as base:
+        def add_shard(b: pa.Table) -> pa.Table:
+            ids = b["doc_id"].to_numpy(zero_copy_only=False)
+            return b.append_column(
+                "shard", pa.array((ids % 8).astype(np.int64))
+            )
 
-    def add_shard(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        return b.append_column(
-            "shard", pa.array((ids % 8).astype(np.int64))
+        def write_shard(g: "pd.DataFrame") -> "pd.DataFrame":
+            g = g.sort_values("doc_id")
+            shard = int(g["shard"].iloc[0])
+            buf = io.StringIO()
+            w = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+            for i, lang, text in zip(g["doc_id"], g["lang"], g["text"]):
+                payload = f'{text},"{lang}\n"end'
+                w.writerow([int(i), lang, payload])
+            with open(f"{base}/shard-{shard:02d}.csv", "w") as f:
+                f.write(buf.getvalue())
+            return pd.DataFrame({"shard": [shard], "n": [len(g)]})
+
+        (
+            ray.data.read_parquet(
+                f"{sf_dir}/documents.parquet",
+                columns=["doc_id", "lang", "text"],
+            )
+            .map_batches(add_shard, batch_format="pyarrow")
+            .groupby("shard")
+            .map_groups(write_shard, batch_format="pandas")
+            .materialize()  # barrier: shards complete before the read
         )
 
-    def write_shard(g: "pd.DataFrame") -> "pd.DataFrame":
-        g = g.sort_values("doc_id")
-        shard = int(g["shard"].iloc[0])
-        buf = io.StringIO()
-        w = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-        for i, lang, text in zip(g["doc_id"], g["lang"], g["text"]):
-            payload = f'{text},"{lang}\n"end'
-            w.writerow([int(i), lang, payload])
-        with open(f"{base}/shard-{shard:02d}.csv", "w") as f:
-            f.write(buf.getvalue())
-        return pd.DataFrame({"shard": [shard], "n": [len(g)]})
-
-    (
-        ray.data.read_parquet(
-            f"{sf_dir}/documents.parquet",
-            columns=["doc_id", "lang", "text"],
-        )
-        .map_batches(add_shard, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(write_shard, batch_format="pandas")
-        .materialize()  # barrier: shards complete before the read
-    )
-
-    def parse_rfc4180(blob: bytes) -> list[list[str]]:
-        s = blob.decode()
-        rows: list[list[str]] = []
-        field: list[str] = []
-        row: list[str] = []
-        in_quotes = False
-        i, n = 0, len(s)
-        while i < n:
-            ch = s[i]
-            if in_quotes:
-                if ch == '"':
-                    if i + 1 < n and s[i + 1] == '"':
-                        field.append('"')
-                        i += 1
+        def parse_rfc4180(blob: bytes) -> list[list[str]]:
+            s = blob.decode()
+            rows: list[list[str]] = []
+            field: list[str] = []
+            row: list[str] = []
+            in_quotes = False
+            i, n = 0, len(s)
+            while i < n:
+                ch = s[i]
+                if in_quotes:
+                    if ch == '"':
+                        if i + 1 < n and s[i + 1] == '"':
+                            field.append('"')
+                            i += 1
+                        else:
+                            in_quotes = False
                     else:
-                        in_quotes = False
+                        field.append(ch)
+                elif ch == '"':
+                    in_quotes = True
+                elif ch == ",":
+                    row.append("".join(field))
+                    field = []
+                elif ch == "\n":
+                    row.append("".join(field))
+                    rows.append(row)
+                    field, row = [], []
                 else:
                     field.append(ch)
-            elif ch == '"':
-                in_quotes = True
-            elif ch == ",":
-                row.append("".join(field))
-                field = []
-            elif ch == "\n":
+                i += 1
+            if field or row:
                 row.append("".join(field))
                 rows.append(row)
-                field, row = [], []
-            else:
-                field.append(ch)
-            i += 1
-        if field or row:
-            row.append("".join(field))
-            rows.append(row)
-        return rows
+            return rows
 
-    def read_shard(b: pa.Table) -> pa.Table:
-        ids: list[int] = []
-        langs: list[str] = []
-        payloads: list[str] = []
-        for blob in b["bytes"].to_pylist():
-            for row in parse_rfc4180(bytes(blob)):
-                ids.append(int(row[0]))
-                langs.append(row[1])
-                payloads.append(row[2])
-        return pa.table(
-            {
-                "doc_id": pa.array(ids, pa.int64()),
-                "lang": pa.array(langs, pa.string()),
-                "payload": pa.array(payloads, pa.string()),
-            }
-        )
+        def read_shard(b: pa.Table) -> pa.Table:
+            ids: list[int] = []
+            langs: list[str] = []
+            payloads: list[str] = []
+            for blob in b["bytes"].to_pylist():
+                for row in parse_rfc4180(bytes(blob)):
+                    ids.append(int(row[0]))
+                    langs.append(row[1])
+                    payloads.append(row[2])
+            return pa.table(
+                {
+                    "doc_id": pa.array(ids, pa.int64()),
+                    "lang": pa.array(langs, pa.string()),
+                    "payload": pa.array(payloads, pa.string()),
+                }
+            )
 
-    return ray.data.read_binary_files(base).map_batches(
-        read_shard, batch_format="pyarrow"
-    )
+        return ray.data.read_binary_files(base).map_batches(
+            read_shard, batch_format="pyarrow"
+        ).materialize()
 
 
 @register(

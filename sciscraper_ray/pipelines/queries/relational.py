@@ -4510,7 +4510,8 @@ def schema_evolution_union(sf_dir: str):
     aggregated — the reader-side unification every long-lived table
     needs because historical files are never rewritten. Both snapshots
     are written through Ray's partitioned parquet sink into a FRESH
-    mkdtemp (no cross-run cache to race on), so the query also
+    temporary directory (no cross-run cache to race on; the result is
+    materialized before it is removed), so the query also
     round-trips the engine's own resumable-output layout. The aggregate
     is per-batch (label, n, rev_c) partials -> one tiny groupby-Sum;
     cents stay integer end-to-end. At 10^12 rows nothing changes: each
@@ -4522,73 +4523,74 @@ def schema_evolution_union(sf_dir: str):
     from ray.data.aggregate import Sum
 
     split = np.datetime64("1999-01-01")
-    base = tempfile.mkdtemp(prefix="schema_evo_")
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderdate", "o_totalprice", "o_orderpriority"],
-    )
-
-    def v1_rows(b: pa.Table) -> pa.Table:
-        d = b["o_orderdate"].to_numpy(zero_copy_only=False)
-        return b.filter(pa.array(d < split)).drop_columns(
-            ["o_orderpriority"]
+    with tempfile.TemporaryDirectory(prefix="schema_evo_") as base:
+        orders = ray.data.read_parquet(
+            f"{sf_dir}/orders.parquet",
+            columns=["o_orderdate", "o_totalprice", "o_orderpriority"],
         )
 
-    def v2_rows(b: pa.Table) -> pa.Table:
-        d = b["o_orderdate"].to_numpy(zero_copy_only=False)
-        return b.filter(pa.array(d >= split))
+        def v1_rows(b: pa.Table) -> pa.Table:
+            d = b["o_orderdate"].to_numpy(zero_copy_only=False)
+            return b.filter(pa.array(d < split)).drop_columns(
+                ["o_orderpriority"]
+            )
 
-    orders.map_batches(v1_rows, batch_format="pyarrow").write_parquet(
-        f"{base}/v1"
-    )
-    orders.map_batches(v2_rows, batch_format="pyarrow").write_parquet(
-        f"{base}/v2"
-    )
+        def v2_rows(b: pa.Table) -> pa.Table:
+            d = b["o_orderdate"].to_numpy(zero_copy_only=False)
+            return b.filter(pa.array(d >= split))
 
-    def label_v1(b: pa.Table) -> pa.Table:
-        cents = np.round(
-            b["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        t = pa.table(
-            {
-                "priority_label": pa.array(
-                    ["<pre-evolution>"] * len(b), pa.string()
-                ),
-                "rev_c": pa.array(cents),
-            }
+        orders.map_batches(v1_rows, batch_format="pyarrow").write_parquet(
+            f"{base}/v1"
         )
-        return t.group_by("priority_label").aggregate(
-            [("rev_c", "sum"), ([], "count_all")]
-        ).rename_columns(["priority_label", "rev_c", "n_orders"])
-
-    def label_v2(b: pa.Table) -> pa.Table:
-        cents = np.round(
-            b["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        t = pa.table(
-            {
-                "priority_label": b["o_orderpriority"],
-                "rev_c": pa.array(cents),
-            }
+        orders.map_batches(v2_rows, batch_format="pyarrow").write_parquet(
+            f"{base}/v2"
         )
-        return t.group_by("priority_label").aggregate(
-            [("rev_c", "sum"), ([], "count_all")]
-        ).rename_columns(["priority_label", "rev_c", "n_orders"])
 
-    d1 = ray.data.read_parquet(f"{base}/v1").map_batches(
-        label_v1, batch_format="pyarrow"
-    )
-    d2 = ray.data.read_parquet(f"{base}/v2").map_batches(
-        label_v2, batch_format="pyarrow"
-    )
-    return (
-        d1.union(d2)
-        .groupby("priority_label")
-        .aggregate(
-            Sum(on="n_orders", alias_name="n_orders"),
-            Sum(on="rev_c", alias_name="rev_c"),
+        def label_v1(b: pa.Table) -> pa.Table:
+            cents = np.round(
+                b["o_totalprice"].to_numpy(zero_copy_only=False) * 100
+            ).astype(np.int64)
+            t = pa.table(
+                {
+                    "priority_label": pa.array(
+                        ["<pre-evolution>"] * len(b), pa.string()
+                    ),
+                    "rev_c": pa.array(cents),
+                }
+            )
+            return t.group_by("priority_label").aggregate(
+                [("rev_c", "sum"), ([], "count_all")]
+            ).rename_columns(["priority_label", "rev_c", "n_orders"])
+
+        def label_v2(b: pa.Table) -> pa.Table:
+            cents = np.round(
+                b["o_totalprice"].to_numpy(zero_copy_only=False) * 100
+            ).astype(np.int64)
+            t = pa.table(
+                {
+                    "priority_label": b["o_orderpriority"],
+                    "rev_c": pa.array(cents),
+                }
+            )
+            return t.group_by("priority_label").aggregate(
+                [("rev_c", "sum"), ([], "count_all")]
+            ).rename_columns(["priority_label", "rev_c", "n_orders"])
+
+        d1 = ray.data.read_parquet(f"{base}/v1").map_batches(
+            label_v1, batch_format="pyarrow"
         )
-    )
+        d2 = ray.data.read_parquet(f"{base}/v2").map_batches(
+            label_v2, batch_format="pyarrow"
+        )
+        return (
+            d1.union(d2)
+            .groupby("priority_label")
+            .aggregate(
+                Sum(on="n_orders", alias_name="n_orders"),
+                Sum(on="rev_c", alias_name="rev_c"),
+            )
+            .materialize()
+        )
 
 
 @register(

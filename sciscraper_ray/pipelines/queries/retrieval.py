@@ -2244,8 +2244,9 @@ def warc_gzip_member_split(sf_dir: str):
     framing, where every record is its own gzip member and a reader must
     discover member boundaries by decoding (no Content-Length framing
     like warc_roundtrip's plain segments, no index). The fixture is
-    written per run into a fresh mkdtemp (the warc_roundtrip cache-race
-    lesson: no shared /tmp cache to go stale) by an 8-group
+    written per run into a fresh temporary directory, removed once the
+    result is materialized (the warc_roundtrip cache-race lesson: no
+    shared /tmp cache to go stale), by an 8-group
     groupby-map_groups — one worker per shard concatenates its members
     in doc order. The read side is the honest scale plan: one task per
     shard file (gzip members force sequential decode within a file —
@@ -2266,74 +2267,73 @@ def warc_gzip_member_split(sf_dir: str):
     import pandas as pd
     import ray.data
 
-    base = tempfile.mkdtemp(prefix="warc_gz_")
+    with tempfile.TemporaryDirectory(prefix="warc_gz_") as base:
+        def add_shard(b: pa.Table) -> pa.Table:
+            ids = b["doc_id"].to_numpy(zero_copy_only=False)
+            return b.append_column(
+                "shard", pa.array((ids % 8).astype(np.int64))
+            )
 
-    def add_shard(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        return b.append_column(
-            "shard", pa.array((ids % 8).astype(np.int64))
+        def write_shard(g: "pd.DataFrame") -> "pd.DataFrame":
+            g = g.sort_values("doc_id")
+            shard = int(g["shard"].iloc[0])
+            buf = io.BytesIO()
+            for i, t in zip(g["doc_id"], g["text"]):
+                payload = f"WARC/1.0\ndoc:{int(i)}\n{t}".encode()
+                with gzip.GzipFile(
+                    fileobj=buf, mode="wb", mtime=0, compresslevel=6
+                ) as gz:
+                    gz.write(payload)
+            with open(f"{base}/shard-{shard:02d}.warcgz", "wb") as f:
+                f.write(buf.getvalue())
+            return pd.DataFrame({"shard": [shard], "n": [len(g)]})
+
+        (
+            _docs(sf_dir, columns=("doc_id", "text"))
+            .map_batches(add_shard, batch_format="pyarrow")
+            .groupby("shard")
+            .map_groups(write_shard, batch_format="pandas")
+            .materialize()  # barrier: shards fully written before the read
         )
 
-    def write_shard(g: "pd.DataFrame") -> "pd.DataFrame":
-        g = g.sort_values("doc_id")
-        shard = int(g["shard"].iloc[0])
-        buf = io.BytesIO()
-        for i, t in zip(g["doc_id"], g["text"]):
-            payload = f"WARC/1.0\ndoc:{int(i)}\n{t}".encode()
-            with gzip.GzipFile(
-                fileobj=buf, mode="wb", mtime=0, compresslevel=6
-            ) as gz:
-                gz.write(payload)
-        with open(f"{base}/shard-{shard:02d}.warcgz", "wb") as f:
-            f.write(buf.getvalue())
-        return pd.DataFrame({"shard": [shard], "n": [len(g)]})
+        def split_members(b: pa.Table) -> pa.Table:
+            out_doc: list[int] = []
+            out_shard: list[int] = []
+            out_idx: list[int] = []
+            out_len: list[int] = []
+            for blob in b["bytes"].to_pylist():
+                rest = bytes(blob)
+                idx = 0
+                shard = None
+                while rest:
+                    obj = zlib.decompressobj(31)  # one gzip member
+                    payload = obj.decompress(rest)
+                    payload += obj.flush()
+                    rest = obj.unused_data
+                    idx += 1
+                    head, doc_line, text = payload.decode().split("\n", 2)
+                    assert head == "WARC/1.0"
+                    doc = int(doc_line.removeprefix("doc:"))
+                    if shard is None:
+                        shard = doc % 8
+                    out_doc.append(doc)
+                    out_shard.append(shard)
+                    out_idx.append(idx)
+                    out_len.append(len(payload))
+            return pa.table(
+                {
+                    "doc_id": pa.array(out_doc, pa.int64()),
+                    "shard": pa.array(out_shard, pa.int64()),
+                    "member_index": pa.array(out_idx, pa.int64()),
+                    "uncomp_len": pa.array(out_len, pa.int64()),
+                }
+            )
 
-    (
-        _docs(sf_dir, columns=("doc_id", "text"))
-        .map_batches(add_shard, batch_format="pyarrow")
-        .groupby("shard")
-        .map_groups(write_shard, batch_format="pandas")
-        .materialize()  # barrier: shards fully written before the read
-    )
+        import ray.data as rd
 
-    def split_members(b: pa.Table) -> pa.Table:
-        out_doc: list[int] = []
-        out_shard: list[int] = []
-        out_idx: list[int] = []
-        out_len: list[int] = []
-        for blob in b["bytes"].to_pylist():
-            rest = bytes(blob)
-            idx = 0
-            shard = None
-            while rest:
-                obj = zlib.decompressobj(31)  # one gzip member
-                payload = obj.decompress(rest)
-                payload += obj.flush()
-                rest = obj.unused_data
-                idx += 1
-                head, doc_line, text = payload.decode().split("\n", 2)
-                assert head == "WARC/1.0"
-                doc = int(doc_line.removeprefix("doc:"))
-                if shard is None:
-                    shard = doc % 8
-                out_doc.append(doc)
-                out_shard.append(shard)
-                out_idx.append(idx)
-                out_len.append(len(payload))
-        return pa.table(
-            {
-                "doc_id": pa.array(out_doc, pa.int64()),
-                "shard": pa.array(out_shard, pa.int64()),
-                "member_index": pa.array(out_idx, pa.int64()),
-                "uncomp_len": pa.array(out_len, pa.int64()),
-            }
-        )
-
-    import ray.data as rd
-
-    return rd.read_binary_files(base).map_batches(
-        split_members, batch_format="pyarrow"
-    )
+        return rd.read_binary_files(base).map_batches(
+            split_members, batch_format="pyarrow"
+        ).materialize()
 
 
 from sciscraper_ray.pipelines.queries.dedup import _md5_hex15_sql as _walk_hex15

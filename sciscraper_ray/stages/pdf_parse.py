@@ -569,9 +569,10 @@ def _scan_pages(payload: bytes) -> list[str]:
             continue
         try:
             pages.append(glyphs_to_text(_extract_glyphs(data)))
-        except (ValueError, IndexError):
+        except Exception:  # noqa: BLE001 — degrade per stream, never die
             # one exotic stream (unsupported filter chain, binary run that
-            # happened to decode) must not take down the document
+            # happened to decode, a name where a number belongs) must not
+            # take down the document
             continue
     return pages
 

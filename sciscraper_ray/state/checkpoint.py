@@ -20,8 +20,9 @@ Each wave is one Ray Data execution whose plan fuses into a single
 ``ReadParquet->tag->...->Write`` task operator. The write task writes its
 rows, reads back the files it wrote and returns a (fragment, rows, hash)
 partial per file; the driver adds the partials per fragment and commits
-them, so it never re-reads output. The wave's own DataContext is seeded so that
-every task of the operator can start at once (``_seed_wave_context``).
+them, so it never re-reads output. A wave is read by
+``plan.read_at_full_width`` on a DataContext seeded so that every task of
+the operator can start at once (``_seed_wave_context``).
 
 The reference restarts from scratch and overwrites its day-stamped CSV
 (/root/reference/src/fetch.py:236-263); this is the scale replacement.
@@ -189,8 +190,10 @@ def _seed_wave_context(ds) -> None:
 
     The setting goes on the wave dataset's own context, which every
     dataset derived from it shares; ``DataContext.get_current()`` stays
-    as it is, so other pipelines keep Ray's defaults."""
-    ds.context.target_max_block_size = WAVE_BLOCK_BYTES
+    as it is, so other pipelines keep Ray's defaults. A wave that
+    ``plan.read_at_full_width`` shaped keeps its smaller blocks."""
+    ctx = ds.context
+    ctx.target_max_block_size = min(ctx.target_max_block_size, WAVE_BLOCK_BYTES)
 
 
 def _list_fragments(input_path: str | list[str]) -> list[str]:
@@ -222,9 +225,10 @@ def run_resumable(
     leave storage. ``max_waves`` caps this invocation (used by tests to
     simulate an interrupted run).
 
-    Each wave reads its files through ``plan.read_parquet`` (footers
-    in-process), on a DataContext seeded by ``_seed_wave_context`` so the
-    fused operator runs at full width. Its write tasks hash the files
+    Each wave reads its files through ``plan.read_at_full_width`` (footers
+    in-process; two tasks per CPU for a small wave of that many files), on
+    a DataContext seeded by ``_seed_wave_context``, so the fused operator
+    runs at full width. Its write tasks hash the files
     they wrote (over ``lineage_columns``, default all); the driver sums
     the partials per fragment and commits them with ``mark_done``. A
     fragment whose rows were all dropped commits as 0 rows, hash 0, with
@@ -232,7 +236,7 @@ def run_resumable(
 
     Returns ``{"skipped": n, "processed": n, "waves": n}``.
     """
-    from sciscraper_ray.pipelines.plan import read_parquet
+    from sciscraper_ray.pipelines.plan import read_at_full_width
 
     files = _list_fragments(input_path)
     root = input_path if isinstance(input_path, str) and os.path.isdir(input_path) else None
@@ -251,7 +255,7 @@ def run_resumable(
         for fid in fids.values():
             store.clear_fragment(fid)
 
-        ds = read_parquet(wave, include_paths=True)
+        ds = read_at_full_width(wave, wave, include_paths=True)
         _seed_wave_context(ds)
         path_to_fid = {os.path.abspath(p): fid for p, fid in fids.items()}
 

@@ -185,9 +185,7 @@ def test_corpus_summary_single_row(ray_session):
     assert r.dup_text_rows == len(nn) - nn.nunique()
 
 
-def test_zonemap_actually_prunes(ray_session):
-    import tempfile
-
+def test_zonemap_actually_prunes(ray_session, tmp_path):
     import ray.data
 
     from sciscraper_ray.pipelines.queries.corpus_ops import (
@@ -196,7 +194,7 @@ def test_zonemap_actually_prunes(ray_session):
         zonemap_prune,
     )
 
-    out_dir = tempfile.mkdtemp(prefix="zonemap_t_", dir="/tmp")
+    out_dir = str(tmp_path / "zonemap")
     (
         ray.data.read_parquet(
             SF + "/documents.parquet", columns=["doc_id", "n_chars"]

@@ -7,8 +7,6 @@ import json
 import os
 import random
 import signal
-import subprocess
-import sys
 import textwrap
 
 import pyarrow as pa
@@ -18,6 +16,8 @@ import pytest
 from sciscraper_ray.sources.page_synth import synth_page_table
 from sciscraper_ray.state import CheckpointStore, fragment_id, run_resumable
 from sciscraper_ray.state.lineage import content_hash, content_hash_of_dir
+
+from isolated_run import run_script
 
 SF_DIR = "/root/testdata/sf0.001"
 
@@ -241,38 +241,6 @@ def test_wave_footers_read_in_process(tmp_path, monkeypatch):
 
 # ---- subprocess runs: a fresh Ray cluster per run, under a timeout -------
 
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def _run_script(script: str, *args: str, timeout: float = 180) -> subprocess.CompletedProcess:
-    """Runs ``script`` in a fresh interpreter in its own process group and
-    kills the whole group afterwards, so the Ray processes it started die
-    with it even when the driver was SIGKILLed."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (REPO, env.get("PYTHONPATH")) if p)
-    proc = subprocess.Popen(
-        [sys.executable, "-c", script, *args],
-        cwd=REPO,
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        start_new_session=True,
-    )
-    try:
-        out, err = proc.communicate(timeout=timeout)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        _, err = proc.communicate()
-        raise AssertionError(f"run did not finish within {timeout} s\n{err[-2000:]}") from None
-    finally:
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
-
-
 FULL_WIDTH_SCRIPT = textwrap.dedent(
     """
     import json, os, sys, time
@@ -318,7 +286,7 @@ def test_wave_tasks_run_at_full_width(tmp_path):
     src = tmp_path / "in"
     src.mkdir()
     log = tmp_path / "tasks.jsonl"
-    proc = _run_script(FULL_WIDTH_SCRIPT, str(src), str(tmp_path / "out"), str(log))
+    proc = run_script(FULL_WIDTH_SCRIPT, str(src), str(tmp_path / "out"), str(log))
     assert proc.returncode == 0, proc.stderr[-2000:]
     res = json.loads(proc.stdout.strip().splitlines()[-1])
     assert res["summary"] == {"skipped": 0, "processed": 4, "waves": 1}
@@ -405,7 +373,7 @@ def test_sigkill_then_resume(pages_dir, uninterrupted, tmp_path, event, wave):
     committed fragment is recomputed, half-written fragments are cleared
     and re-run, and the final manifest equals an uninterrupted run's."""
     out = str(tmp_path / "run")
-    proc = _run_script(KILL_SCRIPT, pages_dir, out, event, str(wave))
+    proc = run_script(KILL_SCRIPT, pages_dir, out, event, str(wave))
     assert proc.returncode == -signal.SIGKILL, proc.stderr[-2000:]
 
     store = CheckpointStore(out)

@@ -3,6 +3,9 @@ routing, dedup, byte-identical round trips, error degradation."""
 
 from __future__ import annotations
 
+import json
+import textwrap
+
 import pyarrow as pa
 import pytest
 
@@ -10,6 +13,8 @@ from sciscraper_ray.sources.page_synth import render_html, synth_pages_batch
 from sciscraper_ray.sources.pdf_write import build_pdf
 from sciscraper_ray.stages.html_extract import extract_main_content
 from sciscraper_ray.stages.pdf_parse import extract_pdf_text
+
+from isolated_run import run_script
 
 
 def test_html_extractor_strips_boilerplate():
@@ -128,6 +133,114 @@ def test_extract_chain_runs_one_task_per_block(tmp_path):
     assert names[0].endswith("MapBatches(DocAnalyzer)"), names
 
 
+STREAMED_WIDTH_SCRIPT = textwrap.dedent(
+    """
+    import json, os, sys
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from sciscraper_ray.sources.page_synth import synth_pages_batch
+
+    root = sys.argv[1]
+    # Pages Ray estimates at ~24 MiB in memory: its own rule wants 24 read
+    # blocks, more than either directory has files, and splits them.
+    n = 2400
+    docs = pa.table({
+        "doc_id": pa.array(range(n), pa.int64()),
+        "text": [" ".join(f"w{i}x{j}" for j in range(500)) for i in range(n)],
+        "lang": ["en"] * n,
+    })
+    pages = synth_pages_batch(docs)
+    dirs = {}
+    for n_files in (12, 3):
+        d = f"{root}/files{n_files}"
+        os.mkdir(d)
+        step = -(-pages.num_rows // n_files)
+        for i in range(n_files):
+            pq.write_table(pages.slice(i * step, step), f"{d}/part{i:02}.parquet")
+        dirs[n_files] = d
+
+    ray.init(address="local", num_cpus=2, object_store_memory=512 * 1024 * 1024,
+             include_dashboard=False, logging_level="ERROR")
+    from ray.data import DataContext
+    DataContext.get_current().enable_progress_bars = False
+    shape = lambda ctx: [ctx.target_max_block_size, ctx.read_op_min_num_blocks]
+    before = shape(DataContext.get_current())
+
+    from sciscraper_ray.pipelines import plan
+    from sciscraper_ray.pipelines.extract import extraction_pipeline
+
+    key_passes = []
+    driver_frame = plan.driver_frame
+
+    def frame(ds, *args):
+        key_passes.append(ds)
+        return driver_frame(ds, *args)
+
+    plan.driver_frame = frame
+    default_max = plan.FULL_WIDTH_MAX_BYTES
+
+    def operators(ds):
+        def walk(summary):
+            ops = [(op.operator_name, op.task_rows["count"]) for op in summary.operators_stats]
+            for parent in summary.parents:
+                ops += walk(parent)
+            return ops
+        return walk(ds._get_stats_summary())
+
+    res = {}
+    for name, d, max_bytes in (("12", dirs[12], default_max), ("3", dirs[3], default_max),
+                               ("12 large", dirs[12], 0)):
+        plan.FULL_WIDTH_MAX_BYTES = max_bytes
+        key_passes.clear()
+        out = extraction_pipeline(d).materialize()
+        res[name] = {"rows": out.count(), "chain": operators(out),
+                     "keys": operators(key_passes[0]),
+                     "block": out.context.target_max_block_size}
+    res["before"], res["after"] = before, shape(DataContext.get_current())
+    ray.shutdown()
+    print(json.dumps(res))
+    """
+)
+
+
+def test_streamed_reads_run_at_full_width(tmp_path):
+    """On a 2-CPU cluster with a 512 MiB object store, both reads of
+    ``extraction_pipeline(dir)`` (payload and dedup keys) of a small
+    12-file input run 2 x CPUs tasks with small blocks, each fused with
+    its chain into one operator, and the process-wide DataContext is left
+    as it was. A 3-file input, and the 12-file input once it counts as
+    large, keep Ray's shape: split read blocks and the chain after them
+    as wide as the cluster, not one task per file."""
+    from sciscraper_ray.pipelines.plan import READ_BLOCK_BYTES
+
+    proc = run_script(STREAMED_WIDTH_SCRIPT, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    res = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert res["after"] == res["before"]
+    for name in ("12", "3", "12 large"):
+        assert res[name]["rows"] == 2400
+    got = res["12"]
+    [(chain, chain_tasks)] = got["chain"]
+    assert chain.startswith("ReadParquet->MapBatches(keep_winners)->"), chain
+    assert chain.endswith("MapBatches(DocAnalyzer)"), chain
+    [(keys, key_tasks)] = got["keys"]
+    assert keys == "ReadParquet->MapBatches(key_partial)", keys
+    assert (chain_tasks, key_tasks) == (4, 4), got
+    assert got["block"] == READ_BLOCK_BYTES
+    for name in ("3", "12 large"):
+        got = res[name]
+        [(chain, chain_tasks), (read, _)] = got["chain"]
+        assert read.startswith("ReadParquet->SplitBlocks("), got
+        assert chain.endswith("MapBatches(DocAnalyzer)"), got
+        assert chain_tasks > 4, got
+        [_, (key_read, _)] = got["keys"]
+        assert key_read.startswith("ReadParquet->SplitBlocks("), got
+        assert got["block"] == res["before"][0], got
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_local_parquet_footers_read_in_process(tmp_path, monkeypatch):
     """Past Ray's parallel-fetch threshold, a local read's footers still come
@@ -210,6 +323,37 @@ def test_extraction_error_rows_degrade():
     )
     assert out["extract_status"].str.startswith(("ok", "error")).all()
     assert out["extracted_text"].iloc[1] is None
+
+
+def test_bad_operand_stream_degrades_alike_with_and_without_page_tree():
+    """A name where a number belongs makes the content-stream interpreter
+    raise TypeError. On a page-tree page that page becomes ""; a payload
+    with no page tree goes through the stream scan, which must skip the
+    stream the same way rather than fail the whole document."""
+    from sciscraper_ray.pipelines.extract import PayloadExtractor
+    from sciscraper_ray.stages.pdf_parse import extract_pdf_pages
+
+    stream = b"BT /F1 /F2 Tf (x y) Tj ET"
+    body = b"<< /Length %d >>\nstream\n%s\nendstream" % (len(stream), stream)
+    objs = [
+        b"<< /Type /Catalog /Pages 2 0 R >>",
+        b"<< /Type /Pages /Kids [3 0 R] /Count 1 >>",
+        b"<< /Type /Page /Parent 2 0 R /Contents 4 0 R >>",
+        body,
+    ]
+    tree = bytearray(b"%PDF-1.4\n")
+    for num, obj in enumerate(objs, start=1):
+        tree += b"%d 0 obj\n" % num + obj + b"\nendobj\n"
+    tree += b"trailer\n<< /Root 1 0 R >>\n%%EOF\n"
+    no_tree = b"%PDF-1.4\n1 0 obj\n" + body + b"\nendobj\n%%EOF\n"
+
+    assert extract_pdf_pages(bytes(tree)) == [""]
+    assert extract_pdf_pages(no_tree) == []
+    out = PayloadExtractor()(
+        pa.table({"html": pa.array([bytes(tree), no_tree], pa.binary())})
+    )
+    assert out["extract_status"].to_pylist() == ["ok", "ok"]
+    assert out["extracted_text"].to_pylist() == ["", ""]
 
 
 def test_keep_latest_merge_plans_agree(ray_session):
@@ -314,6 +458,71 @@ def test_keep_latest_drops_same_batch_ts_ties(ray_session):
     )
     out = keep_latest_by_url(ray.data.from_arrow(t)).to_pandas()
     assert sorted(out["url"]) == ["u", "v"]  # one survivor per url
+
+
+def test_full_width_read_before_ray_starts(tmp_path):
+    """In a process that has not started Ray a full-width read keeps Ray's
+    shape and, like ``ray.data.read_parquet``, starts a local Ray and
+    reads every row."""
+    import pyarrow.parquet as pq
+
+    for i in range(3):
+        pq.write_table(pa.table({"x": list(range(i * 10, i * 10 + 10))}),
+                       tmp_path / f"f{i}.parquet")
+    script = textwrap.dedent(
+        """
+        import sys
+
+        import pyarrow.dataset as pads
+        import ray
+
+        from sciscraper_ray.pipelines.plan import read_at_full_width
+
+        ds = read_at_full_width(sys.argv[1], pads.dataset(sys.argv[1]).files)
+        print(ds.count())
+        ray.shutdown()
+        """
+    )
+    proc = run_script(script, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split()[-1] == "30"
+
+
+def test_exact_tie_in_one_file_keeps_one_row(ray_session, tmp_path):
+    """One parquet file holds the same (url, warc_ts, payload) at its first
+    and last rows, and is 9 times larger in memory than a full-width read's
+    blocks; the directory has 2 files per CPU, so the read is full width.
+    The file is one read task and Ray's parquet reader hands it to
+    ``keep_winners`` as one batch (its batch size comes from the
+    process-wide context), so the first-seen tie-break keeps one row.
+    Ties across files, and within a file whose read blocks Ray splits
+    (fewer files than 2 per CPU), all survive (ROADMAP Direction 8)."""
+    import pyarrow.parquet as pq
+    import ray
+
+    from sciscraper_ray.pipelines.extract import extraction_pipeline
+    from sciscraper_ray.pipelines.plan import READ_BLOCK_BYTES
+
+    n_files = 2 * int(ray.cluster_resources()["CPU"])
+    n, small = 600, 5  # pages in the tie file and in each other file
+    total = n + small * (n_files - 1)
+    docs = pa.table(
+        {
+            "doc_id": pa.array(range(total), pa.int64()),
+            "text": [" ".join(f"w{i}x{j}" for j in range(200)) for i in range(total)],
+            "lang": ["en"] * total,
+        }
+    )
+    pages = synth_pages_batch(docs, pdf_mod=7, dup_mod=0)
+    table = pa.concat_tables([pages.slice(0, n), pages.slice(0, 1)])
+    assert table.nbytes > 8 * READ_BLOCK_BYTES
+    pq.write_table(table, tmp_path / "pages00.parquet")
+    for i in range(1, n_files):
+        pq.write_table(pages.slice(n + (i - 1) * small, small), tmp_path / f"pages{i:02}.parquet")
+
+    urls = extraction_pipeline(str(tmp_path)).to_pandas()["url"]
+    assert len(urls) == total
+    assert urls.nunique() == total
 
 
 def test_keep_latest_int_epoch_ts(ray_session):

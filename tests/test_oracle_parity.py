@@ -8,6 +8,7 @@ sweep. Queries registered without an oracle must still run.
 
 from __future__ import annotations
 
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -38,10 +39,20 @@ def oracle_con():
 
 @pytest.mark.parametrize("name", list(QUERIES))
 def test_query_matches_oracle(name, ray_session, oracle_con, tmp_path, monkeypatch):
-    # Queries that stage files in tempfile's default directory stage them
-    # here; the corpus_ops ones that pass dir="/tmp" still leave theirs.
+    # A query that stages files must remove them before it returns: nothing
+    # may be left in tempfile's default directory (pointed here), nor any
+    # directory that mkdtemp made elsewhere.
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    made = []
+
+    def mkdtemp(*args, _mkdtemp=tempfile.mkdtemp, **kwargs):
+        made.append(_mkdtemp(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
     got = to_pandas(QUERIES[name](SF))
+    assert [p.name for p in tmp_path.iterdir()] == []
+    assert [d for d in made if os.path.exists(d)] == []
     sql = ORACLE.get(name)
     if sql is None:
         assert len(got.columns) > 0
