@@ -195,8 +195,10 @@ def main(argv: list[str] | None = None) -> str:
         ds = ensure_dataset(builder(args.file))
         from sciscraper_ray.pipelines.sink import export_results
 
-        # The sink makes three passes (empty-column scan, parquet, csv) —
-        # materialize once so the pipeline executes once, not three times.
+        # The sink writes in one pass, but a column found empty everywhere
+        # (extract-only over HTML pages: null meta_identifier) makes it
+        # write the remaining columns again; materialize so that rewrite
+        # does not execute the pipeline a second time.
         run_dir = export_results(ds.materialize(), args.export, date_stamp=stamp)
         log.info("exported to %s", run_dir)
         return run_dir

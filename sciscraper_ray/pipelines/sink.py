@@ -6,9 +6,12 @@
   /root/reference/src/config.py:119-135 — compute stays float64 upstream),
   ``pub_date`` coerced to timestamp with null-on-garbage
   (/root/reference/src/fetch.py:217-234);
-- all-empty column drop (/root/reference/src/fetch.py:201-203) as a
-  streaming two-pass: a tiny per-column non-empty-count aggregate, then a
-  projection — never a driver-side to_pandas of the data;
+- all-empty column drop (/root/reference/src/fetch.py:201-203) folded
+  into the write: each write task counts its columns' non-empty values
+  before the cast and writes its parquet and CSV files, and the driver
+  sums the counts. When a column is empty everywhere, the part files are
+  deleted and the projection written again — never a driver-side
+  to_pandas of the data;
 - date-stamped run directory ``{export_dir}/{YYMMDD}_{prefix}/`` with
   partitioned part files (S5's single CSV becomes a resumable multi-file
   layout; /root/reference/src/fetch.py:236-263, change_dir.py:16-26);
@@ -25,13 +28,23 @@
 from __future__ import annotations
 
 import os
+import posixpath
 import re
+import uuid
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.csv as pacsv
+import pyarrow.fs as pafs
+import pyarrow.parquet as pq
 
+import ray
 import ray.data
+from ray.data._internal.util import call_with_retry
+from ray.data.block import BlockAccessor
+from ray.data.datasource.file_datasink import _FileDatasink
+from ray.util.scheduling_strategies import NodeAffinitySchedulingStrategy
 
 # KEY_TYPE_PAIRINGS analog (config.py:119-135): declared sink dtypes.
 INT16_COLUMNS = ("times_cited", "matching_terms", "bycatch_terms", "total_word_count")
@@ -65,7 +78,7 @@ def cast_declared_schema(batch: pa.Table) -> pa.Table:
     return batch
 
 
-def _nonempty_partial(batch: pa.Table) -> pa.Table:
+def _nonempty_partial(batch: pa.Table) -> dict[str, int]:
     """Per-column count of non-null, non-empty-string values in this batch."""
     counts = {}
     for name in batch.column_names:
@@ -73,18 +86,17 @@ def _nonempty_partial(batch: pa.Table) -> pa.Table:
         valid = pc.is_valid(col)
         if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
             valid = pc.and_(valid, pc.not_equal(pc.coalesce(col, ""), ""))
-        counts[name] = [pc.sum(pc.cast(valid, pa.int64())).as_py() or 0]
-    return pa.table(counts)
+        counts[name] = pc.sum(pc.cast(valid, pa.int64())).as_py() or 0
+    return counts
 
 
-def nonempty_columns(ds: ray.data.Dataset) -> list[str]:
-    """M16 reduction: which columns have at least one non-empty value.
-    Streams one tiny row per block to the driver — O(columns), not O(rows)."""
+def nonempty_columns(partials: list[dict[str, int]]) -> list[str]:
+    """M16 reduction: fold per-task non-empty counts into the columns that
+    have at least one non-empty value, in first-seen column order."""
     totals: dict[str, int] = {}
-    partials = ds.map_batches(_nonempty_partial, batch_format="pyarrow")
-    for b in partials.iter_batches(batch_format="pyarrow"):
-        for name in b.column_names:
-            totals[name] = totals.get(name, 0) + int(pc.sum(b[name]).as_py() or 0)
+    for counts in partials:
+        for name, n in counts.items():
+            totals[name] = totals.get(name, 0) + n
     return [c for c, n in totals.items() if n > 0]
 
 
@@ -156,6 +168,91 @@ def csv_safe(batch: pa.Table) -> pa.Table:
     return batch
 
 
+def task_table(tables: list[pa.Table]) -> pa.Table | None:
+    """A write task's blocks as one table: tables with no rows dropped, the
+    rest cast to their unified schema and concatenated; None if no rows."""
+    tables = [t for t in tables if t.num_rows]
+    if not tables:
+        return None
+    schema = pa.unify_schemas([t.schema for t in tables])
+    return pa.concat_tables(t if t.schema.equals(schema) else t.cast(schema) for t in tables)
+
+
+class _ExportSink(_FileDatasink):
+    """Writes each task's rows, cast to the declared schema, as one parquet
+    file (when ``also_parquet``) and one CSV file under ``run_dir``, both
+    named ``{write_id}_{task_idx:06}``. Each task returns its columns'
+    non-empty counts, taken before the cast, and the paths it wrote.
+
+    The file system comes from ``run_dir`` as in Ray's own file sinks
+    (``s3://``, ``gs://``, ``file://``, ``local://`` …), and IO errors
+    listed in ``DataContext.retried_io_errors`` are retried."""
+
+    def __init__(self, run_dir: str, also_parquet: bool):
+        super().__init__(run_dir)
+        if isinstance(self.filesystem.unwrap(), pafs.LocalFileSystem):
+            self.path = os.path.abspath(self.path)  # workers may run elsewhere
+        self.csv_dir = posixpath.join(self.path, "csv")
+        self.parquet_dir = posixpath.join(self.path, "parquet") if also_parquet else None
+        self.write_id = uuid.uuid4().hex  # per write: a rerun never collides
+        self.counts: list[dict[str, int]] = []
+        self.written: dict[str, list[str]] = {}  # node id -> paths
+
+    def on_write_start(self) -> None:
+        super().on_write_start()
+        for d in (self.csv_dir, self.parquet_dir):
+            if d is not None:
+                self._create_dir(d)
+
+    def write(self, blocks, ctx) -> tuple[list[dict[str, int]], str, list[str]]:
+        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+        counts = [_nonempty_partial(t) for t in tables]
+        table = task_table([cast_declared_schema(t) for t in tables])
+        node = ray.get_runtime_context().get_node_id()
+        if table is None:
+            return counts, node, []
+        name = f"{self.write_id}_{ctx.task_idx:06}"
+        paths = [posixpath.join(self.csv_dir, f"{name}.csv")]
+        if self.parquet_dir is not None:
+            paths.append(posixpath.join(self.parquet_dir, f"{name}.parquet"))
+
+        def write_files():
+            with self.open_output_stream(paths[0]) as f:
+                pacsv.write_csv(csv_safe(table), f)
+            if self.parquet_dir is not None:
+                with self.open_output_stream(paths[1]) as f:
+                    pq.write_table(table, f)
+
+        call_with_retry(
+            write_files,
+            description=f"write '{name}' to '{self.path}'",
+            match=self._data_context.retried_io_errors,
+        )
+        return counts, node, paths
+
+    def on_write_complete(self, write_result) -> None:
+        for counts, node, paths in write_result.write_returns:
+            self.counts += counts
+            self.written.setdefault(node, []).extend(paths)
+
+    def delete_files(self) -> None:
+        """Delete every part file this sink wrote, each on the node that
+        wrote it: a local path need not be on a disk the nodes share."""
+        ray.get([
+            _delete_files.options(
+                scheduling_strategy=NodeAffinitySchedulingStrategy(node, soft=False)
+            ).remote(self.filesystem, paths)
+            for node, paths in self.written.items()
+            if paths
+        ])
+
+
+@ray.remote(num_cpus=0)
+def _delete_files(filesystem: pafs.FileSystem, paths: list[str]) -> None:
+    for path in paths:
+        filesystem.delete_file(path)
+
+
 def export_results(
     ds: ray.data.Dataset,
     export_dir: str,
@@ -169,22 +266,31 @@ def export_results(
 
     ``date_stamp`` (YYMMDD) is an explicit argument — the reference stamps
     with ``datetime.now`` (fetch.py:241), which is not reproducible; the
-    caller owns the clock. The empty-column pass re-executes the input
-    pipeline, so pass a materialized/written Dataset for expensive inputs.
+    caller owns the clock. ``export_dir`` is a local path or a URI
+    (``s3://...``, ``local://...``); the file system comes from it as in
+    Ray's own file sinks.
+
+    The export is one Ray Data execution of ``ds``. When a column is empty
+    in every row, the part files are deleted and the remaining columns
+    are written again, a second execution of the input pipeline, so pass
+    a materialized Dataset for expensive inputs. That is the common case
+    for some inputs: ``extract-only`` over HTML pages keeps their null
+    ``meta_identifier`` columns, and an input with no DOI hit has an
+    all-null ``doi``. When every column is empty (no rows, or only empty
+    values), the run dir holds its output directories and no part files.
     """
     run_dir = os.path.join(export_dir, f"{date_stamp}_{prefix}")
-    os.makedirs(run_dir, exist_ok=True)
+    sink = _ExportSink(run_dir, also_parquet)
+    ds.write_datasink(sink)
     if drop_empty_columns:
-        keep = nonempty_columns(ds)
-        ds = ds.select_columns(keep)
-    out = ds.map_batches(cast_declared_schema, batch_format="pyarrow")
-    if also_parquet:
-        out.write_parquet(os.path.join(run_dir, "parquet"))
-
-    out.map_batches(csv_safe, batch_format="pyarrow").write_csv(
-        os.path.join(run_dir, "csv")
-    )
+        keep = nonempty_columns(sink.counts)
+        if len(keep) < len(set().union(*sink.counts)):
+            sink.delete_files()
+            if keep:
+                ds.select_columns(keep).write_datasink(_ExportSink(run_dir, also_parquet))
     return run_dir
+
+
 
 
 def write_artifacts(

@@ -40,6 +40,7 @@ import pyarrow.parquet as pq
 from ray.data.block import BlockAccessor
 from ray.data.datasource import Datasink
 
+from sciscraper_ray.pipelines.sink import task_table
 from sciscraper_ray.state.lineage import (  # noqa: F401 — content_hash_of_dir: the benchmark's tracer wraps this name
     HASH_MASK,
     LINEAGE_SCHEMA,
@@ -144,21 +145,17 @@ class _LineageSink(Datasink):
     def write(self, blocks, ctx) -> list[tuple[str, int, int]]:
         import pyarrow.dataset as pads
 
-        tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
-        tables = [t for t in tables if t.num_rows]
-        if not tables:
+        table = task_table([BlockAccessor.for_block(b).to_arrow() for b in blocks])
+        if table is None:
             return []
-        schema = pa.unify_schemas([t.schema for t in tables])
-        tables = [t if t.schema.equals(schema) else t.cast(schema) for t in tables]
         written = []
         pads.write_dataset(
-            tables,
+            table,
             self.data_dir,
             basename_template=f"{self.write_id}_{ctx.task_idx:06}-{{i}}.parquet",
             format="parquet",
             partitioning=["fragment_id"],
             partitioning_flavor="hive",
-            schema=schema,
             existing_data_behavior="overwrite_or_ignore",
             file_visitor=lambda f: written.append(f.path),
         )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import io
 import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -108,22 +109,26 @@ ATOMS = ["a", "", "it's", 'say "hi"', "it's \"both\"", "back\\slash",
          "line\nbreak", "café", "nb\xa0sp", "tab\t", "del\x7f", "{'k': 1}, [x]"]
 
 
-def test_csv_safe_benchmark_columns():
-    """The text_export benchmark's DocAnalyzer columns, after the sink's
-    cast: byte-identical CSV, and every list column on the fast path."""
-    from sciscraper_ray.pipelines.sink import _repr_values, cast_declared_schema
+def _benchmark_batches(n_docs: int, batch_rows: int) -> list[pa.Table]:
+    """The text_export benchmark's documents through DocAnalyzer, before
+    the sink's cast, in batches of ``batch_rows``."""
     from sciscraper_ray.stages.doc_analyzer import DocAnalyzer
 
     path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
-    docs = inputs.documents(5000)
+    docs = inputs.documents(n_docs)
     analyzer = DocAnalyzer(text_column="text")
-    batches = [
-        cast_declared_schema(analyzer(docs.slice(i, 2048)))
-        for i in range(0, docs.num_rows, 2048)
-    ]
+    return [analyzer(docs.slice(i, batch_rows)) for i in range(0, n_docs, batch_rows)]
+
+
+def test_csv_safe_benchmark_columns():
+    """The text_export benchmark's DocAnalyzer columns, after the sink's
+    cast: byte-identical CSV, and every list column on the fast path."""
+    from sciscraper_ray.pipelines.sink import _repr_values, cast_declared_schema
+
+    batches = [cast_declared_schema(b) for b in _benchmark_batches(5000, 2048)]
     for batch in batches:
         for name in ("target_terms_top_3", "bycatch_terms_top_3", "paper_parentheticals"):
             flat = pc.list_flatten(batch[name].combine_chunks())
@@ -289,6 +294,155 @@ def test_export_csv_rows_across_empty_blocks(ray_session, tmp_path):
     assert csv["name"].to_pylist() == want["name"].to_pylist()
     assert csv["wordscore"].to_pylist() == [i / 4 for i in range(6)]
     assert csv["tags"].to_pylist() == [repr(v) for v in want["tags"].to_pylist()]
+
+
+def _old_export(ds, export_dir, *, date_stamp, drop_empty_columns=True, also_parquet=True):
+    """The export as three Ray executions, kept as the oracle: a non-empty
+    count pass, then Ray's write_parquet and write_csv over the cast."""
+    from sciscraper_ray.pipelines.sink import _nonempty_partial, cast_declared_schema, csv_safe
+
+    run_dir = os.path.join(export_dir, f"{date_stamp}_sciscraper")
+    os.makedirs(run_dir, exist_ok=True)
+    if drop_empty_columns:
+        totals: dict[str, int] = {}
+        for b in ds.map_batches(
+            lambda t: pa.table({k: [v] for k, v in _nonempty_partial(t).items()}),
+            batch_format="pyarrow",
+        ).iter_batches(batch_format="pyarrow"):
+            for name in b.column_names:
+                totals[name] = totals.get(name, 0) + pc.sum(b[name]).as_py()
+        ds = ds.select_columns([c for c, n in totals.items() if n > 0])
+    out = ds.map_batches(cast_declared_schema, batch_format="pyarrow")
+    if also_parquet:
+        out.write_parquet(os.path.join(run_dir, "parquet"))
+    out.map_batches(csv_safe, batch_format="pyarrow").write_csv(os.path.join(run_dir, "csv"))
+    return run_dir
+
+
+def _csv_header_and_rows(csv_dir: str) -> tuple[set[bytes], Counter]:
+    headers, rows = set(), Counter()
+    for name in os.listdir(csv_dir):
+        lines = Path(csv_dir, name).read_bytes().splitlines()
+        headers.add(lines[0])
+        rows.update(lines[1:])
+    return headers, rows
+
+
+def _nan_and_junk_table() -> pa.Table:
+    """Columns the cast empties: all-NaN counts and junk-only dates."""
+    return pa.table(
+        {
+            "doc_id": pa.array([1, 2, 3], pa.int64()),
+            "matching_terms": pa.array([float("nan")] * 3, pa.float64()),
+            "pub_date": pa.array(["junk", "n/a", "2024-13-45"], pa.string()),
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "case, options, scheme",
+    [
+        ("benchmark", {}, ""),
+        ("rewrite", {}, ""),
+        ("empty_blocks", {}, ""),
+        ("nan_and_junk", {}, ""),
+        ("rewrite", {"drop_empty_columns": False}, ""),
+        ("benchmark", {"also_parquet": False}, ""),
+        ("rewrite", {}, "file://"),
+        ("rewrite", {}, "local://"),
+    ],
+    ids=[
+        "benchmark", "rewrite", "empty_blocks", "nan_and_junk",
+        "keep_empty_columns", "benchmark_csv_only", "rewrite_file_uri",
+        "rewrite_local_uri",
+    ],
+)
+def test_export_matches_three_execution_export(ray_session, tmp_path, case, options, scheme):
+    """Same parquet columns, schema and rows, and the same CSV header and
+    row lines, as the export it replaced. An export dir given as a URI
+    resolves its file system from the scheme, as Ray's file sinks do."""
+    import ray.data
+
+    from sciscraper_ray.pipelines.sink import export_results
+
+    tables = {
+        "benchmark": lambda: _benchmark_batches(2000, 512),
+        "rewrite": lambda: [_input_table()],
+        "empty_blocks": lambda: [
+            _rows(0, 2), _rows(0, 0), _rows(2, 3),
+            pa.concat_tables([_rows(3, 5), _rows(0, 0), _rows(5, 6)]),
+        ],
+        "nan_and_junk": lambda: [_nan_and_junk_table()],
+    }[case]()
+    ds = ray.data.from_arrow(tables)
+    new = export_results(ds, scheme + str(tmp_path / "new"), date_stamp="240101", **options)
+    assert new.startswith(scheme)
+    new = new[len(scheme):]
+    assert sorted(os.listdir(tmp_path)) == ["new"]  # written at the URI's path
+    old = _old_export(ds, str(tmp_path / "old"), date_stamp="240101", **options)
+
+    has_parquet = options.get("also_parquet", True)
+    assert os.path.isdir(os.path.join(new, "parquet")) == has_parquet
+    if has_parquet:
+        got = pq.read_table(os.path.join(new, "parquet"))
+        want = pq.read_table(os.path.join(old, "parquet"))
+        assert got.schema.equals(want.schema)  # names, order and types
+        assert got.sort_by("doc_id").to_pylist() == want.sort_by("doc_id").to_pylist()
+        if case == "rewrite":
+            assert ("all_empty" in got.column_names) == ("drop_empty_columns" in options)
+        if case == "nan_and_junk":
+            assert got.column_names == ["doc_id", "matching_terms", "pub_date"]
+            assert got["matching_terms"].null_count == got["pub_date"].null_count == 3
+    got_header, got_rows = _csv_header_and_rows(os.path.join(new, "csv"))
+    want_header, want_rows = _csv_header_and_rows(os.path.join(old, "csv"))
+    assert len(got_header) == 1 and got_header == want_header
+    assert got_rows == want_rows and sum(got_rows.values()) == sum(t.num_rows for t in tables)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        _input_table().slice(0, 0),
+        pa.table({"doc_id": pa.array([None, None], pa.int64()), "name": ["", None]}),
+    ],
+    ids=["zero_rows", "only_empty_values"],
+)
+def test_export_with_every_column_empty(ray_session, tmp_path, table):
+    """Nothing to export: empty parquet/ and csv/ directories, no part files."""
+    import ray.data
+
+    from sciscraper_ray.pipelines.sink import export_results
+
+    run_dir = export_results(ray.data.from_arrow(table), str(tmp_path), date_stamp="240101")
+    assert sorted(os.listdir(run_dir)) == ["csv", "parquet"]
+    assert os.listdir(os.path.join(run_dir, "csv")) == []
+    assert os.listdir(os.path.join(run_dir, "parquet")) == []
+
+
+@pytest.mark.parametrize(
+    "table, executions",
+    [(_rows(0, 6), 1), (_input_table(), 2)],
+    ids=["no_empty_column", "one_empty_column"],
+)
+def test_export_executions(ray_session, tmp_path, monkeypatch, table, executions):
+    """One Ray Data execution per export; a second only to drop a column
+    that is empty everywhere."""
+    import ray.data
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from sciscraper_ray.pipelines.sink import export_results
+
+    ds = ray.data.from_arrow(table)
+    starts = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        starts.append(1)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    export_results(ds, str(tmp_path), date_stamp="240101")
+    assert len(starts) == executions
 
 
 def test_cli_wordscore_mode(ray_session, tmp_path):
