@@ -60,7 +60,9 @@ def _query_mode(name: str) -> Callable[[str], "ray.data.Dataset"]:
 
 # The SCISCRAPERS registry analog (factories.py:26-103): every reference
 # named pipeline has a mode here — directory/wordscore/citations/download/
-# images/fastscore/google — plus the engine's own extract/resume/query:*.
+# fastscore/google — plus the engine's own extract/resume/query:*. The
+# reference's 'images' mode fetches figure files over the network; offline,
+# 'download' (the same filename rule, downloaders.py:346-366) serves it.
 MODES: dict[str, Callable[[str], ray.data.Dataset]] = {
     "wordscore": _wordscore,   # EP2 analog: text rows -> DocAnalyzer
     "extract": _extract,       # EP1 analog: page table -> dedup/route/extract/analyze
@@ -69,11 +71,11 @@ MODES: dict[str, Callable[[str], ray.data.Dataset]] = {
     "directory": _extract,     # reference 'directory' mode: the PDF-dir walk
                                # is the page table's binary column (SURVEY S3)
     "citations": _query_mode("citations_enriched"),  # EP3: explode + enrich
-    "images": _query_mode("media_image_features"),   # images mode, offline decode
     "google": _query_mode("dom_extract"),            # scholar-HTML DOM extraction
     # 'download' is handled in main(): it needs the export dir (binary
     # artifact sink, downloaders.py:91-117 analog).
 }
+MODE_CHOICES = sorted(MODES) + ["resume", "download"]
 
 
 def read_mode(input_fn: Callable[[str], str] = input) -> str:
@@ -81,12 +83,11 @@ def read_mode(input_fn: Callable[[str], str] = input) -> str:
     (factories.py:106-125 read_factory, argsbuilder.py:66-76 mode=None
     contract): prompt until the entry names a known mode; unknown entries
     log an error and re-prompt. ``input_fn`` is injectable for tests."""
-    choices = sorted(MODES) + ["resume", "download"]
     while True:
         mode = input_fn(
-            f"Enter desired data scraping process ({', '.join(choices)}): "
+            f"Enter desired data scraping process ({', '.join(MODE_CHOICES)}): "
         ).strip()
-        if mode in choices or mode.startswith("query:"):
+        if mode in MODE_CHOICES or mode.startswith("query:"):
             return mode
         log.error("Unknown data scraping process option: %s.", mode)
 
@@ -97,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Ray-Data-native sciscraper engine",
     )
     p.add_argument("-m", "--mode", default=None,
-                   help=f"one of {sorted(MODES)}, 'resume', or 'query:<name>'; "
+                   help=f"one of {', '.join(MODE_CHOICES)}, or 'query:<name>'; "
                         "omitted -> interactive prompt (reference parity)")
     p.add_argument("-f", "--file", required=True, help="input parquet file/dir (or sf dir for query:)")
     p.add_argument("-e", "--export", required=True, help="export directory")
@@ -124,11 +125,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> str:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     logging.basicConfig(level=logging.DEBUG if args.debug else logging.INFO)
 
     if args.mode is None:
         args.mode = read_mode()
+
+    # resolve the mode before starting Ray: a bad one exits with usage
+    builder = MODES.get(args.mode)
+    if args.mode.startswith("query:"):
+        from sciscraper_ray.pipelines.queries import QUERIES
+
+        name = args.mode.split(":", 1)[1]
+        if name not in QUERIES:
+            parser.error(f"no registered query named {name!r}")
+        builder = QUERIES[name]
+    elif args.mode not in MODE_CHOICES:
+        parser.error(
+            f"unknown mode {args.mode!r}: choose from "
+            f"{', '.join(MODE_CHOICES)}, or query:<name>"
+        )
 
     if not ray.is_initialized():  # external drivers init Ray themselves
         # under `ray job submit` the ambient RAY_ADDRESS points at the
@@ -174,14 +191,6 @@ def main(argv: list[str] | None = None) -> str:
             else result
         )
         return ray.data.from_arrow(table)
-
-    if args.mode.startswith("query:"):
-        from sciscraper_ray.pipelines.queries import QUERIES
-
-        name = args.mode.split(":", 1)[1]
-        builder = QUERIES[name]
-    else:
-        builder = MODES[args.mode]
 
     if args.profilers == "bytecode":
         # run_bytecode_profiler analog (profilers.py:81-92): disassemble

@@ -574,109 +574,3 @@ def near_dup_pairs_damerau(
         {"a": pa.array(out["a"], pa.int64()), "b": pa.array(out["b"], pa.int64())}
     )
 
-
-def exact_dedup_stateful(
-    ds: ray.data.Dataset,
-    id_col: str = "doc_id",
-    text_col: str = "text",
-    n_shards: int = 8,
-) -> ray.data.Dataset:
-    """Exact dedup through a SHARDED STATEFUL ACTOR INDEX — the one plan
-    shape the Dataset API cannot express (a shared mutable index), kept
-    deliberately separate from the default ``exact_dedup``: instead of a
-    key shuffle, pass 1 streams batch-local (key128, min-id, cnt)
-    partials as targeted RPCs to ``n_shards`` KeyShard actors (shard =
-    h_hi mod n_shards, so each key has exactly one owner and min/cnt
-    merge is order-independent — the result is deterministic under any
-    task schedule). Pass 2 is the shared Arrow winner filter over the
-    colliding keys the shards report. Trade-off vs the groupby plan:
-    no sort barrier and no partial spill, but the index must fit the
-    actor heap — the same <= driver-limit regime as the driver merge,
-    horizontally scaled by ``n_shards``."""
-    import pandas as pd
-
-    from sciscraper_ray.pipelines.winner import (
-        WinnerSpec,
-        _segment_reduce,
-        apply_winner_filter,
-    )
-    from sciscraper_ray.stages.dedup import md5_hash128_batch
-
-    @ray.remote(num_cpus=0.25)
-    class KeyShard:
-        def __init__(self):
-            self.min_id: dict = {}
-            self.cnt: dict = {}
-
-        def update(self, hi, lo, val, cnt) -> int:
-            for h, l, v, c in zip(
-                hi.tolist(), lo.tolist(), val.tolist(), cnt.tolist()
-            ):
-                k = (h, l)
-                old = self.min_id.get(k)
-                if old is None or v < old:
-                    self.min_id[k] = v
-                self.cnt[k] = self.cnt.get(k, 0) + c
-            return len(self.min_id)
-
-        def colliding(self):
-            items = [
-                (h, l, v)
-                for (h, l), v in self.min_id.items()
-                if self.cnt[(h, l)] > 1
-            ]
-            if not items:
-                return (
-                    np.array([], np.int64),
-                    np.array([], np.int64),
-                    np.array([], np.int64),
-                )
-            a = np.array(items, np.int64)
-            return a[:, 0], a[:, 1], a[:, 2]
-
-    shards = [KeyShard.remote() for _ in range(n_shards)]
-
-    def feed(batch: pa.Table) -> pa.Table:
-        hi, lo, valid = md5_hash128_batch(batch, text_col)
-        val = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        hi, lo, val = hi[valid], lo[valid], val[valid]
-        part = _segment_reduce(
-            hi, lo, val, np.ones(len(hi), np.int64), np.minimum, min_cnt=1
-        )
-        sh = part["h_hi"].to_numpy() % n_shards
-        futs = []
-        for s in np.unique(sh):
-            m = sh == s
-            futs.append(
-                shards[int(s)].update.remote(
-                    part["h_hi"].to_numpy()[m],
-                    part["h_lo"].to_numpy()[m],
-                    part["val"].to_numpy()[m],
-                    part["cnt"].to_numpy()[m],
-                )
-            )
-        ray.get(futs)  # the index must be complete before pass 2
-        return pa.table({"fed": pa.array([len(part)], pa.int64())})
-
-    # drive pass 1 to completion (stateful plans are eager by nature)
-    ds.select_columns([id_col, text_col]).map_batches(
-        feed, batch_format="pyarrow"
-    ).count()
-
-    cols = [ray.get(s.colliding.remote()) for s in shards]
-    dups = pd.DataFrame(
-        {
-            "h_hi": np.concatenate([c[0] for c in cols]),
-            "h_lo": np.concatenate([c[1] for c in cols]),
-            "val": np.concatenate([c[2] for c in cols]),
-        }
-    )
-
-    spec = WinnerSpec(
-        keys=lambda b: md5_hash128_batch(b, text_col),
-        value=lambda b: b[id_col].to_numpy(zero_copy_only=False).astype(np.int64),
-        np_reducer=np.minimum,
-        agg_name="min",
-        what="exact_dedup_stateful",
-    )
-    return apply_winner_filter(ds, spec, dups)

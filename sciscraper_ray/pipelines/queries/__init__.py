@@ -23,7 +23,6 @@ from sciscraper_ray.pipelines.queries import (  # noqa: F401  isort: skip
     dedup,
     embed,
     text_analysis,
-    media,
     cleaning,
     extraction,
     round2,

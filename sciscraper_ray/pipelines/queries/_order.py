@@ -94,10 +94,10 @@ _PRIORITY = (
     # distributed reciprocity/rich-club/survival folds — VERDICT r4
     # item 1 and ADVICE r4), the consumers of the vectorized token-hash
     # kernel (VERDICT r4 item 3 — same 128-bit contract, new hash
-    # values), the one oracle-touched query (Holt seed guard), and the
-    # new H.261 bitstream-decode query. All are green in the committed
-    # CORRECTNESS_full_r5.json; this head hands them the external
-    # driver-sample slots.
+    # values) and the one oracle-touched query (Holt seed guard). All
+    # are green in the committed CORRECTNESS_full_r5.json; this head
+    # hands them the external driver-sample slots. Every name here must
+    # be registered (tests/test_oracle_parity.py checks it).
     "events_dau_stickiness", "token_zipf_slope", "events_survival_km",
     "link_reciprocity", "graph_rich_club", "graph_bipartite_projection",
     "orders_pareto_cutoff", "table_constraint_audit", "events_retention",
@@ -110,14 +110,14 @@ _PRIORITY = (
     "token_symspell_neighbors", "token_subsample_mikolov",
     "source_burrows_delta", "join_size_cms_estimate",
     "dedup_minhash", "dedup_cascade", "dedup_incremental_ingest",
-    "events_holt_linear", "media_h261_frames",
+    "events_holt_linear",
     # previously-prioritized still-relevant recheck tail (plan unchanged
     # but newest external evidence): fills the remaining sample slots
     "events_topk_users", "bloom_semijoin",
     "lineitem_simpson_audit", "events_changepoint", "doc_filter_chain",
     "dedup_semantic", "embedding_pq_encode", "ann_ivf_pq", "events_scd2",
     "lr_train_gd", "doc_bigram_lm_ppl", "doc_dsir_weight",
-    "doc_shuffle_deterministic", "dedup_exact_stateful",
+    "doc_shuffle_deterministic",
 )
 
 

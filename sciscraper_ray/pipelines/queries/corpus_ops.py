@@ -17,7 +17,6 @@ from sciscraper_ray.pipelines.queries._shared import (
 from sciscraper_ray.pipelines.queries.dedup import (
     _SESSION_GAP_MIN,
     _md5_hex15_sql,
-    _with_copies,
 )
 
 
@@ -1473,29 +1472,6 @@ def event_type_hll_users(sf_dir: str):
         .groupby(["event_type", "bucket"])
         .aggregate(Max(on="rho", alias_name="max_rho"))
     )
-
-
-@register(
-    "dedup_exact_stateful",
-    oracle="""
-    WITH all_docs AS (
-        SELECT doc_id, text FROM documents
-        UNION ALL
-        SELECT doc_id + 100000, text FROM documents WHERE doc_id % 5 = 0
-    )
-    SELECT min(doc_id) AS doc_id, text FROM all_docs GROUP BY text
-    """,
-)
-def dedup_exact_stateful(sf_dir: str):
-    """The SAME keep-lowest-id contract as dedup_exact, through the
-    sharded stateful-actor key index (pipelines/dedup.py
-    exact_dedup_stateful) — the raw-actor plan for a shared mutable
-    index, which the Dataset API cannot express. Same oracle as
-    dedup_exact; plan equivalence is also pinned in tests/test_dedup.py."""
-    from sciscraper_ray.pipelines.dedup import exact_dedup_stateful
-
-    ds = _with_copies(sf_dir, mod=5, offset=100_000, drop_last_word=False)
-    return exact_dedup_stateful(ds)
 
 
 # ---------------------------------------------------------------------------

@@ -1894,9 +1894,9 @@ def page_rss_items(sf_dir: str):
 
 # --------------------------------------------------------------------------
 # Magic-byte payload sniffing: crawl servers lie about Content-Type, so
-# the router classifies by leading bytes. Payloads are built by the REAL
-# format writers (PDF/PNG/GIF/WAV/gzip/HTML) and %5 rows declare a wrong
-# type, which the sniffer must override.
+# the router classifies by leading bytes. PDF, gzip and HTML payloads are
+# built by real writers, PNG/GIF/WAV ones are literal format headers, and
+# %5 rows declare a wrong type, which the sniffer must override.
 # --------------------------------------------------------------------------
 
 _MAGIC_TABLE = (
@@ -1940,9 +1940,9 @@ def sniff_payload_type(payload: bytes) -> str:
     """,
 )
 def payload_magic_sniff(sf_dir: str):
-    """Content-type routing by magic bytes over payloads built by the
-    repo's REAL format writers (PDF writer, PNG/GIF encoders, WAV
-    RIFF builder, a one-member gzip, rendered HTML): %5 rows carry a
+    """Content-type routing by magic bytes over PDF writer output, a
+    one-member gzip, rendered HTML and literal PNG/GIF/WAV headers
+    (signature plus first header fields): %5 rows carry a
     lying 'text/plain' declaration that the sniffer must override —
     exactly the router decision the extraction pipeline makes before
     dispatching to the PDF pool vs the DOM stripper. Prefix compares
@@ -1950,9 +1950,13 @@ def payload_magic_sniff(sf_dir: str):
     import gzip as _gzip
 
     from sciscraper_ray.sources.pdf_write import build_pdf
-    from sciscraper_ray.stages.gif import encode_gif
-    from sciscraper_ray.stages.png import encode_png
-    from sciscraper_ray.stages.wav import encode_wav
+
+    # 4x4 greyscale IHDR, 3x3 GIF89a screen, mono 8 kHz PCM RIFF header
+    png = b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR" + bytes(
+        [0, 0, 0, 4, 0, 0, 0, 4, 8, 0, 0, 0, 0]
+    )
+    gif = b"GIF89a\x03\x00\x03\x00\x00\x00\x00"
+    wav = b"RIFF\x24\x00\x00\x00WAVEfmt \x10\x00\x00\x00\x01\x00\x01\x00"
 
     _MIME = {
         "pdf": "application/pdf", "png": "image/png", "gif": "image/gif",
@@ -1967,19 +1971,11 @@ def payload_magic_sniff(sf_dir: str):
             if case == 0:
                 payload = build_pdf([f"doc {i}"])
             elif case == 1:
-                payload = encode_png(
-                    np.full((4, 4), i % 256, np.uint8), filter_type=0
-                )
+                payload = png
             elif case == 2:
-                img = np.full((3, 3), i % 200, np.uint8)
-                pal = np.stack(
-                    [np.arange(256)] * 3, axis=1
-                ).astype(np.uint8)
-                payload = encode_gif(img, pal)
+                payload = gif
             elif case == 3:
-                payload = encode_wav(
-                    np.zeros((8, 1), np.int16), sample_rate=8000
-                )
+                payload = wav
             elif case == 4:
                 payload = _gzip.compress(f"record {i}".encode(), mtime=0)
             else:

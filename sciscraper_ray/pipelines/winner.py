@@ -53,9 +53,10 @@ class WinnerSpec:
     depends on partitioning. Exact keep-ONE semantics would need a
     content-deterministic secondary key folded into ``value`` — which
     requires the payload in pass 1 and would forfeit the column-pruned
-    key read. Callers that need exact keep-one compose with the
-    downstream exact-dedup stage (as the flagship does); crawl ties are
-    byte-identical refetches, so any survivor is equivalent there.
+    key read. No downstream stage makes it exact: in the flagship
+    (``extraction_pipeline``), same-(url, warc_ts) refetches split
+    across batches all survive today (ROADMAP Known defects, "Exact-tie
+    refetches survive the flagship dedup"; Direction 8(a) is the fix).
     """
 
     keys: Callable[[pa.Table], tuple]
@@ -167,9 +168,8 @@ def winner_filter(
 def apply_winner_filter(
     ds: ray.data.Dataset, spec: WinnerSpec, dups: pd.DataFrame
 ) -> ray.data.Dataset:
-    """Pass 2 alone: given the colliding-key winner table (however it was
-    produced — the groupby/driver merge above, or the stateful actor
-    index in pipelines/dedup.py), stream the full rows through the
+    """Pass 2 alone: given the colliding-key winner table from the
+    groupby/driver merge above, stream the full rows through the
     Arrow-native filter."""
     # Broadcast (h_hi, h_lo) -> winning value for colliding keys only.
     # Int64 keeps the per-batch left-merge exact (no float round-trip of

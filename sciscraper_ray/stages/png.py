@@ -4,18 +4,17 @@ Implements the public PNG specification (W3C PNG, RFC 2083): chunk
 framing with CRC-32 validation, IHDR/PLTE/IDAT/IEND, zlib inflate, all
 five scanline filters (None/Sub/Up/Average/Paeth), every legal bit
 depth (1/2/4/8/16) for every legal color-type combination, and Adam7
-interlacing (seven-pass sub-image extraction). This makes the
-multimodal image tier honest over a REAL container format — the
-reference handles real image bytes (reference ``downloaders.py:283-366``
-fetches/stores real payloads); here the decode path itself is real, and
-only formats needing out-of-container codecs (H.264/ffmpeg) stay gated.
+interlacing (seven-pass sub-image extraction). No query or CLI mode
+calls it: the media tier it served is gone, and the reference decodes no
+image format (its ``downloaders.py:283-366`` only fetches and stores
+figure files). It is the last piece of that tier and is due for deletion
+(ROADMAP Direction 5(a)).
 
 Sample semantics: sub-byte gray/palette samples are returned at their
 RAW code values (0..2**depth-1, uint8) and 16-bit samples as uint16 —
 no rescale to 8-bit, so round-trips are exact.
 
-Performance notes: decode is inherently per-payload work (run inside an
-actor-pool ``map_batches`` stage over SMALL batches). Within one image,
+Performance notes: decode is inherently per-payload work. Within one image,
 Up is fully vectorized, Sub is a per-lane prefix-sum (mod 256, exact via
 ``np.cumsum`` in a wider dtype), and Average/Paeth vectorize across the
 pixel's channel lanes with a sequential pass along x — the spec's data

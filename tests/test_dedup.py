@@ -244,20 +244,6 @@ def test_hamming64_vectorized():
     assert hamming64(a, b).tolist() == [0, 64, 2]
 
 
-def test_stateful_plan_equals_winner_filter_plan(ray_session):
-    import pandas as pd
-
-    from sciscraper_ray.pipelines.queries import QUERIES
-
-    sf = "/root/testdata/sf0.001"
-    a = QUERIES["dedup_exact"](sf).to_pandas()
-    b = QUERIES["dedup_exact_stateful"](sf).to_pandas()
-    key = ["doc_id", "text"]
-    pa_ = a.sort_values(key).reset_index(drop=True)
-    pb_ = b.sort_values(key).reset_index(drop=True)
-    assert pa_[key].equals(pb_[key])
-
-
 def test_batched_minhash_stage_matches_scalar_loop():
     """VERDICT r2 #7: the whole-batch vectorized MinHashBandStage must be
     bit-identical to the per-document signature/band_hashes loop, across

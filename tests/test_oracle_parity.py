@@ -61,3 +61,11 @@ def test_query_matches_oracle(name, ray_session, oracle_con, tmp_path, monkeypat
     assert len(got) == len(want)
     assert sorted(got.columns) == sorted(want.columns)
     assert canonical(got) == canonical(want)
+
+
+def test_priority_names_are_registered():
+    # A query deleted from its family module must leave no dead name in the
+    # registry's must-recheck head.
+    from sciscraper_ray.pipelines.queries._order import _PRIORITY
+
+    assert [n for n in _PRIORITY if n not in QUERIES] == []

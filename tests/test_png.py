@@ -1,6 +1,5 @@
 """From-scratch PNG codec: filter/color-type round-trips, a hand-built
-byte fixture (independent of the encoder), error paths, and the
-decode_image_payload routing."""
+byte fixture (independent of the encoder) and error paths."""
 
 from __future__ import annotations
 
@@ -10,10 +9,6 @@ import zlib
 import numpy as np
 import pytest
 
-from sciscraper_ray.stages.multimodal import (
-    decode_image_payload,
-    synth_png_payload,
-)
 from sciscraper_ray.stages.png import (
     PNG_SIGNATURE,
     PngError,
@@ -172,27 +167,6 @@ def test_malformed_rejected_loudly():
         decode_png(b"JUNKJUNKJUNK")
     with pytest.raises(PngError, match="truncated"):
         decode_png(PNG_SIGNATURE + b"\x00\x00")
-
-
-def test_decode_image_payload_routes_png():
-    img = _rng_img(5, 9, 3, seed=7)
-    out, status = decode_image_payload(encode_png(img, filter_type=1))
-    assert status == "ok"
-    assert (out == img).all()
-
-
-def test_synth_png_payload_formula():
-    for doc_id in (0, 1, 2, 17, 58, 119, 9999):
-        img, status = decode_image_payload(synth_png_payload(doc_id))
-        assert status == "ok"
-        w, h = 8 + doc_id % 57, 4 + doc_id % 60
-        c = (1, 3, 4)[doc_id % 3]
-        assert img.shape == (h, w, c)
-        base = doc_id % 100
-        expect0 = base + (w - 1) / 2 + (h - 1) / 2
-        assert img[:, :, 0].mean() == expect0
-        if c > 1:
-            assert img[:, :, c - 1].mean() == expect0 + 10 * (c - 1)
 
 
 # ---------------------------------------------------------------------------

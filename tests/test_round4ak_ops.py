@@ -1,47 +1,8 @@
-"""Round-4 batch AK: dHash image dedup + charset-mismatch sniffing."""
+"""Round-4 batch AK: charset-mismatch sniffing."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from sciscraper_ray.pipelines.queries.media import (
-    _PHASH_KEYS,
-    _phash_image,
-    dhash64,
-)
-from sciscraper_ray.stages.png import decode_png, encode_png
-
 SF = "/root/testdata/sf0.001"
-
-
-def test_phash_distinct_per_key_and_stable():
-    hashes = {dhash64(_phash_image(k)) for k in range(_PHASH_KEYS)}
-    assert len(hashes) == _PHASH_KEYS  # no collisions among content keys
-    # hash survives a PNG round trip through every filter type
-    for k in (0, 7, 31, 49):
-        img = _phash_image(k)
-        for ft in range(5):
-            rt = decode_png(encode_png(img, filter_type=ft))[:, :, 0]
-            assert dhash64(rt) == dhash64(img)
-
-
-def test_dhash_bit_semantics():
-    img = np.full((8, 9), 100, np.uint8)
-    img[0, 1] = 120  # single rising edge at (0,0) -> MSB set
-    assert dhash64(img) >> 63 & 1 == 1
-    assert dhash64(np.full((8, 9), 50, np.uint8)) == 0
-
-
-def test_phash_dedup_query(ray_session):
-    from sciscraper_ray.pipelines.queries import QUERIES
-
-    got = QUERIES["media_phash_dedup"](SF).to_pandas()
-    assert len(got) == 500
-    grp = got.groupby(got["doc_id"] % _PHASH_KEYS)
-    for key, g in grp:
-        assert (g["n_dups"] == len(g)).all()
-        assert g.loc[g["doc_id"].idxmin(), "is_survivor"] == 1
-        assert g["is_survivor"].sum() == 1
 
 
 def test_charset_mismatch_query(ray_session):

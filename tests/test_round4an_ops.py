@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import gzip
 
-import numpy as np
-
 from sciscraper_ray.pipelines.queries.extraction import sniff_payload_type
 
 SF = "/root/testdata/sf0.001"
@@ -13,12 +11,9 @@ SF = "/root/testdata/sf0.001"
 
 def test_sniff_magic_bytes():
     from sciscraper_ray.sources.pdf_write import build_pdf
-    from sciscraper_ray.stages.png import encode_png
 
     assert sniff_payload_type(build_pdf(["x"])) == "pdf"
-    assert sniff_payload_type(
-        encode_png(np.zeros((2, 2), np.uint8))
-    ) == "png"
+    assert sniff_payload_type(b"\x89PNG\r\n\x1a\n\x00\x00\x00\rIHDR") == "png"
     assert sniff_payload_type(gzip.compress(b"x", mtime=0)) == "gzip"
     assert sniff_payload_type(b"\xff\xd8\xff\xe0rest") == "jpeg"
     assert sniff_payload_type(b"  <!DOCTYPE HTML><html>") == "html"

@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isolated_run import run_script
+
 
 def _input_table() -> pa.Table:
     return pa.table(
@@ -476,11 +478,31 @@ def test_cli_query_mode(ray_session, tmp_path):
     assert out.num_rows > 0 and "token" in out.column_names
 
 
-def test_cli_rejects_unknown_mode(ray_session, tmp_path):
-    from sciscraper_ray.cli import main
+_REJECT_SCRIPT = """
+import sys
 
-    with pytest.raises(KeyError):
-        main(["-m", "nope", "-f", "x", "-e", str(tmp_path)])
+import ray
+
+from sciscraper_ray.cli import main
+
+for mode in ("images", "nope", "query:nope"):
+    try:
+        main(["-m", mode, "-f", "x", "-e", sys.argv[1]])
+    except SystemExit as e:
+        print(mode, e.code, ray.is_initialized())
+"""
+
+
+def test_cli_rejects_unknown_mode(tmp_path):
+    """An unknown mode or query name exits with usage before Ray starts
+    (a fresh interpreter: the session fixture's Ray is already up here)."""
+    out = run_script(_REJECT_SCRIPT, str(tmp_path), timeout=60)
+    assert out.stdout.split("\n")[:3] == [
+        "images 2 False", "nope 2 False", "query:nope 2 False"
+    ], out.stderr[-2000:]
+    assert "unknown mode 'images': choose from " in out.stderr
+    assert "resume, download, or query:<name>" in out.stderr
+    assert "no registered query named 'nope'" in out.stderr
 
 
 def test_int16_cast_wraps_instead_of_crashing():
@@ -558,14 +580,15 @@ def test_write_artifacts(ray_session, tmp_path):
 
 def test_cli_reference_mode_coverage():
     """Every reference SCISCRAPERS named pipeline (factories.py:26-103)
-    has a CLI mode: directory, wordscore, citations, download, images,
-    fastscore, google."""
+    has a CLI mode: directory, wordscore, citations, download (which also
+    serves images), fastscore, google."""
     from sciscraper_ray.cli import MODES
 
-    for mode in ("directory", "wordscore", "citations", "images",
-                 "fastscore", "google"):
+    for mode in ("directory", "wordscore", "citations", "fastscore", "google"):
         assert mode in MODES, mode
-    # 'download' is a main()-level mode (needs the export dir)
+    # 'download' is a main()-level mode (needs the export dir); it also
+    # serves the reference's 'images' mode, whose figure fetch is a
+    # (filename, payload) artifact table offline
 
 
 def test_cli_citations_and_download_modes(ray_session, tmp_path):
