@@ -207,7 +207,8 @@ def main(argv: list[str] | None = None) -> str:
         # The sink writes in one pass, but a column found empty everywhere
         # (extract-only over HTML pages: null meta_identifier) makes it
         # write the remaining columns again; materialize so that rewrite
-        # does not execute the pipeline a second time.
+        # does not execute the pipeline a second time. A materialized input
+        # also gets one write task per CPU.
         run_dir = export_results(ds.materialize(), args.export, date_stamp=stamp)
         log.info("exported to %s", run_dir)
         return run_dir

@@ -241,17 +241,17 @@ def extraction_pipeline(
     On a path, both reads (payload, and the ``url``/``warc_ts`` key pass)
     go through ``plan.read_at_full_width``. A small local input (at most
     ``plan.FULL_WIDTH_MAX_BYTES`` on disk) of at least ``2 × cluster
-    CPUs`` files is read by exactly ``2 × CPUs`` tasks with blocks of at
-    most ``plan.READ_BLOCK_BYTES`` (256 KiB). Ray's own shape for such an
+    CPUs`` files is read by exactly one task per CPU with blocks of at
+    most ``plan.READ_BLOCK_BYTES`` (256 KiB), so each of the two fused
+    operators runs in one round of tasks. Ray's own shape for such an
     input is ``min(200, data MiB)`` tasks of about 1 MiB. Its executor
     waits on the whole round of running tasks
-    (``ray.wait(num_returns=len(active_tasks), timeout=0.1)``), and until
-    an operator's first output it charges each running task a 256 MiB
-    output estimate, so on a 512 MiB object store a second task waited
-    for the first. On perfbench's ``crawl_extract`` input (32 files,
-    10,590 pages) at 2 CPUs the fused operator kept about 1.15 CPUs busy
-    that way, and keeps about 1.75 at full width. Any other input keeps
-    Ray's shape; with fewer files Ray splits the read blocks
+    (``ray.wait(num_returns=len(active_tasks), timeout=0.1)``), starts the
+    tasks after the first round one at a time (its resource budget counts
+    a finished task as active), and until an operator's first output it
+    charges each running task a 256 MiB output estimate, so on a 512 MiB
+    object store a second task waited for the first. Any other input
+    keeps Ray's shape; with fewer files Ray splits the read blocks
     (``ReadParquet->SplitBlocks``): the read leaves the fused operator,
     but the chain still runs as wide as the cluster.
 

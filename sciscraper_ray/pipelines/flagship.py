@@ -2,16 +2,16 @@
 (/root/reference/src/factories.py:38-52,101 — read text rows, run the
 document analyzer, emit the scored table).
 
-Shape: ``read_parquet(columns pruned)`` → ``map_batches(DocAnalyzer(),
-pyarrow, zero-copy)`` → (caller consumes / writes). At 100 TB this is
-embarrassingly parallel — no shuffle anywhere.
+Shape: ``read_at_full_width(columns pruned)`` → ``map_batches(DocAnalyzer(),
+pyarrow, zero-copy)``, fused into one task operator → (caller consumes /
+writes). At 100 TB this is embarrassingly parallel — no shuffle anywhere.
 """
 
 from __future__ import annotations
 
 import ray.data
 
-from sciscraper_ray.pipelines.plan import read_parquet
+from sciscraper_ray.pipelines.plan import read_at_full_width
 from sciscraper_ray.stages.doc_analyzer import DocAnalyzer
 
 
@@ -28,9 +28,21 @@ def wordscore_pipeline(
     read) or an existing Dataset that already has ``text_column``.
     DocAnalyzer runs as a task over a serialized instance (its state is two
     frozen word sets), so it shares every CPU slot with the read.
+
+    A path is read through ``plan.read_at_full_width`` and DocAnalyzer
+    sets no ``batch_size``, so Ray fuses ``ReadParquet->
+    MapBatches(DocAnalyzer)`` into one operator; a small local input of
+    at least ``plan.MIN_FILES_PER_CPU`` files per CPU then runs one task
+    per CPU, in one round (``batch_size`` would keep the read apart, see
+    ``extract.extraction_pipeline``). Each call gets one read block. A
+    Dataset source is scored in batches of ``batch_size`` rows.
     """
     if isinstance(source, str):
-        ds = read_parquet(source, columns=[*key_columns, text_column])
+        import pyarrow.dataset as pads
+
+        files = pads.dataset(source).files
+        ds = read_at_full_width(source, files, columns=[*key_columns, text_column])
+        batch_size = None
     else:
         ds = source
     return ds.map_batches(

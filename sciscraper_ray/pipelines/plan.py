@@ -22,7 +22,8 @@ threshold. Scale safety must not depend on a caller remembering a kwarg
 
 ``read_at_full_width`` picks a read's physical shape the same way, from
 what it can observe: the input's size and file count and the cluster's
-CPUs.
+CPUs. A small local input is read by one task per CPU, so the chain Ray
+fuses into the read runs in one round of tasks.
 """
 
 from __future__ import annotations
@@ -112,6 +113,10 @@ def read_parquet(paths: str | list[str], **kwargs) -> ray.data.Dataset:
 # read_at_full_width).
 READ_BLOCK_BYTES = 256 << 10
 
+# Fewest input files per cluster CPU that read_at_full_width shapes; below
+# it Ray's own read floor of 2 × CPUs tasks splits the read blocks.
+MIN_FILES_PER_CPU = 2
+
 # Largest input, in bytes on disk, that read_at_full_width shapes. The
 # shape was measured on inputs of up to this size (crawl_extract's 32
 # files and inputs 8 and 16 times larger); larger ones keep Ray's shape.
@@ -124,10 +129,10 @@ def read_at_full_width(paths: str | list[str], files: list[str], **kwargs) -> ra
     listing the caller already holds).
 
     A small local input (at most ``FULL_WIDTH_MAX_BYTES`` on disk) with at
-    least two files per cluster CPU is read by exactly ``2 × CPUs`` tasks
-    that emit blocks of at most ``READ_BLOCK_BYTES``. Two Ray Data 2.49
-    behaviours make Ray's own shape run such a chain at a fraction of the
-    cluster's width:
+    least ``MIN_FILES_PER_CPU`` files per cluster CPU is read by exactly
+    one task per CPU, each emitting blocks of at most ``READ_BLOCK_BYTES``,
+    so the fused operator runs in one round. Three Ray Data 2.49
+    behaviours make every task beyond one per CPU cost time:
 
     - Lockstep. A small input gets ``max(2 × CPUs, min(200, data MiB))``
       read tasks, about 1 MiB each, and the executor collects finished
@@ -135,7 +140,15 @@ def read_at_full_width(paths: str | list[str], files: list[str], **kwargs) -> ra
       (``streaming_executor_state.process_completed_tasks``). A new round
       of tasks starts only after every running task has returned or
       0.1 s has passed, so many short tasks leave CPUs idle between
-      rounds. Two tasks per CPU keep the rounds few.
+      rounds.
+    - One task at a time after the first round. Once a task of the first
+      round has ended, ``ResourceBudgetBackpressurePolicy.can_add_input``
+      refuses a new task while the operator's CPU budget reads 0, which it
+      does while the operator still counts a finished task as active. The
+      remaining tasks then start one by one. On 8 one-block parquet files
+      and a ``map_batches`` busy for 0.1 s per block, at 2 CPUs with a
+      512 MiB object store, 2 tasks took 0.44 s and 8 tasks 0.76 s; after
+      the first two, tasks started about 0.1 s apart.
     - Pre-sample estimate. Until an operator has produced an output, each
       running task is charged ``target_max_block_size`` (128 MiB) × 2
       buffered blocks. Operators share half of the object store, so on a
@@ -161,12 +174,12 @@ def read_at_full_width(paths: str | list[str], files: list[str], **kwargs) -> ra
     cpus = int(ray.cluster_resources().get("CPU", 0)) if ray.is_initialized() else 0
     if (
         not cpus
-        or len(files) < 2 * cpus
+        or len(files) < MIN_FILES_PER_CPU * cpus
         or any("://" in p for p in listed)
         or sum(os.path.getsize(f) for f in files) > FULL_WIDTH_MAX_BYTES
     ):
         return read_parquet(paths, **kwargs)
-    ds = read_parquet(paths, override_num_blocks=2 * cpus, **kwargs)
+    ds = read_parquet(paths, override_num_blocks=cpus, **kwargs)
     ds.context.target_max_block_size = READ_BLOCK_BYTES
     return ds
 

@@ -43,6 +43,7 @@ import ray
 import ray.data
 from ray.data._internal.util import call_with_retry
 from ray.data.block import BlockAccessor
+from ray.data.dataset import MaterializedDataset
 from ray.data.datasource.file_datasink import _FileDatasink
 from ray.util.scheduling_strategies import NodeAffinitySchedulingStrategy
 
@@ -184,12 +185,19 @@ class _ExportSink(_FileDatasink):
     named ``{write_id}_{task_idx:06}``. Each task returns its columns'
     non-empty counts, taken before the cast, and the paths it wrote.
 
+    ``rows_per_write``, when given, is the sink's ``min_rows_per_write``:
+    Ray bundles input blocks until a write task holds at least that many
+    rows, so ``ceil(rows / CPUs)`` gives one write task per CPU however
+    many blocks the input has. Left ``None``, each write task gets Ray's
+    default bundle.
+
     The file system comes from ``run_dir`` as in Ray's own file sinks
     (``s3://``, ``gs://``, ``file://``, ``local://`` …), and IO errors
     listed in ``DataContext.retried_io_errors`` are retried."""
 
-    def __init__(self, run_dir: str, also_parquet: bool):
+    def __init__(self, run_dir: str, also_parquet: bool, rows_per_write: int | None = None):
         super().__init__(run_dir)
+        self.rows_per_write = rows_per_write
         if isinstance(self.filesystem.unwrap(), pafs.LocalFileSystem):
             self.path = os.path.abspath(self.path)  # workers may run elsewhere
         self.csv_dir = posixpath.join(self.path, "csv")
@@ -197,6 +205,10 @@ class _ExportSink(_FileDatasink):
         self.write_id = uuid.uuid4().hex  # per write: a rerun never collides
         self.counts: list[dict[str, int]] = []
         self.written: dict[str, list[str]] = {}  # node id -> paths
+
+    @property
+    def min_rows_per_write(self) -> int | None:
+        return self.rows_per_write
 
     def on_write_start(self) -> None:
         super().on_write_start()
@@ -278,16 +290,32 @@ def export_results(
     ``meta_identifier`` columns, and an input with no DOI hit has an
     all-null ``doi``. When every column is empty (no rows, or only empty
     values), the run dir holds its output directories and no part files.
+
+    A materialized ``ds`` is written by one task per cluster CPU: its row
+    count is free from the block metadata, and the sink asks for at least
+    ``ceil(rows / CPUs)`` rows per write, so however many small blocks the
+    input pipeline made (a full-width read emits blocks of at most 256
+    KiB), the write runs in one round and writes one parquet and one CSV
+    file per CPU. The rewrite of the non-empty columns keeps that shape. A
+    lazy ``ds`` keeps Ray's bundling: its row count would cost an
+    execution.
     """
     run_dir = os.path.join(export_dir, f"{date_stamp}_{prefix}")
-    sink = _ExportSink(run_dir, also_parquet)
+    rows_per_write = None
+    if isinstance(ds, MaterializedDataset):
+        rows, cpus = ds.count(), int(ray.cluster_resources().get("CPU", 0))
+        if rows and cpus:
+            rows_per_write = -(-rows // cpus)
+    sink = _ExportSink(run_dir, also_parquet, rows_per_write)
     ds.write_datasink(sink)
     if drop_empty_columns:
         keep = nonempty_columns(sink.counts)
         if len(keep) < len(set().union(*sink.counts)):
             sink.delete_files()
             if keep:
-                ds.select_columns(keep).write_datasink(_ExportSink(run_dir, also_parquet))
+                ds.select_columns(keep).write_datasink(
+                    _ExportSink(run_dir, also_parquet, rows_per_write)
+                )
     return run_dir
 
 

@@ -298,6 +298,55 @@ def test_wave_tasks_run_at_full_width(tmp_path):
     assert second_start < first_end, spans
 
 
+ONE_ROUND_SCRIPT = textwrap.dedent(
+    """
+    import json, sys
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    src, out_dir = sys.argv[1:3]
+    for i in range(8):
+        pq.write_table(pa.table({"x": list(range(i * 10, i * 10 + 10))}),
+                       f"{src}/f{i}.parquet")
+
+    ray.init(address="local", num_cpus=2, object_store_memory=512 * 1024 * 1024,
+             include_dashboard=False, logging_level="ERROR")
+    from ray.data import DataContext
+    DataContext.get_current().enable_progress_bars = False
+
+    from sciscraper_ray.state import CheckpointStore, run_resumable
+
+    summary = run_resumable(src, out_dir,
+                            lambda ds: ds.map_batches(lambda b: b, batch_format="pyarrow"),
+                            wave_size=8)
+    stats = CheckpointStore(out_dir).metrics()["stage_stats"].to_pylist()
+    ray.shutdown()
+    print(json.dumps({"summary": summary, "stats": stats}))
+    """
+)
+
+
+def test_wave_runs_one_task_per_cpu(tmp_path):
+    """On a 2-CPU cluster an 8-file wave runs as one fused operator, read to
+    write, of one task per CPU: one round of tasks."""
+    import re
+
+    src = tmp_path / "in"
+    src.mkdir()
+    out = tmp_path / "out"
+    proc = run_script(ONE_ROUND_SCRIPT, str(src), str(out))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    res = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert res["summary"] == {"skipped": 0, "processed": 8, "waves": 1}
+    [stats] = res["stats"]
+    ops = re.findall(r"^Operator \d+ (\S+): (\d+) tasks executed", stats, re.M)
+    assert ops == [("ReadParquet->MapBatches(tag)->MapBatches(<lambda>)->Write", "2")], stats
+    m = _assert_manifest_matches_disk(str(out))
+    assert sum(m["num_rows"].to_pylist()) == 80
+
+
 KILL_SCRIPT = textwrap.dedent(
     """
     import os, signal, sys

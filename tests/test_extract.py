@@ -209,7 +209,7 @@ STREAMED_WIDTH_SCRIPT = textwrap.dedent(
 def test_streamed_reads_run_at_full_width(tmp_path):
     """On a 2-CPU cluster with a 512 MiB object store, both reads of
     ``extraction_pipeline(dir)`` (payload and dedup keys) of a small
-    12-file input run 2 x CPUs tasks with small blocks, each fused with
+    12-file input run one task per CPU with small blocks, each fused with
     its chain into one operator, and the process-wide DataContext is left
     as it was. A 3-file input, and the 12-file input once it counts as
     large, keep Ray's shape: split read blocks and the chain after them
@@ -228,7 +228,7 @@ def test_streamed_reads_run_at_full_width(tmp_path):
     assert chain.endswith("MapBatches(DocAnalyzer)"), chain
     [(keys, key_tasks)] = got["keys"]
     assert keys == "ReadParquet->MapBatches(key_partial)", keys
-    assert (chain_tasks, key_tasks) == (4, 4), got
+    assert (chain_tasks, key_tasks) == (2, 2), got
     assert got["block"] == READ_BLOCK_BYTES
     for name in ("3", "12 large"):
         got = res[name]
@@ -239,6 +239,65 @@ def test_streamed_reads_run_at_full_width(tmp_path):
         [_, (key_read, _)] = got["keys"]
         assert key_read.startswith("ReadParquet->SplitBlocks("), got
         assert got["block"] == res["before"][0], got
+
+
+WORDSCORE_WIDTH_SCRIPT = textwrap.dedent(
+    """
+    import json, sys
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    root = sys.argv[1]
+    n = 1200
+    docs = pa.table({
+        "doc_id": pa.array(range(n), pa.int64()),
+        "text": [" ".join(f"w{i}x{j}" for j in range(200)) for i in range(n)],
+    })
+    for i in range(12):
+        pq.write_table(docs.slice(i * 100, 100), f"{root}/part{i:02}.parquet")
+
+    ray.init(address="local", num_cpus=2, object_store_memory=512 * 1024 * 1024,
+             include_dashboard=False, logging_level="ERROR")
+    from ray.data import DataContext
+    DataContext.get_current().enable_progress_bars = False
+
+    from sciscraper_ray.pipelines.flagship import wordscore_pipeline
+
+    def operators(ds):
+        def walk(summary):
+            ops = [(op.operator_name, op.task_rows["count"]) for op in summary.operators_stats]
+            for parent in summary.parents:
+                ops += walk(parent)
+            return ops
+        return walk(ds._get_stats_summary())
+
+    res = {}
+    for name, source in (("path", root), ("dataset", ray.data.read_parquet(root))):
+        out = wordscore_pipeline(source).materialize()
+        table = pa.concat_tables(ray.get(out.to_arrow_refs())).sort_by("doc_id")
+        res[name] = {"ops": operators(out), "rows": table.num_rows,
+                     "scores": table["wordscore"].to_pylist()}
+    ray.shutdown()
+    print(json.dumps(res))
+    """
+)
+
+
+def test_wordscore_read_runs_at_full_width(tmp_path):
+    """On a 2-CPU cluster with a 512 MiB object store, ``wordscore_pipeline``
+    over a 12-file directory runs the read and DocAnalyzer as one fused
+    operator of one task per CPU. A Dataset source keeps ``batch_size``,
+    which keeps DocAnalyzer apart from its read, and scores the same."""
+    proc = run_script(WORDSCORE_WIDTH_SCRIPT, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    res = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert res["path"]["ops"] == [["ReadParquet->MapBatches(DocAnalyzer)", 2]], res["path"]
+    names = [name for name, _ in res["dataset"]["ops"]]
+    assert names == ["MapBatches(DocAnalyzer)", "ReadParquet"], names
+    assert res["path"]["rows"] == res["dataset"]["rows"] == 1200
+    assert res["path"]["scores"] == res["dataset"]["scores"]
 
 
 @pytest.mark.usefixtures("ray_session")

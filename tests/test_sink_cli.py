@@ -352,20 +352,30 @@ def _nan_and_junk_table() -> pa.Table:
         ("benchmark", {"also_parquet": False}, ""),
         ("rewrite", {}, "file://"),
         ("rewrite", {}, "local://"),
+        ("many_blocks", {}, ""),
+        ("many_blocks_rewrite", {}, ""),
+        ("many_blocks_lazy", {}, ""),
     ],
     ids=[
         "benchmark", "rewrite", "empty_blocks", "nan_and_junk",
         "keep_empty_columns", "benchmark_csv_only", "rewrite_file_uri",
-        "rewrite_local_uri",
+        "rewrite_local_uri", "many_blocks", "many_blocks_rewrite",
+        "many_blocks_lazy",
     ],
 )
 def test_export_matches_three_execution_export(ray_session, tmp_path, case, options, scheme):
     """Same parquet columns, schema and rows, and the same CSV header and
     row lines, as the export it replaced. An export dir given as a URI
-    resolves its file system from the scheme, as Ray's file sinks do."""
+    resolves its file system from the scheme, as Ray's file sinks do. A
+    materialized input of many blocks is written by one task per CPU, its
+    rewrite too; a lazy one keeps Ray's bundling."""
+    import ray
     import ray.data
 
     from sciscraper_ray.pipelines.sink import export_results
+
+    def with_empty_column(tables):
+        return [t.append_column("all_empty", pa.array([""] * t.num_rows)) for t in tables]
 
     tables = {
         "benchmark": lambda: _benchmark_batches(2000, 512),
@@ -375,8 +385,13 @@ def test_export_matches_three_execution_export(ray_session, tmp_path, case, opti
             pa.concat_tables([_rows(3, 5), _rows(0, 0), _rows(5, 6)]),
         ],
         "nan_and_junk": lambda: [_nan_and_junk_table()],
+        "many_blocks": lambda: _benchmark_batches(2400, 100),
+        "many_blocks_rewrite": lambda: with_empty_column(_benchmark_batches(2400, 100)),
+        "many_blocks_lazy": lambda: _benchmark_batches(2400, 100),
     }[case]()
     ds = ray.data.from_arrow(tables)
+    if case == "many_blocks_lazy":
+        ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
     new = export_results(ds, scheme + str(tmp_path / "new"), date_stamp="240101", **options)
     assert new.startswith(scheme)
     new = new[len(scheme):]
@@ -399,6 +414,14 @@ def test_export_matches_three_execution_export(ray_session, tmp_path, case, opti
     want_header, want_rows = _csv_header_and_rows(os.path.join(old, "csv"))
     assert len(got_header) == 1 and got_header == want_header
     assert got_rows == want_rows and sum(got_rows.values()) == sum(t.num_rows for t in tables)
+    if case.startswith("many_blocks"):
+        assert len(tables) >= 20
+        cpus = int(ray.cluster_resources()["CPU"])
+        parts = [len(os.listdir(os.path.join(new, d))) for d in ("csv", "parquet")]
+        if case == "many_blocks_lazy":
+            assert min(parts) > cpus, parts
+        else:
+            assert parts == [cpus, cpus], parts
 
 
 @pytest.mark.parametrize(
