@@ -20,7 +20,6 @@ def wordscore_pipeline(
     *,
     text_column: str = "text",
     key_columns: tuple[str, ...] = ("doc_id",),
-    batch_size: int = 2048,
 ) -> ray.data.Dataset:
     """Score every document: tokenize, match terms, wordscore, top-3s.
 
@@ -29,25 +28,20 @@ def wordscore_pipeline(
     DocAnalyzer runs as a task over a serialized instance (its state is two
     frozen word sets), so it shares every CPU slot with the read.
 
-    A path is read through ``plan.read_at_full_width`` and DocAnalyzer
-    sets no ``batch_size``, so Ray fuses ``ReadParquet->
-    MapBatches(DocAnalyzer)`` into one operator; a small local input of
-    at least ``plan.MIN_FILES_PER_CPU`` files per CPU then runs one task
-    per CPU, in one round (``batch_size`` would keep the read apart, see
-    ``extract.extraction_pipeline``). Each call gets one read block. A
-    Dataset source is scored in batches of ``batch_size`` rows.
+    DocAnalyzer sets no ``batch_size``, so Ray fuses it into the operator
+    before it (``batch_size`` would keep a read apart, see
+    ``extract.extraction_pipeline``) and each call gets one input block. A
+    path is read through ``plan.read_at_full_width``: a small local input
+    of at least ``plan.MIN_FILES_PER_CPU`` files per CPU then runs
+    ``ReadParquet->MapBatches(DocAnalyzer)`` as one task per CPU, in one
+    round.
     """
     if isinstance(source, str):
-        import pyarrow.dataset as pads
-
-        files = pads.dataset(source).files
-        ds = read_at_full_width(source, files, columns=[*key_columns, text_column])
-        batch_size = None
+        ds = read_at_full_width(source, columns=[*key_columns, text_column])
     else:
         ds = source
     return ds.map_batches(
         DocAnalyzer(text_column=text_column),
         batch_format="pyarrow",
         zero_copy_batch=True,
-        batch_size=batch_size,
     )

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import os
 
+import pyarrow.dataset as pads
 import ray.data
 from ray.data.datasource import ParquetMetadataProvider
 from ray.data.datasource.parquet_meta_provider import PARALLELIZE_META_FETCH_THRESHOLD
@@ -65,8 +66,6 @@ def resolve_plan(
 def parquet_row_bound(path) -> int | None:
     """Metadata-only row count of a parquet file/dir (None if unreadable)."""
     try:
-        import pyarrow.dataset as pads
-
         return pads.dataset(path).count_rows()
     except Exception:  # noqa: BLE001 — fall back to the measured probe
         return None
@@ -117,16 +116,24 @@ READ_BLOCK_BYTES = 256 << 10
 # it Ray's own read floor of 2 × CPUs tasks splits the read blocks.
 MIN_FILES_PER_CPU = 2
 
-# Largest input, in bytes on disk, that read_at_full_width shapes. The
-# shape was measured on inputs of up to this size (crawl_extract's 32
-# files and inputs 8 and 16 times larger); larger ones keep Ray's shape.
+# Largest input, in bytes on disk, that read_at_full_width shapes; larger
+# ones keep Ray's shape. One task per CPU was measured on crawl_extract's
+# 32 files and on inputs 8 and 16 times larger (29 and 58 MiB), at 2 and
+# 4 CPUs: as fast as two tasks per CPU or faster, and twice as fast as
+# Ray's shape at 8 times. With every PDF page in the first tenth of the
+# files, the 8 and 16 times inputs ran 14-20% slower than at two tasks
+# per CPU at 4 CPUs, though as fast at 2 CPUs, and Ray's shape was
+# slower still.
 FULL_WIDTH_MAX_BYTES = 64 << 20
 
 
-def read_at_full_width(paths: str | list[str], files: list[str], **kwargs) -> ray.data.Dataset:
+def read_at_full_width(
+    paths: str | list[str], files: list[str] | None = None, **kwargs
+) -> ray.data.Dataset:
     """``read_parquet`` shaped for a chain of per-row task maps that Ray
-    fuses into the read. ``files`` are the input's parquet files (a
-    listing the caller already holds).
+    fuses into the read. ``files`` are the input's parquet files; left
+    ``None``, they are listed here (a list of ``paths`` is the listing). A
+    caller that reads one input twice lists it once and passes ``files``.
 
     A small local input (at most ``FULL_WIDTH_MAX_BYTES`` on disk) with at
     least ``MIN_FILES_PER_CPU`` files per cluster CPU is read by exactly
@@ -155,14 +162,19 @@ def read_at_full_width(paths: str | list[str], files: list[str], **kwargs) -> ra
       512 MiB store the second task waits for the first to finish. At
       ``READ_BLOCK_BYTES`` the charge is 512 KiB per task.
 
+    One round leaves no later task to even out uneven ones. Ray gives each
+    task a contiguous run of the files, so when the costly rows sit in a
+    few neighbouring files, one task gets most of the work (see
+    ``FULL_WIDTH_MAX_BYTES``).
+
     Any other input keeps Ray's shape. With fewer files than ``2 × CPUs``
     Ray splits the read blocks (``ReadParquet->SplitBlocks``), which takes
     the read out of the fused operator but runs the chain as wide as the
     cluster; one task per file, or small blocks alone (Ray then counts
     the small blocks as enough and does not split), would run a one-file
-    input serially. Large and remote inputs, and a process without a
-    running Ray, were not measured. The CPUs are counted when the plan is
-    built, as Ray counts them for its own ``2 × CPUs`` floor.
+    input serially. Inputs above the bound, remote inputs and a process
+    without a running Ray were not measured. The CPUs are counted when
+    the plan is built, as Ray counts them for its own ``2 × CPUs`` floor.
 
     The block size goes on the dataset's own context, which every dataset
     derived from it shares, never on ``DataContext.get_current()``: plans
@@ -172,10 +184,12 @@ def read_at_full_width(paths: str | list[str], files: list[str], **kwargs) -> ra
     ``override_num_blocks``."""
     listed = [paths] if isinstance(paths, str) else paths
     cpus = int(ray.cluster_resources().get("CPU", 0)) if ray.is_initialized() else 0
+    if not cpus or any("://" in p for p in listed):
+        return read_parquet(paths, **kwargs)
+    if files is None:
+        files = pads.dataset(paths).files if isinstance(paths, str) else paths
     if (
-        not cpus
-        or len(files) < MIN_FILES_PER_CPU * cpus
-        or any("://" in p for p in listed)
+        len(files) < MIN_FILES_PER_CPU * cpus
         or sum(os.path.getsize(f) for f in files) > FULL_WIDTH_MAX_BYTES
     ):
         return read_parquet(paths, **kwargs)

@@ -47,6 +47,8 @@ from ray.data.dataset import MaterializedDataset
 from ray.data.datasource.file_datasink import _FileDatasink
 from ray.util.scheduling_strategies import NodeAffinitySchedulingStrategy
 
+from sciscraper_ray.pipelines import plan
+
 # KEY_TYPE_PAIRINGS analog (config.py:119-135): declared sink dtypes.
 INT16_COLUMNS = ("times_cited", "matching_terms", "bycatch_terms", "total_word_count")
 FLOAT16_COLUMNS = ("wordscore",)
@@ -291,18 +293,22 @@ def export_results(
     all-null ``doi``. When every column is empty (no rows, or only empty
     values), the run dir holds its output directories and no part files.
 
-    A materialized ``ds`` is written by one task per cluster CPU: its row
-    count is free from the block metadata, and the sink asks for at least
+    A small materialized ``ds`` (at most ``plan.FULL_WIDTH_MAX_BYTES`` in
+    memory) is written by one task per cluster CPU: its row count and
+    size are free from the block metadata, and the sink asks for at least
     ``ceil(rows / CPUs)`` rows per write, so however many small blocks the
     input pipeline made (a full-width read emits blocks of at most 256
     KiB), the write runs in one round and writes one parquet and one CSV
-    file per CPU. The rewrite of the non-empty columns keeps that shape. A
-    lazy ``ds`` keeps Ray's bundling: its row count would cost an
-    execution.
+    file per CPU. The rewrite of the non-empty columns keeps that shape.
+    A write task joins its blocks into one table and the CSV writer copies
+    it, so the size bound caps a task's memory; a larger ``ds`` keeps
+    Ray's bundling, one task per block. So does a lazy ``ds``: its row
+    count would cost an execution.
     """
     run_dir = os.path.join(export_dir, f"{date_stamp}_{prefix}")
     rows_per_write = None
-    if isinstance(ds, MaterializedDataset):
+    size = ds.size_bytes() if isinstance(ds, MaterializedDataset) else None
+    if size is not None and size <= plan.FULL_WIDTH_MAX_BYTES:
         rows, cpus = ds.count(), int(ray.cluster_resources().get("CPU", 0))
         if rows and cpus:
             rows_per_write = -(-rows // cpus)

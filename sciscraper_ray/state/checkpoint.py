@@ -254,7 +254,7 @@ def run_resumable(
         for fid in fids.values():
             store.clear_fragment(fid)
 
-        ds = read_at_full_width(wave, wave, include_paths=True)
+        ds = read_at_full_width(wave, include_paths=True)
         _seed_wave_context(ds)
         path_to_fid = {os.path.abspath(p): fid for p, fid in fids.items()}
 

@@ -355,23 +355,28 @@ def _nan_and_junk_table() -> pa.Table:
         ("many_blocks", {}, ""),
         ("many_blocks_rewrite", {}, ""),
         ("many_blocks_lazy", {}, ""),
+        ("many_blocks_large", {}, ""),
     ],
     ids=[
         "benchmark", "rewrite", "empty_blocks", "nan_and_junk",
         "keep_empty_columns", "benchmark_csv_only", "rewrite_file_uri",
         "rewrite_local_uri", "many_blocks", "many_blocks_rewrite",
-        "many_blocks_lazy",
+        "many_blocks_lazy", "many_blocks_large",
     ],
 )
-def test_export_matches_three_execution_export(ray_session, tmp_path, case, options, scheme):
+def test_export_matches_three_execution_export(
+    ray_session, tmp_path, monkeypatch, case, options, scheme
+):
     """Same parquet columns, schema and rows, and the same CSV header and
     row lines, as the export it replaced. An export dir given as a URI
     resolves its file system from the scheme, as Ray's file sinks do. A
-    materialized input of many blocks is written by one task per CPU, its
-    rewrite too; a lazy one keeps Ray's bundling."""
+    small materialized input of many blocks is written by one task per
+    CPU, its rewrite too; a lazy one, and a materialized one above the
+    size bound, keep Ray's bundling."""
     import ray
     import ray.data
 
+    from sciscraper_ray.pipelines import plan
     from sciscraper_ray.pipelines.sink import export_results
 
     def with_empty_column(tables):
@@ -388,10 +393,13 @@ def test_export_matches_three_execution_export(ray_session, tmp_path, case, opti
         "many_blocks": lambda: _benchmark_batches(2400, 100),
         "many_blocks_rewrite": lambda: with_empty_column(_benchmark_batches(2400, 100)),
         "many_blocks_lazy": lambda: _benchmark_batches(2400, 100),
+        "many_blocks_large": lambda: _benchmark_batches(2400, 100),
     }[case]()
     ds = ray.data.from_arrow(tables)
     if case == "many_blocks_lazy":
         ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
+    if case == "many_blocks_large":
+        monkeypatch.setattr(plan, "FULL_WIDTH_MAX_BYTES", ds.size_bytes() - 1)
     new = export_results(ds, scheme + str(tmp_path / "new"), date_stamp="240101", **options)
     assert new.startswith(scheme)
     new = new[len(scheme):]
@@ -418,7 +426,7 @@ def test_export_matches_three_execution_export(ray_session, tmp_path, case, opti
         assert len(tables) >= 20
         cpus = int(ray.cluster_resources()["CPU"])
         parts = [len(os.listdir(os.path.join(new, d))) for d in ("csv", "parquet")]
-        if case == "many_blocks_lazy":
+        if case in ("many_blocks_lazy", "many_blocks_large"):
             assert min(parts) > cpus, parts
         else:
             assert parts == [cpus, cpus], parts
