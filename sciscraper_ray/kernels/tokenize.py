@@ -23,11 +23,16 @@ def format_manuscript(preprint: str) -> list[str]:
     return preprint.strip().lower().split(" ")
 
 
-def tokenize_column(text: pa.ChunkedArray | pa.Array) -> pa.Array:
-    """Vectorized tokenizer: string column -> list<string> column.
+def tokenize_column(text: pa.ChunkedArray | pa.Array) -> pa.ChunkedArray:
+    """Vectorized tokenizer: string column -> list<string> ChunkedArray.
 
     Element i equals ``format_manuscript(text[i])`` exactly. Nulls stay null.
+    Always a ChunkedArray (a ``pa.Array`` input is wrapped as one chunk),
+    so a caller that needs one ListArray writes
+    ``tokenize_column(x).combine_chunks()``.
     """
+    if isinstance(text, pa.Array):
+        text = pa.chunked_array([text])
     cleaned = pc.utf8_lower(pc.utf8_trim_whitespace(text))
     return pc.split_pattern(cleaned, pattern=" ")
 
@@ -51,15 +56,11 @@ def segment_column(
     """
     import numpy as np
 
-    toks = tokenize_column(text)
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
+    toks = tokenize_column(text).combine_chunks()
     offs = np.asarray(toks.offsets)
     starts, ends = offs[:-1].astype(np.int64), offs[1:].astype(np.int64)
-    if toks.null_count:
-        # null rows carry start == end in the offsets, so they already
-        # produce zero segments; nothing to mask explicitly.
-        pass
+    # null rows carry start == end in the offsets, so they already produce
+    # zero segments; nothing to mask explicitly.
     n_toks = ends - starts
     n_segs = -(-n_toks // width)  # ceil; 0 for empty/null rows
     total = int(n_segs.sum())

@@ -22,7 +22,6 @@ from sciscraper_ray.stages.dedup import (
     SimHashStage,
     bucket_pairs,
     char_ngrams,
-    content_hash_batch,
     hamming64,
     jaccard,
     word_shingles,
@@ -45,11 +44,11 @@ def exact_dedup(
     row into one survivor — so they carry valid=False and are excluded
     from dup detection entirely. Pass 1 reads only (id, text); pass 2
     streams full rows through the Arrow-native winner filter."""
+    from sciscraper_ray.kernels.md5 import md5_hash128
     from sciscraper_ray.pipelines.winner import WinnerSpec, winner_filter
-    from sciscraper_ray.stages.dedup import md5_hash128_batch
 
     def hash128(batch: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return md5_hash128_batch(batch, text_col)
+        return md5_hash128(batch[text_col].to_pylist())
 
     spec = WinnerSpec(
         keys=hash128,

@@ -46,8 +46,8 @@ def _docs(sf_dir: str, columns=("doc_id", "text")):
     return ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=list(columns))
 
 
-# SQL fragment shared by tokenizing oracles: reference tokenizer =
-# strip().lower().split(" ")  (docscraper.py:176-186).
+# SQL fragment shared by tokenizing oracles: the reference tokenizer
+# (kernels.tokenize.format_manuscript, docscraper.py:176-186).
 _SQL_TOKENS = "string_split(lower(trim(text)), ' ')"
 
 # Per-document matched-term counts ranked like Counter.most_common:

@@ -301,15 +301,18 @@ def url_punycode_decode(sf_dir: str):
     """IDN hostname normalization: decode xn-- (punycode, RFC 3492)
     labels back to unicode — crawl host tables carry ACE-encoded
     internationalized domains, and per-domain dedup / politeness /
-    homograph checks all need the unicode form. The decoder is the full
-    bootstring algorithm FROM SCRATCH (kernels/punycode.py: variable-
-    threshold base-36 digits, bias adaptation, insertion decoding), not
-    a codec call; the fixture builds each doc's hostname by ENCODING a
-    deterministic unicode label with Python's stdlib punycode codec, so
-    the decode path is independently cross-checked (encoder and decoder
-    share no code). Pure map stage, zero exchange; the oracle states
-    the expected unicode directly."""
-    from sciscraper_ray.kernels.punycode import idn_to_unicode
+    homograph checks all need the unicode form. Each xn-- label is
+    decoded with Python's stdlib punycode codec and ASCII labels pass
+    through; the fixture builds each doc's hostname by encoding a
+    deterministic unicode label with the same codec, and the oracle
+    states the expected unicode directly. Pure map stage, zero
+    exchange."""
+
+    def idn_to_unicode(host: str) -> str:
+        return ".".join(
+            lbl[4:].encode().decode("punycode") if lbl.startswith("xn--") else lbl
+            for lbl in host.split(".")
+        )
 
     bases = ("bücher", "café", "niño")
 

@@ -9,15 +9,14 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from sciscraper_ray.kernels.md5 import md5_hash128, md5_hex15, md5_hex15_sql
+from sciscraper_ray.kernels.tokenize import format_manuscript
 from sciscraper_ray.pipelines.queries._shared import (
     _SQL_TOKENS,
     _docs,
     register,
 )
-from sciscraper_ray.pipelines.queries.dedup import (
-    _SESSION_GAP_MIN,
-    _md5_hex15_sql,
-)
+from sciscraper_ray.pipelines.queries.dedup import _SESSION_GAP_MIN
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +71,6 @@ def doc_segment_dedup(sf_dir: str):
 
     from sciscraper_ray.kernels.tokenize import segment_column
     from sciscraper_ray.pipelines.winner import WinnerSpec, winner_filter
-    from sciscraper_ray.stages.dedup import md5_hash128_batch
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
@@ -105,7 +103,7 @@ def doc_segment_dedup(sf_dir: str):
     kept = winner_filter(
         segs,
         WinnerSpec(
-            keys=lambda b: md5_hash128_batch(b, "seg"),
+            keys=lambda b: md5_hash128(b["seg"].to_pylist()),
             value=position,
             np_reducer=np.minimum,
             agg_name="min",
@@ -205,7 +203,6 @@ def doc_boilerplate_strip(sf_dir: str, plan: str = "auto"):
         driver_frame,
         resolve_plan,
     )
-    from sciscraper_ray.stages.dedup import md5_hash128_batch
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
@@ -221,7 +218,7 @@ def doc_boilerplate_strip(sf_dir: str, plan: str = "auto"):
     segs = ds.map_batches(to_segments, batch_format="pyarrow").materialize()
 
     def key_pairs(batch: pa.Table) -> pa.Table:
-        hi, lo, _valid = md5_hash128_batch(batch, "seg")
+        hi, lo, _valid = md5_hash128(batch["seg"].to_pylist())
         df = pd.DataFrame(
             {
                 "h_hi": hi,
@@ -259,7 +256,7 @@ def doc_boilerplate_strip(sf_dir: str, plan: str = "auto"):
         f = ray.get(freq_ref)
         if not len(f):
             return batch
-        hi, lo, _valid = md5_hash128_batch(batch, "seg")
+        hi, lo, _valid = md5_hash128(batch["seg"].to_pylist())
         m = pd.DataFrame({"h_hi": hi, "h_lo": lo}).merge(
             f, on=["h_hi", "h_lo"], how="left"
         )
@@ -332,9 +329,7 @@ def doc_gopher_filter(sf_dir: str):
                     "keep": empty,
                 }
             )
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         offs = np.asarray(toks.offsets).astype(np.int64)
         starts = offs[:-1]
         flat = toks.values
@@ -569,30 +564,20 @@ def events_top_paths(sf_dir: str):
     "doc_sample_weighted",
     oracle=f"""
     SELECT doc_id, n_chars FROM documents
-    WHERE {_md5_hex15_sql("CAST(doc_id AS VARCHAR)")}
+    WHERE {md5_hex15_sql("CAST(doc_id AS VARCHAR)")}
           < least(n_chars, 1024) * {1 << 50}
     """,
 )
 def doc_sample_weighted(sf_dir: str):
     """Length-weighted deterministic sample — pure map, no shuffle. The
-    per-row md5 matches _md5_mod's str(id) convention; the 60-bit
-    threshold parse is one numpy byte-view over the joined digests (no
-    per-row hex parsing)."""
-    import hashlib
-
+    per-row md5 key is hex15 of str(id), the oracle's VARCHAR cast."""
     import ray.data
 
     def pick(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_pylist()
         if not ids:
             return batch
-        digests = b"".join(
-            hashlib.md5(str(i).encode()).digest() for i in ids
-        )
-        # int(hexdigest[:15], 16) == first 60 bits == first-8-bytes >> 4
-        h = (np.frombuffer(digests, ">u8")[::2] >> np.uint64(4)).astype(
-            np.int64
-        )
+        h = md5_hex15(map(str, ids))
         w = np.minimum(
             batch["n_chars"].to_numpy(zero_copy_only=False), 1024
         ).astype(np.int64)
@@ -873,19 +858,12 @@ _BLOOM_M = 4096  # small on purpose: ~18% load at sf0.01 so the fp path
 
 
 def _bloom_positions(values: "np.ndarray", salt: str) -> "np.ndarray":
-    """md5('<salt>:' + str(v)) hex15 % m — matches _md5_hex15_sql with the
-    same salted VARCHAR expression. Vectorized digest parse."""
-    import hashlib
-
-    digests = b"".join(
-        hashlib.md5(f"{salt}:{v}".encode()).digest() for v in values
-    )
-    h = (np.frombuffer(digests, ">u8")[::2] >> np.uint64(4)).astype(np.int64)
-    return h % _BLOOM_M
+    """hex15 of '<salt>:<v>' % m: _bloom_pos_sql's Python twin."""
+    return md5_hex15(f"{salt}:{v}" for v in values) % _BLOOM_M
 
 
 def _bloom_pos_sql(expr: str, salt: str) -> str:
-    return _md5_hex15_sql(f"'{salt}:' || CAST({expr} AS VARCHAR)") + f" % {_BLOOM_M}"
+    return md5_hex15_sql(f"'{salt}:' || CAST({expr} AS VARCHAR)") + f" % {_BLOOM_M}"
 
 
 @register(
@@ -970,17 +948,12 @@ _CMS_PROBES = _GOPHER_STOPS + ("stream", "nosuchtoken",)
 
 
 def _cms_cells(tokens: list, salt: str) -> "np.ndarray":
-    import hashlib
-
-    digests = b"".join(
-        hashlib.md5(f"{salt}:{t}".encode()).digest() for t in tokens
-    )
-    h = (np.frombuffer(digests, ">u8")[::2] >> np.uint64(4)).astype(np.int64)
-    return h % _CMS_W
+    """hex15 of '<salt>:<token>' % w: _cms_cell_sql's Python twin."""
+    return md5_hex15(f"{salt}:{t}" for t in tokens) % _CMS_W
 
 
 def _cms_cell_sql(expr: str, salt: str) -> str:
-    return _md5_hex15_sql(f"'{salt}:' || {expr}") + f" % {_CMS_W}"
+    return md5_hex15_sql(f"'{salt}:' || {expr}") + f" % {_CMS_W}"
 
 
 def _cms_oracle() -> str:
@@ -1106,7 +1079,6 @@ def corpus_summary(sf_dir: str):
     import ray.data
 
     from sciscraper_ray.kernels.tokenize import tokenize_column
-    from sciscraper_ray.stages.dedup import md5_hash128_batch
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/documents.parquet",
@@ -1114,9 +1086,7 @@ def corpus_summary(sf_dir: str):
     ).materialize()  # consumed twice (scalars + distinct-hash pass)
 
     def scalars(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         valid = batch["text"].is_valid().to_numpy(zero_copy_only=False)
         nn = (
             pc.drop_null(pc.list_value_length(toks))
@@ -1151,7 +1121,7 @@ def corpus_summary(sf_dir: str):
     parts = ds.map_batches(scalars, batch_format="pyarrow").to_pandas()
 
     def hash_partial(batch: pa.Table) -> pa.Table:
-        hi, lo, valid = md5_hash128_batch(batch, "text")
+        hi, lo, valid = md5_hash128(batch["text"].to_pylist())
         comp = np.unique(np.stack([hi[valid], lo[valid]], axis=1), axis=0)
         return pa.table(
             {"h_hi": pa.array(comp[:, 0]), "h_lo": pa.array(comp[:, 1])}
@@ -1392,9 +1362,7 @@ def doc_normalize(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def normalize(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         offs = np.asarray(toks.offsets).astype(np.int64)
         flat = toks.values
         keep = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
@@ -1437,7 +1405,7 @@ def doc_normalize(sf_dir: str):
     oracle=f"""
     WITH h AS (
         SELECT event_type,
-               {_md5_hex15_sql("CAST(user_id AS VARCHAR)")} AS hv
+               {md5_hex15_sql("CAST(user_id AS VARCHAR)")} AS hv
         FROM events WHERE user_id IS NOT NULL
     ), r AS (
         SELECT event_type, hv % 64 AS bucket,
@@ -1747,15 +1715,7 @@ def bucketed_storage_join(sf_dir: str):
 
     def add_bucket(col: str):
         def fn(batch: pa.Table) -> pa.Table:
-            keys = batch[col].to_pylist()
-            import hashlib
-
-            digests = b"".join(
-                hashlib.md5(str(k).encode()).digest() for k in keys
-            )
-            h = (
-                np.frombuffer(digests, ">u8")[::2] >> np.uint64(4)
-            ).astype(np.int64)
+            h = md5_hex15(map(str, batch[col].to_pylist()))
             return batch.append_column(
                 "bucket", pa.array(h % _STORAGE_BUCKETS)
             )
@@ -1987,9 +1947,7 @@ _DSIR_B = 64  # hash buckets (paper uses 10k; sized to the synthetic vocab)
 
 
 def _dsir_bucket_sql() -> str:
-    from sciscraper_ray.pipelines.queries.dedup import _md5_mod_sql
-
-    return _md5_mod_sql("token", _DSIR_B)
+    return f"({md5_hex15_sql('token')} % {_DSIR_B})"
 
 
 @register(
@@ -2029,28 +1987,24 @@ def doc_dsir_weight(sf_dir: str):
     64-double log-ratio table is broadcast once via ray.put and pass 2
     scores each doc with one vectorized gather-and-reduceat per batch.
     md5 calls are amortized to UNIQUE tokens per batch (np.unique inverse
-    indices re-expand), matching _md5_mod's str() convention so the SQL
+    indices re-expand), the hex15 key of the token string, so the SQL
     oracle replays the exact hash. Weight = sum over token OCCURRENCES of
     ln(p_tgt[b]) - ln(p_raw[b]) with add-1 smoothing, the paper's
     bag-of-hashed-ngrams estimator with unigram features."""
     import ray
 
-    from sciscraper_ray.pipelines.queries.dedup import _md5_mod
-
     def _doc_buckets(batch: pa.Table):
         """tokens of each doc -> (flat bucket ids, doc boundaries, en mask)."""
         texts = batch["text"].to_pylist()
         tok_lists = [
-            ("" if t is None else t).strip().lower().split(" ") for t in texts
+            format_manuscript("" if t is None else t) for t in texts
         ]
         counts = np.fromiter((len(t) for t in tok_lists), np.int64, len(tok_lists))
         flat = np.array(
             [t for toks in tok_lists for t in toks], dtype=object
         )
         uniq, inv = np.unique(flat, return_inverse=True)
-        ub = np.fromiter(
-            (_md5_mod(t, _DSIR_B) for t in uniq), np.int64, len(uniq)
-        )
+        ub = md5_hex15(uniq) % _DSIR_B
         return ub[inv], counts
 
     def partials(batch: pa.Table) -> pa.Table:
@@ -2112,7 +2066,7 @@ _SHUF_SHARDS = 8
     oracle=f"""
     WITH k AS (
         SELECT doc_id,
-               {_md5_hex15_sql("CAST(doc_id AS VARCHAR)")} AS hkey
+               {md5_hex15_sql("CAST(doc_id AS VARCHAR)")} AS hkey
         FROM documents
     )
     SELECT doc_id,
@@ -2137,8 +2091,7 @@ def doc_shuffle_deterministic(sf_dir: str):
     the per-output-file sort the writer does anyway."""
 
     def keyed(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_pylist()
-        hk = np.fromiter((_md5_mod(i, 1 << 60) for i in ids), np.int64, len(ids))
+        hk = md5_hex15(map(str, batch["doc_id"].to_pylist()))
         return pa.table(
             {
                 "doc_id": batch["doc_id"],
@@ -2158,8 +2111,6 @@ def doc_shuffle_deterministic(sf_dir: str):
                 "pos": np.arange(len(g), dtype=np.int64),
             }
         )
-
-    from sciscraper_ray.pipelines.queries.dedup import _md5_mod
 
     return (
         _docs(sf_dir, columns=("doc_id",))
@@ -2295,9 +2246,7 @@ def doc_filter_chain(sf_dir: str):
                     "keep": pa.array([], pa.bool_()),
                 }
             )
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         offs = np.asarray(toks.offsets).astype(np.int64)
         starts = offs[:-1]
         flat = toks.values
@@ -2682,12 +2631,11 @@ def source_dup_rate(sf_dir: str):
     import ray.data
     from ray.data.aggregate import Sum
 
-    from sciscraper_ray.stages.dedup import md5_hash128_batch
 
     ds = _docs(sf_dir, columns=("source", "text"))
 
     def hash_partial(b: pa.Table) -> pa.Table:
-        h_hi, h_lo, _valid = md5_hash128_batch(b)
+        h_hi, h_lo, _valid = md5_hash128(b["text"].to_pylist())
         t = pa.table(
             {
                 "source": b["source"],
@@ -2858,9 +2806,7 @@ def source_vocab_coverage(sf_dir: str):
     def count_partial(b: pa.Table) -> pa.Table:
         import pandas as pd
 
-        toks = tokenize_column(b["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(b["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
         vc = (
             pd.Series(flat.to_pylist()).value_counts().rename("c").reset_index()
@@ -2885,9 +2831,7 @@ def source_vocab_coverage(sf_dir: str):
         def __call__(self, b: pa.Table) -> pa.Table:
             import pandas as pd
 
-            toks = tokenize_column(b["text"])
-            if isinstance(toks, pa.ChunkedArray):
-                toks = toks.combine_chunks()
+            toks = tokenize_column(b["text"]).combine_chunks()
             flat = pc.list_flatten(toks)
             parents = pc.list_parent_indices(toks).to_numpy(
                 zero_copy_only=False
@@ -3035,11 +2979,11 @@ def doc_length_dup_crosstab(sf_dir: str):
     import ray.data
 
     from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
-    from sciscraper_ray.stages.dedup import md5_hash128_batch
 
     def partial(b: pa.Table) -> pa.Table:
-        key = pa.table({"text": pc.utf8_slice_codeunits(b["text"], 0, 32)})
-        hi, lo, _ = md5_hash128_batch(key, "text")
+        hi, lo, _ = md5_hash128(
+            pc.utf8_slice_codeunits(b["text"], 0, 32).to_pylist()
+        )
         return pa.table(
             {
                 "doc_id": b["doc_id"],
@@ -3184,15 +3128,12 @@ def source_length_mannwhitney(sf_dir: str):
     )
 
 
-from sciscraper_ray.pipelines.queries.dedup import _md5_hex15_sql as _hex15
-
-
 @register(
     "doc_sample_bottomk",
     oracle=f"""
     SELECT doc_id, CAST(row_number() OVER (ORDER BY h) AS BIGINT)
                AS sample_rank
-    FROM (SELECT doc_id, {_hex15("CAST(doc_id AS VARCHAR)")} AS h FROM documents)
+    FROM (SELECT doc_id, {md5_hex15_sql("CAST(doc_id AS VARCHAR)")} AS h FROM documents)
     ORDER BY h LIMIT 100
     """,
 )
@@ -3206,17 +3147,9 @@ def doc_sample_bottomk(sf_dir: str):
     most k (doc_id, hash) rows survive, the driver merge handles
     batches x k rows, and sample_rank pins a total order for downstream
     pairing. At 10^12 docs nothing changes — that's the point."""
-    import hashlib
-
     def partial(b: pa.Table) -> pa.Table:
         ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        hs = np.array(
-            [
-                int(hashlib.md5(str(int(i)).encode()).hexdigest()[:15], 16)
-                for i in ids
-            ],
-            np.int64,
-        )
+        hs = md5_hex15(str(int(i)) for i in ids)
         take = np.argsort(hs, kind="stable")[:100]
         return pa.table(
             {
@@ -3252,7 +3185,7 @@ def doc_sample_bottomk(sf_dir: str):
     ),
     draw AS (
         SELECT b,
-               ({_hex15("CAST(b AS VARCHAR) || ':' || CAST(i AS VARCHAR)")}
+               ({md5_hex15_sql("CAST(b AS VARCHAR) || ':' || CAST(i AS VARCHAR)")}
                 % (SELECT c FROM n)) AS did
         FROM slots
     )
@@ -3276,21 +3209,13 @@ def doc_bootstrap_mean_ci(sf_dir: str, n_boot: int = 16, m: int = 2000):
     Integer sums end-to-end; the one division (mean) is left to the
     reader on both sides. At 10^12 docs the slot side stays B*m and the
     doc side streams — nothing scales with the corpus."""
-    import hashlib
-
     import ray
     import pyarrow.parquet as pq
 
     n = pq.ParquetFile(f"{sf_dir}/documents.parquet").metadata.num_rows
     b_arr = np.repeat(np.arange(n_boot, dtype=np.int64), m)
     i_arr = np.tile(np.arange(m, dtype=np.int64), n_boot)
-    did = np.array(
-        [
-            int(hashlib.md5(f"{b}:{i}".encode()).hexdigest()[:15], 16) % n
-            for b, i in zip(b_arr, i_arr)
-        ],
-        np.int64,
-    )
+    did = md5_hex15(f"{b}:{i}" for b, i in zip(b_arr, i_arr)) % n
     order = np.argsort(did, kind="stable")
     slots_ref = ray.put((did[order], b_arr[order]))
 
@@ -3490,7 +3415,6 @@ def dedup_url_canonical(sf_dir: str):
     import ray  # noqa: F401
 
     from sciscraper_ray.pipelines.winner import WinnerSpec, winner_filter
-    from sciscraper_ray.stages.dedup import md5_hash128_batch
 
     def explode(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
@@ -3534,7 +3458,7 @@ def dedup_url_canonical(sf_dir: str):
     )
 
     spec = WinnerSpec(
-        keys=lambda b: md5_hash128_batch(b, "canonical_url"),
+        keys=lambda b: md5_hash128(b["canonical_url"].to_pylist()),
         value=lambda b: b["record_id"].to_numpy(zero_copy_only=False).astype(
             np.int64
         ),
@@ -4504,7 +4428,7 @@ _ES_SAMPLE_K = 64
     oracle=f"""
     WITH k AS (
         SELECT doc_id, n_chars,
-               ln(CAST({_md5_hex15_sql("CAST(doc_id AS VARCHAR)")} AS DOUBLE)
+               ln(CAST({md5_hex15_sql("CAST(doc_id AS VARCHAR)")} AS DOUBLE)
                   / 1152921504606846976.0)
                    / greatest(n_chars, 1) AS es_key
         FROM documents
@@ -4521,8 +4445,6 @@ def doc_reservoir_weighted(sf_dir: str):
     data-bounded; the final top-K is one argpartition. At 100 TB this
     is the loss-weighted eval-set sampler: every worker ships K
     candidates no matter how many rows it scanned."""
-    import hashlib
-
     import ray.data
 
     def partial_topk(batch: pa.Table) -> pa.Table:
@@ -4535,12 +4457,7 @@ def doc_reservoir_weighted(sf_dir: str):
                     "es_key": pa.array([], pa.float64()),
                 }
             )
-        digests = b"".join(
-            hashlib.md5(str(i).encode()).digest() for i in ids
-        )
-        h = (np.frombuffer(digests, ">u8")[::2] >> np.uint64(4)).astype(
-            np.int64
-        )
+        h = md5_hex15(map(str, ids))
         w = np.maximum(
             np.asarray(
                 batch["n_chars"].to_numpy(zero_copy_only=False), np.int64
@@ -4605,7 +4522,7 @@ _STRAT_K = 16
         SELECT doc_id, lang,
                row_number() OVER (
                    PARTITION BY lang
-                   ORDER BY {_md5_hex15_sql("CAST(doc_id AS VARCHAR)")},
+                   ORDER BY {md5_hex15_sql("CAST(doc_id AS VARCHAR)")},
                             doc_id
                ) AS rnk
         FROM documents
@@ -4621,8 +4538,6 @@ def doc_stratified_sample(sf_dir: str):
     stratum and the driver merge is quota-bounded, not data-bounded.
     Ranks are recomputed after the merge so the output carries the
     exact global per-stratum rank the oracle's row_number() assigns."""
-    import hashlib
-
     import ray.data
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -4637,12 +4552,7 @@ def doc_stratified_sample(sf_dir: str):
                     "coin": pa.array([], pa.int64()),
                 }
             )
-        digests = b"".join(
-            hashlib.md5(str(i).encode()).digest() for i in ids
-        )
-        h = (np.frombuffer(digests, ">u8")[::2] >> np.uint64(4)).astype(
-            np.int64
-        )
+        h = md5_hex15(map(str, ids))
         df = pd.DataFrame(
             {
                 "doc_id": np.asarray(ids, np.int64),

@@ -9,6 +9,8 @@ import pyarrow.compute as pc
 
 import numpy as np
 import pyarrow as pa
+from sciscraper_ray.kernels.md5 import md5_hash128, md5_hex15, md5_hex15_sql
+from sciscraper_ray.kernels.tokenize import format_manuscript
 from sciscraper_ray.words import sql_in_list
 
 from sciscraper_ray.pipelines.queries._shared import (
@@ -66,34 +68,12 @@ def _with_copies(sf_dir: str, mod: int, offset: int, drop_last_word: bool):
     )
 
 
-def _md5_hex15_sql(expr: str) -> str:
-    """First 15 hex chars of md5(expr) parsed positionally to a BIGINT —
-    THE shared deterministic-hash expression (split assignment, HLL
-    registers); must stay bit-identical to the Python _md5_mod/sketch
-    hash."""
-    hexsum = " + ".join(
-        f"(strpos('0123456789abcdef', substr(md5({expr}), {j + 1}, 1)) - 1) * {16 ** (14 - j)}"
-        for j in range(15)
-    )
-    return f"({hexsum})"
-
-
-def _md5_mod_sql(expr: str, mod: int) -> str:
-    return f"({_md5_hex15_sql(expr)} % {mod})"
-
-
-def _md5_mod(value, mod: int) -> int:
-    import hashlib
-
-    return int(hashlib.md5(str(value).encode()).hexdigest()[:15], 16) % mod
-
-
 @register(
     "doc_split_assign",
     oracle=f"""
     SELECT doc_id,
-           CASE WHEN {_md5_mod_sql("CAST(doc_id AS VARCHAR)", 100)} < 90 THEN 'train'
-                WHEN {_md5_mod_sql("CAST(doc_id AS VARCHAR)", 100)} < 95 THEN 'val'
+           CASE WHEN ({md5_hex15_sql("CAST(doc_id AS VARCHAR)")} % 100) < 90 THEN 'train'
+                WHEN ({md5_hex15_sql("CAST(doc_id AS VARCHAR)")} % 100) < 95 THEN 'val'
                 ELSE 'test' END AS split
     FROM documents
     """,
@@ -105,11 +85,8 @@ def doc_split_assign(sf_dir: str):
     position or RNG would not be). Pure map, no shuffle."""
 
     def assign(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_pylist()
-        splits = []
-        for i in ids:
-            h = _md5_mod(i, 100)
-            splits.append("train" if h < 90 else "val" if h < 95 else "test")
+        h = md5_hex15(map(str, batch["doc_id"].to_pylist())) % 100
+        splits = ["train" if x < 90 else "val" if x < 95 else "test" for x in h]
         return pa.table(
             {"doc_id": batch["doc_id"], "split": pa.array(splits, pa.string())}
         )
@@ -246,9 +223,7 @@ def _tf_table(batch: pa.Table) -> pa.Table:
     document, so tf needs no shuffle at all. Arrow-native group_by."""
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
-    tokens = tokenize_column(batch["text"])
-    if isinstance(tokens, pa.ChunkedArray):
-        tokens = tokens.combine_chunks()
+    tokens = tokenize_column(batch["text"]).combine_chunks()
     pairs = pa.table(
         {
             "p": pc.list_parent_indices(tokens),
@@ -391,9 +366,7 @@ def _ngram_positions(batch: pa.Table, n: int):
     flattened token column — no Python per row."""
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
-    toks = tokenize_column(batch["text"])
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
+    toks = tokenize_column(batch["text"]).combine_chunks()
     flat = pc.list_flatten(toks)
     par = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
     m = len(flat) - n + 1
@@ -625,7 +598,7 @@ def _hll_oracle() -> str:
     special-cased to 55 exactly like Python's bit_length())."""
     return f"""
     WITH h AS (
-        SELECT {_md5_hex15_sql("CAST(user_id AS VARCHAR)")} AS hv
+        SELECT {md5_hex15_sql("CAST(user_id AS VARCHAR)")} AS hv
         FROM events WHERE user_id IS NOT NULL
     ), r AS (
         SELECT hv % 64 AS bucket,
@@ -960,7 +933,7 @@ def dedup_simhash(sf_dir: str):
 
     def drop_natural_dups(batch: pa.Table) -> pa.Table:
         keep = [
-            "dup" not in t.strip().lower().split(" ")
+            "dup" not in format_manuscript(t)
             for t in batch["text"].to_pylist()
         ]
         return batch.filter(pa.array(keep))
@@ -1143,7 +1116,7 @@ def _hll_rollup_oracle() -> str:
     return f"""
     WITH h AS (
         SELECT strftime(ts, '%Y-%m-%d') AS d,
-               {_md5_hex15_sql("CAST(user_id AS VARCHAR)")} AS hv
+               {md5_hex15_sql("CAST(user_id AS VARCHAR)")} AS hv
         FROM events WHERE user_id IS NOT NULL
     ), r AS (
         SELECT d, hv % 64 AS bucket, {rho} AS rho FROM h
@@ -1451,7 +1424,7 @@ def dedup_cascade(sf_dir: str):
         FROM pref x JOIN pref y ON x.pfx = y.pfx AND x.doc_id < y.doc_id
     ), sig AS (
         SELECT doc_id, s,
-               min({_md5_hex15_sql("CAST(s AS VARCHAR) || '|' || g")}) AS mh
+               min({md5_hex15_sql("CAST(s AS VARCHAR) || '|' || g")}) AS mh
         FROM tri, unnest(range(8)) AS v(s)
         WHERE doc_id IN (SELECT a FROM pairs UNION SELECT b FROM pairs)
         GROUP BY doc_id, s
@@ -1504,21 +1477,13 @@ def dedup_minhash_jaccard_audit(
     becomes a bucketed co-partitioned join on pair keys — same shape;
     gram ids stay 128-bit so estimator-vs-truth divergence can never
     come from key collisions (the doc_ngram_novelty lesson)."""
-    import hashlib
-
     import pandas as pd
 
     docs = _docs(sf_dir)
 
     def prefix_partial(b: pa.Table) -> pa.Table:
         ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        texts = b["text"].to_pylist()
-        p1 = np.empty(len(ids), np.int64)
-        p2 = np.empty(len(ids), np.int64)
-        for i, t in enumerate(texts):
-            d = hashlib.md5(t[:32].encode()).digest()
-            p1[i] = int.from_bytes(d[:8], "big", signed=True)
-            p2[i] = int.from_bytes(d[8:], "big", signed=True)
+        p1, p2, _ = md5_hash128([t[:32] for t in b["text"].to_pylist()])
         return pa.table(
             {
                 "p1": pa.array(p1),
@@ -1585,7 +1550,7 @@ def dedup_minhash_jaccard_audit(
         for i, t in zip(
             b["doc_id"].to_numpy(zero_copy_only=False), b["text"].to_pylist()
         ):
-            toks = t.strip().lower().split(" ")
+            toks = format_manuscript(t)
             grams = sorted(
                 {
                     " ".join(toks[j : j + 3])
@@ -1594,24 +1559,14 @@ def dedup_minhash_jaccard_audit(
             )
             if not grams:
                 continue
-            mins = [None] * num_perm
-            for g in grams:
-                gd = hashlib.md5(g.encode()).digest()
-                out_doc.append(int(i))
-                out_kind.append(-1)
-                out_v1.append(int.from_bytes(gd[:8], "big", signed=True))
-                out_v2.append(int.from_bytes(gd[8:], "big", signed=True))
-                for s in range(num_perm):
-                    h = int(
-                        hashlib.md5(f"{s}|{g}".encode()).hexdigest()[:15], 16
-                    )
-                    if mins[s] is None or h < mins[s]:
-                        mins[s] = h
-            for s in range(num_perm):
-                out_doc.append(int(i))
-                out_kind.append(s)
-                out_v1.append(mins[s])
-                out_v2.append(0)
+            g1, g2, _ = md5_hash128(grams)
+            mins = md5_hex15(
+                f"{s}|{g}" for g in grams for s in range(num_perm)
+            ).reshape(len(grams), num_perm).min(axis=0)
+            out_doc.extend([int(i)] * (len(grams) + num_perm))
+            out_kind.extend([-1] * len(grams) + list(range(num_perm)))
+            out_v1.extend(g1.tolist() + mins.tolist())
+            out_v2.extend(g2.tolist() + [0] * num_perm)
         return pa.table(
             {
                 "doc_id": pa.array(out_doc, pa.int64()),
@@ -1723,8 +1678,6 @@ def dedup_incremental_ingest(sf_dir: str, num_buckets: int = 16):
     shard's signatures would come from the standing LSH index
     (dedup_minhash's banded shuffle) instead of a corpus rescan; the
     decision/annotate contract is unchanged."""
-    import hashlib
-
     import pandas as pd
     import ray
 
@@ -1732,13 +1685,7 @@ def dedup_incremental_ingest(sf_dir: str, num_buckets: int = 16):
 
     def prefix_partial(b: pa.Table) -> pa.Table:
         ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        texts = b["text"].to_pylist()
-        p1 = np.empty(len(ids), np.int64)
-        p2 = np.empty(len(ids), np.int64)
-        for i, t in enumerate(texts):
-            dg = hashlib.md5(t[:32].encode()).digest()
-            p1[i] = int.from_bytes(dg[:8], "big", signed=True)
-            p2[i] = int.from_bytes(dg[8:], "big", signed=True)
+        p1, p2, _ = md5_hash128([t[:32] for t in b["text"].to_pylist()])
         return pa.table(
             {
                 "p1": pa.array(p1),
@@ -1802,14 +1749,14 @@ def dedup_incremental_ingest(sf_dir: str, num_buckets: int = 16):
                 b["doc_id"].to_numpy(zero_copy_only=False),
                 b["text"].to_pylist(),
             ):
-                toks = t.strip().lower().split(" ")
-                for g in {
-                    " ".join(toks[j : j + 3]) for j in range(len(toks) - 2)
-                }:
-                    gd = hashlib.md5(g.encode()).digest()
-                    out_doc.append(int(i))
-                    out_v1.append(int.from_bytes(gd[:8], "big", signed=True))
-                    out_v2.append(int.from_bytes(gd[8:], "big", signed=True))
+                toks = format_manuscript(t)
+                grams = list(
+                    {" ".join(toks[j : j + 3]) for j in range(len(toks) - 2)}
+                )
+                g1, g2, _ = md5_hash128(grams)
+                out_doc.extend([int(i)] * len(grams))
+                out_v1.extend(g1.tolist())
+                out_v2.extend(g2.tolist())
             return pa.table(
                 {
                     "doc_id": pa.array(out_doc, pa.int64()),

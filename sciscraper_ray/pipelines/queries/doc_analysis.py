@@ -208,9 +208,7 @@ def _top3_exploded(sf_dir: str, word_set: frozenset[str]):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def explode(batch: pa.Table) -> pa.Table:
-        tokens = tokenize_column(batch["text"])
-        if isinstance(tokens, pa.ChunkedArray):
-            tokens = tokens.combine_chunks()
+        tokens = tokenize_column(batch["text"]).combine_chunks()
         out = top_terms_exploded(tokens, word_set)
         doc_ids = batch["doc_id"].take(pa.array(out["parent"], type=pa.int64()))
         return pa.table(

@@ -10,6 +10,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from sciscraper_ray.kernels.md5 import md5_hex15, md5_hex15_sql
 from sciscraper_ray.pipelines.queries._shared import (
     register,
 )
@@ -2221,8 +2222,6 @@ def events_cusum_drift(sf_dir: str):
     )
 
 
-from sciscraper_ray.pipelines.queries.dedup import _md5_hex15_sql
-
 _KMV_K = 64
 _KMV_M = 16**15  # hash domain of the shared 15-hex-char md5 convention
 
@@ -2232,7 +2231,7 @@ _KMV_M = 16**15  # hash domain of the shared 15-hex-char md5 convention
     oracle=f"""
     WITH h AS (
         SELECT DISTINCT event_type,
-               {_md5_hex15_sql("CAST(user_id AS VARCHAR)")} AS h
+               {md5_hex15_sql("CAST(user_id AS VARCHAR)")} AS h
         FROM events
     ), r AS (
         SELECT event_type, h,
@@ -2264,20 +2263,12 @@ def events_kmv_distinct(sf_dir: str):
     more than types x k rows per batch. All-integer estimate (exact
     floor division on both sides; hash is the shared 15-hex md5
     convention) so the compare is exact, not 1e-6-close."""
-    import hashlib
-
     import ray.data
 
     def partial(b: pa.Table) -> pa.Table:
         t = pa.table({"event_type": b["event_type"], "u": b["user_id"]})
         t = t.group_by(["event_type", "u"]).aggregate([])
-        hs = np.array(
-            [
-                int(hashlib.md5(str(int(u)).encode()).hexdigest()[:15], 16)
-                for u in t["u"].to_pylist()
-            ],
-            np.int64,
-        )
+        hs = md5_hex15(str(int(u)) for u in t["u"].to_pylist())
         return pa.table({"event_type": t["event_type"], "h": pa.array(hs)})
 
     def per_type(g: pa.Table) -> pa.Table:

@@ -1089,7 +1089,6 @@ def warc_revisit_dedup(sf_dir: str):
     operator, payloads never shuffle. At 10^12 pages the exchange is
     key partials + the colliding subset, same contract as dedup_exact."""
     import collections
-    import hashlib
 
     import pandas as pd
     import ray
@@ -1101,6 +1100,7 @@ def warc_revisit_dedup(sf_dir: str):
         driver_frame,
         resolve_plan,
     )
+    from sciscraper_ray.kernels.md5 import md5_hash128, md5_hex
     from sciscraper_ray.pipelines.winner import _segment_reduce
     from sciscraper_ray.sources.page_synth import synth_pages_batch
     from sciscraper_ray.sources.warc import build_warc, parse_warc
@@ -1114,13 +1114,10 @@ def warc_revisit_dedup(sf_dir: str):
     def keyed(b: pa.Table):
         urls = b["url"].to_pylist()
         pls = b["html"].to_pylist()
-        dig = b"".join(
-            hashlib.md5(u.encode() + b"\0" + p).digest()
-            for u, p in zip(urls, pls)
+        hi, lo, _ = md5_hash128(
+            [u.encode() + b"\0" + p for u, p in zip(urls, pls)]
         )
-        u8 = np.frombuffer(dig, dtype=">u8").reshape(-1, 2)
-        signed = (u8.astype(np.uint64) ^ np.uint64(1 << 63)).view(np.int64)
-        return signed[:, 0].copy(), signed[:, 1].copy()
+        return hi, lo
 
     def ts_us(b: pa.Table) -> np.ndarray:
         return (
@@ -1176,6 +1173,7 @@ def warc_revisit_dedup(sf_dir: str):
         revisit = ~np.isnan(win) & (ts.astype("float64") > win)
         urls = b["url"].to_pylist()
         pls = b["html"].to_pylist()
+        payload_md5 = md5_hex(pls).to_pylist()
         recs = []
         for j in range(len(urls)):
             rid = int(ts[j])  # unique per capture
@@ -1190,8 +1188,7 @@ def warc_revisit_dedup(sf_dir: str):
                             "WARC-Profile": "http://netpreserve.org/warc/"
                             "1.0/revisit/identical-payload-digest",
                             "WARC-Refers-To": f"<urn:doc:{int(win[j])}>",
-                            "WARC-Payload-Digest": "md5:"
-                            + hashlib.md5(pls[j]).hexdigest(),
+                            "WARC-Payload-Digest": "md5:" + payload_md5[j],
                         },
                     )
                 )

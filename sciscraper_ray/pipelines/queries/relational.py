@@ -11,6 +11,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from sciscraper_ray.words import sql_in_list
 
+from sciscraper_ray.kernels.md5 import md5_hex15, md5_hex15_sql
 from sciscraper_ray.pipelines.queries._shared import (
     _SQL_TOKENS,
     _docs,
@@ -307,9 +308,7 @@ def source_token_tally(sf_dir: str):
     vocab = pa.array(sorted(TARGET_WORDS), type=pa.string())
 
     def partial(batch: pa.Table) -> pa.Table:
-        tokens = tokenize_column(batch["text"])
-        if isinstance(tokens, pa.ChunkedArray):
-            tokens = tokens.combine_chunks()
+        tokens = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(tokens)
         parents = pc.list_parent_indices(tokens)
         mask = pc.is_in(flat, value_set=vocab)
@@ -3206,18 +3205,7 @@ _RP_KEY_SQL = (
                  WHERE bnd.p < l.l_extendedprice) AS BIGINT) AS bucket,
            CAST(count(*) AS BIGINT) AS n_rows
     FROM lineitem l GROUP BY bucket
-    """.replace(
-        "{mod_expr}",
-        # inline to avoid importing at module top: same md5 15-hex-digit
-        # positional parse the split/HLL oracles share
-        "(("
-        + " + ".join(
-            f"(strpos('0123456789abcdef', substr(md5({_RP_KEY_SQL}), {j + 1}, 1)) - 1)"
-            f" * {16 ** (14 - j)}"
-            for j in range(15)
-        )
-        + f") % {_RP_MOD})",
-    ),
+    """.replace("{mod_expr}", f"({md5_hex15_sql(_RP_KEY_SQL)} % {_RP_MOD})"),
 )
 def lineitem_range_partition(sf_dir: str):
     """Sample -> boundaries -> histogram, each stage in its distributed
@@ -3230,8 +3218,6 @@ def lineitem_range_partition(sf_dir: str):
     batch histograms itself with one np.searchsorted — the final
     exchange is B partial-count rows per batch. Ties at a boundary go
     left (count of boundaries strictly below, pinned on both engines)."""
-    import hashlib
-
     import ray.data
     from ray.data.aggregate import Sum
 
@@ -3244,9 +3230,7 @@ def lineitem_range_partition(sf_dir: str):
         ok = b["l_orderkey"].to_numpy(zero_copy_only=False)
         ln = b["l_linenumber"].to_numpy(zero_copy_only=False)
         keys = [f"{o}-{l}" for o, l in zip(ok, ln)]
-        digests = b"".join(hashlib.md5(k.encode()).digest() for k in keys)
-        h = (np.frombuffer(digests, ">u8")[::2] >> np.uint64(4)).astype(np.int64)
-        keep = (h % _RP_MOD) == 0
+        keep = (md5_hex15(keys) % _RP_MOD) == 0
         return pa.table(
             {
                 "p": b["l_extendedprice"].filter(pa.array(keep)),
@@ -4209,7 +4193,6 @@ def customer_band_migration(sf_dir: str):
     )
 
 
-from sciscraper_ray.pipelines.queries.dedup import _md5_hex15_sql as _hex15
 
 _KMV_K = 64
 _KMV_M = 16**15
@@ -4220,7 +4203,7 @@ _KMV_M = 16**15
     oracle=f"""
     WITH ay AS (
         SELECT DISTINCT CAST(year(o_orderdate) AS BIGINT) AS yr,
-               {_hex15('CAST(o_custkey AS VARCHAR)')} AS h
+               {md5_hex15_sql('CAST(o_custkey AS VARCHAR)')} AS h
         FROM orders
     ), pairs AS (
         SELECT DISTINCT yr AS y FROM ay
@@ -4270,8 +4253,6 @@ def customer_year_overlap_kmv(sf_dir: str):
     row bound (the shared two-plan rule — past it, per-year bottom-k
     partials merge distributively exactly like events_kmv_distinct);
     output is |year pairs| rows."""
-    import hashlib
-
     import ray.data
 
     from sciscraper_ray.pipelines.plan import (
@@ -4300,10 +4281,8 @@ def customer_year_overlap_kmv(sf_dir: str):
         + df["ck"].to_numpy(np.int64)
     )
     yr, ck = kk // 10_000_000_000, kk % 10_000_000_000
-    hcache = {
-        int(c): int(hashlib.md5(str(int(c)).encode()).hexdigest()[:15], 16)
-        for c in np.unique(ck)
-    }
+    uc = np.unique(ck)
+    hcache = dict(zip(uc.tolist(), md5_hex15(str(int(c)) for c in uc).tolist()))
     by_year = {
         int(y): {hcache[int(c)] for c in ck[yr == y]} for y in np.unique(yr)
     }
@@ -4688,7 +4667,6 @@ def orders_incremental_agg(sf_dir: str):
     )
 
 
-from sciscraper_ray.pipelines.queries.dedup import _md5_hex15_sql as _bloom_hex15
 
 _BLOOM_M = 16384  # bits; fixed so the oracle text is sf-independent
 _BLOOM_K = 3
@@ -4701,13 +4679,13 @@ _BLOOM_K = 3
     b AS (SELECT p_partkey AS key FROM part WHERE p_partkey % 2 = 1),
     bits AS (
         SELECT DISTINCT
-            ({_bloom_hex15("CAST(i AS VARCHAR) || ':' || CAST(key AS VARCHAR)")}
+            ({md5_hex15_sql("CAST(i AS VARCHAR) || ':' || CAST(key AS VARCHAR)")}
              % {_BLOOM_M}) AS pos
         FROM a, unnest(range({_BLOOM_K})) AS t(i)
     ),
     probe AS (
         SELECT b.key,
-            ({_bloom_hex15("CAST(i AS VARCHAR) || ':' || CAST(key AS VARCHAR)")}
+            ({md5_hex15_sql("CAST(i AS VARCHAR) || ':' || CAST(key AS VARCHAR)")}
              % {_BLOOM_M}) AS pos
         FROM b, unnest(range({_BLOOM_K})) AS t(i)
     ),
@@ -4734,25 +4712,12 @@ def bloom_fpr_audit(sf_dir: str):
     2 KiB bitmask; the probe side streams against the broadcast mask
     and emits two counters per batch. Nothing anywhere scales past m
     bits + counters — the textbook reason blooms work at 10^12 rows."""
-    import hashlib
-
     import ray
     import ray.data
 
     def positions(keys: np.ndarray) -> np.ndarray:
-        out = np.empty((len(keys), _BLOOM_K), np.int64)
-        for r, key in enumerate(keys):
-            for i in range(_BLOOM_K):
-                out[r, i] = (
-                    int(
-                        hashlib.md5(f"{i}:{int(key)}".encode()).hexdigest()[
-                            :15
-                        ],
-                        16,
-                    )
-                    % _BLOOM_M
-                )
-        return out
+        h = md5_hex15(f"{i}:{int(key)}" for key in keys for i in range(_BLOOM_K))
+        return h.reshape(len(keys), _BLOOM_K) % _BLOOM_M
 
     part = ray.data.read_parquet(
         f"{sf_dir}/part.parquet", columns=["p_partkey"]

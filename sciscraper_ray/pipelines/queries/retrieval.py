@@ -10,13 +10,11 @@ import pyarrow as pa
 import pyarrow.compute as pc
 from sciscraper_ray.words import sql_in_list
 
+from sciscraper_ray.kernels.md5 import md5_hex15, md5_hex15_sql
 from sciscraper_ray.pipelines.queries._shared import (
     _SQL_TOKENS,
     _docs,
     register,
-)
-from sciscraper_ray.pipelines.queries.dedup import (
-    _md5_hex15_sql,
 )
 from sciscraper_ray.pipelines.queries.text_analysis import (
     _lang_sql,
@@ -115,9 +113,7 @@ def doc_bm25_topk(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def stats_partial(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
         par = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
         rows = [("", len(batch), int(len(flat)))]  # "": (n_docs, total_len)
@@ -153,9 +149,7 @@ def doc_bm25_topk(sf_dir: str):
 
     def score_partial(batch: pa.Table) -> pa.Table:
         idf_, avgdl_ = ray.get(consts)
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
         par = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
         nrows = len(batch)
@@ -225,9 +219,7 @@ class _LrScorer:
     def __call__(self, batch: pa.Table) -> pa.Table:
         from sciscraper_ray.kernels.tokenize import tokenize_column
 
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
         par = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
         nrows = len(batch)
@@ -332,9 +324,7 @@ def token_inverted_index(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def pair_partial(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
         par = pc.list_parent_indices(toks)
         doc = batch["doc_id"].take(par)
@@ -544,9 +534,7 @@ def token_pair_counts(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partial(batch: pa.Table) -> pa.Table:
-        tokens = tokenize_column(batch["text"])
-        if isinstance(tokens, pa.ChunkedArray):
-            tokens = tokens.combine_chunks()
+        tokens = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(tokens)
         n = len(flat)
         if n < 2:
@@ -574,17 +562,6 @@ def token_pair_counts(sf_dir: str):
 _MIXTURE_QUOTA = 15
 
 
-def _md5_hex15_np(ids) -> np.ndarray:
-    """Vector of the 60-bit md5 prefix ints matching _md5_mod / the
-    _md5_hex15_sql oracle fragment (str(id) convention)."""
-    import hashlib
-
-    return np.array(
-        [int(hashlib.md5(str(i).encode()).hexdigest()[:15], 16) for i in ids],
-        dtype=np.int64,
-    )
-
-
 @register(
     "doc_mixture_quota",
     oracle=f"""
@@ -592,7 +569,7 @@ def _md5_hex15_np(ids) -> np.ndarray:
         SELECT doc_id, source,
                row_number() OVER (
                    PARTITION BY source
-                   ORDER BY {_md5_hex15_sql("CAST(doc_id AS VARCHAR)")} ASC,
+                   ORDER BY {md5_hex15_sql("CAST(doc_id AS VARCHAR)")} ASC,
                             doc_id ASC
                ) AS rn
         FROM documents
@@ -619,7 +596,7 @@ def doc_mixture_quota(sf_dir: str):
         df = pd.DataFrame(
             {
                 "source": batch["source"].to_pandas(),  # bounded: worker-side column conversion
-                "h": _md5_hex15_np(ids),
+                "h": md5_hex15(map(str, ids)),
                 "doc_id": ids,
             }
         )
@@ -652,7 +629,7 @@ def doc_mixture_quota(sf_dir: str):
     def filt(batch: pa.Table) -> pa.Table:
         c = ray.get(cut_ref)
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        h = _md5_hex15_np(ids)
+        h = md5_hex15(map(str, ids))
         src = batch["source"].to_pandas()  # bounded: worker-side column conversion
         lim_h = src.map(c["h"]).to_numpy(np.int64)
         lim_id = src.map(c["doc_id"]).to_numpy(np.int64)
@@ -717,9 +694,7 @@ def doc_unigram_freq_score(sf_dir: str):
 
     def score(batch: pa.Table) -> pa.Table:
         lut = ray.get(lut_ref)
-        tokens = tokenize_column(batch["text"])
-        if isinstance(tokens, pa.ChunkedArray):
-            tokens = tokens.combine_chunks()
+        tokens = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(tokens)
         parents = pc.list_parent_indices(tokens).to_numpy(zero_copy_only=False)
         freqs = pd.Series(flat.to_pandas()).map(lut).to_numpy(np.int64)  # bounded: worker-side column conversion
@@ -871,9 +846,7 @@ def doc_boolean_retrieval(sf_dir: str):
     terms = sorted({t for _, ts in _BOOL_QUERIES for t in ts})
 
     def probe(batch: pa.Table) -> pa.Table:
-        tokens = tokenize_column(batch["text"])
-        if isinstance(tokens, pa.ChunkedArray):
-            tokens = tokens.combine_chunks()
+        tokens = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(tokens)
         parents = pc.list_parent_indices(tokens).to_numpy(zero_copy_only=False)
         nb = len(batch)
@@ -1264,7 +1237,8 @@ def dedup_teaser_prefix(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import format_manuscript
     from sciscraper_ray.pipelines.dedup import _candidate_pairs, _texts_for
     from sciscraper_ray.pipelines.plan import parquet_row_bound
-    from sciscraper_ray.stages.dedup import md5_hash128_batch, word_shingles
+    from sciscraper_ray.kernels.md5 import md5_hash128
+    from sciscraper_ray.stages.dedup import word_shingles
 
     ds = _docs(sf_dir)
 
@@ -1306,12 +1280,9 @@ def dedup_teaser_prefix(sf_dir: str):
         heads = [
             " ".join(format_manuscript(t)[:3]) for t in batch["text"].to_pylist()
         ]
-        tbl = pa.table(
-            {"doc_id": batch["doc_id"], "head": pa.array(heads, pa.string())}
-        )
-        hi, lo, _valid = md5_hash128_batch(tbl, "head")
+        hi, lo, _valid = md5_hash128(heads)
         return pa.table(
-            {"doc_id": tbl["doc_id"], "h_hi": pa.array(hi), "h_lo": pa.array(lo)}
+            {"doc_id": batch["doc_id"], "h_hi": pa.array(hi), "h_lo": pa.array(lo)}
         )
 
     banded = corpus.map_batches(head_rows, batch_format="pyarrow")
@@ -1594,9 +1565,7 @@ def top_tokens_by_lang(sf_dir: str, plan: str = "auto"):
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        tokens = tokenize_column(batch["text"])
-        if isinstance(tokens, pa.ChunkedArray):
-            tokens = tokens.combine_chunks()
+        tokens = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(tokens)
         parents = pc.list_parent_indices(tokens).to_numpy(zero_copy_only=False)
         langs = np.asarray(batch["lang"].to_pylist())[parents]
@@ -1933,9 +1902,7 @@ def doc_snippets(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def snippets(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         flat = toks.flatten()
         offs = np.asarray(toks.offsets, dtype=np.int64)
         starts, ends = offs[:-1], offs[1:]
@@ -2013,9 +1980,7 @@ def token_postings_delta_stats(sf_dir: str):
     def pair_partial(b: pa.Table) -> pa.Table:
         from sciscraper_ray.kernels.tokenize import tokenize_column
 
-        toks = tokenize_column(b["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(b["text"]).combine_chunks()
         offs = np.asarray(toks.offsets, np.int64)
         flat = toks.values
         counts = np.diff(offs)
@@ -2336,12 +2301,6 @@ def warc_gzip_member_split(sf_dir: str):
         ).materialize()
 
 
-from sciscraper_ray.pipelines.queries.dedup import _md5_hex15_sql as _walk_hex15
-
-
-
-
-
 @register(
     "doc_ccnet_ppl_bins",
     oracle=f"""
@@ -2554,9 +2513,7 @@ def _tf_topk_pandas(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partial(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
         par = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
         nrows = len(batch)
@@ -2763,9 +2720,7 @@ def retrieval_eval_mrr(sf_dir: str):
 
     def partial(batch: pa.Table) -> pa.Table:
         ranked_ = ray.get(ranked_ref)
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
         par = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
         nrows = len(batch)
@@ -3014,9 +2969,7 @@ def retrieval_bm25_prf(sf_dir: str):
 
     # pass 1: corpus stats + FULL-vocab df (vocab-bounded partials)
     def stats_partial(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
         par = pc.list_parent_indices(toks)
         dfp = (
@@ -3068,9 +3021,7 @@ def retrieval_bm25_prf(sf_dir: str):
 
         def score_partial(batch: pa.Table) -> pa.Table:
             idf_, avgdl_, terms_ = ray.get(consts)
-            toks = tokenize_column(batch["text"])
-            if isinstance(toks, pa.ChunkedArray):
-                toks = toks.combine_chunks()
+            toks = tokenize_column(batch["text"]).combine_chunks()
             flat = pc.list_flatten(toks)
             par = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
             nrows = len(batch)
@@ -3119,9 +3070,7 @@ def retrieval_bm25_prf(sf_dir: str):
             return pa.table(
                 {"token": pa.array([], pa.string()), "cnt": pa.array([], pa.int64())}
             )
-        toks = tokenize_column(batch.filter(pa.array(keep))["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch.filter(pa.array(keep))["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
         agg = pa.table({"token": flat}).group_by("token").aggregate([([], "count_all")])
         return agg.rename_columns(["token", "cnt"])

@@ -9,16 +9,13 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from sciscraper_ray.kernels.md5 import md5_hex15, md5_hex15_sql
 from sciscraper_ray.pipelines.queries._shared import (
     _SQL_TOKENS,
     _docs,
     register,
 )
-from sciscraper_ray.pipelines.queries.dedup import (
-    _md5_mod,
-    _md5_mod_sql,
-    _ngram_positions,
-)
+from sciscraper_ray.pipelines.queries.dedup import _ngram_positions
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +326,7 @@ def token_zipf_slope(sf_dir: str, mode: str = "auto"):
     )
 
     def partials(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
         agg = pa.table({"token": flat}).group_by("token").aggregate([([], "count_all")])
         return agg.rename_columns(["token", "cnt"])
@@ -455,9 +450,7 @@ def doc_ngram_novelty(sf_dir: str, mode: str = "auto"):
                 "h_lo": pa.array([], pa.int64()),
             }
         )
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
         if len(flat) < 3:
             return empty
@@ -572,9 +565,7 @@ def token_type_stats(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partials(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
         agg = pa.table({"token": flat}).group_by("token").aggregate([([], "count_all")])
         return agg.rename_columns(["token", "cnt"])
@@ -702,7 +693,7 @@ def _strata_rate_sql() -> str:
     oracle=f"""
     SELECT doc_id, lang
     FROM documents
-    WHERE {_md5_mod_sql("CAST(doc_id AS VARCHAR)", 10)} < {_strata_rate_sql()}
+    WHERE ({md5_hex15_sql("CAST(doc_id AS VARCHAR)")} % 10) < {_strata_rate_sql()}
     """,
 )
 def doc_sample_stratified(sf_dir: str):
@@ -717,11 +708,10 @@ def doc_sample_stratified(sf_dir: str):
     ds = _docs(sf_dir, columns=("doc_id", "lang"))
 
     def sample(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_pylist()
-        langs = batch["lang"].to_pylist()
+        h = md5_hex15(map(str, batch["doc_id"].to_pylist())) % 10
         keep = [
-            _md5_mod(i, 10) < _STRATA_RATES.get(lg, _STRATA_DEFAULT)
-            for i, lg in zip(ids, langs)
+            bool(x < _STRATA_RATES.get(lg, _STRATA_DEFAULT))
+            for x, lg in zip(h, batch["lang"].to_pylist())
         ]
         return batch.filter(pa.array(keep))
 

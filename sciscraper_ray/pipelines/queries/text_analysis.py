@@ -23,6 +23,12 @@ from sciscraper_ray.pipelines.queries._shared import (
 # formula is mirrored verbatim in the oracle SQL.
 # --------------------------------------------------------------------------
 
+from sciscraper_ray.kernels.md5 import (  # noqa: E402
+    md5_hash128,
+    md5_hex,
+    md5_hex15,
+    md5_hex15_sql,
+)
 from sciscraper_ray.stages.textstats import (  # noqa: E402
     BPE_SPLIT_PATTERN,
     LANG_PROFILES,
@@ -30,7 +36,6 @@ from sciscraper_ray.stages.textstats import (  # noqa: E402
     WinnowStage,
     bpe_token_count_batch,
     lang_id_batch,
-    md5_fingerprint_batch,
     quality_batch,
 )
 
@@ -120,7 +125,12 @@ def doc_bpe_tokens(sf_dir: str):
 )
 def doc_fingerprint(sf_dir: str):
     """Content fingerprint (md5; DuckDB-compatible)."""
-    return _docs(sf_dir).map_batches(md5_fingerprint_batch, batch_format="pyarrow")
+    def fingerprint(b: pa.Table) -> pa.Table:
+        return pa.table(
+            {"doc_id": b["doc_id"], "fingerprint": md5_hex(b["text"].to_pylist())}
+        )
+
+    return _docs(sf_dir).map_batches(fingerprint, batch_format="pyarrow")
 
 
 def _winnow_sql(k: int = 8, window: int = 4) -> str:
@@ -225,9 +235,7 @@ def doc_token_entropy(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def entropy_batch(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         offs = np.asarray(toks.offsets, dtype=np.int64)
         lens = np.diff(offs)
         doc = np.repeat(np.arange(len(batch), dtype=np.int64), lens)
@@ -304,9 +312,7 @@ def source_kl_divergence(sf_dir: str, plan: str = "auto"):
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        tokens = tokenize_column(batch["text"])
-        if isinstance(tokens, pa.ChunkedArray):
-            tokens = tokens.combine_chunks()
+        tokens = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(tokens)
         parents = pc.list_parent_indices(tokens).to_numpy(zero_copy_only=False)
         srcs = np.asarray(batch["source"].to_pylist())[parents]
@@ -390,9 +396,7 @@ def token_window_cooc(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partial(batch: pa.Table) -> pa.Table:
-        tokens = tokenize_column(batch["text"])
-        if isinstance(tokens, pa.ChunkedArray):
-            tokens = tokens.combine_chunks()
+        tokens = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(tokens)
         n = len(flat)
         parents = pc.list_parent_indices(tokens).to_numpy(zero_copy_only=False)
@@ -501,9 +505,7 @@ def corpus_heaps_law(sf_dir: str, plan: str = "auto"):
         )
 
     def token_firsts(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
         parents = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)[parents]
@@ -700,9 +702,7 @@ def token_prefix_autocomplete(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partial(batch: pa.Table) -> pa.Table:
-        tokens = tokenize_column(batch["text"])
-        if isinstance(tokens, pa.ChunkedArray):
-            tokens = tokens.combine_chunks()
+        tokens = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(tokens)
         flat = flat.filter(
             pc.greater_equal(pc.utf8_length(flat), 3)
@@ -914,9 +914,7 @@ def source_simpson_diversity(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def tok_partial(b: pa.Table) -> pa.Table:
-        toks = tokenize_column(b["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(b["text"]).combine_chunks()
         offs = np.asarray(toks.offsets, np.int64)
         flat = toks.values
         counts = np.diff(offs)
@@ -1143,9 +1141,7 @@ def doc_hapax_trigrams(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partial(b: pa.Table) -> pa.Table:
-        toks = tokenize_column(b["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(b["text"]).combine_chunks()
         offs = np.asarray(toks.offsets, np.int64)
         flat = toks.values
         n = len(flat)
@@ -1243,9 +1239,7 @@ def doc_windowed_ttr(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partial(b: pa.Table) -> pa.Table:
-        toks = tokenize_column(b["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(b["text"]).combine_chunks()
         offs = np.asarray(toks.offsets, np.int64)
         flat = toks.values
         counts = np.diff(offs)
@@ -1343,9 +1337,7 @@ def token_burstiness(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partial(b: pa.Table) -> pa.Table:
-        toks = tokenize_column(b["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(b["text"]).combine_chunks()
         offs = np.asarray(toks.offsets, np.int64)
         flat = toks.values
         doc = np.repeat(
@@ -1435,9 +1427,7 @@ def token_positional_bias(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partial(b: pa.Table) -> pa.Table:
-        toks = tokenize_column(b["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(b["text"]).combine_chunks()
         offs = np.asarray(toks.offsets, np.int64)
         flat = toks.values
         counts = np.diff(offs)
@@ -1526,8 +1516,6 @@ def source_phrase_overlap(sf_dir: str):
     exact low-half + source-order filter; the pair tally is
     |sources|²-bounded. The 128-bit key makes a false shared-phrase a
     cryptographic event, same contract as dedup_exact."""
-    import hashlib
-
     import ray.data
     from ray.data.aggregate import Sum
 
@@ -1535,9 +1523,7 @@ def source_phrase_overlap(sf_dir: str):
     from sciscraper_ray.stages.relational import bucketed_hash_join
 
     def gram_partial(b: pa.Table) -> pa.Table:
-        toks = tokenize_column(b["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(b["text"]).combine_chunks()
         offs = np.asarray(toks.offsets, np.int64)
         flat = toks.values
         counts = np.diff(offs)
@@ -1560,14 +1546,12 @@ def source_phrase_overlap(sf_dir: str):
         doc_ix = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         keep = doc_ix[: n - 2] == doc_ix[2:]
         gl = grams.filter(pa.array(keep)).to_pylist()
-        digests = b"".join(hashlib.md5(g.encode()).digest() for g in gl)
-        u = np.frombuffer(digests, dtype=">u8").reshape(-1, 2)
-        signed = (u.astype(np.uint64) ^ np.uint64(1 << 63)).view(np.int64)
+        h1, h2, _ = md5_hash128(gl)
         t = pa.table(
             {
                 "source": pa.array(src[: n - 2][keep].tolist(), pa.string()),
-                "h1": pa.array(signed[:, 0].copy(), pa.int64()),
-                "h2": pa.array(signed[:, 1].copy(), pa.int64()),
+                "h1": pa.array(h1, pa.int64()),
+                "h2": pa.array(h2, pa.int64()),
             }
         )
         return t.group_by(["source", "h1", "h2"]).aggregate([])
@@ -1646,9 +1630,7 @@ def lang_bpe_fertility(sf_dir: str):
             np.int64,
             count=len(texts),
         )
-        toks = tokenize_column(b["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(b["text"]).combine_chunks()
         offs = np.asarray(toks.offsets, np.int64)
         flat = toks.values
         nonempty = (
@@ -1763,9 +1745,7 @@ def _trigram_count_hist(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partial(b: pa.Table) -> pa.Table:
-        toks = tokenize_column(b["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(b["text"]).combine_chunks()
         offs = np.asarray(toks.offsets, np.int64)
         flat = toks.values
         n = len(flat)
@@ -1966,8 +1946,6 @@ def doc_sorted_lcp(sf_dir: str):
     stitches the B boundary LCPs (B = num ranges, not data-sized), and
     a broadcast patch pass fixes exactly those rows. Total exchange:
     one B-way partition of (doc_id, text) plus B boundary rows."""
-    import hashlib
-
     import ray.data
 
     NUM_RANGES = 16
@@ -1975,14 +1953,8 @@ def doc_sorted_lcp(sf_dir: str):
 
     def sample(b: pa.Table) -> pa.Table:
         ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        keep = np.array(
-            [
-                int.from_bytes(
-                    hashlib.md5(str(int(i)).encode()).digest()[:4], "big"
-                ) % SAMPLE_MOD == 0
-                for i in ids
-            ]
-        )
+        # the 32-bit big-endian digest prefix is hex15 >> 28
+        keep = (md5_hex15(str(int(i)) for i in ids) >> 28) % SAMPLE_MOD == 0
         return pa.table({"text": b["text"].filter(pa.array(keep))})
 
     docs = _docs(sf_dir, columns=("doc_id", "text"))
@@ -2074,15 +2046,12 @@ def doc_sorted_lcp(sf_dir: str):
     return ranged.map_batches(patch, batch_format="pyarrow")
 
 
-from sciscraper_ray.pipelines.queries.dedup import _md5_hex15_sql as _hex15
-
-
 @register(
     "token_ams_f2",
     oracle=f"""
     WITH {_SQL_TRIGRAM_HIST},
     gh AS (
-        SELECT r, {_hex15('g')} AS hh FROM cnt
+        SELECT r, {md5_hex15_sql('g')} AS hh FROM cnt
     ),
     js AS (SELECT CAST(unnest(range(16)) AS INT) AS j),
     z AS (
@@ -2108,16 +2077,12 @@ def token_ams_f2(sf_dir: str):
     The exact true_f2 rides the trigram count HISTOGRAM (sum r^2*N_r),
     reusing _trigram_count_hist's one bounded exchange — the audit
     column is what costs a shuffle, never the sketch."""
-    import hashlib
-
     from ray.data.aggregate import Sum
 
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partial(b: pa.Table) -> pa.Table:
-        toks = tokenize_column(b["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(b["text"]).combine_chunks()
         offs = np.asarray(toks.offsets, np.int64)
         flat = toks.values
         n = len(flat)
@@ -2138,13 +2103,7 @@ def token_ams_f2(sf_dir: str):
                 }
             )
             t = t.group_by("g").aggregate([("c", "sum")])
-            hs = np.array(
-                [
-                    int(hashlib.md5(g.encode()).hexdigest()[:15], 16)
-                    for g in t["g"].to_pylist()
-                ],
-                np.int64,
-            )
+            hs = md5_hex15(t["g"].to_pylist())
             c = t["c_sum"].to_numpy(zero_copy_only=False)
             for j in range(16):
                 z[j] = int(np.sum((((hs >> j) & 1) * 2 - 1) * c))
@@ -2224,9 +2183,7 @@ def token_rake_stats(sf_dir: str):
     stops = set(_RAKE_STOPS)
 
     def partial(b: pa.Table) -> pa.Table:
-        toks = tokenize_column(b["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(b["text"]).combine_chunks()
         offs = np.asarray(toks.offsets, np.int64)
         flat = toks.values
         n = len(flat)
@@ -2330,9 +2287,7 @@ def doc_texttiling_boundaries(sf_dir: str):
                 "n_boundaries": pa.array([], pa.int64()),
             }
         )
-        toks = tokenize_column(b["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(b["text"]).combine_chunks()
         offs = np.asarray(toks.offsets, np.int64)
         n = int(offs[-1])
         if n == 0:
@@ -2433,9 +2388,7 @@ def token_stupid_backoff(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def bigram_partial(b: pa.Table) -> pa.Table:
-        toks = tokenize_column(b["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(b["text"]).combine_chunks()
         offs = np.asarray(toks.offsets, np.int64)
         flat = toks.values
         n = len(flat)
@@ -2532,7 +2485,7 @@ def _fh_cols_sql() -> str:
     WITH toks AS (
         SELECT doc_id, unnest({_SQL_TOKENS}) AS w FROM documents
     ), hh AS (
-        SELECT doc_id, {_hex15('w')} AS h FROM toks
+        SELECT doc_id, {md5_hex15_sql('w')} AS h FROM toks
     ), fh AS (
         SELECT doc_id, CAST(h % {_FH_DIMS} AS BIGINT) AS b,
                CASE WHEN (h // {_FH_DIMS}) % 2 = 0 THEN 1 ELSE -1 END AS s
@@ -2556,31 +2509,19 @@ def doc_feature_hashing(sf_dir: str):
     the hash compare is exact. Embarrassingly parallel: one np.add.at
     scatter per batch over (doc, bucket); per-batch hashing is bounded
     by batch-distinct tokens, and nothing shuffles."""
-    import hashlib
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partial(b: pa.Table) -> pa.Table:
-        toks = tokenize_column(b["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(b["text"]).combine_chunks()
         flat = toks.values.to_numpy(zero_copy_only=False)
         doc = np.repeat(
             np.arange(len(b), dtype=np.int64),
             np.diff(np.asarray(toks.offsets, np.int64)),
         )
         vocab, inv = np.unique(flat, return_inverse=True)
-        hs = np.array(
-            [
-                int(hashlib.md5(w.encode()).hexdigest()[:15], 16)
-                for w in vocab
-            ],
-            object,  # 60-bit values: keep python ints for exact // and %
-        )
-        bucket = np.array([int(h % _FH_DIMS) for h in hs], np.int64)[inv]
-        sign = np.array(
-            [1 if (h // _FH_DIMS) % 2 == 0 else -1 for h in hs], np.int64
-        )[inv]
+        hs = md5_hex15(vocab)
+        bucket = (hs % _FH_DIMS)[inv]
+        sign = (1 - 2 * ((hs // _FH_DIMS) % 2))[inv]
         vec = np.zeros(len(b) * _FH_DIMS, np.int64)
         np.add.at(vec, doc * _FH_DIMS + bucket, sign)
         vec = vec.reshape(len(b), _FH_DIMS)
@@ -2637,9 +2578,7 @@ def token_postings_varbyte_size(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partial(b: pa.Table) -> pa.Table:
-        toks = tokenize_column(b["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(b["text"]).combine_chunks()
         offs = np.asarray(toks.offsets, np.int64)
         doc = np.repeat(
             b["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64),
@@ -2726,9 +2665,7 @@ def token_chi2_keyness(sf_dir: str):
     )
 
     def partial(b: pa.Table) -> pa.Table:
-        toks = tokenize_column(b["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(b["text"]).combine_chunks()
         counts = np.diff(np.asarray(toks.offsets, np.int64))
         is_en = pc.equal(b["lang"], "en").to_numpy(zero_copy_only=False)
         grp = np.repeat(is_en.astype(np.int64), counts)
@@ -3149,9 +3086,7 @@ def token_stem_conflate(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partials(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks).to_numpy(zero_copy_only=False)
         par = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
         if len(flat) == 0:
@@ -3231,9 +3166,7 @@ def source_chao1_richness(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partials(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
         par = pc.list_parent_indices(toks)
         langs = pc.take(batch["lang"], par)
@@ -3330,9 +3263,7 @@ def token_textrank(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def pair_partials(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
         par = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
         m = len(flat) - 1
@@ -3429,9 +3360,7 @@ def token_llr_keyness(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partials(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
         par = pc.list_parent_indices(toks)
         grp = pc.take(
@@ -3514,9 +3443,7 @@ def token_yule_k(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partials(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
         par = pc.list_parent_indices(toks)
         langs = pc.take(batch["lang"], par)
@@ -3595,9 +3522,7 @@ def source_js_divergence(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partials(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
         par = pc.list_parent_indices(toks)
         grp = pc.take(pc.cast(pc.equal(batch["lang"], "en"), pa.int64()), par)
@@ -3669,9 +3594,7 @@ def token_symspell_neighbors(sf_dir: str):
     from sciscraper_ray.pipelines.dedup import levenshtein_np
 
     def vocab_partial(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
         return (
             pa.table({"tok": flat})
@@ -3716,8 +3639,6 @@ def token_symspell_neighbors(sf_dir: str):
 
 _SUBSAMPLE_T = 1e-3
 
-from sciscraper_ray.pipelines.queries.dedup import _md5_hex15_sql  # noqa: E402
-
 
 @register(
     "token_subsample_mikolov",
@@ -3748,7 +3669,7 @@ from sciscraper_ray.pipelines.queries.dedup import _md5_hex15_sql  # noqa: E402
     GROUP BY p.token, p.cnt
     """.replace(
         "{u}",
-        _md5_hex15_sql(
+        md5_hex15_sql(
             "CAST(b.doc_id AS VARCHAR) || ':' || CAST(b.ord AS VARCHAR)"
             " || ':' || b.token"
         ),
@@ -3766,8 +3687,6 @@ def token_subsample_mikolov(sf_dir: str):
     Per-batch (token, orig, kept) partials keep the exchange
     vocab-bounded; the oracle replays the same md5 coin and the same
     double threshold, collision-for-collision."""
-    import hashlib
-
     import pandas as pd
 
     from sciscraper_ray.kernels.tokenize import tokenize_column
@@ -3775,9 +3694,7 @@ def token_subsample_mikolov(sf_dir: str):
 
     # pass 1: global frequencies (vocab-bounded)
     def freq_partial(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
         agg = pa.table({"token": flat}).group_by("token").aggregate([([], "count_all")])
         return agg.rename_columns(["token", "cnt"])
@@ -3799,22 +3716,18 @@ def token_subsample_mikolov(sf_dir: str):
 
     def sample_partial(batch: pa.Table) -> pa.Table:
         pm = ray.get(p_ref)
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         flat = toks.to_pylist()
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
         rows: dict[str, list[int]] = {}
-        for i, lst in zip(ids, flat):
-            for k, t in enumerate(lst):
-                h = int(
-                    hashlib.md5(f"{int(i)}:{k}:{t}".encode()).hexdigest()[:15], 16
-                )
-                u = float(h) / 1152921504606846976.0
-                r = rows.setdefault(t, [0, 0])
-                r[0] += 1
-                if u < pm[t]:
-                    r[1] += 1
+        coins = md5_hex15(
+            f"{int(i)}:{k}:{t}" for i, lst in zip(ids, flat) for k, t in enumerate(lst)
+        ) / 1152921504606846976.0
+        for t, u in zip((t for lst in flat for t in lst), coins):
+            r = rows.setdefault(t, [0, 0])
+            r[0] += 1
+            if u < pm[t]:
+                r[1] += 1
         return pa.table(
             {
                 "token": pa.array(list(rows), pa.string()),
@@ -3894,9 +3807,7 @@ def source_burrows_delta(sf_dir: str):
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partials(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"])
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
         par = pc.list_parent_indices(toks)
         src = pc.take(batch["source"], par)

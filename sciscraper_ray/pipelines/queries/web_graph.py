@@ -13,12 +13,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from sciscraper_ray.kernels.md5 import md5_hex15, md5_hex15_sql
 from sciscraper_ray.pipelines.queries._shared import (
     _docs,
     register,
-)
-from sciscraper_ray.pipelines.queries.dedup import (
-    _md5_hex15_sql as _walk_hex15,
 )
 from sciscraper_ray.pipelines.queries.retrieval import (
     _REF_TARGETS_SQL,
@@ -1959,7 +1957,7 @@ def graph_seed_closeness(sf_dir: str):
         SELECT wk.walk_id, wk.step + 1, n.t
         FROM walk wk
         JOIN nbrs n ON n.s = wk.node
-         AND n.idx = ({_walk_hex15(
+         AND n.idx = ({md5_hex15_sql(
              "CAST(wk.walk_id AS VARCHAR) || ':' || CAST(wk.step AS VARCHAR)"
          )} % n.outdeg)
         WHERE wk.step < {_WALK_LEN}
@@ -1983,8 +1981,6 @@ def graph_random_walks(sf_dir: str):
     the returned neighbor lists. Walk count is the sampling budget —
     at web scale you raise it and shard walk states, the per-step
     exchange stays budget-bounded."""
-    import hashlib
-
     import ray
 
     raw = _doc_edges(sf_dir)
@@ -2023,16 +2019,12 @@ def graph_random_walks(sf_dir: str):
         for s, t in zip(nb["src"].to_numpy(), nb["dst"].to_numpy()):
             nbrs.setdefault(int(s), []).append(int(t))
         nxt: dict[int, int] = {}
-        for w, node in state.items():
+        hs = md5_hex15(f"{w}:{step}" for w in state).tolist()
+        for (w, node), h in zip(state.items(), hs):
             lst = sorted(nbrs.get(node, ()))
             if not lst:
                 continue  # sink: walk ends
-            idx = (
-                int(
-                    hashlib.md5(f"{w}:{step}".encode()).hexdigest()[:15], 16
-                )
-                % len(lst)
-            )
+            idx = h % len(lst)
             nxt[w] = lst[idx]
             rows.append((w, step + 1, lst[idx]))
         state = nxt

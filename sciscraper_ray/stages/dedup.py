@@ -27,43 +27,6 @@ import pyarrow as pa
 _PRIME = (1 << 31) - 1
 
 
-def _stable_hash64(s: str) -> int:
-    """Deterministic 64-bit string hash (process-independent, unlike hash())."""
-    return int.from_bytes(hashlib.blake2b(s.encode(), digest_size=8).digest(), "little")
-
-
-def content_hash_batch(batch: pa.Table, text_col: str = "text") -> pa.Array:
-    """md5 hex content hash column (matches DuckDB's md5())."""
-    return pa.array(
-        [hashlib.md5(t.encode()).hexdigest() if t is not None else None
-         for t in batch[text_col].to_pylist()],
-        type=pa.string(),
-    )
-
-
-def md5_hash128_batch(
-    batch: pa.Table, text_col: str = "text"
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h_hi, h_lo, valid): the full 128-bit md5 of each row's text as two
-    int64 bit-views (big-endian halves, offset to signed — identical to
-    int(hexdigest[:16], 16) - 2**63). One md5 per row, then a single
-    numpy byte-view conversion — no per-row hex parsing. Null rows carry
-    valid=False (they are NOT duplicates of each other)."""
-    texts = batch[text_col].to_pylist()
-    valid = np.array([t is not None for t in texts], dtype=bool)
-    digests = b"".join(
-        hashlib.md5(t.encode()).digest() if t is not None else b"\0" * 16
-        for t in texts
-    )
-    u = np.frombuffer(digests, dtype=">u8").reshape(-1, 2)
-    # flip the top bit: unsigned big-endian half -> the signed int64 whose
-    # value equals int(hex, 16) - 2**63
-    signed = (
-        (u.astype(np.uint64) ^ np.uint64(1 << 63)).view(np.int64)
-    )
-    return signed[:, 0].copy(), signed[:, 1].copy(), valid
-
-
 # Position weights + murmur3 finalizer for the vectorized k-gram combine.
 # Fixed seeded odd constants — deterministic across processes, like the
 # blake2b path they replaced (the per-shingle Python blake2b over joined
@@ -326,9 +289,7 @@ def _flat_word_elements(texts_arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
     once (per-doc vocab hashing did redundant work on repeated tokens)."""
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
-    toks = tokenize_column(texts_arr)
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
+    toks = tokenize_column(texts_arr).combine_chunks()
     offs = np.asarray(toks.offsets, dtype=np.int64)
     valid = ~texts_arr.is_null().to_numpy(zero_copy_only=False)
     lens = np.diff(offs)

@@ -81,9 +81,7 @@ class DocAnalyzer:
     def __call__(self, batch: pa.Table) -> pa.Table:
         text = batch[self.text_column]
         n = len(batch)
-        tokens = tokenize_column(text)
-        if isinstance(tokens, pa.ChunkedArray):
-            tokens = tokens.combine_chunks()
+        tokens = tokenize_column(text).combine_chunks()
         # len(token_list); null text -> 0 words (reference would raise; we
         # degrade to an empty row per SURVEY §7 error semantics).
         lengths = np.zeros(n, np.int64)

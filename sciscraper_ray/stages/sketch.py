@@ -16,10 +16,10 @@ most significant 1-bit of the remaining 54 bits counted from the top
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 import pyarrow as pa
+
+from sciscraper_ray.kernels.md5 import md5_hex15
 
 M_BUCKETS = 64
 _REM_BITS = 60 - 6  # 54
@@ -28,17 +28,12 @@ _REM_BITS = 60 - 6  # 54
 def hll_partial_batch(batch: pa.Table, col: str) -> pa.Table:
     """Per-batch partial registers: (bucket, rho) with rho already maxed
     within the batch — at most ``M_BUCKETS`` rows leave the task. One
-    joined-digest md5 parse + one np.maximum.at scatter (the md5 calls
-    are the irreducible cost; everything after is numpy)."""
+    md5_hex15 call + one np.maximum.at scatter (the md5 calls are the
+    irreducible cost; everything after is numpy)."""
     vals = [v for v in batch[col].to_pylist() if v is not None]
     regs = np.zeros(M_BUCKETS, np.int64)
     if vals:
-        digests = b"".join(
-            hashlib.md5(str(v).encode()).digest() for v in vals
-        )
-        h = (np.frombuffer(digests, ">u8")[::2] >> np.uint64(4)).astype(
-            np.int64
-        )
+        h = md5_hex15(map(str, vals))
         rem = h >> 6
         rho = np.where(rem == 0, 55, _REM_BITS - _bit_length_u64(rem) + 1)
         np.maximum.at(regs, h % M_BUCKETS, rho)
@@ -83,7 +78,7 @@ def hll_grouped_partial_batch(
     batch: pa.Table, key_col: str, col: str
 ) -> pa.Table:
     """Per-(group, bucket) partial registers, fully vectorized: one
-    joined-digest md5 parse for the batch, dictionary-coded group keys,
+    md5_hex15 call for the batch, dictionary-coded group keys,
     and a single np.maximum.at scatter — at most |groups| x M_BUCKETS
     rows leave the task regardless of batch size."""
     import pyarrow.compute as pc
@@ -101,8 +96,7 @@ def hll_grouped_partial_batch(
             }
         )
     v = t[col].to_pylist()
-    digests = b"".join(hashlib.md5(str(x).encode()).digest() for x in v)
-    h = (np.frombuffer(digests, ">u8")[::2] >> np.uint64(4)).astype(np.int64)
+    h = md5_hex15(map(str, v))
     bucket = h % M_BUCKETS
     rem = h >> 6
     rho = np.where(rem == 0, 55, _REM_BITS - _bit_length_u64(rem) + 1)

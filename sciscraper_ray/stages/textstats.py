@@ -8,7 +8,6 @@ mirrored 1:1 in the DuckDB oracle SQL (same FP op order).
 
 from __future__ import annotations
 
-import hashlib
 import re
 
 import numpy as np
@@ -38,9 +37,7 @@ _BPE_RE = re.compile(BPE_SPLIT_PATTERN)
 def lang_id_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     """(id cols ...) + lang_pred: argmax stopword-profile hit share;
     'und' when no profile scores > 0. Tie -> alphabetically first lang."""
-    tokens = tokenize_column(batch[text_col])
-    if isinstance(tokens, pa.ChunkedArray):
-        tokens = tokens.combine_chunks()
+    tokens = tokenize_column(batch[text_col]).combine_chunks()
     flat = pc.list_flatten(tokens)
     parents = pc.list_parent_indices(tokens).to_numpy(zero_copy_only=False)
     n = len(batch)
@@ -62,9 +59,7 @@ def quality_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
     quality = 0.5*min(1, n_words/100) + 0.3*(1 - stopword_ratio)
             + 0.2*min(1, mean_word_len/8)  — mirrored in SQL verbatim.
     """
-    tokens = tokenize_column(batch[text_col])
-    if isinstance(tokens, pa.ChunkedArray):
-        tokens = tokens.combine_chunks()
+    tokens = tokenize_column(batch[text_col]).combine_chunks()
     n_words = pc.list_value_length(tokens).to_numpy(zero_copy_only=False).astype(np.float64)
     n_chars = pc.utf8_length(batch[text_col]).to_numpy(zero_copy_only=False).astype(np.int64)
     flat = pc.list_flatten(tokens)
@@ -108,20 +103,6 @@ def bpe_token_count_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
         {
             **{c: batch[c] for c in batch.column_names if c != text_col},
             "bpe_tokens": pa.array(counts),
-        }
-    )
-
-
-def md5_fingerprint_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
-    """Content fingerprint = md5 hex (DuckDB-md5() compatible)."""
-    fps = [
-        hashlib.md5(t.encode()).hexdigest() if t is not None else None
-        for t in batch[text_col].to_pylist()
-    ]
-    return pa.table(
-        {
-            **{c: batch[c] for c in batch.column_names if c != text_col},
-            "fingerprint": pa.array(fps, type=pa.string()),
         }
     )
 

@@ -135,6 +135,47 @@ def test_tokenizer_single_space_quirk():
     assert col.to_pylist() == [["a", "", "b", "c\nd"], ["x", "y"], None]
 
 
+_TOKENIZE_TEXTS = ["  A  b c\nd ", None, "", "x y", "   ", "Ünï  CÖDÉ"]
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        pa.array(_TOKENIZE_TEXTS, pa.string()),
+        pa.chunked_array([_TOKENIZE_TEXTS], pa.string()),
+        pa.chunked_array(
+            [[], _TOKENIZE_TEXTS[:2], [], _TOKENIZE_TEXTS[2:], []], pa.string()
+        ),
+        pa.chunked_array([], pa.string()),
+    ],
+    ids=["array", "one_chunk", "multi_chunk", "zero_chunks"],
+)
+def test_tokenize_column_always_chunked(column):
+    # One return type for every input shape: callers write
+    # tokenize_column(x).combine_chunks() when they need one ListArray.
+    tokens = tokenize_column(column)
+    assert isinstance(tokens, pa.ChunkedArray)
+    texts = column.to_pylist()
+    got = tokens.combine_chunks().to_pylist()
+    assert got == [None if t is None else format_manuscript(t) for t in texts]
+
+
+def test_md5_kernels_match_hexdigest():
+    import hashlib
+
+    from sciscraper_ray.kernels.md5 import md5_hash128, md5_hex, md5_hex15
+
+    texts = ["", "a", "bücher日本", "x" * 1000]
+    hexes = [hashlib.md5(t.encode()).hexdigest() for t in texts]
+    assert md5_hex15(texts).tolist() == [int(h[:15], 16) for h in hexes]
+    hi, lo, valid = md5_hash128(texts + [None, b"\0raw"])
+    raw = hashlib.md5(b"\0raw").hexdigest()
+    assert hi.tolist() == [int(h[:16], 16) - 2**63 for h in hexes + ["0" * 32, raw]]
+    assert lo.tolist() == [int(h[16:], 16) - 2**63 for h in hexes + ["0" * 32, raw]]
+    assert valid.tolist() == [True] * 4 + [False, True]
+    assert md5_hex(texts + [None]).to_pylist() == hexes + [None]
+
+
 def test_match_terms_reference_example():
     # Docstring example from docscraper.py:55-94.
     words = ["a", "a", "b", "c", "d", "d", "d", "d", "c", "a", "f", "f", "f", "g", "d"]

@@ -5,8 +5,9 @@ these tests pin the kernel-level contracts and degenerate inputs."""
 import numpy as np
 import pyarrow as pa
 
+from sciscraper_ray.kernels.md5 import md5_hex15
 from sciscraper_ray.pipelines.queries import QUERIES
-from sciscraper_ray.pipelines.queries.dedup import _ngram_positions, _md5_mod
+from sciscraper_ray.pipelines.queries.dedup import _ngram_positions
 from sciscraper_ray.pipelines.queries.round2 import _STRATA_RATES
 
 SF = "/root/testdata/sf0.001"
@@ -70,7 +71,7 @@ def test_stratified_rates_deterministic():
     assert sorted(out1["doc_id"]) == sorted(out2["doc_id"])
     for _, row in out1.iterrows():
         rate = _STRATA_RATES.get(row["lang"], 1)
-        assert _md5_mod(row["doc_id"], 10) < rate
+        assert md5_hex15([str(row["doc_id"])])[0] % 10 < rate
 
 
 def test_bucketed_join_multiplicity():

@@ -9,12 +9,12 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from sciscraper_ray.kernels.md5 import md5_hex15
 from sciscraper_ray.pipelines.queries import QUERIES
 from sciscraper_ray.pipelines.queries.retrieval import (
     _BOOL_QUERIES,
     _LATEST_K,
     _MIXTURE_QUOTA,
-    _md5_hex15_np,
 )
 from sciscraper_ray.sources.page_synth import host_for, ref_targets, render_html
 from sciscraper_ray.stages.dom_select import select_links
@@ -57,7 +57,7 @@ def test_render_html_with_links_is_opt_in():
 
 def test_md5_hex15_np_matches_scalar_convention():
     ids = np.array([0, 1, 17, 123456789], dtype=np.int64)
-    got = _md5_hex15_np(ids)
+    got = md5_hex15(map(str, ids))
     for i, g in zip(ids, got):
         assert g == int(hashlib.md5(str(i).encode()).hexdigest()[:15], 16)
 
@@ -81,7 +81,7 @@ def test_token_pair_counts_do_not_cross_doc_boundaries(ray_session):
 def test_mixture_quota_keeps_k_smallest_hashes_per_source(ray_session):
     out = QUERIES["doc_mixture_quota"](SF).to_pandas()
     docs = _docs()
-    docs["h"] = _md5_hex15_np(docs["doc_id"].to_numpy())
+    docs["h"] = md5_hex15(map(str, docs["doc_id"].to_numpy()))
     exp = (
         docs.sort_values(["source", "h", "doc_id"])
         .groupby("source", sort=False)

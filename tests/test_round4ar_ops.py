@@ -826,21 +826,6 @@ def test_url_punycode_decode(ray_session):
         assert r.unicode_host == f"{bases[i % 3]}{i}.example.org"
 
 
-def test_punycode_decoder_fuzz_vs_stdlib():
-    from sciscraper_ray.kernels.punycode import punycode_decode
-
-    # deterministic unicode fuzz: mixed ASCII + BMP chars
-    alphabet = "aé9ü日ñz語"
-    for seed in range(60):
-        x, s = seed * 2654435761 % 2**32, []
-        for _ in range(seed % 11 + 1):
-            x = (x * 1103515245 + 12345) % 2**31
-            s.append(alphabet[x % len(alphabet)])
-        label = "".join(s)
-        enc = label.encode("punycode").decode()
-        assert punycode_decode(enc) == label, (label, enc)
-
-
 def test_graph_ppr_sweep_cut(ray_session):
     got = _df(QUERIES["graph_ppr_sweep_cut"](SF)).sort_values("k")
     li = pd.read_parquet(SF + "/lineitem.parquet", columns=["l_partkey", "l_suppkey"])
