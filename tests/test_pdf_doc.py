@@ -3,7 +3,10 @@ fidelity goldens on the reference's own pytest fixture (a 6-page Adobe/iText
 journal article with subset Type1 fonts, /Widths tables, Tc/Tw spacing,
 TJ kerning, an ObjStm'd page tree, and split content-stream arrays)."""
 
+import os
 import zlib
+
+import pytest
 
 from sciscraper_ray.stages.pdf_doc import (
     FontInfo,
@@ -17,6 +20,10 @@ from sciscraper_ray.stages.pdf_parse import extract_pdf_pages, extract_pdf_text
 from sciscraper_ray.words import REFERENCE_ROOT
 
 REFERENCE_PDF = str(REFERENCE_ROOT / "tests" / "test_dirs" / "test_pdf_1.pdf")
+needs_reference_pdf = pytest.mark.skipif(
+    not os.path.isfile(REFERENCE_PDF),
+    reason=f"reference file absent: {REFERENCE_PDF}",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +183,7 @@ def test_objstm_objects_resolve():
 # real-world fidelity goldens: the reference's own fixture
 
 
+@needs_reference_pdf
 def test_reference_fixture_page_tree_and_fonts():
     data = open(REFERENCE_PDF, "rb").read()
     doc = PdfDocument(data)
@@ -193,6 +201,7 @@ def test_reference_fixture_page_tree_and_fonts():
     assert times.width(ord(".")) == 250.0
 
 
+@needs_reference_pdf
 def test_reference_fixture_text_fidelity_goldens():
     """Pinned real-PDF layout behavior (VERDICT r2 item 4): per-glyph
     /Widths advances + Tc/Tw spacing + TJ kerning + scaled-leading T*
