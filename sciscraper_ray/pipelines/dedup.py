@@ -86,11 +86,7 @@ def _candidate_pairs(
     ``auto`` (default): measured band-row count picks the plan — driver
     below the plan limit, shuffle above it (pipelines/plan.py).
     """
-    from sciscraper_ray.pipelines.plan import (
-        DRIVER_PLAN_LIMIT,
-        driver_frame,
-        resolve_plan,
-    )
+    from sciscraper_ray.pipelines.plan import driver_frame, resolve_plan
 
     pair_mode, banded = resolve_plan(banded, pair_mode, est_rows=est_rows)
     if pair_mode == "shuffle":
@@ -100,7 +96,7 @@ def _candidate_pairs(
             .to_pandas()
         )
     else:
-        df = driver_frame(banded, DRIVER_PLAN_LIMIT, "_candidate_pairs")
+        df = driver_frame(banded, what="_candidate_pairs")
         pairs = _pairs_vectorized(df, keys)
     if pairs.empty:
         return pd.DataFrame({"a": pd.Series(dtype="int64"), "b": pd.Series(dtype="int64")})
@@ -366,6 +362,36 @@ def levenshtein_np(s: str, t: str) -> int:
     return int(prev[-1])
 
 
+def _length_block_pairs(
+    ds: ray.data.Dataset, id_col: str, text_col: str, max_dist: int, pair_mode: str
+) -> pd.DataFrame:
+    """Candidate pairs for an edit-distance join, blocked by TEXT LENGTH
+    with zero false negatives: distance <= D implies |len(a)-len(b)| <= D,
+    and with block width D+1 each doc goes to blocks
+    {len//(D+1), len//(D+1)+1}, so every qualifying pair shares a block.
+    Null texts take no block."""
+    width = max_dist + 1
+
+    def block(batch: pa.Table) -> pa.Table:
+        ids = batch[id_col].to_numpy(zero_copy_only=False)
+        lens = np.array(
+            [len(t) if t is not None else -1 for t in batch[text_col].to_pylist()],
+            dtype=np.int64,
+        )
+        keep = lens >= 0
+        ids, lens = ids[keep], lens[keep]
+        blk = lens // width
+        return pa.table(
+            {
+                id_col: pa.array(np.concatenate([ids, ids]), pa.int64()),
+                "blk": pa.array(np.concatenate([blk, blk + 1]), pa.int64()),
+            }
+        )
+
+    banded = ds.map_batches(block, batch_format="pyarrow")
+    return _candidate_pairs(banded, ["blk"], pair_mode)
+
+
 def near_dup_pairs_editdist(
     ds: ray.data.Dataset,
     *,
@@ -389,26 +415,7 @@ def near_dup_pairs_editdist(
     the cost of recall for edits inside the prefix, or salting the
     verify stage — the verify itself is an embarrassingly parallel
     actor-pool stage at scale."""
-    width = max_dist + 1
-
-    def block(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        lens = np.array(
-            [len(t) if t is not None else -1 for t in batch[text_col].to_pylist()],
-            dtype=np.int64,
-        )
-        keep = lens >= 0
-        ids, lens = ids[keep], lens[keep]
-        blk = lens // width
-        return pa.table(
-            {
-                id_col: pa.array(np.concatenate([ids, ids]), pa.int64()),
-                "blk": pa.array(np.concatenate([blk, blk + 1]), pa.int64()),
-            }
-        )
-
-    banded = ds.map_batches(block, batch_format="pyarrow")
-    pairs = _candidate_pairs(banded, ["blk"], pair_mode)
+    pairs = _length_block_pairs(ds, id_col, text_col, max_dist, pair_mode)
     if pairs.empty:
         return pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
     texts = _texts_for(ds, np.unique(pairs[["a", "b"]].to_numpy()), id_col, text_col)
@@ -513,26 +520,7 @@ def near_dup_pairs_damerau(
        OSA <= D accepts and OSA > 2*D rejects with no exact call;
     3. Lowrance-Wagner exact DP only for the D < OSA <= 2*D band.
     """
-    width = max_dist + 1
-
-    def block(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        lens = np.array(
-            [len(t) if t is not None else -1 for t in batch[text_col].to_pylist()],
-            dtype=np.int64,
-        )
-        keep = lens >= 0
-        ids, lens = ids[keep], lens[keep]
-        blk = lens // width
-        return pa.table(
-            {
-                id_col: pa.array(np.concatenate([ids, ids]), pa.int64()),
-                "blk": pa.array(np.concatenate([blk, blk + 1]), pa.int64()),
-            }
-        )
-
-    banded = ds.map_batches(block, batch_format="pyarrow")
-    pairs = _candidate_pairs(banded, ["blk"], pair_mode)
+    pairs = _length_block_pairs(ds, id_col, text_col, max_dist, pair_mode)
     empty = pa.table({"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64())})
     if pairs.empty:
         return empty

@@ -35,6 +35,36 @@ import ray.data
 from sciscraper_ray.pipelines.plan import resolve_plan
 
 
+def undirected(b: pa.Table) -> pa.Table:
+    """A batch of directed ``(src, dst)`` edges as undirected ``(a, b)``
+    rows: self-loops dropped, ``a = min(src, dst)``, ``b = max(src, dst)``.
+    Multi-edges and both directions of a pair stay; ``_dedup_edges``
+    collapses them."""
+    s = b["src"].to_numpy(zero_copy_only=False)
+    t = b["dst"].to_numpy(zero_copy_only=False)
+    keep = s != t
+    s, t = s[keep], t[keep]
+    return pa.table(
+        {
+            "a": pa.array(np.minimum(s, t), pa.int64()),
+            "b": pa.array(np.maximum(s, t), pa.int64()),
+        }
+    )
+
+
+def symmetrize(b: pa.Table, u: str = "u", v: str = "v") -> pa.Table:
+    """A batch of ``(a, b)`` edges in both directions, as ``(u, v)`` rows:
+    first every ``(a, b)``, then every ``(b, a)``."""
+    a = b["a"].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
+    bb = b["b"].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
+    return pa.table(
+        {
+            u: pa.array(np.concatenate([a, bb]), pa.int64()),
+            v: pa.array(np.concatenate([bb, a]), pa.int64()),
+        }
+    )
+
+
 def _star_round(edges: ray.data.Dataset, *, large: bool) -> ray.data.Dataset:
     """One Large-Star (large=True) or Small-Star round.
 
@@ -47,16 +77,15 @@ def _star_round(edges: ray.data.Dataset, *, large: bool) -> ray.data.Dataset:
     """
 
     def orient(b: pa.Table) -> pa.Table:
+        if large:
+            return symmetrize(b)
         a = b["a"].to_numpy(zero_copy_only=False)
         bb = b["b"].to_numpy(zero_copy_only=False)
-        if large:
-            u = np.concatenate([a, bb])
-            v = np.concatenate([bb, a])
-        else:
-            u = np.maximum(a, bb)
-            v = np.minimum(a, bb)
         return pa.table(
-            {"u": pa.array(u, pa.int64()), "v": pa.array(v, pa.int64())}
+            {
+                "u": pa.array(np.maximum(a, bb), pa.int64()),
+                "v": pa.array(np.minimum(a, bb), pa.int64()),
+            }
         )
 
     def star(g: pd.DataFrame) -> pd.DataFrame:
@@ -257,9 +286,9 @@ def pagerank(
     mode, e = resolve_plan(e, plan)
 
     if mode == "driver":
-        from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+        from sciscraper_ray.pipelines.plan import driver_frame
 
-        g = driver_frame(e, DRIVER_PLAN_LIMIT, "pagerank")
+        g = driver_frame(e, what="pagerank")
         src = g["src"].to_numpy()
         dst = g["dst"].to_numpy()
         nodes, src_idx = np.unique(src, return_inverse=True)
@@ -571,9 +600,9 @@ def hits(
     mode, e = resolve_plan(edges, plan)
 
     if mode == "driver":
-        from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+        from sciscraper_ray.pipelines.plan import driver_frame
 
-        g = driver_frame(e, DRIVER_PLAN_LIMIT, "hits")
+        g = driver_frame(e, what="hits")
         src = g["src"].to_numpy()
         dst = g["dst"].to_numpy()
         hub_nodes, src_idx = np.unique(src, return_inverse=True)
@@ -603,7 +632,7 @@ def hits(
     e = e.materialize()
 
     def init_h(b: pa.Table) -> pa.Table:
-        agg = b.select(["src"]).group_by("src").aggregate([([], "count_all")])
+        agg = b.select(["src"]).group_by("src").aggregate([])
         return pa.table(
             {
                 "node": agg["src"],
@@ -744,23 +773,13 @@ def label_propagation(
     if isinstance(edges, pa.Table):
         edges = ray.data.from_arrow(edges)
 
-    def symmetrize(b: pa.Table) -> pa.Table:
-        a = b["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        bb = b["b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "u": pa.array(np.r_[a, bb], pa.int64()),
-                "v": pa.array(np.r_[bb, a], pa.int64()),
-            }
-        )
-
     e = edges.map_batches(symmetrize, batch_format="pyarrow")
     mode, e = resolve_plan(e, plan)
 
     if mode == "driver":
-        from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+        from sciscraper_ray.pipelines.plan import driver_frame
 
-        g = driver_frame(e, DRIVER_PLAN_LIMIT, "label_propagation")
+        g = driver_frame(e, what="label_propagation")
         u = g["u"].to_numpy()
         v = g["v"].to_numpy()
         nodes = np.unique(u)

@@ -198,7 +198,9 @@ def read_at_full_width(
     return ds
 
 
-def driver_frame(ds: ray.data.Dataset, limit: int, what: str):
+def driver_frame(
+    ds: ray.data.Dataset, limit: int = DRIVER_PLAN_LIMIT, what: str = "driver_frame"
+):
     """``ds.to_pandas()`` with the oversize guard every driver plan needs:
     failing fast with a pointer at the shuffle plan beats a silent driver
     OOM (ADVICE r1).

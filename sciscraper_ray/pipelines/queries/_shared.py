@@ -46,6 +46,23 @@ def _docs(sf_dir: str, columns=("doc_id", "text")):
     return ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=list(columns))
 
 
+def cents(values) -> np.ndarray:
+    """Exact cents as int64 from a 2-decimal float column (Arrow, pandas or
+    numpy).
+
+    np.round is banker's rounding while the DuckDB oracles' round() is
+    half-away-from-zero; the two diverge only when v*100 lands exactly
+    on .5 in binary. Fixture prices are generated with exactly 2
+    decimals, so v*100 is always within 1e-10 of an integer and the
+    .5 case cannot occur (verified over sf0.01: 0 of 10^4 values) —
+    the same argument covers every query that discretizes value/price
+    to cents (KS/EMD/Holt/Viterbi/Theil-Sen included; ADVICE r4). A
+    non-2-decimal source would need a shared half-away helper
+    (floor(v*100+0.5)) on BOTH engine and oracle sides first.
+    """
+    return np.round(np.asarray(values) * 100).astype(np.int64)
+
+
 # SQL fragment shared by tokenizing oracles: the reference tokenizer
 # (kernels.tokenize.format_manuscript, docscraper.py:176-186).
 _SQL_TOKENS = "string_split(lower(trim(text)), ' ')"

@@ -14,9 +14,11 @@ from sciscraper_ray.kernels.tokenize import format_manuscript
 from sciscraper_ray.pipelines.queries._shared import (
     _SQL_TOKENS,
     _docs,
+    cents,
     register,
 )
 from sciscraper_ray.pipelines.queries.dedup import _SESSION_GAP_MIN
+from sciscraper_ray.stages.relational import group_count_batch
 
 
 # ---------------------------------------------------------------------------
@@ -67,27 +69,9 @@ def doc_segment_dedup(sf_dir: str):
     scale the segment pass writes partitioned parquet and each pass is an
     independent pruned read instead (same contract as the flagship's
     pre-materialized key pass)."""
-    import ray.data
-
-    from sciscraper_ray.kernels.tokenize import segment_column
     from sciscraper_ray.pipelines.winner import WinnerSpec, winner_filter
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-
-    def to_segments(batch: pa.Table) -> pa.Table:
-        row, seg_no, seg = segment_column(batch["text"], SEGDEDUP_W)
-        doc = batch["doc_id"].to_numpy(zero_copy_only=False)[row]
-        return pa.table(
-            {
-                "doc_id": pa.array(doc),
-                "seg_no": pa.array(seg_no),
-                "seg": seg,
-            }
-        )
-
-    segs = ds.map_batches(to_segments, batch_format="pyarrow").materialize()
+    segs = _doc_segments(sf_dir)
 
     def position(batch: pa.Table) -> np.ndarray:
         """Winner value = doc_id * 2^20 + seg_no: min composite ==
@@ -112,6 +96,26 @@ def doc_segment_dedup(sf_dir: str):
     )
 
     return _rebuild_docs_from_segments(kept)
+
+
+def _doc_segments(sf_dir: str):
+    """Every document's ``SEGDEDUP_W``-token segments as (doc_id, seg_no,
+    seg) rows, materialized: each segment pass scans them twice."""
+    import ray.data
+
+    from sciscraper_ray.kernels.tokenize import segment_column
+
+    def to_segments(batch: pa.Table) -> pa.Table:
+        row, seg_no, seg = segment_column(batch["text"], SEGDEDUP_W)
+        doc = batch["doc_id"].to_numpy(zero_copy_only=False)[row]
+        return pa.table(
+            {"doc_id": pa.array(doc), "seg_no": pa.array(seg_no), "seg": seg}
+        )
+
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
+    )
+    return ds.map_batches(to_segments, batch_format="pyarrow").materialize()
 
 
 def _rebuild_docs_from_segments(kept):
@@ -195,27 +199,10 @@ def doc_boilerplate_strip(sf_dir: str, plan: str = "auto"):
     bucketed vectorized pass. Two-plan via pipelines/plan.py."""
     import pandas as pd
     import ray
-    import ray.data
 
-    from sciscraper_ray.kernels.tokenize import segment_column
-    from sciscraper_ray.pipelines.plan import (
-        DRIVER_PLAN_LIMIT,
-        driver_frame,
-        resolve_plan,
-    )
+    from sciscraper_ray.pipelines.plan import driver_frame, resolve_plan
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
-
-    def to_segments(batch: pa.Table) -> pa.Table:
-        row, seg_no, seg = segment_column(batch["text"], SEGDEDUP_W)
-        doc = batch["doc_id"].to_numpy(zero_copy_only=False)[row]
-        return pa.table(
-            {"doc_id": pa.array(doc), "seg_no": pa.array(seg_no), "seg": seg}
-        )
-
-    segs = ds.map_batches(to_segments, batch_format="pyarrow").materialize()
+    segs = _doc_segments(sf_dir)
 
     def key_pairs(batch: pa.Table) -> pa.Table:
         hi, lo, _valid = md5_hash128(batch["seg"].to_pylist())
@@ -231,7 +218,7 @@ def doc_boilerplate_strip(sf_dir: str, plan: str = "auto"):
     pairs = segs.map_batches(key_pairs, batch_format="pyarrow")
     mode, pairs = resolve_plan(pairs, plan)
     if mode == "driver":
-        pdf = driver_frame(pairs, DRIVER_PLAN_LIMIT, "doc_boilerplate_strip")
+        pdf = driver_frame(pairs, what="doc_boilerplate_strip")
         vc = pdf.groupby(["h_hi", "h_lo"]).size()
         freq = vc[vc >= _BOILER_DF_MIN].reset_index()[["h_hi", "h_lo"]]
     else:
@@ -440,14 +427,13 @@ def events_retention(sf_dir: str):
         .materialize()
     )
 
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+    from sciscraper_ray.pipelines.plan import driver_frame
 
     firsts = driver_frame(
         pairs.groupby("user_id").aggregate(
             Min(on="day", alias_name="cohort_day")
         ),
-        DRIVER_PLAN_LIMIT,
-        "events_cohort_retention",
+        what="events_cohort_retention",
     ).set_index("user_id")
     ref = ray.put(firsts)  # broadcast once; tasks ray.get it zero-copy
 
@@ -623,7 +609,6 @@ def events_user_mode(sf_dir: str):
     import ray.data
     from ray.data.aggregate import Sum
 
-    from sciscraper_ray.stages.relational import group_count_batch
     from sciscraper_ray.stages.window import bucketed_window
 
     ds = ray.data.read_parquet(
@@ -1272,11 +1257,7 @@ def revenue_by_nation(sf_dir: str):
     import ray.data
     from ray.data.aggregate import Sum
 
-    from sciscraper_ray.stages.relational import (
-        BroadcastLookup,
-        bucketed_hash_join,
-        group_count_batch,
-    )
+    from sciscraper_ray.stages.relational import BroadcastLookup, bucketed_hash_join
 
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
@@ -1285,9 +1266,7 @@ def revenue_by_nation(sf_dir: str):
             {
                 "o_custkey": b["o_custkey"],
                 "cents": pa.array(
-                    np.round(
-                        b["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-                    ).astype(np.int64)
+                    cents(b["o_totalprice"])
                 ),
             }
         ),
@@ -1756,9 +1735,7 @@ def bucketed_storage_join(sf_dir: str):
             j = orders.merge(
                 cust, left_on="o_custkey", right_on="c_custkey", how="inner"
             )
-            j["cents"] = np.round(j["o_totalprice"].to_numpy() * 100).astype(
-                np.int64
-            )
+            j["cents"] = cents(j["o_totalprice"])
             agg = (
                 j.groupby("o_orderpriority")
                 .agg(n_orders=("cents", "size"), revenue_cents=("cents", "sum"))
@@ -2910,12 +2887,11 @@ def source_length_gini(sf_dir: str):
 
     ds = _docs(sf_dir, columns=("source", "n_chars"))
 
-    def hist(b: pa.Table) -> pa.Table:
-        g = b.group_by(["source", "n_chars"]).aggregate([([], "count_all")])
-        return g.rename_columns(["source", "n_chars", "cnt"])
-
     h = (
-        ds.map_batches(hist, batch_format="pyarrow")
+        ds.map_batches(
+            lambda b: group_count_batch(b, ["source", "n_chars"]),
+            batch_format="pyarrow",
+        )
         .groupby(["source", "n_chars"])
         .aggregate(Sum(on="cnt", alias_name="cnt"))
         .to_pandas()  # bounded: |sources| x |distinct lengths|
@@ -2978,7 +2954,7 @@ def doc_length_dup_crosstab(sf_dir: str):
     two-pass of source_dup_rate). Output is the 10 x 2 table."""
     import ray.data
 
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+    from sciscraper_ray.pipelines.plan import driver_frame
 
     def partial(b: pa.Table) -> pa.Table:
         hi, lo, _ = md5_hash128(
@@ -2997,8 +2973,7 @@ def doc_length_dup_crosstab(sf_dir: str):
         _docs(sf_dir, columns=("doc_id", "text", "n_chars")).map_batches(
             partial, batch_format="pyarrow"
         ),
-        DRIVER_PLAN_LIMIT,
-        "doc_length_dup_crosstab",
+        what="doc_length_dup_crosstab",
     )
     key = list(zip(df["hi"].to_numpy(np.int64), df["lo"].to_numpy(np.int64)))
     _, inv, cnt = np.unique(key, axis=0, return_inverse=True, return_counts=True)
@@ -3080,18 +3055,8 @@ def source_length_mannwhitney(sf_dir: str):
         keep = (src == "src0") | (src == "src1")
         grp = (src[keep] == "src1").astype(np.int64)
         v = b["n_chars"].to_numpy(zero_copy_only=False)[keep].astype(np.int64)
-        t = pa.table(
-            {
-                "grp": pa.array(grp),
-                "v": pa.array(v),
-                "c": pa.array(np.ones(len(v), np.int64)),
-            }
-        )
-        return (
-            t.group_by(["grp", "v"])
-            .aggregate([("c", "sum")])
-            .rename_columns(["grp", "v", "c"])
-        )
+        t = pa.table({"grp": pa.array(grp), "v": pa.array(v)})
+        return group_count_batch(t, ["grp", "v"], count="c")
 
     h = (
         _docs(sf_dir, columns=("source", "n_chars"))
@@ -3591,14 +3556,13 @@ def host_template_lcp(sf_dir: str):
         )
         return pa.Table.from_pandas(agg, preserve_index=False)
 
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+    from sciscraper_ray.pipelines.plan import driver_frame
 
     parts = driver_frame(
         _docs(sf_dir, columns=("doc_id", "text")).map_batches(
             partial, batch_format="pyarrow"
         ),
-        DRIVER_PLAN_LIMIT,
-        "host_template_lcp",
+        what="host_template_lcp",
     )
     merged = parts.groupby("host", as_index=False).agg(
         lo=("lo", "min"), hi=("hi", "max"), n_pages=("n_pages", "sum")
@@ -4114,16 +4078,12 @@ def join_size_cms_estimate(sf_dir: str):
             )
             return pa.Table.from_pandas(df, preserve_index=False)
 
-        from sciscraper_ray.pipelines.plan import (
-            DRIVER_PLAN_LIMIT,
-            driver_frame,
-        )
+        from sciscraper_ray.pipelines.plan import driver_frame
 
         counts = (
             driver_frame(
                 ds.map_batches(partial, batch_format="pyarrow"),
-                DRIVER_PLAN_LIMIT,
-                "join_size_cms_estimate (exact audit side)",
+                what="join_size_cms_estimate (exact audit side)",
             )
             .groupby("k")["c"]
             .sum()
@@ -4260,13 +4220,12 @@ def counting_bloom_deletes(sf_dir: str):
         )
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+    from sciscraper_ray.pipelines.plan import driver_frame
 
     truth = (
         driver_frame(
             orders.map_batches(live_truth, batch_format="pyarrow"),
-            DRIVER_PLAN_LIMIT,
-            "counting_bloom_deletes (exact audit side)",
+            what="counting_bloom_deletes (exact audit side)",
         )
         .groupby("k")["live"]
         .sum()

@@ -18,6 +18,7 @@ from sciscraper_ray.pipelines.queries._shared import (
     _docs,
     register,
 )
+from sciscraper_ray.stages.relational import group_count_batch
 
 
 # --------------------------------------------------------------------------
@@ -376,6 +377,45 @@ def _ngram_positions(batch: pa.Table, n: int):
     ng = pc.binary_join_element_wise(*parts, " ")
     inside = par[:m] == par[n - 1 :]
     return par[:m][inside], ng.filter(pa.array(inside))
+
+
+def _prefix_keys(b: pa.Table, num_buckets: int) -> pa.Table:
+    """Candidate keys of the prefix-hash dedup: the md5-128 halves (p1,
+    p2) of each text's first 32 chars, with doc_id and a bucket of p1."""
+    ids = b["doc_id"].to_numpy(zero_copy_only=False)
+    p1, p2, _ = md5_hash128([t[:32] for t in b["text"].to_pylist()])
+    return pa.table(
+        {
+            "p1": pa.array(p1),
+            "p2": pa.array(p2),
+            "doc_id": pa.array(ids.astype(np.int64)),
+            "bucket": pa.array((p1 & 0x7FFFFFFF) % num_buckets, pa.int64()),
+        }
+    )
+
+
+def _bigram_counts(sf_dir: str, what: str):
+    """Corpus adjacent-word bigram counts as a (token, next_token, cnt)
+    frame. Per-batch partial counts keep the exchange bounded by the
+    distinct-bigram vocabulary, never token streams; the driver sums
+    them (``what`` names the query in the driver-plan guard)."""
+    from sciscraper_ray.pipelines.plan import driver_frame
+
+    def partials(batch: pa.Table) -> pa.Table:
+        _, bg = _ngram_positions(batch, 2)
+        flat = pc.list_flatten(pc.split_pattern(bg, " "))
+        pairs = pa.table(
+            {
+                "token": flat.take(np.arange(0, len(flat), 2)),
+                "next_token": flat.take(np.arange(1, len(flat), 2)),
+            }
+        )
+        return group_count_batch(pairs, ["token", "next_token"])
+
+    parts = driver_frame(
+        _docs(sf_dir).map_batches(partials, batch_format="pyarrow"), what=what
+    )
+    return parts.groupby(["token", "next_token"], as_index=False)["cnt"].sum()
 
 
 @register(
@@ -1260,12 +1300,11 @@ def token_kn_continuation(sf_dir: str):
             .aggregate([])
         )
 
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+    from sciscraper_ray.pipelines.plan import driver_frame
 
     parts = driver_frame(
         _docs(sf_dir).map_batches(partials, batch_format="pyarrow"),
-        DRIVER_PLAN_LIMIT,
-        "token_kn_continuation",
+        what="token_kn_continuation",
     )
     db = parts.drop_duplicates(["prev", "nxt"])
     total = float(len(db))
@@ -1481,20 +1520,6 @@ def dedup_minhash_jaccard_audit(
 
     docs = _docs(sf_dir)
 
-    def prefix_partial(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        p1, p2, _ = md5_hash128([t[:32] for t in b["text"].to_pylist()])
-        return pa.table(
-            {
-                "p1": pa.array(p1),
-                "p2": pa.array(p2),
-                "doc_id": pa.array(ids.astype(np.int64)),
-                "bucket": pa.array(
-                    (p1 & 0x7FFFFFFF) % num_buckets, pa.int64()
-                ),
-            }
-        )
-
     def expand_pairs(g: "pd.DataFrame") -> "pd.DataFrame":
         p1 = g["p1"].to_numpy()
         p2 = g["p2"].to_numpy()
@@ -1521,7 +1546,9 @@ def dedup_minhash_jaccard_audit(
         )
 
     pairs = (
-        docs.map_batches(prefix_partial, batch_format="pyarrow")
+        docs.map_batches(
+            _prefix_keys, fn_kwargs={"num_buckets": num_buckets}, batch_format="pyarrow"
+        )
         .groupby("bucket")
         .map_groups(expand_pairs, batch_format="pandas")
         .to_pandas()  # bounded: duplicate mass, never corpus size
@@ -1683,18 +1710,6 @@ def dedup_incremental_ingest(sf_dir: str, num_buckets: int = 16):
 
     docs = _docs(sf_dir)
 
-    def prefix_partial(b: pa.Table) -> pa.Table:
-        ids = b["doc_id"].to_numpy(zero_copy_only=False)
-        p1, p2, _ = md5_hash128([t[:32] for t in b["text"].to_pylist()])
-        return pa.table(
-            {
-                "p1": pa.array(p1),
-                "p2": pa.array(p2),
-                "doc_id": pa.array(ids.astype(np.int64)),
-                "bucket": pa.array((p1 & 0x7FFFFFFF) % num_buckets, pa.int64()),
-            }
-        )
-
     def expand_cross_pairs(g: "pd.DataFrame") -> "pd.DataFrame":
         p1 = g["p1"].to_numpy()
         p2 = g["p2"].to_numpy()
@@ -1728,7 +1743,9 @@ def dedup_incremental_ingest(sf_dir: str, num_buckets: int = 16):
         )
 
     pairs = (
-        docs.map_batches(prefix_partial, batch_format="pyarrow")
+        docs.map_batches(
+            _prefix_keys, fn_kwargs={"num_buckets": num_buckets}, batch_format="pyarrow"
+        )
         .groupby("bucket")
         .map_groups(expand_cross_pairs, batch_format="pandas")
         .to_pandas()  # bounded: cross-class dup mass

@@ -12,14 +12,139 @@ import pyarrow.compute as pc
 
 from sciscraper_ray.kernels.md5 import md5_hex15, md5_hex15_sql
 from sciscraper_ray.pipelines.queries._shared import (
+    cents,
     register,
 )
+from sciscraper_ray.stages.relational import group_count_batch
 
 
 # --------------------------------------------------------------------------
 # Events: windowed aggregate, keep-latest dedup, JSON scalar extraction
 # (SURVEY §2.10 streaming-shaped + M23).
 # --------------------------------------------------------------------------
+
+
+def _hourly_type_counts(sf_dir: str):
+    """Events per (event_type, hour) as a driver frame (event_type, hr, n)
+    sorted by type, then hour. Per-batch Arrow partials and one
+    groupby-Sum whose key space is |types| x |hours|: calendar-bounded,
+    not data-bounded."""
+    import ray.data
+    from ray.data.aggregate import Sum
+
+    def partial(b: pa.Table) -> pa.Table:
+        hr = pc.floor_temporal(b["ts"], unit="hour")
+        t = pa.table({"event_type": b["event_type"], "hr": hr})
+        return group_count_batch(t, ["event_type", "hr"], count="n")
+
+    return (
+        ray.data.read_parquet(
+            f"{sf_dir}/events.parquet", columns=["event_type", "ts"]
+        )
+        .map_batches(partial, batch_format="pyarrow")
+        .groupby(["event_type", "hr"])
+        .aggregate(Sum(on="n", alias_name="n"))
+        .to_pandas()  # bounded: |types| x |hours|
+        .sort_values(["event_type", "hr"], ignore_index=True)
+    )
+
+
+def _dense_hourly_counts(sf_dir: str):
+    """(first hour, events per hour): the hourly event counts as a dense
+    int64 series from the first to the last hour seen (epoch hours),
+    empty hours 0. Only hour-grain partials cross the exchange."""
+    import ray.data
+    from ray.data.aggregate import Sum
+
+    def partial(b: pa.Table) -> pa.Table:
+        h = b["ts"].to_numpy(zero_copy_only=False).astype("datetime64[h]")
+        t = pa.table({"h": pa.array(h.astype(np.int64), pa.int64())})
+        return group_count_batch(t, ["h"], count="c")
+
+    hc = (
+        ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
+        .map_batches(partial, batch_format="pyarrow")
+        .groupby("h")
+        .aggregate(Sum(on="c", alias_name="c"))
+        .to_pandas()  # bounded: calendar hours
+    )
+    h = hc["h"].to_numpy(np.int64)
+    lo = int(h.min())
+    dense = np.zeros(int(h.max()) - lo + 1, np.int64)
+    dense[h - lo] = hc["c"].to_numpy(np.int64)
+    return lo, dense
+
+
+def _hourly_cents(sf_dir: str):
+    """(first hour, value cents per hour): summed event value in cents
+    per hour since 2024-01-01, as a dense int64 series from the first to
+    the last hour seen, empty hours 0. Only hour-grain partials leave a
+    batch."""
+    import pandas as pd
+
+    import ray.data
+
+    epoch = np.datetime64("2024-01-01T00:00:00", "us").astype(np.int64)
+
+    def partials(batch: pa.Table) -> pa.Table:
+        ts = pc.cast(batch["ts"], pa.timestamp("us")).cast(pa.int64()).to_numpy()
+        h = (ts - epoch) // 3_600_000_000
+        df = (
+            pd.DataFrame({"h": h, "x": cents(batch["value"])})
+            .groupby("h", as_index=False)
+            .sum()
+        )
+        return pa.Table.from_pandas(df, preserve_index=False)
+
+    hourly = (
+        ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "value"])
+        .map_batches(partials, batch_format="pyarrow")
+        .to_pandas()  # bounded: calendar hours x blocks
+        .groupby("h", as_index=False)
+        .sum()
+    )
+    h = hourly["h"].to_numpy(np.int64)
+    h0 = int(h.min())
+    x = np.zeros(int(h.max()) - h0 + 1, np.int64)
+    x[h - h0] = hourly["x"].to_numpy(np.int64)
+    return h0, x
+
+
+def _click_view_cents(sf_dir: str):
+    """Click and view events per value in cents, as a (cents, c1, c2)
+    frame sorted by cents: c1 counts clicks, c2 views. Partials are
+    bounded by the price domain (range x 100 points), not by rows."""
+    import pandas as pd
+
+    import ray.data
+
+    def partials(batch: pa.Table) -> pa.Table:
+        et = batch["event_type"].to_numpy(zero_copy_only=False)
+        keep = (et == "click") | (et == "view")
+        g = (et[keep] == "click").astype(np.int64)
+        df = (
+            pd.DataFrame(
+                {
+                    "cents": cents(batch["value"].to_numpy(zero_copy_only=False)[keep]),
+                    "c1": g,
+                    "c2": 1 - g,
+                }
+            )
+            .groupby("cents", as_index=False)
+            .sum()
+        )
+        return pa.Table.from_pandas(df, preserve_index=False)
+
+    return (
+        ray.data.read_parquet(
+            f"{sf_dir}/events.parquet", columns=["event_type", "value"]
+        )
+        .map_batches(partials, batch_format="pyarrow")
+        .to_pandas()  # bounded: distinct value cents x blocks (fixture price domain)
+        .groupby("cents", as_index=False)
+        .sum()
+        .sort_values("cents")
+    )
 
 
 @register(
@@ -74,8 +199,6 @@ def events_hourly(sf_dir: str):
     window key — the Ray Data expression of a windowed aggregate."""
     import ray.data
     from ray.data.aggregate import Sum
-
-    from sciscraper_ray.stages.relational import group_count_batch
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"]
@@ -165,8 +288,6 @@ def events_json_props(sf_dir: str):
     with pc.extract_regex, then a grouped sum."""
     import ray.data
     from ray.data.aggregate import Sum
-
-    from sciscraper_ray.stages.relational import group_count_batch
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "props"]
@@ -1078,21 +1199,19 @@ def events_rfm(sf_dir: str):
             pc.equal(b["event_type"], "purchase").to_numpy(
                 zero_copy_only=False
             ),
-            np.round(b["value"].to_numpy(zero_copy_only=False) * 100),
+            cents(b["value"]),
             0,
-        ).astype(np.int64)
+        )
         t = pa.table(
-            {
-                "user_id": b["user_id"],
-                "one": pa.array(np.ones(len(b), np.int64)),
-                "us": us,
-                "mon": pa.array(mon, pa.int64()),
-            }
+            {"user_id": b["user_id"], "us": us, "mon": pa.array(mon, pa.int64())}
         )
-        g = t.group_by("user_id").aggregate(
-            [("one", "sum"), ("us", "max"), ("mon", "sum")]
+        return group_count_batch(
+            t,
+            ["user_id"],
+            {"mon": "mon_p"},
+            count="cnt_p",
+            aggs={"us_p": ("us", "max")},
         )
-        return g.rename_columns(["user_id", "cnt_p", "us_p", "mon_p"])
 
     per = (
         ds.map_batches(partial, batch_format="pyarrow")
@@ -1121,9 +1240,7 @@ def events_rfm(sf_dir: str):
 
     def _offsets(metric: str):
         parts = per.map_batches(
-            lambda b, m=metric: b.group_by(m)
-            .aggregate([([], "count_all")])
-            .rename_columns([m, "cnt"]),
+            lambda b, m=metric: group_count_batch(b, [m]),
             batch_format="pyarrow",
         ).to_pandas()  # bounded: |distinct metric values|
         h = parts.groupby(metric)["cnt"].sum().sort_index()
@@ -1194,18 +1311,8 @@ def events_minute_burst(sf_dir: str):
 
     def pair_partial(b: pa.Table) -> pa.Table:
         m = b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) // 60000000
-        t = pa.table(
-            {
-                "user_id": b["user_id"],
-                "m": pa.array(m, pa.int64()),
-                "one": pa.array(np.ones(len(b), np.int64)),
-            }
-        )
-        return (
-            t.group_by(["user_id", "m"])
-            .aggregate([("one", "sum")])
-            .rename_columns(["user_id", "m", "c"])
-        )
+        t = pa.table({"user_id": b["user_id"], "m": pa.array(m, pa.int64())})
+        return group_count_batch(t, ["user_id", "m"], count="c")
 
     pairs = (
         ds.map_batches(pair_partial, batch_format="pyarrow")
@@ -1214,10 +1321,9 @@ def events_minute_burst(sf_dir: str):
     )
 
     def user_partial(b: pa.Table) -> pa.Table:
-        g = b.group_by("user_id").aggregate(
-            [("c", "max"), ([], "count_all")]
+        return group_count_batch(
+            b, ["user_id"], count="am_p", aggs={"mx_p": ("c", "max")}
         )
-        return g.rename_columns(["user_id", "mx_p", "am_p"])
 
     return (
         pairs.map_batches(user_partial, batch_format="pyarrow")
@@ -1284,18 +1390,18 @@ def events_cohort_ltv(sf_dir: str):
     )
 
     def with_us(b: pa.Table) -> pa.Table:
-        cents = np.where(
+        cts = np.where(
             pc.equal(b["event_type"], "purchase").to_numpy(
                 zero_copy_only=False
             ),
-            np.round(b["value"].to_numpy(zero_copy_only=False) * 100),
+            cents(b["value"]),
             0,
-        ).astype(np.int64)
+        )
         return pa.table(
             {
                 "uid": b["user_id"],
                 "us": b["ts"].cast(pa.int64()),
-                "cents": pa.array(cents, pa.int64()),
+                "cents": pa.array(cts, pa.int64()),
             }
         )
 
@@ -1316,14 +1422,10 @@ def events_cohort_ltv(sf_dir: str):
                 "cohort_week": pa.array(f // WEEK, pa.int64()),
                 "age_weeks": pa.array((us - f) // WEEK, pa.int64()),
                 "cents": b["cents"],
-                "one": pa.array(np.ones(len(f), np.int64)),
             }
         )
-        g = t.group_by(["cohort_week", "age_weeks"]).aggregate(
-            [("cents", "sum"), ("one", "sum")]
-        )
-        return g.rename_columns(
-            ["cohort_week", "age_weeks", "rev_p", "n_p"]
+        return group_count_batch(
+            t, ["cohort_week", "age_weeks"], {"cents": "rev_p"}, count="n_p"
         )
 
     return (
@@ -1438,22 +1540,19 @@ def events_hour_of_week(sf_dir: str):
         days = us // 86_400_000_000
         dow = (days + 4) % 7
         hod = (us % 86_400_000_000) // 3_600_000_000
-        cents = np.round(
-            b["value"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
         t = pa.table(
             {
                 "event_type": b["event_type"],
                 "dow": pa.array(dow, pa.int64()),
                 "hod": pa.array(hod, pa.int64()),
-                "n": pa.array(np.ones(len(ts), np.int64)),
-                "cents": pa.array(cents, pa.int64()),
+                "cents": pa.array(cents(b["value"]), pa.int64()),
             }
         )
-        return (
-            t.group_by(["event_type", "dow", "hod"])
-            .aggregate([("n", "sum"), ("cents", "sum")])
-            .rename_columns(["event_type", "dow", "hod", "n_events", "value_cents"])
+        return group_count_batch(
+            t,
+            ["event_type", "dow", "hod"],
+            {"cents": "value_cents"},
+            count="n_events",
         )
 
     return (
@@ -1534,15 +1633,11 @@ def events_streak_longest(sf_dir: str):
             {
                 "user_id": pa.array(run_user, pa.int64()),
                 "len": pa.array(lens, pa.int64()),
-                "one": pa.array(np.ones(len(lens), np.int64)),
             }
         )
-        out = (
-            t.group_by("user_id")
-            .aggregate([("len", "max"), ("one", "sum")])
-            .rename_columns(["user_id", "longest_streak", "n_streaks"])
-        )
-        return out.to_pandas()  # bounded: worker-side kernel return
+        return group_count_batch(
+            t, ["user_id"], count="n_streaks", aggs={"longest_streak": ("len", "max")}
+        ).to_pandas()  # bounded: worker-side kernel return
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
@@ -1619,16 +1714,12 @@ def events_cart_abandonment(sf_dir: str):
         t = pa.table(
             {
                 "user_id": pa.array(user_s[s_start], pa.int64()),
-                "one": pa.array(np.ones(len(s_start), np.int64)),
                 "ab": pa.array(abandoned.astype(np.int64), pa.int64()),
             }
         )
-        return (
-            t.group_by("user_id")
-            .aggregate([("one", "sum"), ("ab", "sum")])
-            .rename_columns(["user_id", "n_sessions", "n_abandoned"])
-            .to_pandas()  # bounded: worker-side kernel return
-        )
+        return group_count_batch(
+            t, ["user_id"], {"ab": "n_abandoned"}, count="n_sessions"
+        ).to_pandas()  # bounded: worker-side kernel return
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
@@ -1838,16 +1929,12 @@ def events_error_followup(sf_dir: str):
         t = pa.table(
             {
                 "user_id": pa.array(user[em], pa.int64()),
-                "one": pa.array(np.ones(int(em.sum()), np.int64)),
                 "rec": pa.array(hit.astype(np.int64), pa.int64()),
             }
         )
-        return (
-            t.group_by("user_id")
-            .aggregate([("one", "sum"), ("rec", "sum")])
-            .rename_columns(["user_id", "n_errors", "n_recovered"])
-            .to_pandas()  # bounded: worker-side kernel return
-        )
+        return group_count_batch(
+            t, ["user_id"], {"rec": "n_recovered"}, count="n_errors"
+        ).to_pandas()  # bounded: worker-side kernel return
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "event_type"]
@@ -2006,20 +2093,12 @@ def events_session_position_value(sf_dir: str):
         idx = np.arange(len(user_s))
         pos = idx - np.repeat(s_start, s_len) + 1
         pos = np.minimum(pos, 5)
-        cents = np.round(val * 100).astype(np.int64)
         t = pa.table(
-            {
-                "pos": pa.array(pos, pa.int64()),
-                "one": pa.array(np.ones(len(pos), np.int64)),
-                "cents": pa.array(cents, pa.int64()),
-            }
+            {"pos": pa.array(pos, pa.int64()), "cents": pa.array(cents(val), pa.int64())}
         )
-        return (
-            t.group_by("pos")
-            .aggregate([("one", "sum"), ("cents", "sum")])
-            .rename_columns(["pos", "n_events", "value_cents"])
-            .to_pandas()  # bounded: worker-side kernel return
-        )
+        return group_count_batch(
+            t, ["pos"], {"cents": "value_cents"}, count="n_events"
+        ).to_pandas()  # bounded: worker-side kernel return
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
@@ -2172,36 +2251,10 @@ def events_cusum_drift(sf_dir: str):
     key space is |types| x |hours| — CALENDAR-bounded, not data-bounded
     (3600 rows here; a year of hours is 8.8k) — so the driver-side
     per-type scan is scale-safe by construction."""
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    def partial(b: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "event_type": b["event_type"],
-                "hr": pc.floor_temporal(b["ts"], unit="hour"),
-                "n": pa.array(np.ones(len(b), np.int64)),
-            }
-        )
-        return (
-            t.group_by(["event_type", "hr"])
-            .aggregate([("n", "sum")])
-            .rename_columns(["event_type", "hr", "n"])
-        )
-
-    hourly = (
-        ray.data.read_parquet(
-            f"{sf_dir}/events.parquet", columns=["event_type", "ts"]
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "hr"])
-        .aggregate(Sum(on="n", alias_name="n_events"))
-        .to_pandas()  # bounded: |types| x |hours|
-        .sort_values(["event_type", "hr"], ignore_index=True)
-    )
+    hourly = _hourly_type_counts(sf_dir)
     out_s = np.empty(len(hourly), np.int64)
     out_f = np.empty(len(hourly), np.int64)
-    x_all = hourly["n_events"].to_numpy(np.int64)
+    x_all = hourly["n"].to_numpy(np.int64)
     types = hourly["event_type"].to_numpy()
     for et in np.unique(types):
         seg = types == et
@@ -2334,35 +2387,9 @@ def events_runs_test(sf_dir: str):
     Plan: identical exchange budget to events_cusum_drift — per-batch
     (type, hour) Arrow partials, one calendar-bounded groupby, and the
     per-type sign scan on the driver is |types| x |hours| rows."""
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    def partial(b: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "event_type": b["event_type"],
-                "hr": pc.floor_temporal(b["ts"], unit="hour"),
-                "n": pa.array(np.ones(len(b), np.int64)),
-            }
-        )
-        return (
-            t.group_by(["event_type", "hr"])
-            .aggregate([("n", "sum")])
-            .rename_columns(["event_type", "hr", "n"])
-        )
-
-    hourly = (
-        ray.data.read_parquet(
-            f"{sf_dir}/events.parquet", columns=["event_type", "ts"]
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "hr"])
-        .aggregate(Sum(on="n", alias_name="x"))
-        .to_pandas()  # bounded: |types| x |hours|
-        .sort_values(["event_type", "hr"], ignore_index=True)
-    )
+    hourly = _hourly_type_counts(sf_dir)
     types = hourly["event_type"].to_numpy()
-    x_all = hourly["x"].to_numpy(np.int64)
+    x_all = hourly["n"].to_numpy(np.int64)
     out = []
     for et in np.unique(types):
         x = x_all[types == et]
@@ -2543,8 +2570,6 @@ def events_hourly_topk_users(sf_dir: str, num_buckets: int = 32):
     import pandas as pd
     import ray.data
     from ray.data.aggregate import Sum
-
-    from sciscraper_ray.stages.relational import group_count_batch
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["ts", "user_id"]
@@ -2795,34 +2820,7 @@ def events_hourly_autocorr(sf_dir: str):
     vectorized multiply — silent hours matter and are counted, which a
     sparse self-join would silently drop. At 10^12 events the exchange
     is still just hour-grain partials."""
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        h = (
-            b["ts"].to_numpy(zero_copy_only=False).astype("datetime64[h]")
-        ).astype(np.int64)
-        u, c = np.unique(h, return_counts=True)
-        return pa.table(
-            {
-                "h": pa.array(u, pa.int64()),
-                "c": pa.array(c.astype(np.int64)),
-            }
-        )
-
-    hc = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("h")
-        .aggregate(Sum(on="c", alias_name="c"))
-        .to_pandas()  # bounded: calendar hours
-        .sort_values("h")
-    )
-    h = hc["h"].to_numpy(np.int64)
-    c = hc["c"].to_numpy(np.int64)
-    dense = np.zeros(int(h.max() - h.min()) + 1, np.int64)
-    dense[h - h.min()] = c
+    _, dense = _dense_hourly_counts(sf_dir)
     x, y = dense[:-1], dense[1:]
     return pa.table(
         {
@@ -2892,32 +2890,7 @@ def events_hourly_ewma(sf_dir: str):
     row-count."""
     import math
 
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        h = (
-            b["ts"].to_numpy(zero_copy_only=False).astype("datetime64[h]")
-        ).astype(np.int64)
-        u, c = np.unique(h, return_counts=True)
-        return pa.table(
-            {"h": pa.array(u, pa.int64()), "c": pa.array(c.astype(np.int64))}
-        )
-
-    hc = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("h")
-        .aggregate(Sum(on="c", alias_name="c"))
-        .to_pandas()  # bounded: calendar hours
-        .sort_values("h")
-    )
-    h = hc["h"].to_numpy(np.int64)
-    c = hc["c"].to_numpy(np.int64)
-    lo = int(h.min())
-    dense = np.zeros(int(h.max()) - lo + 1, np.int64)
-    dense[h - lo] = c
+    lo, dense = _dense_hourly_counts(sf_dir)
     y = float(dense[0])
     max_y = y
     n_bursts = 0
@@ -3102,17 +3075,17 @@ def events_hourly_ffill(sf_dir: str):
     def kernel(g: "pd.DataFrame") -> "pd.DataFrame":
         user = g["user_id"].to_numpy()
         ts = g["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        cents = np.round(g["value"].to_numpy() * 100).astype(np.int64)
+        cts = cents(g["value"])
         h = (ts - epoch) // 3_600_000_000
         order = np.lexsort((h, user))
-        user, h, cents = user[order], h[order], cents[order]
+        user, h, cts = user[order], h[order], cts[order]
         out_u, out_h, out_c, out_f = [], [], [], []
         bounds = np.flatnonzero(
             np.concatenate(([True], user[1:] != user[:-1]))
         )
         ends = np.concatenate((bounds[1:], [len(user)]))
         for s, e in zip(bounds, ends):
-            uh, uc = h[s:e], cents[s:e]
+            uh, uc = h[s:e], cts[s:e]
             h0, h1 = int(uh[0]), int(uh[-1])
             span = h1 - h0 + 1
             sums = np.bincount(uh - h0, weights=uc, minlength=span).astype(
@@ -3176,35 +3149,7 @@ def events_ks_test(sf_dir: str):
     scan — the same bounded-exchange shape as the Mann-Whitney and
     quantile audits. Ties are handled exactly (the CDFs step together
     at shared points)."""
-    import pandas as pd
-
-    import ray.data
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "value"]
-    )
-
-    def partials(batch: pa.Table) -> pa.Table:
-        et = batch["event_type"].to_numpy(zero_copy_only=False)
-        keep = (et == "click") | (et == "view")
-        cents = np.round(
-            batch["value"].to_numpy(zero_copy_only=False)[keep] * 100
-        ).astype(np.int64)
-        g = (et[keep] == "click").astype(np.int64)
-        df = (
-            pd.DataFrame({"cents": cents, "c1": g, "c2": 1 - g})
-            .groupby("cents", as_index=False)
-            .sum()
-        )
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    pts = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .to_pandas()  # bounded: distinct value cents x blocks (fixture price domain)
-        .groupby("cents", as_index=False)
-        .sum()
-        .sort_values("cents")
-    )
+    pts = _click_view_cents(sf_dir)
     f1 = pts["c1"].to_numpy(np.int64).cumsum()
     f2 = pts["c2"].to_numpy(np.int64).cumsum()
     n1, n2 = int(f1[-1]), int(f2[-1])
@@ -3263,35 +3208,9 @@ def events_holt_linear(sf_dir: str):
     honest scale story for any exponential smoother. The oracle replays
     the identical recurrence as a recursive CTE with the same double
     arithmetic order, so level/trend hash bit-identically."""
-    import pandas as pd
-
-    import ray.data
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "value"])
-    epoch = np.datetime64("2024-01-01T00:00:00", "us").astype(np.int64)
-
-    def partials(batch: pa.Table) -> pa.Table:
-        ts = pc.cast(batch["ts"], pa.timestamp("us")).cast(pa.int64()).to_numpy()
-        cents = np.round(batch["value"].to_numpy(zero_copy_only=False) * 100).astype(
-            np.int64
-        )
-        h = (ts - epoch) // 3_600_000_000
-        df = (
-            pd.DataFrame({"h": h, "x": cents}).groupby("h", as_index=False).sum()
-        )
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    hourly = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .to_pandas()  # bounded: calendar hours x blocks
-        .groupby("h", as_index=False)
-        .sum()
-        .sort_values("h")
-    )
-    h0, h1 = int(hourly["h"].iloc[0]), int(hourly["h"].iloc[-1])
-    span = h1 - h0 + 1
-    x = np.zeros(span, np.int64)
-    x[hourly["h"].to_numpy(np.int64) - h0] = hourly["x"].to_numpy(np.int64)
+    h0, x = _hourly_cents(sf_dir)
+    span = len(x)
+    h1 = h0 + span - 1
     level = np.empty(span, np.float64)
     trend = np.empty(span, np.float64)
     level[0] = float(x[0])
@@ -3365,33 +3284,9 @@ def events_changepoint(sf_dir: str):
     the smallest split index deterministically. Reports the split hour,
     segment sizes and means, and the post-split SSE. The oracle replays
     the identical window-cumsum + argmax in SQL."""
-    import pandas as pd
-
-    import ray.data
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "value"])
-    epoch = np.datetime64("2024-01-01T00:00:00", "us").astype(np.int64)
-
-    def partials(batch: pa.Table) -> pa.Table:
-        ts = pc.cast(batch["ts"], pa.timestamp("us")).cast(pa.int64()).to_numpy()
-        cents = np.round(batch["value"].to_numpy(zero_copy_only=False) * 100).astype(
-            np.int64
-        )
-        h = (ts - epoch) // 3_600_000_000
-        df = pd.DataFrame({"h": h, "x": cents}).groupby("h", as_index=False).sum()
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    hourly = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .to_pandas()  # bounded: calendar hours x blocks
-        .groupby("h", as_index=False)
-        .sum()
-        .sort_values("h")
-    )
-    h0, h1 = int(hourly["h"].iloc[0]), int(hourly["h"].iloc[-1])
-    span = h1 - h0 + 1
-    x = np.zeros(span, np.int64)
-    x[hourly["h"].to_numpy(np.int64) - h0] = hourly["x"].to_numpy(np.int64)
+    h0, x = _hourly_cents(sf_dir)
+    span = len(x)
+    h1 = h0 + span - 1
     cs = x.cumsum()
     s, ssq, n = int(cs[-1]), int((x * x).sum()), span
     k = np.arange(1, n)
@@ -3522,35 +3417,7 @@ def events_emd(sf_dir: str):
     KS reads the worst point; EMD reads the total mass displaced.
     Same domain-bounded (cents, group) partial exchange; only the final
     ratio is a double."""
-    import pandas as pd
-
-    import ray.data
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "value"]
-    )
-
-    def partials(batch: pa.Table) -> pa.Table:
-        et = batch["event_type"].to_numpy(zero_copy_only=False)
-        keep = (et == "click") | (et == "view")
-        cents = np.round(
-            batch["value"].to_numpy(zero_copy_only=False)[keep] * 100
-        ).astype(np.int64)
-        g = (et[keep] == "click").astype(np.int64)
-        df = (
-            pd.DataFrame({"cents": cents, "c1": g, "c2": 1 - g})
-            .groupby("cents", as_index=False)
-            .sum()
-        )
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    pts = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .to_pandas()  # bounded: distinct value cents x blocks (fixture price domain)
-        .groupby("cents", as_index=False)
-        .sum()
-        .sort_values("cents")
-    )
+    pts = _click_view_cents(sf_dir)
     t = pts["cents"].to_numpy(np.int64)
     f1 = pts["c1"].to_numpy(np.int64).cumsum()
     f2 = pts["c2"].to_numpy(np.int64).cumsum()
@@ -3636,33 +3503,9 @@ def events_viterbi_regime(sf_dir: str):
     like the Holt smoother. At sf >= 10 the squared emissions approach
     int64 range — the scale path banks cents/10 (documented, not
     silently applied here)."""
-    import pandas as pd
-
-    import ray.data
-
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "value"])
-    epoch = np.datetime64("2024-01-01T00:00:00", "us").astype(np.int64)
-
-    def partials(batch: pa.Table) -> pa.Table:
-        ts = pc.cast(batch["ts"], pa.timestamp("us")).cast(pa.int64()).to_numpy()
-        cents = np.round(batch["value"].to_numpy(zero_copy_only=False) * 100).astype(
-            np.int64
-        )
-        h = (ts - epoch) // 3_600_000_000
-        df = pd.DataFrame({"h": h, "x": cents}).groupby("h", as_index=False).sum()
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    hourly = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .to_pandas()  # bounded: calendar hours x blocks
-        .groupby("h", as_index=False)
-        .sum()
-        .sort_values("h")
-    )
-    h0, h1 = int(hourly["h"].iloc[0]), int(hourly["h"].iloc[-1])
-    span = h1 - h0 + 1
-    x = np.zeros(span, np.int64)
-    x[hourly["h"].to_numpy(np.int64) - h0] = hourly["x"].to_numpy(np.int64)
+    h0, x = _hourly_cents(sf_dir)
+    span = len(x)
+    h1 = h0 + span - 1
     mu = int(x.sum()) // span
     muh, mul = (3 * mu) // 2, mu // 2
     pen = ((muh - mul) // 2) ** 2
@@ -3759,11 +3602,12 @@ def events_bounce_rate(sf_dir: str):
         starts = np.flatnonzero(new_s)
         lens = np.diff(np.concatenate((starts, [len(user)])))
         entry = et[starts]
-        df = pd.DataFrame({"entry_type": entry, "one": lens == 1})
-        out = df.groupby("entry_type", as_index=False).agg(
-            n_sessions=("one", "size"), n_bounces=("one", "sum")
+        t = pa.table(
+            {"entry_type": entry, "bounce": pa.array(lens == 1, pa.int64())}
         )
-        return out
+        return group_count_batch(
+            t, ["entry_type"], {"bounce": "n_bounces"}, count="n_sessions"
+        ).to_pandas()  # bounded: worker-side kernel return
 
     parts = (
         bucketed_window(ds, kernel)
@@ -3899,11 +3743,7 @@ def events_dau_stickiness(sf_dir: str, mode: str = "auto"):
     import ray.data
     from ray.data.aggregate import Count
 
-    from sciscraper_ray.pipelines.plan import (
-        DRIVER_PLAN_LIMIT,
-        driver_frame,
-        resolve_plan,
-    )
+    from sciscraper_ray.pipelines.plan import driver_frame, resolve_plan
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["ts", "user_id"]
@@ -3955,7 +3795,7 @@ def events_dau_stickiness(sf_dir: str, mode: str = "auto"):
         )
 
     pairs = driver_frame(
-        pairs_ds, DRIVER_PLAN_LIMIT, "events_dau_stickiness"
+        pairs_ds, what="events_dau_stickiness"
     ).drop_duplicates()
     dau = pairs.groupby("day")["user_id"].nunique().sort_index()
     mau = int(pairs["user_id"].nunique())

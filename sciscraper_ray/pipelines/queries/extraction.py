@@ -18,6 +18,7 @@ from sciscraper_ray.pipelines.queries.doc_analysis import (
     _WORDSCORE_SQL,
     _ident_suffix_ray,
 )
+from sciscraper_ray.stages.relational import group_count_batch
 
 
 # --------------------------------------------------------------------------
@@ -1095,11 +1096,7 @@ def warc_revisit_dedup(sf_dir: str):
     import ray.data
     from ray.data.aggregate import Sum
 
-    from sciscraper_ray.pipelines.plan import (
-        DRIVER_PLAN_LIMIT,
-        driver_frame,
-        resolve_plan,
-    )
+    from sciscraper_ray.pipelines.plan import driver_frame, resolve_plan
     from sciscraper_ray.kernels.md5 import md5_hash128, md5_hex
     from sciscraper_ray.pipelines.winner import _segment_reduce
     from sciscraper_ray.sources.page_synth import synth_pages_batch
@@ -1134,9 +1131,9 @@ def warc_revisit_dedup(sf_dir: str):
         )
 
     partials = pages(sf_dir).map_batches(key_partial, batch_format="pyarrow")
-    merge, partials = resolve_plan(partials, "auto", limit=DRIVER_PLAN_LIMIT)
+    merge, partials = resolve_plan(partials, "auto")
     if merge == "driver":
-        merged = driver_frame(partials, DRIVER_PLAN_LIMIT, "warc_revisit_dedup")
+        merged = driver_frame(partials, what="warc_revisit_dedup")
         dups = _segment_reduce(
             merged["h_hi"].to_numpy(),
             merged["h_lo"].to_numpy(),
@@ -2059,6 +2056,27 @@ def dom_xpath_select(sf_dir: str):
     )
 
 
+def _docs_per_host(sf_dir: str, count: str, what: str):
+    """Documents per synthetic crawl host as a (host, ``count``) frame.
+    Per-batch host tallies bound the exchange by the host set; ``what``
+    names the query in the driver-plan guard."""
+    from sciscraper_ray.pipelines.plan import driver_frame
+    from sciscraper_ray.sources.page_synth import host_for
+
+    def partials(batch: pa.Table) -> pa.Table:
+        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
+        hosts = pa.array([host_for(int(i)) for i in ids], pa.string())
+        return group_count_batch(pa.table({"host": hosts}), ["host"], count=count)
+
+    parts = driver_frame(
+        _docs(sf_dir, columns=("doc_id",)).map_batches(
+            partials, batch_format="pyarrow"
+        ),
+        what=what,
+    )
+    return parts.groupby("host", as_index=False)[count].sum()
+
+
 @register(
     "host_crawl_fairness",
     oracle="""
@@ -2090,34 +2108,7 @@ def host_crawl_fairness(sf_dir: str):
     ~30% by construction). Per-batch host tallies bound the exchange to
     the host set; moments are exact int64 and only the final index is a
     double, identical arithmetic order both sides."""
-    import pandas as pd
-
-    from sciscraper_ray.sources.page_synth import host_for
-
-    def partials(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        hosts = [host_for(int(i)) for i in ids]
-        df = (
-            pd.DataFrame({"host": hosts})
-            .value_counts()
-            .rename("docs")
-            .reset_index()
-        )
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
-
-    per_host = (
-        driver_frame(
-            _docs(sf_dir, columns=("doc_id",)).map_batches(
-                partials, batch_format="pyarrow"
-            ),
-            DRIVER_PLAN_LIMIT,
-            "host_crawl_fairness",
-        )
-        .groupby("host", as_index=False)["docs"]
-        .sum()
-    )
+    per_host = _docs_per_host(sf_dir, "docs", "host_crawl_fairness")
     docs = per_host["docs"].to_numpy(np.int64)
     n = len(docs)
     s = int(docs.sum())
@@ -2236,33 +2227,8 @@ def host_budget_waterfill(sf_dir: str):
     skew, compute the fairest feasible allocation in exact integers.
     Host tallies are per-batch partials (host-bounded exchange); the
     fill itself is one sorted prefix-sum pass."""
-    import pandas as pd
-
-    from sciscraper_ray.sources.page_synth import host_for
-
-    def partials(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        hosts = [host_for(int(i)) for i in ids]
-        df = (
-            pd.DataFrame({"host": hosts})
-            .value_counts()
-            .rename("cap")
-            .reset_index()
-        )
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
-
     per_host = (
-        driver_frame(
-            _docs(sf_dir, columns=("doc_id",)).map_batches(
-                partials, batch_format="pyarrow"
-            ),
-            DRIVER_PLAN_LIMIT,
-            "host_budget_waterfill",
-        )
-        .groupby("host", as_index=False)["cap"]
-        .sum()
+        _docs_per_host(sf_dir, "cap", "host_budget_waterfill")
         .sort_values(["cap", "host"])
         .reset_index(drop=True)
     )

@@ -15,11 +15,13 @@ from sciscraper_ray.kernels.md5 import md5_hex15, md5_hex15_sql
 from sciscraper_ray.pipelines.queries._shared import (
     _SQL_TOKENS,
     _docs,
+    cents,
     register,
 )
 from sciscraper_ray.pipelines.queries.doc_analysis import (
     _WORDSCORE_SQL,
 )
+from sciscraper_ray.stages.relational import group_count_batch
 
 
 # --------------------------------------------------------------------------
@@ -47,8 +49,6 @@ def lineitem_pricing(sf_dir: str):
     inventory (2))."""
     import ray.data
     from ray.data.aggregate import Sum
-
-    from sciscraper_ray.stages.relational import group_count_batch
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -146,11 +146,7 @@ def orders_by_region(sf_dir: str, mode: str = "auto"):
     from ray.data.aggregate import Sum
 
     from sciscraper_ray.pipelines.plan import parquet_row_bound
-    from sciscraper_ray.stages.relational import (
-        BroadcastLookup,
-        bucketed_hash_join,
-        group_count_batch,
-    )
+    from sciscraper_ray.stages.relational import BroadcastLookup, bucketed_hash_join
 
     nation = pq.read_table(
         f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_regionkey"]
@@ -256,11 +252,7 @@ def top_tokens_global(sf_dir: str, plan: str = "auto"):
     from ray.data.aggregate import Sum
 
     from sciscraper_ray.kernels.tokenize import tokenize_column
-    from sciscraper_ray.pipelines.plan import (
-        DRIVER_PLAN_LIMIT,
-        driver_frame,
-        resolve_plan,
-    )
+    from sciscraper_ray.pipelines.plan import driver_frame, resolve_plan
 
     def partial(batch: pa.Table) -> pa.Table:
         tokens = tokenize_column(batch["text"])
@@ -273,7 +265,7 @@ def top_tokens_global(sf_dir: str, plan: str = "auto"):
     partials = _docs(sf_dir).map_batches(partial, batch_format="pyarrow")
     mode, partials = resolve_plan(partials, plan)
     if mode == "driver":
-        df = driver_frame(partials, DRIVER_PLAN_LIMIT, "top_tokens_global")
+        df = driver_frame(partials, what="top_tokens_global")
         agg = df.groupby("token", as_index=False)["cnt"].sum()
         return (
             agg.sort_values(["cnt", "token"], ascending=[False, True])
@@ -318,13 +310,7 @@ def source_token_tally(sf_dir: str):
                 "token": flat.filter(mask),
             }
         )
-        return group_count_batch_local(exploded)
-
-    def group_count_batch_local(t: pa.Table) -> pa.Table:
-        out = t.group_by(["source", "token"]).aggregate([([], "count_all")])
-        return out.rename_columns(
-            ["cnt" if c == "count_all" else c for c in out.column_names]
-        )
+        return group_count_batch(exploded, ["source", "token"])
 
     return (
         _docs(sf_dir, columns=("doc_id", "text", "source"))
@@ -473,8 +459,6 @@ def citation_tally(sf_dir: str):
     deterministically from doc_id."""
     from ray.data.aggregate import Min, Sum
 
-    from sciscraper_ray.stages.relational import group_count_batch
-
     def explode(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
         cited = np.stack(
@@ -491,12 +475,8 @@ def citation_tally(sf_dir: str):
             }
         )
         # partial aggregate before the shuffle: cnt + min(source) per key
-        out = exploded.group_by(["cited"]).aggregate(
-            [([], "count_all"), ("doc_id", "min")]
-        )
-        renames = {"count_all": "cnt", "doc_id_min": "first_source"}
-        return out.rename_columns(
-            [renames.get(c, c) for c in out.column_names]
+        return group_count_batch(
+            exploded, ["cited"], aggs={"first_source": ("doc_id", "min")}
         )
 
     return (
@@ -700,16 +680,12 @@ def orders_q3_priority(sf_dir: str):
                 pa.scalar(np.datetime64("1995-03-15", "us"), pa.timestamp("us")),
             )
         )
-        cents = np.round(
-            b["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        bp = np.round(
-            b["l_discount"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
+        cts = cents(b["l_extendedprice"])
+        bp = cents(b["l_discount"])
         t = pa.table(
             {
                 "l_orderkey": b["l_orderkey"],
-                "rev": pa.array(cents * (100 - bp), pa.int64()),
+                "rev": pa.array(cts * (100 - bp), pa.int64()),
             }
         )
         g = t.group_by("l_orderkey").aggregate([("rev", "sum")])
@@ -950,22 +926,19 @@ def customer_order_dist(sf_dir: str):
         f"{sf_dir}/orders.parquet", columns=["o_custkey"]
     )
 
-    def partial(b: pa.Table) -> pa.Table:
-        g = b.group_by("o_custkey").aggregate([([], "count_all")])
-        return g.rename_columns(["o_custkey", "cnt"])
-
     per = (
-        orders.map_batches(partial, batch_format="pyarrow")
+        orders.map_batches(
+            lambda b: group_count_batch(b, ["o_custkey"]), batch_format="pyarrow"
+        )
         .groupby("o_custkey")
         .aggregate(Sum(on="cnt", alias_name="c_count"))
     )
 
-    def hist(b: pa.Table) -> pa.Table:
-        g = b.group_by("c_count").aggregate([([], "count_all")])
-        return g.rename_columns(["c_count", "custdist"])
-
     dist = (
-        per.map_batches(hist, batch_format="pyarrow")
+        per.map_batches(
+            lambda b: group_count_batch(b, ["c_count"], count="custdist"),
+            batch_format="pyarrow",
+        )
         .to_pandas()  # bounded: |distinct per-customer order counts| x blocks
         .groupby("c_count")["custdist"]
         .sum()
@@ -997,6 +970,29 @@ def customer_order_dist(sf_dir: str):
 # --------------------------------------------------------------------------
 
 
+def _revenue_by(sf_dir: str, key: str, alias: str):
+    """Lineitem revenue per ``key`` as ``alias``, in exact integers: cents
+    x (100 - discount basis points). Per-batch Arrow partials, then one
+    groupby-Sum."""
+    import ray.data
+    from ray.data.aggregate import Sum
+
+    def partial(b: pa.Table) -> pa.Table:
+        rev = cents(b["l_extendedprice"]) * (100 - cents(b["l_discount"]))
+        t = pa.table({key: b[key], "rev": pa.array(rev, pa.int64())})
+        return t.group_by(key).aggregate([("rev", "sum")]).rename_columns([key, "rev"])
+
+    return (
+        ray.data.read_parquet(
+            f"{sf_dir}/lineitem.parquet",
+            columns=[key, "l_extendedprice", "l_discount"],
+        )
+        .map_batches(partial, batch_format="pyarrow")
+        .groupby(key)
+        .aggregate(Sum(on="rev", alias_name=alias))
+    )
+
+
 @register(
     "part_value_threshold",
     oracle="""
@@ -1026,38 +1022,9 @@ def part_value_threshold(sf_dir: str):
     both engines (floored Python int threshold on the Ray side, BIGINT
     product on DuckDB's)."""
     import ray.data
-    from ray.data.aggregate import Sum
 
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_extendedprice", "l_discount"],
-    )
-
-    def partial(b: pa.Table) -> pa.Table:
-        cents = np.round(
-            b["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        bp = np.round(
-            b["l_discount"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        t = pa.table(
-            {
-                "l_partkey": b["l_partkey"],
-                "v": pa.array(cents * (100 - bp), pa.int64()),
-            }
-        )
-        return (
-            t.group_by("l_partkey")
-            .aggregate([("v", "sum")])
-            .rename_columns(["l_partkey", "v"])
-        )
-
-    pv = (
-        li.map_batches(partial, batch_format="pyarrow")
-        .groupby("l_partkey")
-        .aggregate(Sum(on="v", alias_name="value_c2"))
-        .materialize()  # bounded by |part|; reused by scalar + filter
-    )
+    # bounded by |part|; materialized, reused by scalar + filter
+    pv = _revenue_by(sf_dir, "l_partkey", "value_c2").materialize()
     total = int(pv.sum("value_c2"))
     n_parts = ray.data.read_parquet(
         f"{sf_dir}/part.parquet", columns=["p_partkey"]
@@ -1125,9 +1092,7 @@ def customer_idle_highvalue(sf_dir: str):
     )
 
     def bal_stats(b: pa.Table) -> pa.Table:
-        bal = np.round(
-            b["c_acctbal"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
+        bal = cents(b["c_acctbal"])
         pos = bal[bal > 0]
         return pa.table(
             {
@@ -1169,9 +1134,7 @@ def customer_idle_highvalue(sf_dir: str):
             self.nations = ray.get(nat_ref)
 
         def __call__(self, b: pa.Table) -> pa.Table:
-            bal = np.round(
-                b["c_acctbal"].to_numpy(zero_copy_only=False) * 100
-            ).astype(np.int64)
+            bal = cents(b["c_acctbal"])
             rich = bal * n_pos > s_pos
             no_orders = pc.invert(
                 pc.is_in(b["c_custkey"], value_set=self.keys)
@@ -1185,13 +1148,11 @@ def customer_idle_highvalue(sf_dir: str):
                 {
                     "n_name": pa.array(names, pa.string()),
                     "bal": pa.array(bal[keep], pa.int64()),
-                    "one": pa.array(np.ones(keep.sum(), np.int64)),
                 }
             )
-            g = t.group_by("n_name").aggregate(
-                [("one", "sum"), ("bal", "sum")]
+            return group_count_batch(
+                t, ["n_name"], {"bal": "bal_p"}, count="numcust_p"
             )
-            return g.rename_columns(["n_name", "numcust_p", "bal_p"])
 
     return (
         cust.map_batches(IdleTally, batch_format="pyarrow", concurrency=(1, 4))
@@ -1238,21 +1199,16 @@ def orders_grouping_sets(sf_dir: str):
     )
 
     def partial(b: pa.Table) -> pa.Table:
-        cents = np.round(
-            b["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
         t = pa.table(
             {
                 "priority": b["o_orderpriority"],
                 "status": b["o_orderstatus"],
-                "c": pa.array(cents, pa.int64()),
-                "one": pa.array(np.ones(len(cents), np.int64)),
+                "c": pa.array(cents(b["o_totalprice"])),
             }
         )
-        g = t.group_by(["priority", "status"]).aggregate(
-            [("c", "sum"), ("one", "sum")]
+        return group_count_batch(
+            t, ["priority", "status"], {"c": "total_p"}, count="cnt_p"
         )
-        return g.rename_columns(["priority", "status", "total_p", "cnt_p"])
 
     cells = (
         ds.map_batches(partial, batch_format="pyarrow")
@@ -1386,17 +1342,13 @@ def basket_part_pairs(sf_dir: str, num_buckets: int = 16):
     # driver below the 50M bound — one pandas groupby + partial sort —
     # and flips to the distributed sort-aggregate above it (the groupby
     # alone cost ~100us x |pairs| and carried the sf0.1 timeout).
-    from sciscraper_ray.pipelines.plan import (
-        DRIVER_PLAN_LIMIT,
-        driver_frame,
-        resolve_plan,
-    )
+    from sciscraper_ray.pipelines.plan import driver_frame, resolve_plan
 
     mode, pair_parts = resolve_plan(pair_parts, "auto")
     if mode == "driver":
         import pandas as pd
 
-        df = driver_frame(pair_parts, DRIVER_PLAN_LIMIT, "basket_part_pairs")
+        df = driver_frame(pair_parts, what="basket_part_pairs")
         agg = df.groupby(["part_a", "part_b"], as_index=False)["c"].sum()
         agg = agg.rename(columns={"c": "support"})
         return (
@@ -1462,18 +1414,8 @@ def orders_monthly_cumsum(sf_dir: str):
             pc.multiply(pc.year(d).cast(pa.int64()), 100),
             pc.month(d).cast(pa.int64()),
         )
-        cents = np.round(
-            b["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        t = pa.table(
-            {
-                "month": month,
-                "c": pa.array(cents, pa.int64()),
-                "one": pa.array(np.ones(len(cents), np.int64)),
-            }
-        )
-        g = t.group_by("month").aggregate([("c", "sum"), ("one", "sum")])
-        return g.rename_columns(["month", "rev_p", "n_p"])
+        t = pa.table({"month": month, "c": pa.array(cents(b["o_totalprice"]))})
+        return group_count_batch(t, ["month"], {"c": "rev_p"}, count="n_p")
 
     m = (
         ds.map_batches(partial, batch_format="pyarrow")
@@ -1545,13 +1487,9 @@ def promo_revenue_share(sf_dir: str):
 
         def __call__(self, b: pa.Table) -> pa.Table:
             pkey = b["l_partkey"].to_numpy(zero_copy_only=False)
-            cents = np.round(
-                b["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-            ).astype(np.int64)
-            bp = np.round(
-                b["l_discount"].to_numpy(zero_copy_only=False) * 100
-            ).astype(np.int64)
-            rev = cents * (100 - bp)
+            cts = cents(b["l_extendedprice"])
+            bp = cents(b["l_discount"])
+            rev = cts * (100 - bp)
             pk = pkey.astype(np.uint64)
             is_promo = (
                 self.bitmap[(pk >> np.uint64(6)).astype(np.int64)]
@@ -1624,39 +1562,8 @@ def top_suppliers_by_nation(sf_dir: str):
     uses; past it, bucketed join + per-nation heap partials). Revenue is
     integer cents x basis points; rank ties break on suppkey."""
     import pyarrow.parquet as pq
-    import ray.data
-    from ray.data.aggregate import Sum
 
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_suppkey", "l_extendedprice", "l_discount"],
-    )
-
-    def partial(b: pa.Table) -> pa.Table:
-        cents = np.round(
-            b["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        bp = np.round(
-            b["l_discount"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        t = pa.table(
-            {
-                "l_suppkey": b["l_suppkey"],
-                "r": pa.array(cents * (100 - bp), pa.int64()),
-            }
-        )
-        return (
-            t.group_by("l_suppkey")
-            .aggregate([("r", "sum")])
-            .rename_columns(["l_suppkey", "r"])
-        )
-
-    rev = (
-        li.map_batches(partial, batch_format="pyarrow")
-        .groupby("l_suppkey")
-        .aggregate(Sum(on="r", alias_name="rev_c2"))
-        .to_pandas()  # bounded: supplier dimension
-    )
+    rev = _revenue_by(sf_dir, "l_suppkey", "rev_c2").to_pandas()  # bounded: suppliers
     supp = pq.read_table(
         f"{sf_dir}/supplier.parquet",
         columns=["s_suppkey", "s_name", "s_nationkey"],
@@ -1682,22 +1589,6 @@ def top_suppliers_by_nation(sf_dir: str):
 # broadcasts) with integer-exact money (cents x basis points; see
 # orders_q3_priority for the float-rounding rationale).
 # --------------------------------------------------------------------------
-
-
-def _cents(col) -> np.ndarray:
-    """Exact cents as int64 from a 2-decimal float column.
-
-    np.round is banker's rounding while the DuckDB oracles' round() is
-    half-away-from-zero; the two diverge only when v*100 lands exactly
-    on .5 in binary. Fixture prices are generated with exactly 2
-    decimals, so v*100 is always within 1e-10 of an integer and the
-    .5 case cannot occur (verified over sf0.01: 0 of 10^4 values) —
-    the same argument covers every query that discretizes value/price
-    to cents (KS/EMD/Holt/Viterbi/Theil-Sen included; ADVICE r4). A
-    non-2-decimal source would need a shared half-away helper
-    (floor(v*100+0.5)) on BOTH engine and oracle sides first.
-    """
-    return np.round(col.to_numpy(zero_copy_only=False) * 100).astype(np.int64)
 
 
 @register(
@@ -1730,15 +1621,11 @@ def returned_revenue_topk(sf_dir: str):
     import ray.data
     from ray.data.aggregate import Sum
 
-    from sciscraper_ray.stages.relational import (
-        BroadcastLookup,
-        bucketed_hash_join,
-        group_count_batch,
-    )
+    from sciscraper_ray.stages.relational import BroadcastLookup, bucketed_hash_join
 
     def li_partial(b: pa.Table) -> pa.Table:
         b = b.filter(pc.equal(b["l_returnflag"], "R"))
-        rev = _cents(b["l_extendedprice"]) * (100 - _cents(b["l_discount"]))
+        rev = cents(b["l_extendedprice"]) * (100 - cents(b["l_discount"]))
         t = pa.table({"l_orderkey": b["l_orderkey"], "rev": pa.array(rev, pa.int64())})
         return t.group_by("l_orderkey").aggregate([("rev", "sum")]).rename_columns(
             ["l_orderkey", "rev"]
@@ -1830,18 +1717,8 @@ def small_qty_revenue(sf_dir: str):
         qty = np.round(b["l_quantity"].to_numpy(zero_copy_only=False)).astype(
             np.int64
         )
-        t = pa.table(
-            {
-                "pk": b["l_partkey"],
-                "q": pa.array(qty, pa.int64()),
-                "one": pa.array(np.ones(len(qty), np.int64)),
-            }
-        )
-        return (
-            t.group_by("pk")
-            .aggregate([("q", "sum"), ("one", "sum")])
-            .rename_columns(["pk", "s", "c"])
-        )
+        t = pa.table({"pk": b["l_partkey"], "q": pa.array(qty, pa.int64())})
+        return group_count_batch(t, ["pk"], {"q": "s"}, count="c")
 
     li_cols = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -1862,7 +1739,7 @@ def small_qty_revenue(sf_dir: str):
                         np.int64
                     )
                 ),
-                "cents": pa.array(_cents(b["l_extendedprice"])),
+                "cents": pa.array(cents(b["l_extendedprice"])),
             }
         ),
         batch_format="pyarrow",
@@ -1957,7 +1834,7 @@ def large_order_customers(sf_dir: str):
                 "o_orderkey": b["o_orderkey"],
                 "o_custkey": b["o_custkey"],
                 "o_orderdate": b["o_orderdate"],
-                "total_cents": pa.array(_cents(b["o_totalprice"])),
+                "total_cents": pa.array(cents(b["o_totalprice"])),
             }
         ),
         batch_format="pyarrow",
@@ -2057,22 +1934,11 @@ def brand_supplier_counts(sf_dir: str):
         .count()
     )
 
-    def cnt_partial(b: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "p_brand": b["p_brand"],
-                "p_size": b["p_size"],
-                "one": pa.array(np.ones(len(b), np.int64)),
-            }
-        )
-        return (
-            t.group_by(["p_brand", "p_size"])
-            .aggregate([("one", "sum")])
-            .rename_columns(["p_brand", "p_size", "supplier_cnt"])
-        )
-
     return (
-        triple.map_batches(cnt_partial, batch_format="pyarrow")
+        triple.map_batches(
+            lambda b: group_count_batch(b, ["p_brand", "p_size"], count="supplier_cnt"),
+            batch_format="pyarrow",
+        )
         .groupby(["p_brand", "p_size"])
         .aggregate(Sum(on="supplier_cnt", alias_name="supplier_cnt"))
     )
@@ -2111,11 +1977,7 @@ def volume_shipping_pairs(sf_dir: str):
     import ray.data
     from ray.data.aggregate import Sum
 
-    from sciscraper_ray.stages.relational import (
-        BroadcastLookup,
-        bucketed_hash_join,
-        group_count_batch,
-    )
+    from sciscraper_ray.stages.relational import BroadcastLookup, bucketed_hash_join
 
     supp = pq.read_table(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
@@ -2136,7 +1998,7 @@ def volume_shipping_pairs(sf_dir: str):
     )
 
     def li_partial(b: pa.Table) -> pa.Table:
-        rev = _cents(b["l_extendedprice"]) * (100 - _cents(b["l_discount"]))
+        rev = cents(b["l_extendedprice"]) * (100 - cents(b["l_discount"]))
         t = pa.table(
             {
                 "s_suppkey": b["l_suppkey"],
@@ -2239,8 +2101,8 @@ def disjunctive_revenue(sf_dir: str):
             {
                 "p_partkey": b["l_partkey"],
                 "qty": b["l_quantity"],
-                "cents": pa.array(_cents(b["l_extendedprice"])),
-                "bp": pa.array(_cents(b["l_discount"])),
+                "cents": pa.array(cents(b["l_extendedprice"])),
+                "bp": pa.array(cents(b["l_discount"])),
             }
         )
         t = BroadcastLookup(part_ref, on="p_partkey")(t)
@@ -2325,7 +2187,7 @@ def cheapest_supplier_per_part(sf_dir: str):
             {
                 "l_partkey": b["l_partkey"],
                 "l_suppkey": b["l_suppkey"],
-                "cents": pa.array(_cents(b["l_extendedprice"])),
+                "cents": pa.array(cents(b["l_extendedprice"])),
             }
         ),
         batch_format="pyarrow",
@@ -2432,14 +2294,9 @@ def late_shipment_trend(sf_dir: str):
                 "o_orderpriority": b["o_orderpriority"],
                 "yr": pc.cast(pc.year(b["o_orderdate"]), pa.int64()),
                 "qtr": pc.cast(pc.quarter(b["o_orderdate"]), pa.int64()),
-                "n": pa.array(np.ones(len(b), np.int64)),
             }
         )
-        return (
-            t.group_by(["o_orderpriority", "yr", "qtr"])
-            .aggregate([("n", "sum")])
-            .rename_columns(["o_orderpriority", "yr", "qtr", "n_late"])
-        )
+        return group_count_batch(t, ["o_orderpriority", "yr", "qtr"], count="n_late")
 
     return (
         joined.map_batches(late_partial, batch_format="pyarrow")
@@ -2478,7 +2335,7 @@ def orders_yoy_growth(sf_dir: str):
         t = pa.table(
             {
                 "yr": pc.cast(pc.year(b["o_orderdate"]), pa.int64()),
-                "cents": pa.array(_cents(b["o_totalprice"])),
+                "cents": pa.array(cents(b["o_totalprice"])),
             }
         )
         return (
@@ -2566,7 +2423,7 @@ def nation_revenue_hhi(sf_dir: str):
         t = pa.table(
             {
                 "s_suppkey": b["l_suppkey"],
-                "cents": pa.array(_cents(b["l_extendedprice"])),
+                "cents": pa.array(cents(b["l_extendedprice"])),
             }
         )
         t = BroadcastLookup(s2n_ref, on="s_suppkey")(t)
@@ -2588,14 +2445,14 @@ def nation_revenue_hhi(sf_dir: str):
     )
     rows = []
     for n_name, g in rev.groupby("n_name", sort=True):
-        cents = [int(c) for c in g["cents"]]
-        total = sum(cents)
-        num = sum(c * c for c in cents)  # exact python ints
+        cts = [int(c) for c in g["cents"]]
+        total = sum(cts)
+        num = sum(c * c for c in cts)  # exact python ints
         den = total * total
         rows.append(
             (
                 n_name,
-                len(cents),
+                len(cts),
                 total,
                 round(float(num) / float(den), 9) if den else 0.0,
             )
@@ -2630,25 +2487,15 @@ def lineitem_benford(sf_dir: str):
     from ray.data.aggregate import Sum
 
     def partial(b: pa.Table) -> pa.Table:
-        cents = _cents(b["l_extendedprice"])
+        cts = cents(b["l_extendedprice"])
         # first digit: shift into [1, 10) by integer division with the
         # largest power of ten <= value (exact: cents < 2^53)
-        mag = np.floor(np.log10(cents)).astype(np.int64)
-        digit = cents // 10**mag
+        mag = np.floor(np.log10(cts)).astype(np.int64)
+        digit = cts // 10**mag
         # float log10 can undershoot at exact powers of ten: correct up
         high = digit >= 10
         digit[high] //= 10
-        t = pa.table(
-            {
-                "digit": pa.array(digit, pa.int64()),
-                "n": pa.array(np.ones(len(digit), np.int64)),
-            }
-        )
-        return (
-            t.group_by("digit")
-            .aggregate([("n", "sum")])
-            .rename_columns(["digit", "cnt"])
-        )
+        return group_count_batch(pa.table({"digit": pa.array(digit, pa.int64())}), ["digit"])
 
     return (
         ray.data.read_parquet(
@@ -2721,18 +2568,16 @@ def customer_order_gaps(sf_dir: str):
         t = pa.table(
             {
                 "o_custkey": pa.array(cust_s, pa.int64()),
-                "one": pa.array(np.ones(len(cust_s), np.int64)),
                 "gap": pa.array(gaps, pa.int64()),
             }
         )
-        return (
-            t.group_by("o_custkey")
-            .aggregate([("one", "sum"), ("gap", "sum"), ("gap", "max")])
-            .rename_columns(
-                ["o_custkey", "n_orders", "total_gap_days", "max_gap_days"]
-            )
-            .to_pandas()  # bounded: worker-side kernel return
-        )
+        return group_count_batch(
+            t,
+            ["o_custkey"],
+            {"gap": "total_gap_days"},
+            count="n_orders",
+            aggs={"max_gap_days": ("gap", "max")},
+        ).to_pandas()  # bounded: worker-side kernel return
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
@@ -2781,8 +2626,6 @@ def orders_pareto_cutoff(sf_dir: str):
     import ray.data
     from ray.data.aggregate import Sum
 
-    from sciscraper_ray.stages.relational import group_count_batch
-
     pc_ds = (
         ray.data.read_parquet(
             f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
@@ -2792,7 +2635,7 @@ def orders_pareto_cutoff(sf_dir: str):
                 pa.table(
                     {
                         "o_custkey": b["o_custkey"],
-                        "cents": pa.array(_cents(b["o_totalprice"])),
+                        "cents": pa.array(cents(b["o_totalprice"])),
                     }
                 ),
                 ["o_custkey"],
@@ -2803,19 +2646,19 @@ def orders_pareto_cutoff(sf_dir: str):
         .groupby("o_custkey")
         .aggregate(Sum(on="cents", alias_name="cents"))
     )
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+    from sciscraper_ray.pipelines.plan import driver_frame
 
-    pc_ds = driver_frame(pc_ds, DRIVER_PLAN_LIMIT, "orders_pareto_cutoff")
-    cents = pc_ds["cents"].to_numpy().astype(np.int64)
+    pc_ds = driver_frame(pc_ds, what="orders_pareto_cutoff")
+    cts = pc_ds["cents"].to_numpy().astype(np.int64)
     keys = pc_ds["o_custkey"].to_numpy().astype(np.int64)
-    order = np.lexsort((keys, -cents))
-    cum = np.cumsum(cents[order])
+    order = np.lexsort((keys, -cts))
+    cum = np.cumsum(cts[order])
     total = int(cum[-1])
     n80 = int(np.searchsorted(cum * 5, total * 4, side="left")) + 1
     return pa.table(
         {
             "n_customers_80": pa.array([n80], pa.int64()),
-            "total_customers": pa.array([len(cents)], pa.int64()),
+            "total_customers": pa.array([len(cts)], pa.int64()),
             "total_cents": pa.array([total], pa.int64()),
         }
     )
@@ -2846,14 +2689,11 @@ def orders_fiscal_week_rollup(sf_dir: str):
             {
                 "iso_yr": pc.cast(pc.iso_year(b["o_orderdate"]), pa.int64()),
                 "iso_wk": pc.cast(pc.iso_week(b["o_orderdate"]), pa.int64()),
-                "n": pa.array(np.ones(len(b), np.int64)),
-                "cents": pa.array(_cents(b["o_totalprice"])),
+                "cents": pa.array(cents(b["o_totalprice"])),
             }
         )
-        return (
-            t.group_by(["iso_yr", "iso_wk"])
-            .aggregate([("n", "sum"), ("cents", "sum")])
-            .rename_columns(["iso_yr", "iso_wk", "n_orders", "revenue_cents"])
+        return group_count_batch(
+            t, ["iso_yr", "iso_wk"], {"cents": "revenue_cents"}, count="n_orders"
         )
 
     return (
@@ -3106,13 +2946,9 @@ def market_share_q8(sf_dir: str):
                         "n2rev": pa.array([], pa.int64()),
                     }
                 )
-            cents = np.round(
-                b["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-            ).astype(np.int64)
-            bp = np.round(
-                b["l_discount"].to_numpy(zero_copy_only=False) * 100
-            ).astype(np.int64)
-            rev = cents * (100 - bp)
+            cts = cents(b["l_extendedprice"])
+            bp = cents(b["l_discount"])
+            rev = cts * (100 - bp)
             n2 = self.snat[b["l_suppkey"].to_numpy(zero_copy_only=False)] == 2
             t = pa.table(
                 {
@@ -3309,18 +3145,14 @@ def forecast_discount_revenue(sf_dir: str):
 
     def partial(b: pa.Table) -> pa.Table:
         yr = pc.year(b["l_shipdate"]).to_numpy(zero_copy_only=False)
-        bp = np.round(
-            b["l_discount"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
+        bp = cents(b["l_discount"])
         qty = b["l_quantity"].to_numpy(zero_copy_only=False)
-        cents = np.round(
-            b["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
+        cts = cents(b["l_extendedprice"])
         keep = (yr == 1997) & (bp >= 4) & (bp <= 6) & (qty < 24)
         bpk = bp[keep] - 4
         n = np.bincount(bpk, minlength=3).astype(np.int64)
         s = np.zeros(3, np.int64)
-        np.add.at(s, bpk, cents[keep] * (bpk + 4))
+        np.add.at(s, bpk, cts[keep] * (bpk + 4))
         return pa.table(
             {
                 "disc_bp": pa.array([4, 5, 6], pa.int64()),
@@ -3382,17 +3214,13 @@ def supplier_peak_revenue(sf_dir: str):
         lo = np.datetime64("1997-01-01", "us")
         hi = np.datetime64("1997-04-01", "us")
         keep = (ship >= lo) & (ship < hi)
-        cents = np.round(
-            b["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        bp = np.round(
-            b["l_discount"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
+        cts = cents(b["l_extendedprice"])
+        bp = cents(b["l_discount"])
         t = pa.table(
             {
                 "s_suppkey": b["l_suppkey"].filter(pa.array(keep)),
                 "total_rev_c2": pa.array(
-                    (cents * (100 - bp))[keep], pa.int64()
+                    (cts * (100 - bp))[keep], pa.int64()
                 ),
             }
         )
@@ -3477,7 +3305,6 @@ def excess_shipment_suppliers(sf_dir: str, plan: str = "auto"):
     from ray.data.aggregate import Sum
 
     from sciscraper_ray.pipelines.plan import (
-        DRIVER_PLAN_LIMIT,
         driver_frame,
         parquet_row_bound,
         resolve_plan,
@@ -3555,7 +3382,7 @@ def excess_shipment_suppliers(sf_dir: str, plan: str = "auto"):
     )
     if mode == "driver":
         df = driver_frame(
-            partials, DRIVER_PLAN_LIMIT, "excess_shipment_suppliers"
+            partials, what="excess_shipment_suppliers"
         )
         kk = df["kk"].to_numpy(np.int64)
         order = np.argsort(kk, kind="stable")
@@ -3657,9 +3484,7 @@ def profit_by_nation_year(sf_dir: str):
         np.uint64(1) << (pk & np.uint64(63)),
     )
     retail = np.zeros(pmax, np.int64)
-    retail[keys] = np.round(
-        part["p_retailprice"].to_numpy(zero_copy_only=False) * 100
-    ).astype(np.int64)
+    retail[keys] = cents(part["p_retailprice"])
     supp = pq.read_table(
         f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
     )
@@ -3701,12 +3526,8 @@ def profit_by_nation_year(sf_dir: str):
                         "margin": pa.array([], pa.int64()),
                     }
                 )
-            cents = np.round(
-                b["l_extendedprice"].to_numpy(zero_copy_only=False)[keep] * 100
-            ).astype(np.int64)
-            bp = np.round(
-                b["l_discount"].to_numpy(zero_copy_only=False)[keep] * 100
-            ).astype(np.int64)
+            cts = cents(b["l_extendedprice"].to_numpy(zero_copy_only=False)[keep])
+            bp = cents(b["l_discount"].to_numpy(zero_copy_only=False)[keep])
             qty = (
                 b["l_quantity"].to_numpy(zero_copy_only=False)[keep]
             ).astype(np.int64)
@@ -3719,7 +3540,7 @@ def profit_by_nation_year(sf_dir: str):
                     "l_orderkey": b["l_orderkey"].filter(pa.array(keep)),
                     "natkey": pa.array(nat, pa.int64()),
                     "margin": pa.array(
-                        cents * (100 - bp) - cost, pa.int64()
+                        cts * (100 - bp) - cost, pa.int64()
                     ),
                 }
             )
@@ -3838,9 +3659,7 @@ def lineitem_skyline(sf_dir: str):
         )
 
     def batch_skyline(b: pa.Table) -> pa.Table:
-        price = np.round(
-            b["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
+        price = cents(b["l_extendedprice"])
         qty = b["l_quantity"].to_numpy(zero_copy_only=False).astype(np.int64)
         kk = price * 64 + qty  # qty <= 50 packs losslessly
         uniq = np.unique(kk)
@@ -3917,29 +3736,18 @@ def lineitem_zorder_stats(sf_dir: str):
             z |= ((x >> i) & 1) << (2 * i)
             z |= ((y >> i) & 1) << (2 * i + 1)
         t = pa.table(
-            {
-                "bucket": pa.array(z >> 20, pa.int64()),
-                "n_rows": pa.array(np.ones(len(x), np.int64)),
-                "min_day": pa.array(x),
-                "max_day": pa.array(x),
-                "min_qty": pa.array(y),
-                "max_qty": pa.array(y),
-            }
+            {"bucket": pa.array(z >> 20, pa.int64()), "x": pa.array(x), "y": pa.array(y)}
         )
-        return (
-            t.group_by("bucket")
-            .aggregate(
-                [
-                    ("n_rows", "sum"),
-                    ("min_day", "min"),
-                    ("max_day", "max"),
-                    ("min_qty", "min"),
-                    ("max_qty", "max"),
-                ]
-            )
-            .rename_columns(
-                ["bucket", "n_rows", "min_day", "max_day", "min_qty", "max_qty"]
-            )
+        return group_count_batch(
+            t,
+            ["bucket"],
+            count="n_rows",
+            aggs={
+                "min_day": ("x", "min"),
+                "max_day": ("x", "max"),
+                "min_qty": ("y", "min"),
+                "max_qty": ("y", "max"),
+            },
         )
 
     agg = (
@@ -4026,18 +3834,8 @@ def customer_segment_nation_independence(sf_dir: str):
     )
 
     def partial(b: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "seg": b["c_mktsegment"],
-                "nk": b["c_nationkey"],
-                "obs": pa.array(np.ones(len(b), np.int64)),
-            }
-        )
-        return (
-            t.group_by(["seg", "nk"])
-            .aggregate([("obs", "sum")])
-            .rename_columns(["seg", "nk", "obs"])
-        )
+        t = pa.table({"seg": b["c_mktsegment"], "nk": b["c_nationkey"]})
+        return group_count_batch(t, ["seg", "nk"], count="obs")
 
     cells = (
         ray.data.read_parquet(
@@ -4128,9 +3926,7 @@ def customer_band_migration(sf_dir: str):
                 "ck": b["o_custkey"],
                 "yr": pc.cast(pc.year(b["o_orderdate"]), pa.int64()),
                 "cents": pa.array(
-                    np.round(
-                        b["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-                    ).astype(np.int64),
+                    cents(b["o_totalprice"]),
                     pa.int64(),
                 ),
             }
@@ -4153,13 +3949,13 @@ def customer_band_migration(sf_dir: str):
             " driver plan bound — use the per-year range-partitioner rank"
             " path (lineitem_range_partition) for the banding step."
         )
-    df = driver_frame(partials, DRIVER_PLAN_LIMIT, "customer_band_migration")
+    df = driver_frame(partials, what="customer_band_migration")
     # merge partials to customer-year grain
     kk = df["ck"].to_numpy(np.int64) * 10_000 + df["yr"].to_numpy(np.int64)
     order = np.argsort(kk, kind="stable")
     kk = kk[order]
     starts = np.flatnonzero(np.r_[True, kk[1:] != kk[:-1]])
-    cents = np.add.reduceat(df["cents"].to_numpy(np.int64)[order], starts)
+    cts = np.add.reduceat(df["cents"].to_numpy(np.int64)[order], starts)
     ck, yr = kk[starts] // 10_000, kk[starts] % 10_000
 
     # per-year ntile(10) with DuckDB's distribution rule: the first
@@ -4167,7 +3963,7 @@ def customer_band_migration(sf_dir: str):
     band = np.empty(len(ck), np.int64)
     for y in np.unique(yr):
         seg = np.flatnonzero(yr == y)
-        o = np.lexsort((ck[seg], cents[seg]))
+        o = np.lexsort((ck[seg], cts[seg]))
         n = len(seg)
         q, rem = divmod(n, 10)
         r = np.empty(n, np.int64)  # 0-based rank -> 1-based band
@@ -4255,10 +4051,7 @@ def customer_year_overlap_kmv(sf_dir: str):
     output is |year pairs| rows."""
     import ray.data
 
-    from sciscraper_ray.pipelines.plan import (
-        DRIVER_PLAN_LIMIT,
-        driver_frame,
-    )
+    from sciscraper_ray.pipelines.plan import driver_frame
 
     def partial(b: pa.Table) -> pa.Table:
         t = pa.table(
@@ -4273,8 +4066,7 @@ def customer_year_overlap_kmv(sf_dir: str):
         ray.data.read_parquet(
             f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderdate"]
         ).map_batches(partial, batch_format="pyarrow"),
-        DRIVER_PLAN_LIMIT,
-        "customer_year_overlap_kmv",
+        what="customer_year_overlap_kmv",
     )
     kk = np.unique(
         df["yr"].to_numpy(np.int64) * 10_000_000_000
@@ -4383,15 +4175,14 @@ def table_constraint_audit(sf_dir: str):
     cust = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey"]
     )
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+    from sciscraper_ray.pipelines.plan import driver_frame
 
     parts = driver_frame(
         cust.map_batches(
             lambda b: pa.table({"k": pc.unique(b["c_custkey"])}),
             batch_format="pyarrow",
         ),
-        DRIVER_PLAN_LIMIT,
-        "table_constraint_audit (FK broadcast side)",
+        what="table_constraint_audit (FK broadcast side)",
     )
     n_cust_rows = int(
         ray.data.read_parquet(
@@ -4525,35 +4316,19 @@ def schema_evolution_union(sf_dir: str):
             f"{base}/v2"
         )
 
-        def label_v1(b: pa.Table) -> pa.Table:
-            cents = np.round(
-                b["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-            ).astype(np.int64)
+        def tally(b: pa.Table, label) -> pa.Table:
             t = pa.table(
-                {
-                    "priority_label": pa.array(
-                        ["<pre-evolution>"] * len(b), pa.string()
-                    ),
-                    "rev_c": pa.array(cents),
-                }
+                {"priority_label": label, "rev_c": pa.array(cents(b["o_totalprice"]))}
             )
-            return t.group_by("priority_label").aggregate(
-                [("rev_c", "sum"), ([], "count_all")]
-            ).rename_columns(["priority_label", "rev_c", "n_orders"])
+            return group_count_batch(
+                t, ["priority_label"], {"rev_c": "rev_c"}, count="n_orders"
+            )
+
+        def label_v1(b: pa.Table) -> pa.Table:
+            return tally(b, pa.array(["<pre-evolution>"] * len(b), pa.string()))
 
         def label_v2(b: pa.Table) -> pa.Table:
-            cents = np.round(
-                b["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-            ).astype(np.int64)
-            t = pa.table(
-                {
-                    "priority_label": b["o_orderpriority"],
-                    "rev_c": pa.array(cents),
-                }
-            )
-            return t.group_by("priority_label").aggregate(
-                [("rev_c", "sum"), ([], "count_all")]
-            ).rename_columns(["priority_label", "rev_c", "n_orders"])
+            return tally(b, b["o_orderpriority"])
 
         d1 = ray.data.read_parquet(f"{base}/v1").map_batches(
             label_v1, batch_format="pyarrow"
@@ -4622,21 +4397,17 @@ def orders_incremental_agg(sf_dir: str):
         yrs = dd.astype("datetime64[Y]").astype(np.int64) + 1970
         mos = (dd.astype(np.int64) % 12) + 1
         month = yrs * 100 + mos
-        cents = np.round(
-            b["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
         phase = np.where(d < split, "base", "delta")
         t = pa.table(
             {
                 "phase": pa.array(phase, pa.string()),
                 "month": pa.array(month, pa.int64()),
-                "c": pa.array(cents),
+                "c": pa.array(cents(b["o_totalprice"])),
             }
         )
-        out = t.group_by(["phase", "month"]).aggregate(
-            [("c", "sum"), ([], "count_all")]
+        return group_count_batch(
+            t, ["phase", "month"], {"c": "rev_c"}, count="n_orders"
         )
-        return out.rename_columns(["phase", "month", "rev_c", "n_orders"])
 
     parts = (
         orders.map_batches(partial, batch_format="pyarrow")
@@ -4816,10 +4587,8 @@ def orders_key_islands(sf_dir: str, num_ranges: int = 16):
     )
 
     def keys_partial(b: pa.Table) -> pa.Table:
-        cents = np.round(
-            b["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        k = b["o_orderkey"].to_numpy(zero_copy_only=False)[cents % 7 != 0]
+        cts = cents(b["o_totalprice"])
+        k = b["o_orderkey"].to_numpy(zero_copy_only=False)[cts % 7 != 0]
         return pa.table({"key": pa.array(np.unique(k), pa.int64())})
 
     keys = orders.map_batches(keys_partial, batch_format="pyarrow")
@@ -4976,12 +4745,12 @@ def orders_seasonal_decompose(sf_dir: str):
             pc.year(b["o_orderdate"]).to_numpy(zero_copy_only=False) * 100
             + pc.month(b["o_orderdate"]).to_numpy(zero_copy_only=False)
         ).astype(np.int64)
-        cents = _cents(b["o_totalprice"])
+        cts = cents(b["o_totalprice"])
         u, inv = np.unique(ym, return_inverse=True)
         return pa.table(
             {
                 "ym": pa.array(u, pa.int64()),
-                "cents": pa.array(np.bincount(inv, cents).astype(np.int64)),
+                "cents": pa.array(np.bincount(inv, cts).astype(np.int64)),
             }
         )
 
@@ -4996,8 +4765,8 @@ def orders_seasonal_decompose(sf_dir: str):
         .sort_values("ym")
     )
     ym = m["ym"].to_numpy(np.int64)
-    cents = m["cents"].to_numpy(np.int64)
-    n = len(cents)
+    cts = m["cents"].to_numpy(np.int64)
+    n = len(cts)
     if n < 13:
         return pa.table(
             {
@@ -5008,11 +4777,11 @@ def orders_seasonal_decompose(sf_dir: str):
                 "seasonal_cents": pa.array([], pa.float64()),
             }
         )
-    win = np.lib.stride_tricks.sliding_window_view(cents, 13)
+    win = np.lib.stride_tricks.sliding_window_view(cts, 13)
     s13 = win.sum(axis=1)  # rows 7..n-6 (0-based 6..n-7)
     mid_ym = ym[6 : n - 6]
-    mid_cents = cents[6 : n - 6]
-    trend_num = 2 * s13 - cents[: n - 12] - cents[12:]
+    mid_cents = cts[6 : n - 6]
+    trend_num = 2 * s13 - cts[: n - 12] - cts[12:]
     det_num = 24 * mid_cents - trend_num
     mo = mid_ym % 100
     det_sum = np.zeros(13, np.int64)
@@ -5032,6 +4801,37 @@ def orders_seasonal_decompose(sf_dir: str):
             ),
             "seasonal_cents": pa.array(seasonal, pa.float64()),
         }
+    )
+
+
+def _monthly_order_cents(sf_dir: str):
+    """Order totals per month in integer cents, as an (mi, cents) frame
+    sorted by month index mi = year * 12 + month - 1. Per-batch partials
+    bound the exchange by the month grid."""
+    import pandas as pd
+
+    import ray.data
+
+    def partials(batch: pa.Table) -> pa.Table:
+        d = pc.cast(batch["o_orderdate"], pa.timestamp("us"))
+        yr = pc.year(d).to_numpy(zero_copy_only=False).astype(np.int64)
+        mo = pc.month(d).to_numpy(zero_copy_only=False).astype(np.int64)
+        df = (
+            pd.DataFrame({"mi": yr * 12 + mo - 1, "cents": cents(batch["o_totalprice"])})
+            .groupby("mi", as_index=False)
+            .sum()
+        )
+        return pa.Table.from_pandas(df, preserve_index=False)
+
+    return (
+        ray.data.read_parquet(
+            f"{sf_dir}/orders.parquet", columns=["o_orderdate", "o_totalprice"]
+        )
+        .map_batches(partials, batch_format="pyarrow")
+        .to_pandas()  # bounded: |months| x blocks
+        .groupby("mi", as_index=False)
+        .sum()
+        .sort_values("mi")
     )
 
 
@@ -5062,40 +4862,12 @@ def orders_monthly_theilsen(sf_dir: str):
     one numpy broadcast on the driver, never per order row. median() on
     an even count averages the two middle doubles on both sides, so the
     statistic hashes bit-identically."""
-    import pandas as pd
-
-    import ray.data
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderdate", "o_totalprice"]
-    )
-
-    def partials(batch: pa.Table) -> pa.Table:
-        d = pc.cast(batch["o_orderdate"], pa.timestamp("us"))
-        yr = pc.year(d).to_numpy(zero_copy_only=False).astype(np.int64)
-        mo = pc.month(d).to_numpy(zero_copy_only=False).astype(np.int64)
-        cents = np.round(
-            batch["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        df = (
-            pd.DataFrame({"mi": yr * 12 + mo - 1, "cents": cents})
-            .groupby("mi", as_index=False)
-            .sum()
-        )
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    m = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .to_pandas()  # bounded: |months| x blocks
-        .groupby("mi", as_index=False)
-        .sum()
-        .sort_values("mi")
-    )
+    m = _monthly_order_cents(sf_dir)
     mi = m["mi"].to_numpy(np.int64)
-    cents = m["cents"].to_numpy(np.int64).astype(np.float64)
+    cts = m["cents"].to_numpy(np.int64).astype(np.float64)
     di = mi[None, :] - mi[:, None]
     iu = np.triu_indices(len(mi), k=1)
-    slopes = (cents[None, :] - cents[:, None])[iu] / di[iu]
+    slopes = (cts[None, :] - cts[:, None])[iu] / di[iu]
     return pa.table(
         {
             "n_slopes": pa.array([len(slopes)], pa.int64()),
@@ -5150,13 +4922,12 @@ def graph_bipartite_projection(sf_dir: str):
         ).drop_duplicates()
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+    from sciscraper_ray.pipelines.plan import driver_frame
 
     e = (
         driver_frame(
             li.map_batches(distinct_edges, batch_format="pyarrow"),
-            DRIVER_PLAN_LIMIT,
-            "graph_bipartite_projection",
+            what="graph_bipartite_projection",
         )
         .drop_duplicates()
         .sort_values(["p", "s"])
@@ -5257,9 +5028,7 @@ def lineitem_simpson_audit(sf_dir: str):
 
     def moments(batch: pa.Table) -> pa.Table:
         g = batch["l_returnflag"].to_numpy(zero_copy_only=False)
-        d = np.round(
-            batch["l_discount"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
+        d = cents(batch["l_discount"])
         q = batch["l_quantity"].to_numpy(zero_copy_only=False).astype(np.int64)
         df = pd.DataFrame({"grp": g, "n": 1, "sdq": d * q, "sd": d, "sq": q})
         return pa.Table.from_pandas(
@@ -5321,35 +5090,7 @@ def orders_mann_kendall(sf_dir: str):
     arithmetic order). Month-bounded exchange (integer-cents partials),
     one vectorized sign-matrix pass on the driver — the standard
     'is this KPI really drifting' gate that doesn't assume normality."""
-    import pandas as pd
-
-    import ray.data
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderdate", "o_totalprice"]
-    )
-
-    def partials(batch: pa.Table) -> pa.Table:
-        d = pc.cast(batch["o_orderdate"], pa.timestamp("us"))
-        yr = pc.year(d).to_numpy(zero_copy_only=False).astype(np.int64)
-        mo = pc.month(d).to_numpy(zero_copy_only=False).astype(np.int64)
-        cents = np.round(
-            batch["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-        df = (
-            pd.DataFrame({"mi": yr * 12 + mo - 1, "cents": cents})
-            .groupby("mi", as_index=False)
-            .sum()
-        )
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    m = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .to_pandas()  # bounded: |months| x blocks
-        .groupby("mi", as_index=False)
-        .sum()
-        .sort_values("mi")
-    )
+    m = _monthly_order_cents(sf_dir)
     c = m["cents"].to_numpy(np.int64)
     n = len(c)
     diff = np.sign(c[None, :] - c[:, None])

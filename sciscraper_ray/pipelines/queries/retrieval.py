@@ -20,6 +20,7 @@ from sciscraper_ray.pipelines.queries.text_analysis import (
     _lang_sql,
     lang_id_batch,
 )
+from sciscraper_ray.stages.relational import group_count_batch
 
 
 # --------------------------------------------------------------------------
@@ -1336,11 +1337,7 @@ def host_topk_docs(sf_dir: str, plan: str = "auto"):
     after a hash repartition on host."""
     import pandas as pd
 
-    from sciscraper_ray.pipelines.plan import (
-        DRIVER_PLAN_LIMIT,
-        driver_frame,
-        resolve_plan,
-    )
+    from sciscraper_ray.pipelines.plan import driver_frame, resolve_plan
     from sciscraper_ray.sources.page_synth import host_for
 
     K = 3
@@ -1367,7 +1364,7 @@ def host_topk_docs(sf_dir: str, plan: str = "auto"):
     )
     mode, partials = resolve_plan(partials, plan)
     if mode == "driver":
-        df = driver_frame(partials, DRIVER_PLAN_LIMIT, "host_topk_docs")
+        df = driver_frame(partials, what="host_topk_docs")
     else:
         # beyond driver memory: ONE bounded-cardinality exchange — hosts
         # hash into 32 buckets (the window family's bucket-then-vectorize
@@ -1558,11 +1555,7 @@ def top_tokens_by_lang(sf_dir: str, plan: str = "auto"):
     from ray.data.aggregate import Sum
 
     from sciscraper_ray.kernels.tokenize import tokenize_column
-    from sciscraper_ray.pipelines.plan import (
-        DRIVER_PLAN_LIMIT,
-        driver_frame,
-        resolve_plan,
-    )
+    from sciscraper_ray.pipelines.plan import driver_frame, resolve_plan
 
     def partial(batch: pa.Table) -> pa.Table:
         tokens = tokenize_column(batch["text"]).combine_chunks()
@@ -1582,7 +1575,7 @@ def top_tokens_by_lang(sf_dir: str, plan: str = "auto"):
     )
     mode, partials = resolve_plan(partials, plan)
     if mode == "driver":
-        df = driver_frame(partials, DRIVER_PLAN_LIMIT, "top_tokens_by_lang")
+        df = driver_frame(partials, what="top_tokens_by_lang")
         agg = df.groupby(["lang", "token"], as_index=False)["cnt"].sum()
     else:
         agg = (
@@ -2409,11 +2402,7 @@ def doc_ccnet_ppl_bins(sf_dir: str):
 
     hist = (
         joined.map_batches(
-            lambda b: pa.table({"lang": b["lang"], "lp": b["lp"]})
-            .group_by(["lang", "lp"])
-            .aggregate([([], "count_all")])
-            .rename_columns(["lang", "lp", "cnt"]),
-            batch_format="pyarrow",
+            lambda b: group_count_batch(b, ["lang", "lp"]), batch_format="pyarrow"
         )
         .groupby(["lang", "lp"])
         .aggregate(Sum(on="cnt", alias_name="cnt"))
@@ -2972,14 +2961,8 @@ def retrieval_bm25_prf(sf_dir: str):
         toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
         par = pc.list_parent_indices(toks)
-        dfp = (
-            pa.table({"token": flat, "d": par})
-            .group_by(["token", "d"])
-            .aggregate([])
-            .group_by("token")
-            .aggregate([([], "count_all")])
-            .rename_columns(["term", "a"])
-        )
+        pairs = pa.table({"term": flat, "d": par}).group_by(["term", "d"]).aggregate([])
+        dfp = group_count_batch(pairs, ["term"], count="a")
         head = pa.table(
             {
                 "term": pa.array([""]),
@@ -3072,8 +3055,7 @@ def retrieval_bm25_prf(sf_dir: str):
             )
         toks = tokenize_column(batch.filter(pa.array(keep))["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
-        agg = pa.table({"token": flat}).group_by("token").aggregate([([], "count_all")])
-        return agg.rename_columns(["token", "cnt"])
+        return group_count_batch(pa.table({"token": flat}), ["token"])
 
     fb = (
         ds.map_batches(fb_tokens, batch_format="pyarrow")

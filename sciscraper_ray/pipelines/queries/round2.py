@@ -13,9 +13,11 @@ from sciscraper_ray.kernels.md5 import md5_hex15, md5_hex15_sql
 from sciscraper_ray.pipelines.queries._shared import (
     _SQL_TOKENS,
     _docs,
+    cents,
     register,
 )
-from sciscraper_ray.pipelines.queries.dedup import _ngram_positions
+from sciscraper_ray.pipelines.queries.dedup import _bigram_counts, _ngram_positions
+from sciscraper_ray.stages.relational import group_count_batch
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +179,11 @@ def orders_anti_join(sf_dir: str):
     def distinct_part(b: pa.Table) -> pa.Table:
         return pa.table({"k": pc.unique(b["l_orderkey"])})
 
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+    from sciscraper_ray.pipelines.plan import driver_frame
 
     parts = driver_frame(
         keys.map_batches(distinct_part, batch_format="pyarrow"),
-        DRIVER_PLAN_LIMIT,
-        "orders_semijoin (distinct-key broadcast side)",
+        what="orders_semijoin (distinct-key broadcast side)",
     )
     key_set = pa.array(parts["k"].unique(), type=pa.int64())
     key_ref = ray.put(key_set)
@@ -236,36 +237,7 @@ def token_bigram_next(sf_dir: str):
     histogram rows, never token streams -- and the tiny combined table
     reduces on the driver with one vectorized lexsort. The same shape
     serves any n-gram LM count collection."""
-
-    def partials(batch: pa.Table) -> pa.Table:
-        _, bg = _ngram_positions(batch, 2)
-        if len(bg) == 0:
-            return pa.table(
-                {
-                    "token": pa.array([], type=pa.string()),
-                    "next_token": pa.array([], type=pa.string()),
-                    "cnt": pa.array([], type=pa.int64()),
-                }
-            )
-        split = pc.split_pattern(bg, " ")
-        flat = pc.list_flatten(split)
-        tok = flat.take(np.arange(0, len(flat), 2))
-        nxt = flat.take(np.arange(1, len(flat), 2))
-        agg = (
-            pa.table({"token": tok, "next_token": nxt})
-            .group_by(["token", "next_token"])
-            .aggregate([([], "count_all")])
-        )
-        return agg.rename_columns(["token", "next_token", "cnt"])
-
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
-
-    parts = driver_frame(
-        _docs(sf_dir).map_batches(partials, batch_format="pyarrow"),
-        DRIVER_PLAN_LIMIT,
-        "token_bigram_next",
-    )
-    merged = parts.groupby(["token", "next_token"], as_index=False)["cnt"].sum()
+    merged = _bigram_counts(sf_dir, "token_bigram_next")
     order = np.lexsort(
         (
             merged["next_token"].to_numpy(),
@@ -319,17 +291,12 @@ def token_zipf_slope(sf_dir: str, mode: str = "auto"):
     never the full frequency table. The closed form is mirrored
     term-for-term in the oracle so the rounded double matches."""
     from sciscraper_ray.kernels.tokenize import tokenize_column
-    from sciscraper_ray.pipelines.plan import (
-        DRIVER_PLAN_LIMIT,
-        driver_frame,
-        resolve_plan,
-    )
+    from sciscraper_ray.pipelines.plan import driver_frame, resolve_plan
 
     def partials(batch: pa.Table) -> pa.Table:
         toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
-        agg = pa.table({"token": flat}).group_by("token").aggregate([([], "count_all")])
-        return agg.rename_columns(["token", "cnt"])
+        return group_count_batch(pa.table({"token": flat}), ["token"])
 
     parts_ds = _docs(sf_dir).map_batches(partials, batch_format="pyarrow")
     plan, parts_ds = resolve_plan(parts_ds, mode)
@@ -366,7 +333,7 @@ def token_zipf_slope(sf_dir: str, mode: str = "auto"):
             sxx += float(np.sum(x * x))
         return fit(float(n), sx, sy, sxy, sxx)
 
-    parts = driver_frame(parts_ds, DRIVER_PLAN_LIMIT, "token_zipf_slope")
+    parts = driver_frame(parts_ds, what="token_zipf_slope")
     merged = parts.groupby("token", as_index=False)["cnt"].sum()
     order = np.lexsort((merged["token"].to_numpy(), -merged["cnt"].to_numpy()))
     c = merged["cnt"].to_numpy()[order].astype(np.float64)
@@ -435,11 +402,7 @@ def doc_ngram_novelty(sf_dir: str, mode: str = "auto"):
     from ray.data.aggregate import Count, Min
 
     from sciscraper_ray.kernels.tokenize import tokenize_column
-    from sciscraper_ray.pipelines.plan import (
-        DRIVER_PLAN_LIMIT,
-        driver_frame,
-        resolve_plan,
-    )
+    from sciscraper_ray.pipelines.plan import driver_frame, resolve_plan
     from sciscraper_ray.stages.dedup import _hash_tokens128, _window_hashes128
 
     def pairs_partial(batch: pa.Table) -> pa.Table:
@@ -524,7 +487,7 @@ def doc_ngram_novelty(sf_dir: str, mode: str = "auto"):
             merged["n_grams"].to_numpy(),
         )
 
-    pairs = driver_frame(pairs_ds, DRIVER_PLAN_LIMIT, "doc_ngram_novelty")
+    pairs = driver_frame(pairs_ds, what="doc_ngram_novelty")
     if pairs.empty:  # corpus with no 3-token docs (ADVICE r3)
         return result_table([], [], [])
     doc = pairs["doc_id"].to_numpy()
@@ -567,15 +530,13 @@ def token_type_stats(sf_dir: str):
     def partials(batch: pa.Table) -> pa.Table:
         toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
-        agg = pa.table({"token": flat}).group_by("token").aggregate([([], "count_all")])
-        return agg.rename_columns(["token", "cnt"])
+        return group_count_batch(pa.table({"token": flat}), ["token"])
 
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+    from sciscraper_ray.pipelines.plan import driver_frame
 
     parts = driver_frame(
         _docs(sf_dir).map_batches(partials, batch_format="pyarrow"),
-        DRIVER_PLAN_LIMIT,
-        "token_type_stats",
+        what="token_type_stats",
     )
     merged = parts.groupby("token", as_index=False)["cnt"].sum()
     c = merged["cnt"].to_numpy()
@@ -631,36 +592,7 @@ def token_pmi_collocations(sf_dir: str):
     token_bigram_next: per-batch Arrow group_by partials, the exchange
     bounded by distinct-bigram vocabulary; marginals + the PMI kernel are
     one vectorized pandas/numpy pass over the vocab-sized merge."""
-
-    def partials(batch: pa.Table) -> pa.Table:
-        _, bg = _ngram_positions(batch, 2)
-        if len(bg) == 0:
-            return pa.table(
-                {
-                    "token": pa.array([], type=pa.string()),
-                    "next_token": pa.array([], type=pa.string()),
-                    "cnt": pa.array([], type=pa.int64()),
-                }
-            )
-        split = pc.split_pattern(bg, " ")
-        flat = pc.list_flatten(split)
-        tok = flat.take(np.arange(0, len(flat), 2))
-        nxt = flat.take(np.arange(1, len(flat), 2))
-        agg = (
-            pa.table({"token": tok, "next_token": nxt})
-            .group_by(["token", "next_token"])
-            .aggregate([([], "count_all")])
-        )
-        return agg.rename_columns(["token", "next_token", "cnt"])
-
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
-
-    parts = driver_frame(
-        _docs(sf_dir).map_batches(partials, batch_format="pyarrow"),
-        DRIVER_PLAN_LIMIT,
-        "token_pmi_collocations",
-    )
-    merged = parts.groupby(["token", "next_token"], as_index=False)["cnt"].sum()
+    merged = _bigram_counts(sf_dir, "token_pmi_collocations")
     total = float(merged["cnt"].sum())
     lc = merged.groupby("token")["cnt"].transform("sum").to_numpy(np.float64)
     rc = merged.groupby("next_token")["cnt"].transform("sum").to_numpy(np.float64)
@@ -799,15 +731,9 @@ def events_sliding(sf_dir: str):
             {
                 "w_start": pa.array(starts, type=pa.int64()),
                 "value": pa.array(np.tile(vals, _SLIDE_PANES)),
-                "one": pa.array(
-                    np.ones(len(starts), np.int64)
-                ),
             }
         )
-        agg = t.group_by("w_start").aggregate(
-            [("one", "sum"), ("value", "sum")]
-        )
-        return agg.rename_columns(["w_start", "cnt", "sum_value"])
+        return group_count_batch(t, ["w_start"], {"value": "sum_value"})
 
     agg = (
         ds.map_batches(partial, batch_format="pyarrow")
@@ -855,8 +781,6 @@ def events_topk_users(sf_dir: str):
     totals (6 dp, same as the oracle) so both engines rank identical
     keys; ties break by user_id asc."""
     import ray.data
-
-    from sciscraper_ray.stages.relational import group_count_batch
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "user_id", "value"]
@@ -960,12 +884,10 @@ def doc_length_rank(sf_dir: str):
         f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
     )
 
-    def hist(b: pa.Table) -> pa.Table:
-        agg = b.group_by("n_chars").aggregate([([], "count_all")])
-        return agg.rename_columns(["n_chars", "cnt"])
-
     h = (
-        ds.map_batches(hist, batch_format="pyarrow")
+        ds.map_batches(
+            lambda b: group_count_batch(b, ["n_chars"]), batch_format="pyarrow"
+        )
         .to_pandas()  # bounded: |distinct lengths| x blocks
         .groupby("n_chars")["cnt"]
         .sum()
@@ -1032,7 +954,6 @@ def lineitem_moments(sf_dir: str):
                 "sxy": pc.multiply(x, y),
             }
         )
-        from sciscraper_ray.stages.relational import group_count_batch
 
         return group_count_batch(
             t,
@@ -1097,8 +1018,6 @@ def orders_rollup(sf_dir: str):
 
     import ray.data
     from ray.data.aggregate import Sum
-
-    from sciscraper_ray.stages.relational import group_count_batch
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
@@ -1193,6 +1112,30 @@ def doc_dup_substrings(sf_dir: str):
     return dup_substring_mass(_docs(sf_dir), k=20)
 
 
+def _part_supplier_graph(sf_dir: str):
+    """The symmetrized part<->supplier graph from DISTINCT lineitem pairs,
+    suppliers offset by 10^7 to disambiguate the bipartite id spaces, as
+    pagerank's (a, b) edge list."""
+    import ray.data
+
+    from sciscraper_ray.pipelines.graph import _dedup_edges, symmetrize
+
+    li = ray.data.read_parquet(
+        f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"]
+    )
+    e0 = _dedup_edges(
+        li.map_batches(
+            lambda b: pa.table(
+                {"a": b["l_partkey"], "b": pc.add(b["l_suppkey"], 10_000_000)}
+            ),
+            batch_format="pyarrow",
+        )
+    )
+    return e0.map_batches(
+        symmetrize, fn_kwargs={"u": "a", "v": "b"}, batch_format="pyarrow"
+    )
+
+
 def _pagerank_sql(iters: int = 5) -> str:
     """PageRank unrolled to a fixed iteration count: r0..r{iters} as
     chained CTEs (standard SQL has no aggregates in recursive terms, so
@@ -1235,37 +1178,9 @@ def graph_pagerank(sf_dir: str):
     Each iteration is one co-partitioned bucketed hash join + a
     groupby(dst) sum — see pipelines/graph.py pagerank for the physical
     plan; the oracle unrolls the identical fixed-K iteration in SQL."""
-    import ray.data
+    from sciscraper_ray.pipelines.graph import pagerank
 
-    from sciscraper_ray.pipelines.graph import _dedup_edges, pagerank
-
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"]
-    )
-
-    def to_edges(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "a": b["l_partkey"],
-                "b": pc.add(b["l_suppkey"], 10_000_000),
-            }
-        )
-
-    e0 = _dedup_edges(li.map_batches(to_edges, batch_format="pyarrow"))
-
-    def symmetrize(b: pa.Table) -> pa.Table:
-        a = b["a"].to_numpy(zero_copy_only=False)
-        bb = b["b"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "a": pa.array(np.concatenate([a, bb]), pa.int64()),
-                "b": pa.array(np.concatenate([bb, a]), pa.int64()),
-            }
-        )
-
-    return pagerank(
-        e0.map_batches(symmetrize, batch_format="pyarrow"), damping=0.85, iters=5
-    )
+    return pagerank(_part_supplier_graph(sf_dir), damping=0.85, iters=5)
 
 
 def _ppr_sql(iters: int = 5) -> str:
@@ -1311,36 +1226,10 @@ def graph_ppr(sf_dir: str):
     (pipelines/graph.py); the teleport mass rides the static augmented
     edge list like the destination degree, so the per-iteration exchange
     count is unchanged. Oracle unrolls the identical fixed-K iteration."""
-    import ray.data
-
-    from sciscraper_ray.pipelines.graph import _dedup_edges, pagerank
-
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"]
-    )
-
-    def to_edges(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "a": b["l_partkey"],
-                "b": pc.add(b["l_suppkey"], 10_000_000),
-            }
-        )
-
-    e0 = _dedup_edges(li.map_batches(to_edges, batch_format="pyarrow"))
-
-    def symmetrize(b: pa.Table) -> pa.Table:
-        a = b["a"].to_numpy(zero_copy_only=False)
-        bb = b["b"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "a": pa.array(np.concatenate([a, bb]), pa.int64()),
-                "b": pa.array(np.concatenate([bb, a]), pa.int64()),
-            }
-        )
+    from sciscraper_ray.pipelines.graph import pagerank
 
     return pagerank(
-        e0.map_batches(symmetrize, batch_format="pyarrow"),
+        _part_supplier_graph(sf_dir),
         damping=0.85,
         iters=5,
         seeds=np.arange(50, dtype=np.int64),
@@ -1371,8 +1260,6 @@ def events_decayed_value(sf_dir: str):
 
     import ray.data
     from ray.data.aggregate import Sum
-
-    from sciscraper_ray.stages.relational import group_count_batch
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"]
@@ -1602,12 +1489,10 @@ def doc_ntile(sf_dir: str):
         f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
     )
 
-    def hist(b: pa.Table) -> pa.Table:
-        agg = b.group_by("n_chars").aggregate([([], "count_all")])
-        return agg.rename_columns(["n_chars", "cnt"])
-
     h = (
-        ds.map_batches(hist, batch_format="pyarrow")
+        ds.map_batches(
+            lambda b: group_count_batch(b, ["n_chars"]), batch_format="pyarrow"
+        )
         .to_pandas()  # bounded: |distinct lengths| x blocks
         .groupby("n_chars")["cnt"]
         .sum()
@@ -1659,8 +1544,6 @@ def events_distinct_users(sf_dir: str):
     n_users and summing c for cnt."""
     import ray.data
     from ray.data.aggregate import Count, Sum
-
-    from sciscraper_ray.stages.relational import group_count_batch
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
@@ -1851,8 +1734,6 @@ def events_zscore(sf_dir: str):
     full-stream vectorized map. No shuffle touches the event rows."""
     import ray.data
     from ray.data.aggregate import Sum
-
-    from sciscraper_ray.stages.relational import group_count_batch
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "event_type", "value"]
@@ -2090,7 +1971,7 @@ def customer_orders_leftjoin(sf_dir: str):
     import ray.data
     from ray.data.aggregate import Sum
 
-    from sciscraper_ray.stages.relational import bucketed_hash_join, group_count_batch
+    from sciscraper_ray.stages.relational import bucketed_hash_join
 
     cust = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
@@ -2231,6 +2112,79 @@ def doc_collect_ids(sf_dir: str):
 
 
 
+def _price_quantiles(sf_dir: str, pcts, what: str):
+    """(n_rows, {pct: cents}): EXACT quantile_disc order statistics of
+    l_extendedprice in cents, in two bounded passes. Pass 1 histograms
+    cents into 4096 fixed-width integer bins whose bounds come FREE from
+    the parquet footer's row-group statistics; the driver's cumulative
+    sum locates, for each target rank ceil(n*q)-1, the one bin holding
+    it. Pass 2 collects ONLY values inside the target bins (expected
+    n/4096 rows each, under the driver-frame bound) and reads each order
+    statistic off a driver sort."""
+    import pyarrow.parquet as pq
+
+    import ray.data
+    from ray.data.aggregate import Sum
+
+    from sciscraper_ray.pipelines.plan import driver_frame
+
+    NBINS = 4096
+    pf = pq.ParquetFile(f"{sf_dir}/lineitem.parquet")
+    col = pf.schema_arrow.get_field_index("l_extendedprice")
+    stats = [
+        pf.metadata.row_group(rg).column(col).statistics
+        for rg in range(pf.metadata.num_row_groups)
+    ]
+    lo = int(np.floor(min(s.min for s in stats) * 100))
+    hi = int(np.ceil(max(s.max for s in stats) * 100))
+    w = max(1, (hi - lo + NBINS) // NBINS)
+
+    def binned(b: pa.Table):
+        cts = cents(b["l_extendedprice"])
+        return cts, np.clip((cts - lo) // w, 0, NBINS - 1)
+
+    def hist_partial(b: pa.Table) -> pa.Table:
+        cnt = np.bincount(binned(b)[1], minlength=NBINS)
+        nz = np.flatnonzero(cnt)
+        return pa.table(
+            {
+                "bin": pa.array(nz.astype(np.int64)),
+                "cnt": pa.array(cnt[nz].astype(np.int64)),
+            }
+        )
+
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice"]
+    )
+    hist = (
+        ds.map_batches(hist_partial, batch_format="pyarrow")
+        .groupby("bin")
+        .aggregate(Sum(on="cnt", alias_name="cnt"))
+        .to_pandas()  # bounded: |bins|
+    )
+    cnt = np.zeros(NBINS, np.int64)
+    cnt[hist["bin"].to_numpy(np.int64)] = hist["cnt"].to_numpy(np.int64)
+    cum = np.cumsum(cnt)
+    n = int(cum[-1])
+    ranks = {pct: (n * pct + 99) // 100 - 1 for pct in pcts}
+    tbins = {pct: int(np.searchsorted(cum, r + 1)) for pct, r in ranks.items()}
+    need = np.array(sorted(set(tbins.values())), np.int64)
+
+    def in_targets(b: pa.Table) -> pa.Table:
+        cts, bins = binned(b)
+        keep = np.isin(bins, need)
+        return pa.table({"bin": pa.array(bins[keep]), "cents": pa.array(cts[keep])})
+
+    vals = driver_frame(ds.map_batches(in_targets, batch_format="pyarrow"), what=what)
+    value = {}
+    for pct in pcts:
+        bb = tbins[pct]
+        rank_in = ranks[pct] - (int(cum[bb - 1]) if bb else 0)
+        inbin = np.sort(vals.loc[vals["bin"] == bb, "cents"].to_numpy(np.int64))
+        value[pct] = int(inbin[rank_in])
+    return n, value
+
+
 @register(
     "lineitem_price_quantiles_twopass",
     oracle="""
@@ -2263,90 +2217,13 @@ def lineitem_price_quantiles_twopass(sf_dir: str):
     the target-bin values; nothing global is ever sorted. A pathological
     single-value bin would simply make pass 2 the exact-count shortcut
     (every rank inside it is that value)."""
-    import pyarrow.parquet as pq
-
-    import ray.data
-    from ray.data.aggregate import Sum
-
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
-
-    NBINS = 4096
-    pf = pq.ParquetFile(f"{sf_dir}/lineitem.parquet")
-    col = pf.schema_arrow.get_field_index("l_extendedprice")
-    mins, maxs = [], []
-    for rg in range(pf.metadata.num_row_groups):
-        st = pf.metadata.row_group(rg).column(col).statistics
-        mins.append(st.min)
-        maxs.append(st.max)
-    lo = int(np.floor(min(mins) * 100))
-    hi = int(np.ceil(max(maxs) * 100))
-    w = max(1, (hi - lo + NBINS) // NBINS)
-
-    def cents_of(b: pa.Table) -> np.ndarray:
-        return np.round(
-            b["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-
-    def hist_partial(b: pa.Table) -> pa.Table:
-        binned = np.clip((cents_of(b) - lo) // w, 0, NBINS - 1)
-        cnt = np.bincount(binned, minlength=NBINS)
-        nz = np.flatnonzero(cnt)
-        return pa.table(
-            {
-                "bin": pa.array(nz.astype(np.int64)),
-                "cnt": pa.array(cnt[nz].astype(np.int64)),
-            }
-        )
-
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice"]
+    n, value = _price_quantiles(
+        sf_dir, (10, 50, 90), "lineitem_price_quantiles_twopass"
     )
-    hist = (
-        ds.map_batches(hist_partial, batch_format="pyarrow")
-        .groupby("bin")
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
-        .to_pandas()  # bounded: |bins|
-        .sort_values("bin", ignore_index=True)
-    )
-    cnt = np.zeros(NBINS, np.int64)
-    cnt[hist["bin"].to_numpy(np.int64)] = hist["cnt"].to_numpy(np.int64)
-    cum = np.cumsum(cnt)
-    n = int(cum[-1])
-    ranks = {pct: (n * pct + 99) // 100 - 1 for pct in (10, 50, 90)}
-    target_bins = {
-        pct: int(np.searchsorted(cum, r + 1)) for pct, r in ranks.items()
-    }
-    need = sorted(set(target_bins.values()))
-    need_arr = np.array(need, np.int64)
-
-    def in_targets(b: pa.Table) -> pa.Table:
-        cents = cents_of(b)
-        binned = np.clip((cents - lo) // w, 0, NBINS - 1)
-        keep = np.isin(binned, need_arr)
-        return pa.table(
-            {
-                "bin": pa.array(binned[keep]),
-                "cents": pa.array(cents[keep]),
-            }
-        )
-
-    vals = driver_frame(
-        ds.map_batches(in_targets, batch_format="pyarrow"),
-        DRIVER_PLAN_LIMIT,
-        "lineitem_price_quantiles_twopass",
-    )
-    out = []
-    for pct in (10, 50, 90):
-        bb = target_bins[pct]
-        rank_in = ranks[pct] - (int(cum[bb - 1]) if bb else 0)
-        inbin = np.sort(
-            vals.loc[vals["bin"] == bb, "cents"].to_numpy(np.int64)
-        )
-        out.append((pct, int(inbin[rank_in])))
     return pa.table(
         {
-            "pct": pa.array([r[0] for r in out], pa.int64()),
-            "value_cents": pa.array([r[1] for r in out], pa.int64()),
+            "pct": pa.array([10, 50, 90], pa.int64()),
+            "value_cents": pa.array([value[pct] for pct in (10, 50, 90)], pa.int64()),
             "n_rows": pa.array([n] * 3, pa.int64()),
         }
     )
@@ -2385,95 +2262,31 @@ def lineitem_winsorized_mean(sf_dir: str):
     read the exact cut points, and pass 3 is one clipped partial-sum
     scan. The mean itself stays a (sum, count) integer pair — the one
     division is the caller's, so the oracle compare is exact."""
-    import pyarrow.parquet as pq
-
     import ray.data
-    from ray.data.aggregate import Sum
 
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+    _, cutv = _price_quantiles(sf_dir, (5, 95), "lineitem_winsorized_mean")
+    lo_cut, hi_cut = cutv[5], cutv[95]
 
-    NBINS = 4096
-    pf = pq.ParquetFile(f"{sf_dir}/lineitem.parquet")
-    col = pf.schema_arrow.get_field_index("l_extendedprice")
-    stats = [
-        pf.metadata.row_group(rg).column(col).statistics
-        for rg in range(pf.metadata.num_row_groups)
-    ]
-    lo = int(np.floor(min(s.min for s in stats) * 100))
-    hi = int(np.ceil(max(s.max for s in stats) * 100))
-    w = max(1, (hi - lo + NBINS) // NBINS)
-
-    def cents_of(b: pa.Table) -> np.ndarray:
-        return np.round(
-            b["l_extendedprice"].to_numpy(zero_copy_only=False) * 100
-        ).astype(np.int64)
-
-    def hist_partial(b: pa.Table) -> pa.Table:
-        binned = np.clip((cents_of(b) - lo) // w, 0, NBINS - 1)
-        cnt = np.bincount(binned, minlength=NBINS)
-        nz = np.flatnonzero(cnt)
+    def clip_partial(b: pa.Table) -> pa.Table:
+        cts = cents(b["l_extendedprice"])
         return pa.table(
             {
-                "bin": pa.array(nz.astype(np.int64)),
-                "cnt": pa.array(cnt[nz].astype(np.int64)),
+                "n_clipped_lo": pa.array(
+                    [int((cts < lo_cut).sum())], pa.int64()
+                ),
+                "n_clipped_hi": pa.array(
+                    [int((cts > hi_cut).sum())], pa.int64()
+                ),
+                "winsorized_sum_cents": pa.array(
+                    [int(np.clip(cts, lo_cut, hi_cut).sum())], pa.int64()
+                ),
+                "n_rows": pa.array([len(cts)], pa.int64()),
             }
         )
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice"]
     )
-    hist = (
-        ds.map_batches(hist_partial, batch_format="pyarrow")
-        .groupby("bin")
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
-        .to_pandas()  # bounded: |bins|
-    )
-    cnt = np.zeros(NBINS, np.int64)
-    cnt[hist["bin"].to_numpy(np.int64)] = hist["cnt"].to_numpy(np.int64)
-    cum = np.cumsum(cnt)
-    n = int(cum[-1])
-    ranks = {q: (n * q + 99) // 100 - 1 for q in (5, 95)}
-    tbins = {q: int(np.searchsorted(cum, r + 1)) for q, r in ranks.items()}
-    need = np.array(sorted(set(tbins.values())), np.int64)
-
-    def in_targets(b: pa.Table) -> pa.Table:
-        cents = cents_of(b)
-        binned = np.clip((cents - lo) // w, 0, NBINS - 1)
-        keep = np.isin(binned, need)
-        return pa.table(
-            {"bin": pa.array(binned[keep]), "cents": pa.array(cents[keep])}
-        )
-
-    vals = driver_frame(
-        ds.map_batches(in_targets, batch_format="pyarrow"),
-        DRIVER_PLAN_LIMIT,
-        "lineitem_winsorized_mean",
-    )
-    cutv = {}
-    for q in (5, 95):
-        bb = tbins[q]
-        rank_in = ranks[q] - (int(cum[bb - 1]) if bb else 0)
-        inbin = np.sort(vals.loc[vals["bin"] == bb, "cents"].to_numpy(np.int64))
-        cutv[q] = int(inbin[rank_in])
-    lo_cut, hi_cut = cutv[5], cutv[95]
-
-    def clip_partial(b: pa.Table) -> pa.Table:
-        cents = cents_of(b)
-        return pa.table(
-            {
-                "n_clipped_lo": pa.array(
-                    [int((cents < lo_cut).sum())], pa.int64()
-                ),
-                "n_clipped_hi": pa.array(
-                    [int((cents > hi_cut).sum())], pa.int64()
-                ),
-                "winsorized_sum_cents": pa.array(
-                    [int(np.clip(cents, lo_cut, hi_cut).sum())], pa.int64()
-                ),
-                "n_rows": pa.array([len(cents)], pa.int64()),
-            }
-        )
-
     agg = (
         ds.map_batches(clip_partial, batch_format="pyarrow")
         .to_pandas()  # bounded: one scalar row per block
@@ -2528,7 +2341,7 @@ def orders_value_quantiles_by_segment(sf_dir: str):
     import ray.data
     from ray.data.aggregate import Sum
 
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+    from sciscraper_ray.pipelines.plan import driver_frame
 
     NBINS = 4096
     cust = pq.read_table(
@@ -2559,13 +2372,11 @@ def orders_value_quantiles_by_segment(sf_dir: str):
             self.code = ray.get(code_ref)
 
         def __call__(self, b: pa.Table) -> pa.Table:
-            cents = np.round(
-                b["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-            ).astype(np.int64)
+            cts = cents(b["o_totalprice"])
             sc = self.code[
                 b["o_custkey"].to_numpy(zero_copy_only=False)
             ].astype(np.int64)
-            binned = np.clip((cents - lo) // w, 0, NBINS - 1)
+            binned = np.clip((cts - lo) // w, 0, NBINS - 1)
             key = sc * NBINS + binned
             cnt = np.bincount(key, minlength=ns * NBINS)
             nz = np.flatnonzero(cnt)
@@ -2605,24 +2416,21 @@ def orders_value_quantiles_by_segment(sf_dir: str):
             self.code = ray.get(code_ref)
 
         def __call__(self, b: pa.Table) -> pa.Table:
-            cents = np.round(
-                b["o_totalprice"].to_numpy(zero_copy_only=False) * 100
-            ).astype(np.int64)
+            cts = cents(b["o_totalprice"])
             sc = self.code[
                 b["o_custkey"].to_numpy(zero_copy_only=False)
             ].astype(np.int64)
-            key = sc * NBINS + np.clip((cents - lo) // w, 0, NBINS - 1)
+            key = sc * NBINS + np.clip((cts - lo) // w, 0, NBINS - 1)
             keep = np.isin(key, need)
             return pa.table(
-                {"k": pa.array(key[keep]), "cents": pa.array(cents[keep])}
+                {"k": pa.array(key[keep]), "cents": pa.array(cts[keep])}
             )
 
     vals = driver_frame(
         ds.map_batches(
             TargetCollect, batch_format="pyarrow", concurrency=(1, 4)
         ),
-        DRIVER_PLAN_LIMIT,
-        "orders_value_quantiles_by_segment",
+        what="orders_value_quantiles_by_segment",
     )
     out = []
     for si, s in enumerate(segs):
@@ -2732,32 +2540,9 @@ def graph_ppr_sweep_cut(sf_dir: str):
     because it divides the same rounded-to-10 PPR mass by the same
     integer degree. Emits the full sweep curve (k, node, cut, vol,
     conductance), auditable rather than just the argmin."""
-    import ray.data
+    from sciscraper_ray.pipelines.graph import pagerank
 
-    from sciscraper_ray.pipelines.graph import _dedup_edges, pagerank
-
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"]
-    )
-
-    def to_edges(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {"a": b["l_partkey"], "b": pc.add(b["l_suppkey"], 10_000_000)}
-        )
-
-    e0 = _dedup_edges(li.map_batches(to_edges, batch_format="pyarrow"))
-
-    def symmetrize(b: pa.Table) -> pa.Table:
-        a = b["a"].to_numpy(zero_copy_only=False)
-        bb = b["b"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "a": pa.array(np.concatenate([a, bb]), pa.int64()),
-                "b": pa.array(np.concatenate([bb, a]), pa.int64()),
-            }
-        )
-
-    edges_ds = e0.map_batches(symmetrize, batch_format="pyarrow").materialize()
+    edges_ds = _part_supplier_graph(sf_dir).materialize()
     ranked = pagerank(edges_ds, damping=0.85, iters=5, seeds=np.arange(50))
     if not isinstance(ranked, pa.Table):
         ranked = pa.Table.from_pandas(ranked.to_pandas(), preserve_index=False)  # bounded: ranked synth nodes (< 997)

@@ -38,6 +38,17 @@ from sciscraper_ray.stages.textstats import (  # noqa: E402
     lang_id_batch,
     quality_batch,
 )
+from sciscraper_ray.stages.relational import group_count_batch
+
+
+def _tokens_by(batch: pa.Table, col: str) -> pa.Table:
+    """One ``(col, token)`` row per token of ``batch["text"]`` under the
+    reference tokenizer, ``col`` taken from the token's document."""
+    from sciscraper_ray.kernels.tokenize import tokenize_column
+
+    toks = tokenize_column(batch["text"]).combine_chunks()
+    par = pc.list_parent_indices(toks)
+    return pa.table({col: pc.take(batch[col], par), "token": pc.list_flatten(toks)})
 
 
 def _lang_sql() -> str:
@@ -304,32 +315,15 @@ def source_kl_divergence(sf_dir: str, plan: str = "auto"):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    from sciscraper_ray.kernels.tokenize import tokenize_column
-    from sciscraper_ray.pipelines.plan import (
-        DRIVER_PLAN_LIMIT,
-        driver_frame,
-        resolve_plan,
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        tokens = tokenize_column(batch["text"]).combine_chunks()
-        flat = pc.list_flatten(tokens)
-        parents = pc.list_parent_indices(tokens).to_numpy(zero_copy_only=False)
-        srcs = np.asarray(batch["source"].to_pylist())[parents]
-        df = (
-            pd.DataFrame({"source": srcs, "token": flat.to_pylist()})
-            .value_counts()
-            .rename("cnt")
-            .reset_index()
-        )
-        return pa.Table.from_pandas(df, preserve_index=False)
+    from sciscraper_ray.pipelines.plan import driver_frame, resolve_plan
 
     partials = _docs(sf_dir, columns=("source", "text")).map_batches(
-        partial, batch_format="pyarrow"
+        lambda b: group_count_batch(_tokens_by(b, "source"), ["source", "token"]),
+        batch_format="pyarrow",
     )
     mode, partials = resolve_plan(partials, plan)
     if mode == "driver":
-        df = driver_frame(partials, DRIVER_PLAN_LIMIT, "source_kl_divergence")
+        df = driver_frame(partials, what="source_kl_divergence")
         agg = df.groupby(["source", "token"], as_index=False)["cnt"].sum()
     else:
         agg = (
@@ -528,14 +522,9 @@ def corpus_heaps_law(sf_dir: str, plan: str = "auto"):
     def first_counts(b: pa.Table) -> pa.Table:
         ids = b["first_doc"].to_numpy(zero_copy_only=False)
         t = pa.table(
-            {
-                "doc_id": b["first_doc"],
-                "rng": pa.array(ids // _HEAPS_W, pa.int64()),
-                "ft_p": pa.array(np.ones(len(b), np.int64)),
-            }
+            {"doc_id": b["first_doc"], "rng": pa.array(ids // _HEAPS_W, pa.int64())}
         )
-        g = t.group_by(["doc_id", "rng"]).aggregate([("ft_p", "sum")])
-        return g.rename_columns(["doc_id", "rng", "ft"])
+        return group_count_batch(t, ["doc_id", "rng"], count="ft")
 
     ft = (
         firsts.map_batches(first_counts, batch_format="pyarrow")
@@ -863,14 +852,11 @@ def doc_sentence_stats(sf_dir: str):
         t = pa.table(
             {
                 "lang": pa.array(langs[keep].tolist(), pa.string()),
-                "n": pa.array(np.ones(int(keep.sum()), np.int64)),
                 "chars": pa.array(lens[keep], pa.int64()),
             }
         )
-        return (
-            t.group_by("lang")
-            .aggregate([("n", "sum"), ("chars", "sum")])
-            .rename_columns(["lang", "n_sentences", "sum_chars"])
+        return group_count_batch(
+            t, ["lang"], {"chars": "sum_chars"}, count="n_sentences"
         )
 
     return (
@@ -925,14 +911,9 @@ def source_simpson_diversity(sf_dir: str):
             {
                 "source": pa.array(src[keep].tolist(), pa.string()),
                 "token": flat.filter(pa.array(keep)),
-                "n": pa.array(np.ones(int(keep.sum()), np.int64)),
             }
         )
-        return (
-            t.group_by(["source", "token"])
-            .aggregate([("n", "sum")])
-            .rename_columns(["source", "token", "n"])
-        )
+        return group_count_batch(t, ["source", "token"], count="n")
 
     per_token = (
         _docs(sf_dir, columns=("text", "source"))
@@ -1166,14 +1147,9 @@ def doc_hapax_trigrams(sf_dir: str):
             {
                 "g": grams.filter(pa.array(same_doc)),
                 "doc_id": pa.array(doc[: n - 2][same_doc], pa.int64()),
-                "n": pa.array(np.ones(int(same_doc.sum()), np.int64)),
             }
         )
-        return (
-            t.group_by("g")
-            .aggregate([("n", "sum"), ("doc_id", "min")])
-            .rename_columns(["g", "c", "d"])
-        )
+        return group_count_batch(t, ["g"], count="c", aggs={"d": ("doc_id", "min")})
 
     per_gram = (
         _docs(sf_dir, columns=("doc_id", "text"))
@@ -1184,16 +1160,8 @@ def doc_hapax_trigrams(sf_dir: str):
 
     def tally(b: pa.Table) -> pa.Table:
         b = b.filter(pc.equal(b["c"], 1))
-        t = pa.table(
-            {
-                "doc_id": b["d"],
-                "n": pa.array(np.ones(len(b), np.int64)),
-            }
-        )
-        return (
-            t.group_by("doc_id")
-            .aggregate([("n", "sum")])
-            .rename_columns(["doc_id", "n_hapax_trigrams"])
+        return group_count_batch(
+            pa.table({"doc_id": b["d"]}), ["doc_id"], count="n_hapax_trigrams"
         )
 
     return (
@@ -1264,38 +1232,18 @@ def doc_windowed_ttr(sf_dir: str):
         .count()
     )
 
-    def win_partial(b: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "doc_id": b["doc_id"],
-                "w": b["w"],
-                "one": pa.array(np.ones(len(b), np.int64)),
-            }
-        )
-        return (
-            t.group_by(["doc_id", "w"])
-            .aggregate([("one", "sum")])
-            .rename_columns(["doc_id", "w", "d"])
-        )
-
     wins = (
-        triples.map_batches(win_partial, batch_format="pyarrow")
+        triples.map_batches(
+            lambda b: group_count_batch(b, ["doc_id", "w"], count="d"),
+            batch_format="pyarrow",
+        )
         .groupby(["doc_id", "w"])
         .aggregate(Sum(on="d", alias_name="d"))
     )
 
     def doc_partial(b: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "doc_id": b["doc_id"],
-                "one": pa.array(np.ones(len(b), np.int64)),
-                "d": b["d"],
-            }
-        )
-        return (
-            t.group_by("doc_id")
-            .aggregate([("one", "sum"), ("d", "sum")])
-            .rename_columns(["doc_id", "n_windows", "sum_distinct"])
+        return group_count_batch(
+            b, ["doc_id"], {"d": "sum_distinct"}, count="n_windows"
         )
 
     return (
@@ -1350,14 +1298,9 @@ def token_burstiness(sf_dir: str):
             {
                 "token": flat.filter(pa.array(keep)),
                 "doc_id": pa.array(doc[keep], pa.int64()),
-                "n": pa.array(np.ones(int(keep.sum()), np.int64)),
             }
         )
-        return (
-            t.group_by(["token", "doc_id"])
-            .aggregate([("n", "sum")])
-            .rename_columns(["token", "doc_id", "tf"])
-        )
+        return group_count_batch(t, ["token", "doc_id"], count="tf")
 
     tf = (
         _docs(sf_dir, columns=("doc_id", "text"))
@@ -1367,18 +1310,8 @@ def token_burstiness(sf_dir: str):
     )
 
     def moment_partial(b: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "token": b["token"],
-                "cf": b["tf"],
-                "one": pa.array(np.ones(len(b), np.int64)),
-                "mx": b["tf"],
-            }
-        )
-        return (
-            t.group_by("token")
-            .aggregate([("cf", "sum"), ("one", "sum"), ("mx", "max")])
-            .rename_columns(["token", "cf", "df", "max_tf"])
+        return group_count_batch(
+            b, ["token"], {"tf": "cf"}, count="df", aggs={"max_tf": ("tf", "max")}
         )
 
     return (
@@ -1463,19 +1396,8 @@ def token_positional_bias(sf_dir: str):
     )
 
     def moment_partial(b: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "token": b["token"],
-                "one": pa.array(np.ones(len(b), np.int64)),
-                "fo": b["fo"],
-                "L": b["L"],
-            }
-        )
-        return (
-            t.group_by("token")
-            .aggregate([("one", "sum"), ("fo", "sum"), ("L", "sum")])
-            .rename_columns(["token", "n_docs", "sum_first_ord", "sum_doc_len"])
-        )
+        sums = {"fo": "sum_first_ord", "L": "sum_doc_len"}
+        return group_count_batch(b, ["token"], sums, count="n_docs")
 
     return (
         first.map_batches(moment_partial, batch_format="pyarrow")
@@ -1579,18 +1501,8 @@ def source_phrase_overlap(sf_dir: str):
             pc.less(b["source"], b["source_b"]),
         )
         b = b.filter(keep)
-        t = pa.table(
-            {
-                "source_a": b["source"],
-                "source_b": b["source_b"],
-                "one": pa.array(np.ones(len(b), np.int64)),
-            }
-        )
-        return (
-            t.group_by(["source_a", "source_b"])
-            .aggregate([("one", "sum")])
-            .rename_columns(["source_a", "source_b", "n_shared"])
-        )
+        t = pa.table({"source_a": b["source"], "source_b": b["source_b"]})
+        return group_count_batch(t, ["source_a", "source_b"], count="n_shared")
 
     return (
         joined.map_batches(pair_partial, batch_format="pyarrow")
@@ -1644,14 +1556,10 @@ def lang_bpe_fertility(sf_dir: str):
                 "lang": b["lang"],
                 "sum_bpe": pa.array(bpe, pa.int64()),
                 "sum_words": pa.array(words, pa.int64()),
-                "n": pa.array(np.ones(len(texts), np.int64)),
             }
         )
-        return (
-            t.group_by("lang")
-            .aggregate([("sum_bpe", "sum"), ("sum_words", "sum"), ("n", "sum")])
-            .rename_columns(["lang", "sum_bpe", "sum_words", "n_docs"])
-        )
+        sums = {"sum_bpe": "sum_bpe", "sum_words": "sum_words"}
+        return group_count_batch(t, ["lang"], sums, count="n_docs")
 
     return (
         _docs(sf_dir, columns=("text", "lang"))
@@ -1761,13 +1669,8 @@ def _trigram_count_hist(sf_dir: str):
             " ",
         )
         same_doc = doc[: n - 2] == doc[2:]
-        t = pa.table(
-            {
-                "g": grams.filter(pa.array(same_doc)),
-                "n": pa.array(np.ones(int(same_doc.sum()), np.int64)),
-            }
-        )
-        return t.group_by("g").aggregate([("n", "sum")]).rename_columns(["g", "c"])
+        t = pa.table({"g": grams.filter(pa.array(same_doc))})
+        return group_count_batch(t, ["g"], count="c")
 
     per_gram = (
         _docs(sf_dir, columns=("doc_id", "text"))
@@ -1776,14 +1679,10 @@ def _trigram_count_hist(sf_dir: str):
         .aggregate(Sum(on="c", alias_name="r"))
     )
 
-    def hist_partial(b: pa.Table) -> pa.Table:
-        t = pa.table(
-            {"r": b["r"], "n": pa.array(np.ones(len(b), np.int64))}
-        )
-        return t.group_by("r").aggregate([("n", "sum")]).rename_columns(["r", "n_r"])
-
     return (
-        per_gram.map_batches(hist_partial, batch_format="pyarrow")
+        per_gram.map_batches(
+            lambda b: group_count_batch(b, ["r"], count="n_r"), batch_format="pyarrow"
+        )
         .groupby("r")
         .aggregate(Sum(on="n_r", alias_name="n_r"))
         .to_pandas()  # bounded: |r frequency classes|
@@ -2094,17 +1993,10 @@ def token_ams_f2(sf_dir: str):
                 flat.slice(2, n - 2), " ",
             )
             same_doc = doc[: n - 2] == doc[2:]
-            t = pa.table(
-                {
-                    "g": grams.filter(pa.array(same_doc)),
-                    "c": pa.array(
-                        np.ones(int(same_doc.sum()), np.int64)
-                    ),
-                }
-            )
-            t = t.group_by("g").aggregate([("c", "sum")])
+            t = pa.table({"g": grams.filter(pa.array(same_doc))})
+            t = group_count_batch(t, ["g"], count="c")
             hs = md5_hex15(t["g"].to_pylist())
-            c = t["c_sum"].to_numpy(zero_copy_only=False)
+            c = t["c"].to_numpy(zero_copy_only=False)
             for j in range(16):
                 z[j] = int(np.sum((((hs >> j) & 1) * 2 - 1) * c))
         return pa.table(
@@ -2213,15 +2105,10 @@ def token_rake_stats(sf_dir: str):
         t = pa.table(
             {
                 "token": pa.array(flat.filter(pa.array(keep))),
-                "freq": pa.array(np.ones(len(kk), np.int64)),
                 "deg": pa.array(plen.astype(np.int64)),
             }
         )
-        return (
-            t.group_by("token")
-            .aggregate([("freq", "sum"), ("deg", "sum")])
-            .rename_columns(["token", "freq", "deg"])
-        )
+        return group_count_batch(t, ["token"], {"deg": "deg"}, count="freq")
 
     return (
         _docs(sf_dir, columns=("doc_id", "text"))
@@ -2406,16 +2293,9 @@ def token_stupid_backoff(sf_dir: str):
             {
                 "w1": flat.slice(0, n - 1).filter(same),
                 "w2": flat.slice(1, n - 1).filter(same),
-                "c12": pa.array(
-                    np.ones(int(np.count_nonzero(same)), np.int64)
-                ),
             }
         )
-        return (
-            t.group_by(["w1", "w2"])
-            .aggregate([("c12", "sum")])
-            .rename_columns(["w1", "w2", "c12"])
-        )
+        return group_count_batch(t, ["w1", "w2"], count="c12")
 
     def unigram_partial(b: pa.Table) -> pa.Table:
         flat = pc.list_flatten(tokenize_column(b["text"]))
@@ -2755,37 +2635,9 @@ def token_dice_collocations(sf_dir: str):
     vocabulary, marginals via two vectorized transforms on the merged
     vocab table; the score is pure int64 arithmetic — no logs, no
     doubles, bit-identical on both engines."""
-    from sciscraper_ray.pipelines.queries.dedup import _ngram_positions
+    from sciscraper_ray.pipelines.queries.dedup import _bigram_counts
 
-    def partials(batch: pa.Table) -> pa.Table:
-        _, bg = _ngram_positions(batch, 2)
-        if len(bg) == 0:
-            return pa.table(
-                {
-                    "token": pa.array([], type=pa.string()),
-                    "next_token": pa.array([], type=pa.string()),
-                    "cnt": pa.array([], type=pa.int64()),
-                }
-            )
-        split = pc.split_pattern(bg, " ")
-        flat = pc.list_flatten(split)
-        tok = flat.take(np.arange(0, len(flat), 2))
-        nxt = flat.take(np.arange(1, len(flat), 2))
-        agg = (
-            pa.table({"token": tok, "next_token": nxt})
-            .group_by(["token", "next_token"])
-            .aggregate([([], "count_all")])
-        )
-        return agg.rename_columns(["token", "next_token", "cnt"])
-
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
-
-    parts = driver_frame(
-        _docs(sf_dir).map_batches(partials, batch_format="pyarrow"),
-        DRIVER_PLAN_LIMIT,
-        "token_dice_collocations",
-    )
-    merged = parts.groupby(["token", "next_token"], as_index=False)["cnt"].sum()
+    merged = _bigram_counts(sf_dir, "token_dice_collocations")
     lc = merged.groupby("token")["cnt"].transform("sum").to_numpy(np.int64)
     rc = merged.groupby("next_token")["cnt"].transform("sum").to_numpy(np.int64)
     cnt = merged["cnt"].to_numpy(np.int64)
@@ -3108,19 +2960,16 @@ def token_stem_conflate(sf_dir: str):
 
         surf = (pd.Series(flat, dtype=object) + pd.Series(suffix)).to_numpy()
         stems = _s_stem_np(surf)
-        agg = (
-            pa.table({"stem": pa.array(stems, pa.string()), "tok": pa.array(surf, pa.string())})
-            .group_by(["stem", "tok"])
-            .aggregate([([], "count_all")])
+        t = pa.table(
+            {"stem": pa.array(stems, pa.string()), "tok": pa.array(surf, pa.string())}
         )
-        return agg.rename_columns(["stem", "tok", "cnt"])
+        return group_count_batch(t, ["stem", "tok"])
 
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+    from sciscraper_ray.pipelines.plan import driver_frame
 
     parts = driver_frame(
         _docs(sf_dir).map_batches(partials, batch_format="pyarrow"),
-        DRIVER_PLAN_LIMIT,
-        "token_stem_conflate",
+        what="token_stem_conflate",
     )
     merged = parts.groupby(["stem", "tok"], as_index=False)["cnt"].sum()
     out = merged.groupby("stem").agg(n_forms=("tok", "size"), cnt=("cnt", "sum")).reset_index()
@@ -3163,28 +3012,16 @@ def source_chao1_richness(sf_dir: str):
     vocabulary; the frequency-of-frequency reduction and the estimator
     are one vectorized pandas pass. Identical double arithmetic order on
     both sides, so the unrounded chao1 hashes bit-identically."""
-    from sciscraper_ray.kernels.tokenize import tokenize_column
-
     def partials(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"]).combine_chunks()
-        flat = pc.list_flatten(toks)
-        par = pc.list_parent_indices(toks)
-        langs = pc.take(batch["lang"], par)
-        agg = (
-            pa.table({"lang": langs, "token": flat})
-            .group_by(["lang", "token"])
-            .aggregate([([], "count_all")])
-        )
-        return agg.rename_columns(["lang", "token", "cnt"])
+        return group_count_batch(_tokens_by(batch, "lang"), ["lang", "token"])
 
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+    from sciscraper_ray.pipelines.plan import driver_frame
 
     parts = driver_frame(
         _docs(sf_dir, columns=("lang", "text")).map_batches(
             partials, batch_format="pyarrow"
         ),
-        DRIVER_PLAN_LIMIT,
-        "source_chao1_richness",
+        what="source_chao1_richness",
     )
     merged = parts.groupby(["lang", "token"], as_index=False)["cnt"].sum()
     c = merged["cnt"].to_numpy()
@@ -3279,13 +3116,12 @@ def token_textrank(sf_dir: str):
         df = pd.DataFrame({"a": lo, "b": hi}).drop_duplicates()
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+    from sciscraper_ray.pipelines.plan import driver_frame
 
     pairs = (
         driver_frame(
             _docs(sf_dir).map_batches(pair_partials, batch_format="pyarrow"),
-            DRIVER_PLAN_LIMIT,
-            "token_textrank",
+            what="token_textrank",
         )
         .drop_duplicates()
     )
@@ -3357,30 +3193,18 @@ def token_llr_keyness(sf_dir: str):
     vectorized numpy pass; the double arithmetic (and term order) is
     mirrored exactly in the oracle, so the unrounded statistic hashes
     bit-identically."""
-    from sciscraper_ray.kernels.tokenize import tokenize_column
-
     def partials(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"]).combine_chunks()
-        flat = pc.list_flatten(toks)
-        par = pc.list_parent_indices(toks)
-        grp = pc.take(
-            pc.cast(pc.equal(batch["lang"], "en"), pa.int64()), par
-        )
-        agg = (
-            pa.table({"token": flat, "grp": grp})
-            .group_by(["token"])
-            .aggregate([("grp", "sum"), ([], "count_all")])
-        )
-        return agg.rename_columns(["token", "k_en", "cnt"])
+        t = _tokens_by(batch, "lang")
+        t = t.append_column("grp", pc.cast(pc.equal(t["lang"], "en"), pa.int64()))
+        return group_count_batch(t, ["token"], {"grp": "k_en"})
 
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+    from sciscraper_ray.pipelines.plan import driver_frame
 
     parts = driver_frame(
         _docs(sf_dir, columns=("lang", "text")).map_batches(
             partials, batch_format="pyarrow"
         ),
-        DRIVER_PLAN_LIMIT,
-        "token_llr_keyness",
+        what="token_llr_keyness",
     )
     merged = parts.groupby("token", as_index=False).sum()
     k_en = merged["k_en"].to_numpy(np.int64)
@@ -3440,28 +3264,16 @@ def token_yule_k(sf_dir: str):
     exact int64 off the same vocab-bounded (lang, token) partial
     exchange as the chao1/type-stats family; only the final constant is
     a double, in identical arithmetic order on both sides."""
-    from sciscraper_ray.kernels.tokenize import tokenize_column
-
     def partials(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"]).combine_chunks()
-        flat = pc.list_flatten(toks)
-        par = pc.list_parent_indices(toks)
-        langs = pc.take(batch["lang"], par)
-        agg = (
-            pa.table({"lang": langs, "token": flat})
-            .group_by(["lang", "token"])
-            .aggregate([([], "count_all")])
-        )
-        return agg.rename_columns(["lang", "token", "cnt"])
+        return group_count_batch(_tokens_by(batch, "lang"), ["lang", "token"])
 
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+    from sciscraper_ray.pipelines.plan import driver_frame
 
     parts = driver_frame(
         _docs(sf_dir, columns=("lang", "text")).map_batches(
             partials, batch_format="pyarrow"
         ),
-        DRIVER_PLAN_LIMIT,
-        "token_yule_k",
+        what="token_yule_k",
     )
     merged = parts.groupby(["lang", "token"], as_index=False)["cnt"].sum()
     grp = merged.groupby("lang")["cnt"]
@@ -3519,28 +3331,18 @@ def source_js_divergence(sf_dir: str):
     when neither distribution is a safe reference. Same vocab-bounded
     (grp, token) partial exchange and one vectorized pass; round(,6)
     pins the double comparison as in the KL twin."""
-    from sciscraper_ray.kernels.tokenize import tokenize_column
-
     def partials(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"]).combine_chunks()
-        flat = pc.list_flatten(toks)
-        par = pc.list_parent_indices(toks)
-        grp = pc.take(pc.cast(pc.equal(batch["lang"], "en"), pa.int64()), par)
-        agg = (
-            pa.table({"token": flat, "grp": grp})
-            .group_by(["token"])
-            .aggregate([("grp", "sum"), ([], "count_all")])
-        )
-        return agg.rename_columns(["token", "ce", "cnt"])
+        t = _tokens_by(batch, "lang")
+        t = t.append_column("grp", pc.cast(pc.equal(t["lang"], "en"), pa.int64()))
+        return group_count_batch(t, ["token"], {"grp": "ce"})
 
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+    from sciscraper_ray.pipelines.plan import driver_frame
 
     parts = driver_frame(
         _docs(sf_dir, columns=("lang", "text")).map_batches(
             partials, batch_format="pyarrow"
         ),
-        DRIVER_PLAN_LIMIT,
-        "source_js_divergence",
+        what="source_js_divergence",
     )
     merged = parts.groupby("token", as_index=False).sum()
     ce = merged["ce"].to_numpy(np.int64)
@@ -3602,13 +3404,12 @@ def token_symspell_neighbors(sf_dir: str):
             .aggregate([])
         )
 
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+    from sciscraper_ray.pipelines.plan import driver_frame
 
     vocab = (
         driver_frame(
             _docs(sf_dir).map_batches(vocab_partial, batch_format="pyarrow"),
-            DRIVER_PLAN_LIMIT,
-            "token_symspell_neighbors",
+            what="token_symspell_neighbors",
         )["tok"]
         .drop_duplicates()
         .tolist()
@@ -3696,8 +3497,7 @@ def token_subsample_mikolov(sf_dir: str):
     def freq_partial(batch: pa.Table) -> pa.Table:
         toks = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(toks)
-        agg = pa.table({"token": flat}).group_by("token").aggregate([([], "count_all")])
-        return agg.rename_columns(["token", "cnt"])
+        return group_count_batch(pa.table({"token": flat}), ["token"])
 
     freq = (
         _docs(sf_dir)
@@ -3736,13 +3536,12 @@ def token_subsample_mikolov(sf_dir: str):
             }
         )
 
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+    from sciscraper_ray.pipelines.plan import driver_frame
 
     parts = (
         driver_frame(
             _docs(sf_dir).map_batches(sample_partial, batch_format="pyarrow"),
-            DRIVER_PLAN_LIMIT,
-            "token_subsample_mikolov",
+            what="token_subsample_mikolov",
         )
         .groupby("token", as_index=False)
         .sum()
@@ -3804,28 +3603,16 @@ def source_burrows_delta(sf_dir: str):
     sides; round(,8) pins the 15-term averages."""
     import pandas as pd
 
-    from sciscraper_ray.kernels.tokenize import tokenize_column
-
     def partials(batch: pa.Table) -> pa.Table:
-        toks = tokenize_column(batch["text"]).combine_chunks()
-        flat = pc.list_flatten(toks)
-        par = pc.list_parent_indices(toks)
-        src = pc.take(batch["source"], par)
-        agg = (
-            pa.table({"source": src, "token": flat})
-            .group_by(["source", "token"])
-            .aggregate([([], "count_all")])
-        )
-        return agg.rename_columns(["source", "token", "cnt"])
+        return group_count_batch(_tokens_by(batch, "source"), ["source", "token"])
 
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+    from sciscraper_ray.pipelines.plan import driver_frame
 
     parts = driver_frame(
         _docs(sf_dir, columns=("source", "text")).map_batches(
             partials, batch_format="pyarrow"
         ),
-        DRIVER_PLAN_LIMIT,
-        "source_burrows_delta",
+        what="source_burrows_delta",
     )
     merged = parts.groupby(["source", "token"], as_index=False)["cnt"].sum()
     tot_by_tok = merged.groupby("token")["cnt"].sum()

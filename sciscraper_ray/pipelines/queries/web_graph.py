@@ -22,6 +22,7 @@ from sciscraper_ray.pipelines.queries.retrieval import (
     _REF_TARGETS_SQL,
     _host_sql,
 )
+from sciscraper_ray.stages.relational import group_count_batch
 
 _ANF_HORIZON = 6  # neighborhood-function horizon: the curve flattens well
 
@@ -226,17 +227,13 @@ def link_indegree_histogram(sf_dir: str):
     driver (rows = distinct degree VALUES — tiny by construction)."""
     from ray.data.aggregate import Sum
 
-    def dst_partial(batch: pa.Table) -> pa.Table:
-        agg = batch.select(["dst"]).group_by("dst").aggregate([([], "count_all")])
-        return agg.rename_columns(["dst", "cnt"])
-
     def deg_partial(batch: pa.Table) -> pa.Table:
-        agg = batch.select(["cnt"]).group_by("cnt").aggregate([([], "count_all")])
-        return agg.rename_columns(["indegree", "n_pages"])
+        t = pa.table({"indegree": batch["cnt"]})
+        return group_count_batch(t, ["indegree"], count="n_pages")
 
     parts = (
         _doc_edges(sf_dir)
-        .map_batches(dst_partial, batch_format="pyarrow")
+        .map_batches(lambda b: group_count_batch(b, ["dst"]), batch_format="pyarrow")
         .groupby("dst")
         .aggregate(Sum(on="cnt", alias_name="cnt"))
         .map_batches(deg_partial, batch_format="pyarrow")
@@ -534,8 +531,7 @@ def link_degree_assortativity(sf_dir: str):
     edges = _doc_edges(sf_dir).materialize()  # reused: degree pass + moments
 
     def ind_partial(b: pa.Table) -> pa.Table:
-        g = b.group_by("dst").aggregate([([], "count_all")])
-        return g.rename_columns(["node", "d"])
+        return group_count_batch(pa.table({"node": b["dst"]}), ["node"], count="d")
 
     ind = (
         edges.map_batches(ind_partial, batch_format="pyarrow")
@@ -640,36 +636,16 @@ def node_clustering_coeff(sf_dir: str, num_buckets: int = 16):
     import ray
     from ray.data.aggregate import Sum
 
-    from sciscraper_ray.pipelines.graph import _dedup_edges
+    from sciscraper_ray.pipelines.graph import _dedup_edges, symmetrize, undirected
     from sciscraper_ray.stages.relational import bucketed_hash_join
 
     raw = _doc_edges(sf_dir)
 
-    def orient_minmax(b: pa.Table) -> pa.Table:
-        s = b["src"].to_numpy(zero_copy_only=False)
-        t = b["dst"].to_numpy(zero_copy_only=False)
-        keep = s != t
-        s, t = s[keep], t[keep]
-        return pa.table(
-            {
-                "a": pa.array(np.minimum(s, t), pa.int64()),
-                "b": pa.array(np.maximum(s, t), pa.int64()),
-            }
-        )
-
-    und = _dedup_edges(raw.map_batches(orient_minmax, batch_format="pyarrow"))
+    und = _dedup_edges(raw.map_batches(undirected, batch_format="pyarrow"))
     und = und.materialize()  # reused: degrees, orientation, closure probe
 
     def deg_partial(b: pa.Table) -> pa.Table:
-        nodes = np.concatenate(
-            [
-                b["a"].to_numpy(zero_copy_only=False),
-                b["b"].to_numpy(zero_copy_only=False),
-            ]
-        )
-        t = pa.table({"node": pa.array(nodes, pa.int64())})
-        g = t.group_by("node").aggregate([([], "count_all")])
-        return g.rename_columns(["node", "d"])
+        return group_count_batch(symmetrize(b, u="node"), ["node"], count="d")
 
     deg = (
         und.map_batches(deg_partial, batch_format="pyarrow")
@@ -768,8 +744,7 @@ def node_clustering_coeff(sf_dir: str, num_buckets: int = 16):
             ]
         )
         t = pa.table({"node": pa.array(nodes, pa.int64())})
-        g = t.group_by("node").aggregate([([], "count_all")])
-        return g.rename_columns(["node", "t"])
+        return group_count_batch(t, ["node"], count="t")
 
     tri = (
         closed.map_batches(corner_partial, batch_format="pyarrow")
@@ -946,38 +921,15 @@ def graph_kcore_peel(sf_dir: str):
     import ray
     from ray.data.aggregate import Sum
 
-    from sciscraper_ray.pipelines.graph import _dedup_edges
+    from sciscraper_ray.pipelines.graph import _dedup_edges, symmetrize, undirected
 
     raw = _doc_edges(sf_dir)
 
-    def orient(b: pa.Table) -> pa.Table:
-        s = b["src"].to_numpy(zero_copy_only=False)
-        t = b["dst"].to_numpy(zero_copy_only=False)
-        keep = s != t
-        s, t = s[keep], t[keep]
-        return pa.table(
-            {
-                "a": pa.array(np.minimum(s, t), pa.int64()),
-                "b": pa.array(np.maximum(s, t), pa.int64()),
-            }
-        )
-
-    edges = _dedup_edges(raw.map_batches(orient, batch_format="pyarrow"))
+    edges = _dedup_edges(raw.map_batches(undirected, batch_format="pyarrow"))
     edges = edges.materialize()  # rescanned once per peel round
 
     def deg_partial(b: pa.Table) -> pa.Table:
-        nodes = np.concatenate(
-            [
-                b["a"].to_numpy(zero_copy_only=False),
-                b["b"].to_numpy(zero_copy_only=False),
-            ]
-        )
-        t = pa.table({"node": pa.array(nodes, pa.int64())})
-        return (
-            t.group_by("node")
-            .aggregate([([], "count_all")])
-            .rename_columns(["node", "d"])
-        )
+        return group_count_batch(symmetrize(b, u="node"), ["node"], count="d")
 
     def degrees(ds):
         return (
@@ -1132,34 +1084,12 @@ def graph_two_hop_reach(sf_dir: str):
     import ray
     from ray.data.aggregate import Sum
 
-    from sciscraper_ray.pipelines.graph import _dedup_edges
+    from sciscraper_ray.pipelines.graph import _dedup_edges, symmetrize, undirected
     from sciscraper_ray.stages.relational import bucketed_hash_join
 
     raw = _doc_edges(sf_dir)
 
-    def orient(b: pa.Table) -> pa.Table:
-        s = b["src"].to_numpy(zero_copy_only=False)
-        t = b["dst"].to_numpy(zero_copy_only=False)
-        keep = s != t
-        s, t = s[keep], t[keep]
-        return pa.table(
-            {
-                "a": pa.array(np.minimum(s, t), pa.int64()),
-                "b": pa.array(np.maximum(s, t), pa.int64()),
-            }
-        )
-
-    und = _dedup_edges(raw.map_batches(orient, batch_format="pyarrow"))
-
-    def symmetrize(b: pa.Table) -> pa.Table:
-        a = b["a"].to_numpy(zero_copy_only=False)
-        bb = b["b"].to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "u": pa.array(np.concatenate([a, bb]), pa.int64()),
-                "v": pa.array(np.concatenate([bb, a]), pa.int64()),
-            }
-        )
+    und = _dedup_edges(raw.map_batches(undirected, batch_format="pyarrow"))
 
     sym = und.map_batches(symmetrize, batch_format="pyarrow").materialize()
 
@@ -1193,14 +1123,7 @@ def graph_two_hop_reach(sf_dir: str):
     )
 
     def reach_partial(b: pa.Table) -> pa.Table:
-        t = pa.table(
-            {"node": b["u"], "one": pa.array(np.ones(len(b), np.int64))}
-        )
-        return (
-            t.group_by("node")
-            .aggregate([("one", "sum")])
-            .rename_columns(["node", "reach2"])
-        )
+        return group_count_batch(pa.table({"node": b["u"]}), ["node"], count="reach2")
 
     return (
         pairs.map_batches(reach_partial, batch_format="pyarrow")
@@ -1373,58 +1296,26 @@ def graph_wcc_sizes(sf_dir: str):
     import ray.data
     from ray.data.aggregate import Sum
 
-    from sciscraper_ray.pipelines.graph import connected_components
+    from sciscraper_ray.pipelines.graph import connected_components, undirected
 
     raw = _doc_edges(sf_dir)
 
-    def orient(b: pa.Table) -> pa.Table:
-        s = b["src"].to_numpy(zero_copy_only=False)
-        t = b["dst"].to_numpy(zero_copy_only=False)
-        keep = s != t
-        s, t = s[keep], t[keep]
-        return pa.table(
-            {
-                "a": pa.array(np.minimum(s, t), pa.int64()),
-                "b": pa.array(np.maximum(s, t), pa.int64()),
-            }
-        )
-
-    comp = connected_components(raw.map_batches(orient, batch_format="pyarrow"))
-
-    def size_partial(b: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "comp_id": b["comp_id"],
-                "one": pa.array(np.ones(len(b), np.int64)),
-            }
-        )
-        return (
-            t.group_by("comp_id")
-            .aggregate([("one", "sum")])
-            .rename_columns(["comp_id", "sz"])
-        )
+    comp = connected_components(raw.map_batches(undirected, batch_format="pyarrow"))
 
     sizes = (
-        comp.map_batches(size_partial, batch_format="pyarrow")
+        comp.map_batches(
+            lambda b: group_count_batch(b, ["comp_id"], count="sz"),
+            batch_format="pyarrow",
+        )
         .groupby("comp_id")
         .aggregate(Sum(on="sz", alias_name="comp_size"))
     )
 
-    def hist_partial(b: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "comp_size": b["comp_size"],
-                "one": pa.array(np.ones(len(b), np.int64)),
-            }
-        )
-        return (
-            t.group_by("comp_size")
-            .aggregate([("one", "sum")])
-            .rename_columns(["comp_size", "n_components"])
-        )
-
     return (
-        sizes.map_batches(hist_partial, batch_format="pyarrow")
+        sizes.map_batches(
+            lambda b: group_count_batch(b, ["comp_size"], count="n_components"),
+            batch_format="pyarrow",
+        )
         .groupby("comp_size")
         .aggregate(Sum(on="n_components", alias_name="n_components"))
     )
@@ -1516,35 +1407,20 @@ def graph_label_propagation(sf_dir: str):
     if isinstance(labels, pa.Table):
         labels = ray.data.from_arrow(labels)
 
-    def size_partial(b: pa.Table) -> pa.Table:
-        t = pa.table(
-            {"lbl": b["lbl"], "one": pa.array(np.ones(len(b), np.int64))}
-        )
-        return (
-            t.group_by("lbl").aggregate([("one", "sum")]).rename_columns(["lbl", "sz"])
-        )
-
     sizes = (
-        labels.map_batches(size_partial, batch_format="pyarrow")
+        labels.map_batches(
+            lambda b: group_count_batch(b, ["lbl"], count="sz"),
+            batch_format="pyarrow",
+        )
         .groupby("lbl")
         .aggregate(Sum(on="sz", alias_name="comm_size"))
     )
 
-    def hist_partial(b: pa.Table) -> pa.Table:
-        t = pa.table(
-            {
-                "comm_size": b["comm_size"],
-                "one": pa.array(np.ones(len(b), np.int64)),
-            }
-        )
-        return (
-            t.group_by("comm_size")
-            .aggregate([("one", "sum")])
-            .rename_columns(["comm_size", "n_communities"])
-        )
-
     return (
-        sizes.map_batches(hist_partial, batch_format="pyarrow")
+        sizes.map_batches(
+            lambda b: group_count_batch(b, ["comm_size"], count="n_communities"),
+            batch_format="pyarrow",
+        )
         .groupby("comm_size")
         .aggregate(Sum(on="n_communities", alias_name="n_communities"))
     )
@@ -1631,17 +1507,9 @@ def link_neighbor_degree_curve(sf_dir: str):
                 0,
             )
             dy = self.indeg[dst]
-            t = pa.table(
-                {
-                    "src_indeg": pa.array(dx),
-                    "n_edges": pa.array(np.ones(len(dx), np.int64)),
-                    "sum_dst_indeg": pa.array(dy),
-                }
-            )
-            return (
-                t.group_by("src_indeg")
-                .aggregate([("n_edges", "sum"), ("sum_dst_indeg", "sum")])
-                .rename_columns(["src_indeg", "n_edges", "sum_dst_indeg"])
+            t = pa.table({"src_indeg": pa.array(dx), "dy": pa.array(dy)})
+            return group_count_batch(
+                t, ["src_indeg"], {"dy": "sum_dst_indeg"}, count="n_edges"
             )
 
     return (
@@ -1715,24 +1583,12 @@ def link_jaccard_prediction(sf_dir: str, num_buckets: int = 16):
     import pandas as pd
     from ray.data.aggregate import Sum
 
-    from sciscraper_ray.pipelines.graph import _dedup_edges
+    from sciscraper_ray.pipelines.graph import _dedup_edges, undirected
 
     raw = _doc_edges(sf_dir)
 
-    def orient_minmax(b: pa.Table) -> pa.Table:
-        s = b["src"].to_numpy(zero_copy_only=False)
-        t = b["dst"].to_numpy(zero_copy_only=False)
-        keep = s != t
-        s, t = s[keep], t[keep]
-        return pa.table(
-            {
-                "a": pa.array(np.minimum(s, t), pa.int64()),
-                "b": pa.array(np.maximum(s, t), pa.int64()),
-            }
-        )
-
     und = _dedup_edges(
-        raw.map_batches(orient_minmax, batch_format="pyarrow")
+        raw.map_batches(undirected, batch_format="pyarrow")
     ).materialize()  # reused: adjacency expansion + driver anti-join probe
 
     def both_dirs(b: pa.Table) -> pa.Table:
@@ -1772,14 +1628,13 @@ def link_jaccard_prediction(sf_dir: str, num_buckets: int = 16):
         lo, hi = np.minimum(wv, ww), np.maximum(wv, ww)
         return pd.DataFrame({"k": (lo << 32) | hi})
 
-    def count_partial(b: pa.Table) -> pa.Table:
-        g = b.group_by("k").aggregate([([], "count_all")])
-        return g.rename_columns(["k", "common"])
-
     cand = (
         adj.groupby("bucket")
         .map_groups(wedge_pairs, batch_format="pandas")
-        .map_batches(count_partial, batch_format="pyarrow")
+        .map_batches(
+            lambda b: group_count_batch(b, ["k"], count="common"),
+            batch_format="pyarrow",
+        )
         .groupby("k")
         .aggregate(Sum(on="common", alias_name="common"))
         .to_pandas()  # bounded: candidate pairs (node space < 997 here)
@@ -2345,7 +2200,7 @@ def graph_rich_club(sf_dir: str):
 
     from ray.data.aggregate import Sum
 
-    from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+    from sciscraper_ray.pipelines.plan import driver_frame
 
     # Distributed fold (ADVICE r4): dedup undirected pairs with one
     # groupby, fold degrees with a second; the driver then pulls only the
@@ -2379,10 +2234,9 @@ def graph_rich_club(sf_dir: str):
         und_ds.map_batches(deg_partial, batch_format="pyarrow")
         .groupby("node")
         .aggregate(Sum(on="d", alias_name="d")),
-        DRIVER_PLAN_LIMIT,
-        "graph_rich_club (degree table)",
+        what="graph_rich_club (degree table)",
     ).sort_values("node", ignore_index=True)
-    und = driver_frame(und_ds, DRIVER_PLAN_LIMIT, "graph_rich_club (edges)")
+    und = driver_frame(und_ds, what="graph_rich_club (edges)")
     a = und["a"].to_numpy(np.int64)
     b = und["b"].to_numpy(np.int64)
     nodes = deg_df["node"].to_numpy(np.int64)

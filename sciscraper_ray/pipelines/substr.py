@@ -98,9 +98,9 @@ def dup_substring_mass(
     mode, grams = resolve_plan(grams, plan)
 
     if mode == "driver":
-        from sciscraper_ray.pipelines.plan import DRIVER_PLAN_LIMIT, driver_frame
+        from sciscraper_ray.pipelines.plan import driver_frame
 
-        g = driver_frame(grams, DRIVER_PLAN_LIMIT, "dup_substring_mass")
+        g = driver_frame(grams, what="dup_substring_mass")
         if len(g) == 0:
             return pa.table(
                 {

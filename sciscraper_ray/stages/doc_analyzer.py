@@ -31,10 +31,6 @@ from sciscraper_ray.kernels.tokenize import tokenize_column
 from sciscraper_ray.kernels.wordscore import wordscore_vec
 from sciscraper_ray.words import BYCATCH_WORDS, TARGET_WORDS
 
-TOP_TERMS_TYPE = pa.list_(
-    pa.struct([("token", pa.string()), ("count", pa.int64())])
-)
-
 
 def _top_terms_list_array(out: dict, n_docs: int) -> pa.ListArray:
     """Exploded top-k arrays -> list<struct<token,count>> (empty list when

@@ -51,7 +51,6 @@ from sciscraper_ray.stages.pdf_doc import (
 
 _STREAM_KW_RE = re.compile(rb"(?<!end)stream\r?\n")
 _LENGTH_RE = re.compile(rb"/Length\s+(\d+)")
-_NUM_RE = re.compile(rb"[-+]?\d*\.?\d+")
 
 X_TOLERANCE = 1.0
 Y_TOLERANCE = 3.0

@@ -18,20 +18,31 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
-def group_count_batch(batch: pa.Table, keys: list[str], agg_cols: dict[str, str] | None = None) -> pa.Table:
+def group_count_batch(
+    batch: pa.Table,
+    keys: list[str],
+    agg_cols: dict[str, str] | None = None,
+    *,
+    count: str = "cnt",
+    aggs: dict[str, tuple[str, str]] | None = None,
+) -> pa.Table:
     """Partial per-batch groupby: count(*) plus optional sums.
 
-    ``agg_cols`` maps input column -> output sum-column name. Output has one
-    row per distinct key combination in this batch with columns
-    ``keys + ['cnt'] + list(agg_cols.values())`` — feed it to a global
-    ``groupby(keys).aggregate(Sum(...))`` to finish.
+    ``agg_cols`` maps input column -> output sum-column name; ``aggs`` maps
+    output name -> (input column, Arrow hash aggregate) for any other
+    per-group aggregate (``("ts", "max")``). Output has one row per
+    distinct key combination in this batch with columns
+    ``keys + [count] + list(agg_cols.values()) + list(aggs)`` — feed it to
+    a global ``groupby(keys).aggregate(Sum(...))`` to finish.
     """
     agg_cols = agg_cols or {}
-    aggs = [("__one", "sum")] + [(c, "sum") for c in agg_cols]
+    aggs = aggs or {}
+    spec = [("__one", "sum")] + [(c, "sum") for c in agg_cols] + list(aggs.values())
     t = batch.append_column("__one", pa.array(np.ones(len(batch), np.int64)))
-    out = t.group_by(keys).aggregate(aggs)
-    renames = {"__one_sum": "cnt"}
+    out = t.group_by(keys).aggregate(spec)
+    renames = {"__one_sum": count}
     renames.update({f"{c}_sum": name for c, name in agg_cols.items()})
+    renames.update({f"{c}_{fn}": name for name, (c, fn) in aggs.items()})
     return out.rename_columns([renames.get(c, c) for c in out.column_names])
 
 
