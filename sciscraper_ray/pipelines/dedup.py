@@ -319,7 +319,6 @@ def near_dup_pairs_embedding(
     """Embedding-cosine near-dup pairs: signed-random-projection LSH
     candidates (one matmul per batch, one shuffle on the uniform band key),
     then EXACT cosine >= threshold on the involved vectors only."""
-    from sciscraper_ray.stages.ann import _stack, cosine_matrix
     from sciscraper_ray.stages.dedup import HyperplaneBandStage
 
     banded = ds.map_batches(

@@ -33,6 +33,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from sciscraper_ray.pipelines.plan import resolve_plan
+from sciscraper_ray.stages.relational import bucketed_hash_join, group_count
 
 
 def undirected(b: pa.Table) -> pa.Table:
@@ -136,12 +137,8 @@ def _dedup_edges(edges: ray.data.Dataset) -> ray.data.Dataset:
             }
         )
 
-    return (
-        edges.map_batches(pack, batch_format="pyarrow")
-        .groupby("k")
-        .count()
-        .map_batches(unpack, batch_format="pyarrow")
-    )
+    packed = edges.map_batches(pack, batch_format="pyarrow")
+    return group_count(packed, "k").map_batches(unpack, batch_format="pyarrow")
 
 
 def _signature(edges: ray.data.Dataset) -> tuple[int, int]:
@@ -272,10 +269,6 @@ def pagerank(
     base for a vector, and the shuffle plan rides p(dst) along the
     static augmented edge list exactly like the destination degree, so
     the per-iteration exchange count is unchanged."""
-    from ray.data.aggregate import Sum
-
-    from sciscraper_ray.stages.relational import bucketed_hash_join
-
     if isinstance(edges, pa.Table):
         edges = ray.data.from_arrow(edges)
 
@@ -322,13 +315,12 @@ def pagerank(
 
     e = e.materialize()
     deg = (
-        e.groupby("src")
-        .count()
+        group_count(e, "src")
         .map_batches(
             lambda b: pa.table(
                 {
                     "node": b["src"],
-                    "deg": pc.cast(b["count()"], pa.float64()),
+                    "deg": pc.cast(b["cnt"], pa.float64()),
                 }
             ),
             batch_format="pyarrow",
@@ -416,7 +408,7 @@ def pagerank(
     # iteration — so they're computed once up front (one extra co-
     # partitioned join against the distinct-dst table) and unioned back
     # into the rank table each round.
-    indeg_nodes = e.groupby("dst").count().map_batches(
+    indeg_nodes = group_count(e, "dst").map_batches(
         lambda b: pa.table(
             {"in_node": b["dst"], "has_in": pa.array(np.ones(len(b), np.int8))}
         ),
@@ -481,8 +473,7 @@ def pagerank(
             )
 
         ranks = (
-            contrib.groupby(group_keys)
-            .aggregate(Sum(on="rd", alias_name="c"))
+            group_count(contrib, group_keys, {"rd": "c"}, count=None)
             .map_batches(rebuild, batch_format="pyarrow")
             .union(no_in)  # constant-rank source-only nodes ride along
             .materialize()
@@ -591,10 +582,6 @@ def hits(
 
     Returns (node, kind in {'auth','hub'}, score rounded to 10 dp).
     """
-    from ray.data.aggregate import Sum
-
-    from sciscraper_ray.stages.relational import bucketed_hash_join
-
     if isinstance(edges, pa.Table):
         edges = ray.data.from_arrow(edges)
     mode, e = resolve_plan(edges, plan)
@@ -631,23 +618,12 @@ def hits(
 
     e = e.materialize()
 
-    def init_h(b: pa.Table) -> pa.Table:
-        agg = b.select(["src"]).group_by("src").aggregate([])
-        return pa.table(
-            {
-                "node": agg["src"],
-                "s": pa.array(np.ones(len(agg)), pa.float64()),
-            }
-        )
-
     # per-block distinct srcs -> one tiny groupby to the true hub set
     h_ds = (
-        e.map_batches(init_h, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Sum(on="s", alias_name="s"))
+        group_count(e, "src")
         .map_batches(
             lambda b: pa.table(
-                {"node": b["node"], "s": pa.array(np.ones(len(b)), pa.float64())}
+                {"node": b["src"], "s": pa.array(np.ones(len(b)), pa.float64())}
             ),
             batch_format="pyarrow",
         )
@@ -689,8 +665,7 @@ def hits(
             e, scores, left_on=join_on, right_on="node", num_buckets=num_buckets
         )
         summed = (
-            joined.groupby(out)
-            .aggregate(Sum(on="s", alias_name="s"))
+            group_count(joined, out, {"s": "s"}, count=None)
             .map_batches(
                 lambda b, _o=out: pa.table({"node": b[_o], "s": b["s"]}),
                 batch_format="pyarrow",
@@ -767,7 +742,6 @@ def label_propagation(
     the same vectorized mode kernel. Both all-to-alls move only int64
     pairs; the label table (N rows) re-materializes per round — the
     standard iterative-algorithm tradeoff."""
-    from sciscraper_ray.stages.relational import bucketed_hash_join
     from sciscraper_ray.stages.window import bucketed_window
 
     if isinstance(edges, pa.Table):
@@ -800,17 +774,13 @@ def label_propagation(
 
     # shuffle plan: static edge list, per-round join + bucketed mode
     def init_labels(b: pa.Table) -> pa.Table:
-        un = np.unique(b["u"].to_numpy(zero_copy_only=False))
-        return pa.table(
-            {"node": pa.array(un, pa.int64()), "lbl": pa.array(un, pa.int64())}
-        )
+        return pa.table({"node": b["u"], "lbl": b["u"]})
 
-    from ray.data.aggregate import Min
-
-    labels_ds = (
-        e.map_batches(init_labels, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Min(on="lbl", alias_name="lbl"))
+    labels_ds = group_count(
+        e.map_batches(init_labels, batch_format="pyarrow"),
+        "node",
+        count=None,
+        aggs={"lbl": ("lbl", "min")},
     )
 
     def bucket_mode(g: pd.DataFrame) -> pd.DataFrame:

@@ -18,10 +18,6 @@ from collections.abc import Callable
 from typing import Any
 
 import numpy as np
-import pyarrow as pa
-import pyarrow.compute as pc
-
-from sciscraper_ray.words import BYCATCH_WORDS, TARGET_WORDS, sql_in_list
 
 QUERIES: dict[str, Callable[[str], Any]] = {}
 ORACLE: dict[str, str] = {}

@@ -18,7 +18,7 @@ from sciscraper_ray.pipelines.queries._shared import (
     register,
 )
 from sciscraper_ray.pipelines.queries.dedup import _SESSION_GAP_MIN
-from sciscraper_ray.stages.relational import group_count_batch
+from sciscraper_ray.stages.relational import group_count, group_count_batch
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +222,7 @@ def doc_boilerplate_strip(sf_dir: str, plan: str = "auto"):
         vc = pdf.groupby(["h_hi", "h_lo"]).size()
         freq = vc[vc >= _BOILER_DF_MIN].reset_index()[["h_hi", "h_lo"]]
     else:
-        from ray.data.aggregate import Count
-
-        counted = pairs.groupby(["h_hi", "h_lo"]).aggregate(
-            Count(alias_name="df")
-        )
+        counted = group_count(pairs, ["h_hi", "h_lo"], count="df")
 
         def over_threshold(b: pa.Table) -> pa.Table:
             return b.filter(
@@ -395,7 +391,6 @@ def events_retention(sf_dir: str):
     and 3 both consume it."""
     import ray
     import ray.data
-    from ray.data.aggregate import Min, Sum
 
     from sciscraper_ray.stages.relational import BroadcastLookup
 
@@ -409,30 +404,18 @@ def events_retention(sf_dir: str):
             batch["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         )
         day = us // _US_PER_DAY  # epoch-day; events are post-1970
-        if len(day) and (day.max() >= (1 << 20) or u.max() >= (1 << 43)):
-            raise ValueError("user/day overflows the composite key")
-        comp = np.unique(u * (1 << 20) + day)
-        return pa.table(
-            {
-                "user_id": pa.array(comp >> 20),
-                "day": pa.array(comp & ((1 << 20) - 1)),
-            }
-        )
+        return pa.table({"user_id": pa.array(u), "day": pa.array(day)})
 
     pairs = (
-        ds.map_batches(day_pairs, batch_format="pyarrow")
-        .groupby(["user_id", "day"])
-        .count()
-        .drop_columns(["count()"])
+        group_count(ds.map_batches(day_pairs, batch_format="pyarrow"), ["user_id", "day"])
+        .drop_columns(["cnt"])
         .materialize()
     )
 
     from sciscraper_ray.pipelines.plan import driver_frame
 
     firsts = driver_frame(
-        pairs.groupby("user_id").aggregate(
-            Min(on="day", alias_name="cohort_day")
-        ),
+        group_count(pairs, "user_id", count=None, aggs={"cohort_day": ("day", "min")}),
         what="events_cohort_retention",
     ).set_index("user_id")
     ref = ray.put(firsts)  # broadcast once; tasks ray.get it zero-copy
@@ -443,18 +426,9 @@ def events_retention(sf_dir: str):
         cohort = joined["cohort_day"].to_numpy(zero_copy_only=False).astype(
             np.int64
         )
-        comp, cnt = np.unique(
-            cohort * (1 << 20) + (day - cohort), return_counts=True
-        )
-        return pa.table(
-            {"k": pa.array(comp), "cnt": pa.array(cnt.astype(np.int64))}
-        )
+        return pa.table({"k": pa.array(cohort * (1 << 20) + (day - cohort))})
 
-    agg = (
-        pairs.map_batches(offsets, batch_format="pyarrow")
-        .groupby("k")
-        .aggregate(Sum(on="cnt", alias_name="users"))
-    )
+    agg = group_count(pairs.map_batches(offsets, batch_format="pyarrow"), "k", count="users")
 
     def decompose(batch: pa.Table) -> pa.Table:
         k = batch["k"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -517,7 +491,6 @@ def events_top_paths(sf_dir: str):
     (path is the group key); order inside a session is (ts, event_id)
     on both engine and oracle."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.stages.window import (
         bucketed_window,
@@ -529,9 +502,12 @@ def events_top_paths(sf_dir: str):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "event_id", "ts", "event_type"],
     )
-    counts = bucketed_window(
-        ds, make_bucket_session_paths(gap_us)
-    ).groupby("path").aggregate(Sum(on="cnt", alias_name="cnt"))
+    counts = group_count(
+        bucketed_window(ds, make_bucket_session_paths(gap_us)),
+        "path",
+        {"cnt": "cnt"},
+        count=None,
+    )
     return counts.sort(["cnt", "path"], descending=[True, False]).limit(
         _TOP_PATHS_K
     )
@@ -607,21 +583,13 @@ def events_user_mode(sf_dir: str):
     import pandas as pd
 
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.stages.window import bucketed_window
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
     )
-    counts = (
-        ds.map_batches(
-            lambda b: group_count_batch(b, ["user_id", "event_type"]),
-            batch_format="pyarrow",
-        )
-        .groupby(["user_id", "event_type"])
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
-    )
+    counts = group_count(ds, ["user_id", "event_type"])
 
     def pick(g: pd.DataFrame) -> pd.DataFrame:
         user = g["user_id"].to_numpy()
@@ -660,7 +628,6 @@ def events_value_histogram(sf_dir: str):
     of two so the double divide is exact and the floor is deterministic
     across engines."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["value"]
@@ -668,18 +635,9 @@ def events_value_histogram(sf_dir: str):
 
     def partial(batch: pa.Table) -> pa.Table:
         v = batch["value"].to_numpy(zero_copy_only=False)
-        bins, cnt = np.unique(
-            np.floor(v / _HIST_BIN).astype(np.int64), return_counts=True
-        )
-        return pa.table(
-            {"bin": pa.array(bins), "cnt": pa.array(cnt.astype(np.int64))}
-        )
+        return pa.table({"bin": pa.array(np.floor(v / _HIST_BIN).astype(np.int64))})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bin")
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
-    )
+    return group_count(ds.map_batches(partial, batch_format="pyarrow"), "bin")
 
 
 # ---------------------------------------------------------------------------
@@ -898,9 +856,7 @@ def bloom_semijoin(sf_dir: str):
         return pa.table({"pos": pa.array(p)})
 
     pos = (
-        cust.map_batches(build_positions, batch_format="pyarrow")
-        .groupby("pos")
-        .count()
+        group_count(cust.map_batches(build_positions, batch_format="pyarrow"), "pos")
         .to_pandas()["pos"]  # bounded: set bloom bit positions (filter width)
         .to_numpy()
     )
@@ -970,45 +926,34 @@ def _cms_oracle() -> str:
 def token_cms_estimate(sf_dir: str):
     """CMS point estimates for a fixed probe set: per-batch partials emit
     at most d*w (cell, count) rows regardless of vocabulary (distinct
-    tokens are hashed once per batch via value_counts), one tiny
+    tokens are counted with group_count_batch and hashed once per batch), one tiny
     groupby Sum merges the sketch, and the driver reads <= 2048 rows to
     answer any number of point queries. est >= true always; equality
     collision-for-collision with the SQL rebuild."""
-    import ray.data
-    from ray.data.aggregate import Sum
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partial(batch: pa.Table) -> pa.Table:
         flat = pc.list_flatten(tokenize_column(batch["text"]))
-        vc = flat.value_counts()
-        toks = vc.field("values").to_pylist()
-        cnts = vc.field("counts").to_numpy(zero_copy_only=False).astype(np.int64)
+        vc = group_count_batch(pa.table({"token": flat}), ["token"])
+        toks = vc["token"].to_pylist()
         if not toks:
             e = pa.array([], pa.int64())
             return pa.table({"k": e, "cnt": e})
-        ks, totals = [], []
-        for r, salt in enumerate(_CMS_SALTS):
-            cells = _cms_cells(toks, salt)
-            k = r * _CMS_W + cells
-            agg_k, inv = np.unique(k, return_inverse=True)
-            agg_c = np.bincount(inv, weights=cnts).astype(np.int64)
-            ks.append(agg_k)
-            totals.append(agg_c)
+        ks = [r * _CMS_W + _cms_cells(toks, salt) for r, salt in enumerate(_CMS_SALTS)]
+        cnts = vc["cnt"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
-                "k": pa.array(np.concatenate(ks)),
-                "cnt": pa.array(np.concatenate(totals)),
+                "k": pa.array(np.concatenate(ks), pa.int64()),
+                "cnt": pa.array(np.tile(cnts, len(_CMS_SALTS)), pa.int64()),
             }
         )
 
-    sketch = (
-        _docs(sf_dir, columns=("text",))
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("k")
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
-        .to_pandas()  # bounded: d x w CMS cells
-    )
+    sketch = group_count(
+        _docs(sf_dir, columns=("text",)).map_batches(partial, batch_format="pyarrow"),
+        "k",
+        {"cnt": "cnt"},
+        count=None,
+    ).to_pandas()  # bounded: d x w CMS cells
     table = np.zeros(len(_CMS_SALTS) * _CMS_W, np.int64)
     table[sketch["k"].to_numpy()] = sketch["cnt"].to_numpy()
 
@@ -1107,17 +1052,11 @@ def corpus_summary(sf_dir: str):
 
     def hash_partial(batch: pa.Table) -> pa.Table:
         hi, lo, valid = md5_hash128(batch["text"].to_pylist())
-        comp = np.unique(np.stack([hi[valid], lo[valid]], axis=1), axis=0)
-        return pa.table(
-            {"h_hi": pa.array(comp[:, 0]), "h_lo": pa.array(comp[:, 1])}
-        )
+        return pa.table({"h_hi": pa.array(hi[valid]), "h_lo": pa.array(lo[valid])})
 
-    distinct_texts = (
-        ds.map_batches(hash_partial, batch_format="pyarrow")
-        .groupby(["h_hi", "h_lo"])
-        .count()
-        .count()
-    )
+    distinct_texts = group_count(
+        ds.map_batches(hash_partial, batch_format="pyarrow"), ["h_hi", "h_lo"]
+    ).count()
 
     langs: set = set()
     sources: set = set()
@@ -1255,7 +1194,6 @@ def revenue_by_nation(sf_dir: str):
 
     import ray
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.stages.relational import BroadcastLookup, bucketed_hash_join
 
@@ -1293,18 +1231,13 @@ def revenue_by_nation(sf_dir: str):
     dim_ref = ray.put(dim)
 
     def enrich_and_count(batch: pa.Table) -> pa.Table:
-        looked = BroadcastLookup(dim_ref, on="c_nationkey")(batch)
-        return group_count_batch(
-            looked, ["r_name", "n_name"], {"cents": "revenue_cents"}
-        )
+        return BroadcastLookup(dim_ref, on="c_nationkey")(batch)
 
-    return (
-        joined.map_batches(enrich_and_count, batch_format="pyarrow")
-        .groupby(["r_name", "n_name"])
-        .aggregate(
-            Sum(on="revenue_cents", alias_name="revenue_cents"),
-            Sum(on="cnt", alias_name="n_orders"),
-        )
+    return group_count(
+        joined.map_batches(enrich_and_count, batch_format="pyarrow"),
+        ["r_name", "n_name"],
+        {"cents": "revenue_cents"},
+        count="n_orders",
     )
 
 
@@ -1404,20 +1337,20 @@ def event_type_hll_users(sf_dir: str):
     against the SQL rebuild; estimate accuracy is pinned in
     tests/test_sketch.py."""
     import ray.data
-    from ray.data.aggregate import Max
 
     from sciscraper_ray.stages.sketch import hll_grouped_partial_batch
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
     )
-    return (
+    return group_count(
         ds.map_batches(
             lambda b: hll_grouped_partial_batch(b, "event_type", "user_id"),
             batch_format="pyarrow",
-        )
-        .groupby(["event_type", "bucket"])
-        .aggregate(Max(on="rho", alias_name="max_rho"))
+        ),
+        ["event_type", "bucket"],
+        count=None,
+        aggs={"max_rho": ("rho", "max")},
     )
 
 
@@ -1686,11 +1619,8 @@ def bucketed_storage_join(sf_dir: str):
     import os
     import tempfile
 
-    import pandas as pd
-
     import ray
     import ray.data
-    from ray.data.aggregate import Sum
 
     def add_bucket(col: str):
         def fn(batch: pa.Table) -> pa.Table:
@@ -1748,9 +1678,11 @@ def bucketed_storage_join(sf_dir: str):
 
         refs = [join_bucket.remote(b) for b in range(_STORAGE_BUCKETS)]
         parts = ray.data.from_arrow_refs(refs)
-        return parts.groupby("o_orderpriority").aggregate(
-            Sum(on="n_orders", alias_name="n_orders"),
-            Sum(on="revenue_cents", alias_name="revenue_cents"),
+        return group_count(
+            parts,
+            "o_orderpriority",
+            {"n_orders": "n_orders", "revenue_cents": "revenue_cents"},
+            count=None,
         ).materialize()
 
 
@@ -1872,7 +1804,6 @@ def events_watermark(sf_dir: str):
     composite-int64 partial counts; the final tag is pure arithmetic on
     the window boundary. Integer microseconds end to end."""
     import ray.data
-    from ray.data.aggregate import Max, Sum
 
     us_hour = 3_600_000_000
 
@@ -1883,24 +1814,16 @@ def events_watermark(sf_dir: str):
 
     us_ds = ds.map_batches(to_us, batch_format="pyarrow").materialize()
     mark = (
-        us_ds.aggregate(Max(on="us", alias_name="m"))["m"]
+        us_ds.max("us")
         - _WATERMARK_LAG_US
     )
 
     def partial(batch: pa.Table) -> pa.Table:
         us = batch["us"].to_numpy(zero_copy_only=False)
-        hours, cnt = np.unique(us // us_hour, return_counts=True)
-        return pa.table(
-            {
-                "hour": pa.array(hours.astype(np.int64)),
-                "n_events": pa.array(cnt.astype(np.int64)),
-            }
-        )
+        return pa.table({"hour": pa.array((us // us_hour).astype(np.int64))})
 
-    agg = (
-        us_ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("hour")
-        .aggregate(Sum(on="n_events", alias_name="n_events"))
+    agg = group_count(
+        us_ds.map_batches(partial, batch_format="pyarrow"), "hour", count="n_events"
     )
 
     def tag(batch: pa.Table) -> pa.Table:
@@ -2256,10 +2179,9 @@ def doc_filter_chain(sf_dir: str):
         rep = np.zeros(nrows, dtype=np.int64)
         pos, bg = _ngram_positions(batch, 2)
         if len(pos):
-            pairs = pa.table({"p": pa.array(pos), "bg": bg})
-            per = pairs.group_by(["p", "bg"]).aggregate([("bg", "count")])
+            per = group_count_batch(pa.table({"p": pa.array(pos), "bg": bg}), ["p", "bg"])
             pv = per["p"].to_numpy()
-            cnt = per["bg_count"].to_numpy()
+            cnt = per["cnt"].to_numpy()
             np.add.at(total, pv, cnt)
             dup = cnt > 1
             np.add.at(rep, pv[dup], cnt[dup])
@@ -2431,12 +2353,13 @@ def source_budget_allocation(sf_dir: str):
     property per-partition rounding cannot give. At 10^7 hosts the
     allocation table is still driver-trivial next to the corpus."""
     import ray.data
-    from ray.data.aggregate import Count
 
     counts = (
-        ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["source"])
-        .groupby("source")
-        .aggregate(Count(alias_name="n_docs"))
+        group_count(
+            ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["source"]),
+            "source",
+            count="n_docs",
+        )
         .to_pandas()  # bounded: |sources|
         .sort_values("source")
         .reset_index(drop=True)
@@ -2487,7 +2410,6 @@ def small_files_compaction(sf_dir: str):
     import tempfile
 
     import ray.data
-    from ray.data.aggregate import Count, Sum
 
     with (
         tempfile.TemporaryDirectory(prefix="compact_in_") as frag_dir,
@@ -2505,12 +2427,12 @@ def small_files_compaction(sf_dir: str):
         if not (n_out < n_frag):
             raise RuntimeError(f"compaction did not reduce files: {n_frag}->{n_out}")
 
-        return (
-            ray.data.read_parquet(out_dir, columns=["lang", "n_chars"])
-            .groupby("lang")
-            .aggregate(Count(alias_name="n_docs"), Sum(on="n_chars", alias_name="total_chars"))
-            .materialize()
-        )
+        return group_count(
+            ray.data.read_parquet(out_dir, columns=["lang", "n_chars"]),
+            "lang",
+            {"n_chars": "total_chars"},
+            count="n_docs",
+        ).materialize()
 
 
 # ---------------------------------------------------------------------------
@@ -2605,44 +2527,22 @@ def source_dup_rate(sf_dir: str):
     groupby yields docs/uniq per source. Same two-stage exact-distinct
     plan as events_k_anonymity; hashes ride as int64 bit-views (uint64
     groupby keys promote to float64 inside Ray's sort-aggregate)."""
-    import ray.data
-    from ray.data.aggregate import Sum
-
-
     ds = _docs(sf_dir, columns=("source", "text"))
 
     def hash_partial(b: pa.Table) -> pa.Table:
         h_hi, h_lo, _valid = md5_hash128(b["text"].to_pylist())
-        t = pa.table(
+        return pa.table(
             {
                 "source": b["source"],
                 "h_hi": pa.array(h_hi, pa.int64()),
                 "h_lo": pa.array(h_lo, pa.int64()),
             }
         )
-        g = t.group_by(["source", "h_hi", "h_lo"]).aggregate([("h_hi", "count")])
-        return g.rename_columns(["source", "h_hi", "h_lo", "c"])
 
-    per_hash = (
-        ds.map_batches(hash_partial, batch_format="pyarrow")
-        .groupby(["source", "h_hi", "h_lo"])
-        .aggregate(Sum(on="c", alias_name="cnt"))
+    per_hash = group_count(
+        ds.map_batches(hash_partial, batch_format="pyarrow"), ["source", "h_hi", "h_lo"]
     )
-
-    def fold(b: pa.Table) -> pa.Table:
-        g = b.group_by(["source"]).aggregate(
-            [("h_hi", "count"), ("cnt", "sum")]
-        )
-        return g.rename_columns(["source", "uniq_p", "docs_p"])
-
-    agg = (
-        per_hash.map_batches(fold, batch_format="pyarrow")
-        .groupby("source")
-        .aggregate(
-            Sum(on="uniq_p", alias_name="uniq"),
-            Sum(on="docs_p", alias_name="docs"),
-        )
-    )
+    agg = group_count(per_hash, "source", {"cnt": "docs"}, count="uniq")
 
     def finish(b: pa.Table) -> pa.Table:
         docs = b["docs"].to_numpy(zero_copy_only=False).astype(np.float64)
@@ -2697,9 +2597,6 @@ def source_temperature_sampling(sf_dir: str):
     int64 per source (sources are bounded), the groupby moves only
     those partials, and the finishing arithmetic runs on the tiny
     source table mirroring the SQL's op order exactly."""
-    import ray.data
-    from ray.data.aggregate import Sum
-
     ds = _docs(sf_dir, columns=("source", "text"))
 
     def partial(b: pa.Table) -> pa.Table:
@@ -2707,17 +2604,15 @@ def source_temperature_sampling(sf_dir: str):
         words = pc.add(
             pc.count_substring(trimmed, pattern=" "), 1
         ).cast(pa.int64())
-        t = pa.table({"source": b["source"], "w": words})
-        return (
-            t.group_by("source")
-            .aggregate([("w", "sum")])
-            .rename_columns(["source", "w"])
-        )
+        return pa.table({"source": b["source"], "w": words})
 
     per = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("source")
-        .aggregate(Sum(on="w", alias_name="n_tokens"))
+        group_count(
+            ds.map_batches(partial, batch_format="pyarrow"),
+            "source",
+            {"w": "n_tokens"},
+            count=None,
+        )
         .to_pandas()  # bounded: |sources|
         .sort_values("source", kind="stable")
     )
@@ -2774,27 +2669,16 @@ def source_vocab_coverage(sf_dir: str):
     crosses the wire twice."""
     import ray
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     ds = _docs(sf_dir, columns=("source", "text"))
 
     def count_partial(b: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        toks = tokenize_column(b["text"]).combine_chunks()
-        flat = pc.list_flatten(toks)
-        vc = (
-            pd.Series(flat.to_pylist()).value_counts().rename("c").reset_index()
-        )
-        vc.columns = ["token", "c"]
-        return pa.Table.from_pandas(vc, preserve_index=False)
+        return pa.table({"token": pc.list_flatten(tokenize_column(b["text"]))})
 
     counts = (
-        ds.map_batches(count_partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum(on="c", alias_name="c"))
+        group_count(ds.map_batches(count_partial, batch_format="pyarrow"), "token", count="c")
         .to_pandas()  # bounded: vocabulary (Heaps' law), top-V kept
         .sort_values(["c", "token"], ascending=[False, True], kind="stable")
         .head(_VOCAB_V)
@@ -2806,29 +2690,22 @@ def source_vocab_coverage(sf_dir: str):
             self.vocab = ray.get(vocab_ref)
 
         def __call__(self, b: pa.Table) -> pa.Table:
-            import pandas as pd
-
             toks = tokenize_column(b["text"]).combine_chunks()
             flat = pc.list_flatten(toks)
-            parents = pc.list_parent_indices(toks).to_numpy(
-                zero_copy_only=False
+            hit = pc.is_in(flat, value_set=self.vocab)
+            t = pa.table(
+                {
+                    "source": b["source"].take(pc.list_parent_indices(toks)),
+                    "hit": pc.cast(hit, pa.int64()),
+                }
             )
-            src = np.asarray(b["source"].to_pylist())[parents]
-            hit = pc.is_in(flat, value_set=self.vocab).to_numpy(
-                zero_copy_only=False
-            )
-            df = pd.DataFrame({"source": src, "hit": hit.astype(np.int64)})
-            g = df.groupby("source")["hit"].agg(["sum", "size"]).reset_index()
-            g.columns = ["source", "covered_p", "total_p"]
-            return pa.Table.from_pandas(g, preserve_index=False)
+            return group_count_batch(t, ["source"], {"hit": "covered"}, count="total")
 
-    agg = (
-        ds.map_batches(Coverage, batch_format="pyarrow", concurrency=(1, 4))
-        .groupby("source")
-        .aggregate(
-            Sum(on="covered_p", alias_name="covered"),
-            Sum(on="total_p", alias_name="total"),
-        )
+    agg = group_count(
+        ds.map_batches(Coverage, batch_format="pyarrow", concurrency=(1, 4)),
+        "source",
+        {"covered": "covered", "total": "total"},
+        count=None,
     )
 
     def finish(b: pa.Table) -> pa.Table:
@@ -2882,18 +2759,10 @@ def source_length_gini(sf_dir: str):
     the histogram itself (|sources| x |distinct lengths|, tiny); the
     oracle recomputes the textbook row_number formula and both engines
     divide once at the end."""
-    import ray.data
-    from ray.data.aggregate import Sum
-
     ds = _docs(sf_dir, columns=("source", "n_chars"))
 
     h = (
-        ds.map_batches(
-            lambda b: group_count_batch(b, ["source", "n_chars"]),
-            batch_format="pyarrow",
-        )
-        .groupby(["source", "n_chars"])
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
+        group_count(ds, ["source", "n_chars"])
         .to_pandas()  # bounded: |sources| x |distinct lengths|
         .sort_values(["source", "n_chars"], kind="stable")
     )
@@ -2952,8 +2821,6 @@ def doc_length_dup_crosstab(sf_dir: str):
     (top_suppliers_by_nation rule; past it the banding flips to the
     range-partitioner rank path and dup flags to the groupby-count
     two-pass of source_dup_rate). Output is the 10 x 2 table."""
-    import ray.data
-
     from sciscraper_ray.pipelines.plan import driver_frame
 
     def partial(b: pa.Table) -> pa.Table:
@@ -3047,22 +2914,21 @@ def source_length_mannwhitney(sf_dir: str):
     partials; the merged histogram is |distinct length| x 2 rows
     (value-domain bounded, like lineitem_quantiles), and the midrank
     cumulative runs on that tiny table."""
-    import ray.data
-    from ray.data.aggregate import Sum
-
     def partial(b: pa.Table) -> pa.Table:
         src = b["source"].to_numpy(zero_copy_only=False)
         keep = (src == "src0") | (src == "src1")
         grp = (src[keep] == "src1").astype(np.int64)
         v = b["n_chars"].to_numpy(zero_copy_only=False)[keep].astype(np.int64)
-        t = pa.table({"grp": pa.array(grp), "v": pa.array(v)})
-        return group_count_batch(t, ["grp", "v"], count="c")
+        return pa.table({"grp": pa.array(grp), "v": pa.array(v)})
 
     h = (
-        _docs(sf_dir, columns=("source", "n_chars"))
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["grp", "v"])
-        .aggregate(Sum(on="c", alias_name="c"))
+        group_count(
+            _docs(sf_dir, columns=("source", "n_chars")).map_batches(
+                partial, batch_format="pyarrow"
+            ),
+            ["grp", "v"],
+            count="c",
+        )
         .to_pandas()  # bounded: |groups| x |distinct values|
         .sort_values(["v", "grp"], ignore_index=True)
     )
@@ -3209,16 +3075,13 @@ def doc_bootstrap_mean_ci(sf_dir: str, n_boot: int = 16, m: int = 2000):
                 }
             )
 
-    from ray.data.aggregate import Sum
-
-    return (
-        _docs(sf_dir, columns=("doc_id", "n_chars"))
-        .map_batches(Partial, batch_format="pyarrow", concurrency=(1, 4))
-        .groupby("b")
-        .aggregate(
-            Sum(on="m", alias_name="m"),
-            Sum(on="sum_chars", alias_name="sum_chars"),
-        )
+    return group_count(
+        _docs(sf_dir, columns=("doc_id", "n_chars")).map_batches(
+            Partial, batch_format="pyarrow", concurrency=(1, 4)
+        ),
+        "b",
+        {"m": "m", "sum_chars": "sum_chars"},
+        count=None,
     )
 
 
@@ -3375,8 +3238,6 @@ def dedup_url_canonical(sf_dir: str):
     the same pass-1 partials. Payloads never shuffle; the exchange is
     key partials only — the identical plan dedup_exact proved at the
     50M-key flip point."""
-    import pandas as pd
-
     import ray  # noqa: F401
 
     from sciscraper_ray.pipelines.winner import WinnerSpec, winner_filter
@@ -3452,25 +3313,17 @@ def dedup_url_canonical(sf_dir: str):
     # record stream instead (per-batch partial + groupby), then attach it
     # with the big-big bucketed hash join — both sides are corpus-sized,
     # so neither a broadcast nor a driver merge is scale-honest here.
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.stages.relational import bucketed_hash_join
 
     def variant_partial(batch: pa.Table) -> pa.Table:
         valid = batch.filter(pc.is_valid(batch["canonical_url"]))
-        ids = valid["doc_id"].to_numpy(zero_copy_only=False)
-        uniq, cnt = np.unique(ids, return_counts=True)
-        return pa.table(
-            {
-                "cnt_doc_id": pa.array(uniq.astype(np.int64)),
-                "n_variants": pa.array(cnt.astype(np.int64)),
-            }
-        )
+        return pa.table({"cnt_doc_id": pc.cast(valid["doc_id"], pa.int64())})
 
-    counts = (
-        records.map_batches(variant_partial, batch_format="pyarrow")
-        .groupby("cnt_doc_id")
-        .aggregate(Sum(on="n_variants", alias_name="n_variants"))
+    counts = group_count(
+        records.map_batches(variant_partial, batch_format="pyarrow"),
+        "cnt_doc_id",
+        count="n_variants",
     )
     joined = bucketed_hash_join(
         survivors.map_batches(surviving_rows, batch_format="pyarrow"),
@@ -4062,21 +3915,13 @@ def join_size_cms_estimate(sf_dir: str):
     the CMS guarantee est >= exact must hold collision-for-collision —
     the oracle rebuilds both hash rows cell-exactly from the same md5
     cell function as the engine (shared with token_cms_estimate)."""
-    import pandas as pd
-
     import ray.data
 
     def side(path: str, col: str) -> tuple["pd.Series", "np.ndarray"]:
         ds = ray.data.read_parquet(path, columns=[col])
 
         def partial(batch: pa.Table) -> pa.Table:
-            df = (
-                pd.DataFrame({"k": batch[col].to_numpy(zero_copy_only=False)})
-                .groupby("k", as_index=False)
-                .size()
-                .rename(columns={"size": "c"})
-            )
-            return pa.Table.from_pandas(df, preserve_index=False)
+            return group_count_batch(pa.table({"k": batch[col]}), ["k"], count="c")
 
         from sciscraper_ray.pipelines.plan import driver_frame
 
@@ -4171,8 +4016,6 @@ def counting_bloom_deletes(sf_dir: str):
     )
 
     def cell_partials(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
         ok = batch["o_orderkey"].to_numpy(zero_copy_only=False)
         ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
         deleted = ok % 2 == 0
@@ -4190,12 +4033,8 @@ def counting_bloom_deletes(sf_dir: str):
                 -np.ones(2 * int(deleted.sum()), np.int64),
             ]
         )
-        df = (
-            pd.DataFrame({"cell": cells, "c": delta})
-            .groupby("cell", as_index=False)
-            .sum()
-        )
-        return pa.Table.from_pandas(df, preserve_index=False)
+        t = pa.table({"cell": pa.array(cells, pa.int64()), "c": delta})
+        return group_count_batch(t, ["cell"], {"c": "c"}, count=None)
 
     cells_df = (
         orders.map_batches(cell_partials, batch_format="pyarrow")
@@ -4207,18 +4046,10 @@ def counting_bloom_deletes(sf_dir: str):
     arr[cells_df.index.to_numpy(np.int64)] = cells_df.to_numpy(np.int64)
 
     def live_truth(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
         ok = batch["o_orderkey"].to_numpy(zero_copy_only=False)
         ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
-        live = ck[ok % 2 == 1]
-        df = (
-            pd.DataFrame({"k": live})
-            .groupby("k", as_index=False)
-            .size()
-            .rename(columns={"size": "live"})
-        )
-        return pa.Table.from_pandas(df, preserve_index=False)
+        live = pa.table({"k": pa.array(ck[ok % 2 == 1])})
+        return group_count_batch(live, ["k"], count="live")
 
     from sciscraper_ray.pipelines.plan import driver_frame
 

@@ -18,7 +18,7 @@ from sciscraper_ray.pipelines.queries._shared import (
     _docs,
     register,
 )
-from sciscraper_ray.stages.relational import group_count_batch
+from sciscraper_ray.stages.relational import group_count, group_count_batch
 
 
 # --------------------------------------------------------------------------
@@ -329,21 +329,15 @@ def doc_tfidf_topk(sf_dir: str, k: int = 3):
         vectorized (tf is in-row: one document per input row).
     """
     import ray
-    from ray.data.aggregate import Sum
 
     def df_partial(batch: pa.Table) -> pa.Table:
-        tf = _tf_table(batch)
-        out = tf.group_by("term").aggregate([("p", "count")])
-        return out.rename_columns(["term", "df"])
+        return _tf_table(batch).select(["term"])
 
-    df_pd = (
-        _docs(sf_dir)
-        .map_batches(df_partial, batch_format="pyarrow")
-        .groupby("term")
-        .aggregate(Sum(on="df", alias_name="df"))
-        # bounded: vocab-sized post-aggregate DF table (the broadcast side)
-        .to_pandas()
-    )
+    df_pd = group_count(
+        _docs(sf_dir).map_batches(df_partial, batch_format="pyarrow"),
+        "term",
+        count="df",
+    ).to_pandas()  # bounded: vocab-sized post-aggregate DF table (the broadcast side)
     df_ref = ray.put(df_pd)
     return _docs(sf_dir).map_batches(
         _TfIdfRank,
@@ -658,19 +652,19 @@ def hll_distinct_users(sf_dir: str):
     corpus size. The oracle recomputes the register table exactly;
     estimate accuracy is unit-tested (tests/test_sketch.py)."""
     import ray.data
-    from ray.data.aggregate import Max
 
     from sciscraper_ray.stages.sketch import hll_partial_batch
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id"]
     )
-    return (
+    return group_count(
         ds.map_batches(
             lambda b: hll_partial_batch(b, "user_id"), batch_format="pyarrow"
-        )
-        .groupby("bucket")
-        .aggregate(Max(on="rho", alias_name="max_rho"))
+        ),
+        "bucket",
+        count=None,
+        aggs={"max_rho": ("rho", "max")},
     )
 
 
@@ -1191,7 +1185,6 @@ def events_hll_rollup(sf_dir: str):
     hll_estimate, same alpha/linear-counting branch as the oracle) runs
     vectorized on the driver."""
     import ray.data
-    from ray.data.aggregate import Max
 
     from sciscraper_ray.stages.sketch import (
         hll_estimate,
@@ -1206,7 +1199,7 @@ def events_hll_rollup(sf_dir: str):
             }
         )
 
-    regs = (
+    regs = group_count(
         ray.data.read_parquet(
             f"{sf_dir}/events.parquet", columns=["ts", "user_id"]
         )
@@ -1214,12 +1207,11 @@ def events_hll_rollup(sf_dir: str):
         .map_batches(
             lambda b: hll_grouped_partial_batch(b, "day", "user_id"),
             batch_format="pyarrow",
-        )
-        .groupby(["day", "bucket"])
-        .aggregate(Max(on="rho", alias_name="mr"))
-        # bounded: |days| x 2^p HLL registers
-        .to_pandas()
-    )
+        ),
+        ["day", "bucket"],
+        count=None,
+        aggs={"mr": ("rho", "max")},
+    ).to_pandas()  # bounded: |days| x 2^p HLL registers
     levels: list[str] = []
     keys: list[str] = []
     ests: list[float] = []
@@ -1393,8 +1385,6 @@ def dedup_cascade(sf_dir: str):
     SQL — full transitive clustering is dedup_components' job). Stage
     counts are Dataset metadata / a distinct-count over the pair table;
     the pair table is bounded by dup volume."""
-    import ray.data
-
     from sciscraper_ray.pipelines.dedup import exact_dedup, near_dup_pairs_minhash
 
     docs = _docs(sf_dir)

@@ -9,6 +9,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from sciscraper_ray.stages.relational import group_count
 from sciscraper_ray.pipelines.queries._shared import (
     register,
 )
@@ -740,7 +741,6 @@ def embedding_dim_stats(sf_dir: str):
     same naive ss/n - mean^2 form on both engines (clamped at 0), so
     round(,6) pins the comparison."""
     import ray.data
-    from ray.data.aggregate import Max, Min, Sum
 
     from sciscraper_ray.stages.ann import _stack
 
@@ -760,16 +760,12 @@ def embedding_dim_stats(sf_dir: str):
             }
         )
 
-    agg = (
-        ds.map_batches(dim_partial, batch_format="pyarrow")
-        .groupby("dim")
-        .aggregate(
-            Sum(on="n_p", alias_name="n"),
-            Sum(on="s_p", alias_name="s"),
-            Sum(on="ss_p", alias_name="ss"),
-            Min(on="mn_p", alias_name="mn"),
-            Max(on="mx_p", alias_name="mx"),
-        )
+    agg = group_count(
+        ds.map_batches(dim_partial, batch_format="pyarrow"),
+        "dim",
+        {"n_p": "n", "s_p": "s", "ss_p": "ss"},
+        count=None,
+        aggs={"mn": ("mn_p", "min"), "mx": ("mx_p", "max")},
     )
 
     def finish(b: pa.Table) -> pa.Table:
@@ -1026,7 +1022,6 @@ def embedding_pairwise_topk(sf_dir: str):
     broadcast matrix swaps for the SRP-bucketed pair generation
     (dedup_semantic's plan); the per-batch top-k + bounded merge is
     unchanged."""
-    import pandas as pd
     import pyarrow.parquet as pq
     import ray
     import ray.data
@@ -1172,15 +1167,12 @@ def embedding_power_iteration(sf_dir: str):
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    parts = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("idx")
-        .aggregate(Sum(on="cell", alias_name="cell"))
-        # bounded: d^2 rows after the distributed integer sum
-        .to_pandas()
-    )
+    parts = group_count(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        "idx",
+        {"cell": "cell"},
+        count=None,
+    ).to_pandas()  # bounded: d^2 rows after the distributed integer sum
     d = _PI_DIM
     m = (
         parts.sort_values("idx")["cell"].to_numpy().reshape(d, d).astype(np.float64)
@@ -1353,7 +1345,6 @@ def embedding_mutual_knn(sf_dir: str):
     import ray
     import ray.data
     import pyarrow.parquet as pq
-    from ray.data.aggregate import Count
 
     from sciscraper_ray.stages.ann import BruteForceTopK, _stack, topk_reduce
 
@@ -1384,28 +1375,16 @@ def embedding_mutual_knn(sf_dir: str):
 
     def unpack_mutual(b: pa.Table) -> pa.Table:
         k = b["key"].to_numpy(zero_copy_only=False)[
-            b["count()"].to_numpy(zero_copy_only=False) == 2
+            b["n"].to_numpy(zero_copy_only=False) == 2
         ]
         node = np.concatenate([k >> 32, k & ((1 << 32) - 1)])
         return pa.table({"node": pa.array(node.astype(np.int64), pa.int64())})
 
-    hist = (
-        m.map_batches(pack, batch_format="pyarrow")
-        .groupby("key")
-        .aggregate(Count())
-        .map_batches(unpack_mutual, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Count())
-        .map_batches(
-            lambda b: pa.table(
-                {"degree": pc.cast(b["count()"], pa.int64())}
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("degree")
-        .aggregate(Count())
-        .to_pandas()  # bounded: <= k+1 rows
+    pairs = group_count(m.map_batches(pack, batch_format="pyarrow"), "key", count="n")
+    nodes = group_count(
+        pairs.map_batches(unpack_mutual, batch_format="pyarrow"), "node", count="degree"
     )
+    hist = group_count(nodes, "degree", count="count()").to_pandas()  # bounded: <= k+1 rows
     degree = hist["degree"].to_numpy(np.int64)
     n_nodes = hist["count()"].to_numpy(np.int64)
     n_zero = n_total - int(n_nodes.sum())
@@ -1478,8 +1457,6 @@ def retrieval_mmr_rerank(sf_dir: str):
     throughout, ties broken on vec_id; the oracle unrolls the identical
     greedy steps."""
     import ray.data
-
-    from sciscraper_ray.stages.ann import _stack
 
     pool = (
         ray.data.read_parquet(

@@ -15,7 +15,7 @@ from sciscraper_ray.pipelines.queries._shared import (
     cents,
     register,
 )
-from sciscraper_ray.stages.relational import group_count_batch
+from sciscraper_ray.stages.relational import group_count, group_count_batch
 
 
 # --------------------------------------------------------------------------
@@ -30,20 +30,16 @@ def _hourly_type_counts(sf_dir: str):
     groupby-Sum whose key space is |types| x |hours|: calendar-bounded,
     not data-bounded."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     def partial(b: pa.Table) -> pa.Table:
         hr = pc.floor_temporal(b["ts"], unit="hour")
-        t = pa.table({"event_type": b["event_type"], "hr": hr})
-        return group_count_batch(t, ["event_type", "hr"], count="n")
+        return pa.table({"event_type": b["event_type"], "hr": hr})
 
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["event_type", "ts"]
+    ).map_batches(partial, batch_format="pyarrow")
     return (
-        ray.data.read_parquet(
-            f"{sf_dir}/events.parquet", columns=["event_type", "ts"]
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "hr"])
-        .aggregate(Sum(on="n", alias_name="n"))
+        group_count(ds, ["event_type", "hr"], count="n")
         .to_pandas()  # bounded: |types| x |hours|
         .sort_values(["event_type", "hr"], ignore_index=True)
     )
@@ -54,20 +50,15 @@ def _dense_hourly_counts(sf_dir: str):
     int64 series from the first to the last hour seen (epoch hours),
     empty hours 0. Only hour-grain partials cross the exchange."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     def partial(b: pa.Table) -> pa.Table:
         h = b["ts"].to_numpy(zero_copy_only=False).astype("datetime64[h]")
-        t = pa.table({"h": pa.array(h.astype(np.int64), pa.int64())})
-        return group_count_batch(t, ["h"], count="c")
+        return pa.table({"h": pa.array(h.astype(np.int64), pa.int64())})
 
-    hc = (
-        ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("h")
-        .aggregate(Sum(on="c", alias_name="c"))
-        .to_pandas()  # bounded: calendar hours
-    )
+    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
+    hc = group_count(
+        ds.map_batches(partial, batch_format="pyarrow"), "h", count="c"
+    ).to_pandas()  # bounded: calendar hours
     h = hc["h"].to_numpy(np.int64)
     lo = int(h.min())
     dense = np.zeros(int(h.max()) - lo + 1, np.int64)
@@ -80,8 +71,6 @@ def _hourly_cents(sf_dir: str):
     per hour since 2024-01-01, as a dense int64 series from the first to
     the last hour seen, empty hours 0. Only hour-grain partials leave a
     batch."""
-    import pandas as pd
-
     import ray.data
 
     epoch = np.datetime64("2024-01-01T00:00:00", "us").astype(np.int64)
@@ -89,12 +78,8 @@ def _hourly_cents(sf_dir: str):
     def partials(batch: pa.Table) -> pa.Table:
         ts = pc.cast(batch["ts"], pa.timestamp("us")).cast(pa.int64()).to_numpy()
         h = (ts - epoch) // 3_600_000_000
-        df = (
-            pd.DataFrame({"h": h, "x": cents(batch["value"])})
-            .groupby("h", as_index=False)
-            .sum()
-        )
-        return pa.Table.from_pandas(df, preserve_index=False)
+        t = pa.table({"h": pa.array(h, pa.int64()), "x": cents(batch["value"])})
+        return group_count_batch(t, ["h"], {"x": "x"}, count=None)
 
     hourly = (
         ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "value"])
@@ -114,26 +99,20 @@ def _click_view_cents(sf_dir: str):
     """Click and view events per value in cents, as a (cents, c1, c2)
     frame sorted by cents: c1 counts clicks, c2 views. Partials are
     bounded by the price domain (range x 100 points), not by rows."""
-    import pandas as pd
-
     import ray.data
 
     def partials(batch: pa.Table) -> pa.Table:
         et = batch["event_type"].to_numpy(zero_copy_only=False)
         keep = (et == "click") | (et == "view")
         g = (et[keep] == "click").astype(np.int64)
-        df = (
-            pd.DataFrame(
-                {
-                    "cents": cents(batch["value"].to_numpy(zero_copy_only=False)[keep]),
-                    "c1": g,
-                    "c2": 1 - g,
-                }
-            )
-            .groupby("cents", as_index=False)
-            .sum()
+        t = pa.table(
+            {
+                "cents": cents(batch["value"].to_numpy(zero_copy_only=False)[keep]),
+                "c1": g,
+                "c2": 1 - g,
+            }
         )
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return group_count_batch(t, ["cents"], {"c1": "c1", "c2": "c2"}, count=None)
 
     return (
         ray.data.read_parquet(
@@ -198,29 +177,20 @@ def events_hourly(sf_dir: str):
     """Tumbling 1-hour window per event_type as groupby over a derived
     window key — the Ray Data expression of a windowed aggregate."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "ts", "value"]
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        batch = batch.append_column(
+        return batch.append_column(
             "window_start", pc.floor_temporal(batch["ts"], unit="hour")
         )
-        return group_count_batch(
-            batch.drop_columns(["ts"]),
-            ["event_type", "window_start"],
-            {"value": "sum_value"},
-        )
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "window_start"])
-        .aggregate(
-            Sum(on="cnt", alias_name="cnt"),
-            Sum(on="sum_value", alias_name="sum_value"),
-        )
+    agg = group_count(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["event_type", "window_start"],
+        {"value": "sum_value"},
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -287,7 +257,6 @@ def events_json_props(sf_dir: str):
     """M23 analog: JSON scalar extraction from a string column, vectorized
     with pc.extract_regex, then a grouped sum."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "props"]
@@ -296,16 +265,12 @@ def events_json_props(sf_dir: str):
     def partial(batch: pa.Table) -> pa.Table:
         extracted = pc.extract_regex(batch["props"], r'"k": (?P<k>\d+)')
         k = pc.cast(pc.struct_field(extracted, "k"), pa.int64())
-        batch = pa.table({"event_type": batch["event_type"], "k": k})
-        return group_count_batch(batch, ["event_type"], {"k": "sum_k"})
+        return pa.table({"event_type": batch["event_type"], "k": k})
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(
-            Sum(on="cnt", alias_name="cnt"),
-            Sum(on="sum_k", alias_name="sum_k"),
-        )
+    return group_count(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        "event_type",
+        {"k": "sum_k"},
     )
 
 
@@ -354,25 +319,15 @@ def events_value_quantile_sketch(sf_dir: str):
     only the histogram merge grows with bucket count. Integer counts and
     thresholds end to end, so the check is exact."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
 
     def partial(batch: pa.Table) -> pa.Table:
         v = batch["value"].to_numpy(zero_copy_only=False)
-        buckets = np.floor(v).astype(np.int64)
-        uniq, cnt = np.unique(buckets, return_counts=True)
-        return pa.table(
-            {
-                "bucket": pa.array(uniq, pa.int64()),
-                "cnt": pa.array(cnt.astype(np.int64), pa.int64()),
-            }
-        )
+        return pa.table({"bucket": pa.array(np.floor(v).astype(np.int64))})
 
     hist = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
+        group_count(ds.map_batches(partial, batch_format="pyarrow"), "bucket")
         .to_pandas()  # bounded: |buckets|
         .sort_values("bucket")
         .reset_index(drop=True)
@@ -434,7 +389,6 @@ def events_distinct_sliding(sf_dir: str):
     table is the 10^4x-smaller object that shuffles."""
     import ray
     import ray.data
-    from ray.data.aggregate import Count, Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["ts", "user_id"]
@@ -445,25 +399,20 @@ def events_distinct_sliding(sf_dir: str):
             batch["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
             // _US_PER_HOUR
         )
-        user = batch["user_id"].to_numpy(zero_copy_only=False)
-        uniq = np.unique(np.stack([hour, user], axis=1), axis=0)
         return pa.table(
-            {
-                "hour": pa.array(uniq[:, 0], pa.int64()),
-                "user_id": pa.array(uniq[:, 1], pa.int64()),
-            }
+            {"hour": pa.array(hour, pa.int64()), "user_id": batch["user_id"]}
         )
 
-    pairs = (
-        ds.map_batches(pair_partial, batch_format="pyarrow")
-        .groupby(["hour", "user_id"])
-        .aggregate(Count(alias_name="n"))
+    pairs = group_count(
+        ds.map_batches(pair_partial, batch_format="pyarrow"),
+        ["hour", "user_id"],
+        count="n",
     )
 
     # observed windows: tiny hour set, computed from the pair table and
     # broadcast (hours are bounded by the stream's time span)
     # bounded: |hours| (calendar span)
-    hours = pairs.groupby("hour").aggregate(Count(alias_name="n")).to_pandas()
+    hours = group_count(pairs, "hour", count="n").to_pandas()
     observed_ref = ray.put(np.sort(hours["hour"].to_numpy(np.int64)))
 
     def fanout(batch: pa.Table) -> pa.Table:
@@ -473,36 +422,19 @@ def events_distinct_sliding(sf_dir: str):
         win = (h[:, None] + np.arange(_DISTINCT_WIN_H)[None, :]).ravel()
         usr = np.repeat(u, _DISTINCT_WIN_H)
         keep = np.isin(win, observed)
-        win, usr = win[keep], usr[keep]
-        uniq = np.unique(np.stack([win, usr], axis=1), axis=0)
         return pa.table(
             {
-                "hour": pa.array(uniq[:, 0], pa.int64()),
-                "user_id": pa.array(uniq[:, 1], pa.int64()),
+                "hour": pa.array(win[keep], pa.int64()),
+                "user_id": pa.array(usr[keep], pa.int64()),
             }
         )
 
-    wu = (
-        pairs.map_batches(fanout, batch_format="pyarrow")
-        .groupby(["hour", "user_id"])
-        .aggregate(Count(alias_name="n"))
+    wu = group_count(
+        pairs.map_batches(fanout, batch_format="pyarrow"),
+        ["hour", "user_id"],
+        count="n",
     )
-
-    def count_partial(batch: pa.Table) -> pa.Table:
-        h = batch["hour"].to_numpy(zero_copy_only=False)
-        uniq, cnt = np.unique(h, return_counts=True)
-        return pa.table(
-            {
-                "hour": pa.array(uniq, pa.int64()),
-                "c": pa.array(cnt.astype(np.int64), pa.int64()),
-            }
-        )
-
-    out = (
-        wu.map_batches(count_partial, batch_format="pyarrow")
-        .groupby("hour")
-        .aggregate(Sum(on="c", alias_name="distinct_users_3h"))
-    )
+    out = group_count(wu, "hour", count="distinct_users_3h")
     return out
 
 # --------------------------------------------------------------------------
@@ -561,16 +493,15 @@ def events_user_overlap(sf_dir: str):
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    out = (
+    out = group_count(
         bucketed_window(
             ds.map_batches(batch_distinct, batch_format="pyarrow"),
             bucket_overlap,
             key="user_id",
-        )
-        .groupby(["type_a", "type_b"])
-        .aggregate(Sum(on="partial", alias_name="users"))
+        ),
+        ["type_a", "type_b"],
+        {"partial": "users"},
+        count=None,
     )
     return out
 
@@ -606,7 +537,6 @@ def events_k_anonymity(sf_dir: str):
     each merged row-group into (users_partial, cnt_partial), and the
     final groupby is over the tiny QI-group table."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "value", "user_id"]
@@ -614,37 +544,21 @@ def events_k_anonymity(sf_dir: str):
 
     def qid_partial(b: pa.Table) -> pa.Table:
         band = pc.cast(pc.floor(b["value"]), pa.int64())
-        t = pa.table(
+        return pa.table(
             {
                 "event_type": b["event_type"],
                 "band": band,
                 "user_id": b["user_id"],
             }
         )
-        g = t.group_by(["event_type", "band", "user_id"]).aggregate(
-            [("user_id", "count")]
-        )
-        return g.rename_columns(["event_type", "band", "user_id", "c"])
 
-    per_user = (
-        ds.map_batches(qid_partial, batch_format="pyarrow")
-        .groupby(["event_type", "band", "user_id"])
-        .aggregate(Sum(on="c", alias_name="cnt_u"))
+    per_user = group_count(
+        ds.map_batches(qid_partial, batch_format="pyarrow"),
+        ["event_type", "band", "user_id"],
+        count="cnt_u",
     )
-
-    def fold(b: pa.Table) -> pa.Table:
-        g = b.group_by(["event_type", "band"]).aggregate(
-            [("user_id", "count"), ("cnt_u", "sum")]
-        )
-        return g.rename_columns(["event_type", "band", "users_p", "cnt_p"])
-
-    grouped = (
-        per_user.map_batches(fold, batch_format="pyarrow")
-        .groupby(["event_type", "band"])
-        .aggregate(
-            Sum(on="users_p", alias_name="users"),
-            Sum(on="cnt_p", alias_name="cnt"),
-        )
+    grouped = group_count(
+        per_user, ["event_type", "band"], {"cnt_u": "cnt"}, count="users"
     )
 
     def finish(b: pa.Table) -> pa.Table:
@@ -701,7 +615,6 @@ def events_ab_welch(sf_dir: str):
     triu-index pass. Both engines evaluate the identical formula chain,
     so round(,6) pins the float comparison."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "value"]
@@ -723,12 +636,11 @@ def events_ab_welch(sf_dir: str):
         )
 
     agg = (
-        ds.map_batches(moments, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(
-            Sum(on="n_p", alias_name="n"),
-            Sum(on="s_p", alias_name="s"),
-            Sum(on="ss_p", alias_name="ss"),
+        group_count(
+            ds.map_batches(moments, batch_format="pyarrow"),
+            "event_type",
+            {"n_p": "n", "s_p": "s", "ss_p": "ss"},
+            count=None,
         )
         .to_pandas()  # bounded: |event types|
         .sort_values("event_type")
@@ -791,7 +703,6 @@ def events_attribution_first_touch(sf_dir: str):
     import pandas as pd
 
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.stages.window import bucketed_window
 
@@ -820,10 +731,11 @@ def events_attribution_first_touch(sf_dir: str):
         )
         return df.groupby("first_touch", as_index=False)["partial"].sum()
 
-    return (
-        bucketed_window(ds, credit, key="user_id")
-        .groupby("first_touch")
-        .aggregate(Sum(on="partial", alias_name="conversions"))
+    return group_count(
+        bucketed_window(ds, credit, key="user_id"),
+        "first_touch",
+        {"partial": "conversions"},
+        count=None,
     )
 
 
@@ -861,7 +773,6 @@ def events_user_activity_fullouter(sf_dir: str):
     exercised (per-type value ranges differ by sf — thresholds probed
     against all three fixtures)."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.stages.relational import bucketed_hash_join
 
@@ -872,14 +783,10 @@ def events_user_activity_fullouter(sf_dir: str):
     def side(event_type: str, pred, uid_name: str, cnt_name: str):
         def partial(b: pa.Table) -> pa.Table:
             mask = pc.and_(pc.equal(b["event_type"], event_type), pred(b))
-            t = b.filter(mask)
-            g = t.group_by(["user_id"]).aggregate([("user_id", "count")])
-            return g.rename_columns([uid_name, "c"])
+            return pa.table({uid_name: b.filter(mask)["user_id"]})
 
-        return (
-            ds.map_batches(partial, batch_format="pyarrow")
-            .groupby(uid_name)
-            .aggregate(Sum(on="c", alias_name=cnt_name))
+        return group_count(
+            ds.map_batches(partial, batch_format="pyarrow"), uid_name, count=cnt_name
         )
 
     purchases = side(
@@ -1032,7 +939,6 @@ def events_markov_stationary(sf_dir: str):
     the oracle's unrolled CTE chain. Matrix entries are exact integer
     ratios, so both engines iterate identical doubles."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.stages.window import (
         bucket_type_transitions,
@@ -1043,13 +949,12 @@ def events_markov_stationary(sf_dir: str):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "event_type"],
     )
-    counts = (
-        bucketed_window(ds, bucket_type_transitions)
-        .groupby(["from_type", "to_type"])
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
-        .to_pandas()  # bounded: |types|^2 rows
-    )
-    import pandas as pd
+    counts = group_count(
+        bucketed_window(ds, bucket_type_transitions),
+        ["from_type", "to_type"],
+        {"cnt": "cnt"},
+        count=None,
+    ).to_pandas()  # bounded: |types|^2 rows
 
     states = sorted(set(counts["from_type"]) | set(counts["to_type"]))
     idx = {s: i for i, s in enumerate(states)}
@@ -1186,7 +1091,6 @@ def events_rfm(sf_dir: str):
     doc_ntile (round2.py). Money stays integer cents; recency is exact
     integer epoch-us floor-division on both engines."""
     import ray.data
-    from ray.data.aggregate import Max, Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet",
@@ -1202,27 +1106,17 @@ def events_rfm(sf_dir: str):
             cents(b["value"]),
             0,
         )
-        t = pa.table(
+        return pa.table(
             {"user_id": b["user_id"], "us": us, "mon": pa.array(mon, pa.int64())}
         )
-        return group_count_batch(
-            t,
-            ["user_id"],
-            {"mon": "mon_p"},
-            count="cnt_p",
-            aggs={"us_p": ("us", "max")},
-        )
 
-    per = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(
-            Sum(on="cnt_p", alias_name="frequency"),
-            Max(on="us_p", alias_name="last_us"),
-            Sum(on="mon_p", alias_name="monetary_c"),
-        )
-        .materialize()  # bounded by |users|; reused 4x below
-    )
+    per = group_count(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        "user_id",
+        {"mon": "monetary_c"},
+        count="frequency",
+        aggs={"last_us": ("us", "max")},
+    ).materialize()  # bounded by |users|; reused 4x below
     gmax = int(per.max("last_us"))
 
     def add_recency(b: pa.Table) -> pa.Table:
@@ -1262,8 +1156,6 @@ def events_rfm(sf_dir: str):
         rule = _ntile_rule(n)
 
         def tile(g):
-            import pandas as pd
-
             g = g.sort_values("user_id")
             v = g[metric].iloc[0]
             rank = offs[v] + np.arange(1, len(g) + 1, dtype=np.int64)
@@ -1303,7 +1195,6 @@ def events_minute_burst(sf_dir: str):
     sum of counts). Window id is exact integer epoch-us division on
     both engines."""
     import ray.data
-    from ray.data.aggregate import Max, Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
@@ -1311,27 +1202,18 @@ def events_minute_burst(sf_dir: str):
 
     def pair_partial(b: pa.Table) -> pa.Table:
         m = b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False) // 60000000
-        t = pa.table({"user_id": b["user_id"], "m": pa.array(m, pa.int64())})
-        return group_count_batch(t, ["user_id", "m"], count="c")
+        return pa.table({"user_id": b["user_id"], "m": pa.array(m, pa.int64())})
 
-    pairs = (
-        ds.map_batches(pair_partial, batch_format="pyarrow")
-        .groupby(["user_id", "m"])
-        .aggregate(Sum(on="c", alias_name="c"))
+    pairs = group_count(
+        ds.map_batches(pair_partial, batch_format="pyarrow"),
+        ["user_id", "m"],
+        count="c",
     )
-
-    def user_partial(b: pa.Table) -> pa.Table:
-        return group_count_batch(
-            b, ["user_id"], count="am_p", aggs={"mx_p": ("c", "max")}
-        )
-
-    return (
-        pairs.map_batches(user_partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(
-            Max(on="mx_p", alias_name="max_per_min"),
-            Sum(on="am_p", alias_name="active_minutes"),
-        )
+    return group_count(
+        pairs,
+        "user_id",
+        count="active_minutes",
+        aggs={"max_per_min": ("c", "max")},
     )
 
 
@@ -1367,7 +1249,6 @@ def events_cohort_ltv(sf_dir: str):
     ages) cell table. Week ids are exact integer epoch-us division;
     money stays integer cents."""
     import ray.data
-    from ray.data.aggregate import Min, Sum
 
     from sciscraper_ray.stages.relational import bucketed_hash_join
 
@@ -1377,16 +1258,13 @@ def events_cohort_ltv(sf_dir: str):
     )
 
     def first_partial(b: pa.Table) -> pa.Table:
-        t = pa.table(
-            {"user_id": b["user_id"], "us": b["ts"].cast(pa.int64())}
-        )
-        g = t.group_by("user_id").aggregate([("us", "min")])
-        return g.rename_columns(["user_id", "us"])
+        return pa.table({"user_id": b["user_id"], "us": b["ts"].cast(pa.int64())})
 
-    first = (
-        ds.map_batches(first_partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(Min(on="us", alias_name="f"))
+    first = group_count(
+        ds.map_batches(first_partial, batch_format="pyarrow"),
+        "user_id",
+        count=None,
+        aggs={"f": ("us", "min")},
     )
 
     def with_us(b: pa.Table) -> pa.Table:
@@ -1417,24 +1295,19 @@ def events_cohort_ltv(sf_dir: str):
     def cell_partial(b: pa.Table) -> pa.Table:
         f = b["f"].to_numpy(zero_copy_only=False)
         us = b["us"].to_numpy(zero_copy_only=False)
-        t = pa.table(
+        return pa.table(
             {
                 "cohort_week": pa.array(f // WEEK, pa.int64()),
                 "age_weeks": pa.array((us - f) // WEEK, pa.int64()),
                 "cents": b["cents"],
             }
         )
-        return group_count_batch(
-            t, ["cohort_week", "age_weeks"], {"cents": "rev_p"}, count="n_p"
-        )
 
-    return (
-        joined.map_batches(cell_partial, batch_format="pyarrow")
-        .groupby(["cohort_week", "age_weeks"])
-        .aggregate(
-            Sum(on="rev_p", alias_name="revenue_c"),
-            Sum(on="n_p", alias_name="n_events"),
-        )
+    return group_count(
+        joined.map_batches(cell_partial, batch_format="pyarrow"),
+        ["cohort_week", "age_weeks"],
+        {"cents": "revenue_c"},
+        count="n_events",
     )
 
 
@@ -1471,7 +1344,6 @@ def events_top_trigrams(sf_dir: str):
     bucket emits partials bounded by |types|^3, so the final exchange is
     constant-size."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.stages.window import _sorted_bucket, bucketed_window
 
@@ -1503,9 +1375,9 @@ def events_top_trigrams(sf_dir: str):
         columns=["event_id", "user_id", "ts", "event_type"],
     )
     return (
-        bucketed_window(ds, trigrams)
-        .groupby(["t1", "t2", "t3"])
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
+        group_count(
+            bucketed_window(ds, trigrams), ["t1", "t2", "t3"], {"cnt": "cnt"}, count=None
+        )
         .sort(key=["cnt", "t1", "t2", "t3"], descending=[True, False, False, False])
         .limit(25)
     )
@@ -1532,7 +1404,6 @@ def events_hour_of_week(sf_dir: str):
     Thursday). Value sums are cents integers. One exchange: the
     type x 168-cell groupby over per-batch partials."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     def partial(b: pa.Table) -> pa.Table:
         ts = b["ts"].to_numpy(zero_copy_only=False).astype("datetime64[us]")
@@ -1540,7 +1411,7 @@ def events_hour_of_week(sf_dir: str):
         days = us // 86_400_000_000
         dow = (days + 4) % 7
         hod = (us % 86_400_000_000) // 3_600_000_000
-        t = pa.table(
+        return pa.table(
             {
                 "event_type": b["event_type"],
                 "dow": pa.array(dow, pa.int64()),
@@ -1548,23 +1419,15 @@ def events_hour_of_week(sf_dir: str):
                 "cents": pa.array(cents(b["value"]), pa.int64()),
             }
         )
-        return group_count_batch(
-            t,
-            ["event_type", "dow", "hod"],
-            {"cents": "value_cents"},
-            count="n_events",
-        )
 
-    return (
-        ray.data.read_parquet(
-            f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"]
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "dow", "hod"])
-        .aggregate(
-            Sum(on="n_events", alias_name="n_events"),
-            Sum(on="value_cents", alias_name="value_cents"),
-        )
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"]
+    )
+    return group_count(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["event_type", "dow", "hod"],
+        {"cents": "value_cents"},
+        count="n_events",
     )
 
 
@@ -1969,7 +1832,6 @@ def events_value_drift(sf_dir: str):
     |types x buckets|-bounded histogram groupby; the midpoint constant
     rides in the closure, never a join."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     ts_ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
     mm = ts_ds.map_batches(
@@ -1997,7 +1859,7 @@ def events_value_drift(sf_dir: str):
             b["value"].to_numpy(zero_copy_only=False) / 50.0
         ).astype(np.int64)
         first = us <= mid
-        t = pa.table(
+        return pa.table(
             {
                 "event_type": b["event_type"],
                 "bucket": pa.array(bucket, pa.int64()),
@@ -2005,22 +1867,15 @@ def events_value_drift(sf_dir: str):
                 "n_second": pa.array((~first).astype(np.int64), pa.int64()),
             }
         )
-        return (
-            t.group_by(["event_type", "bucket"])
-            .aggregate([("n_first", "sum"), ("n_second", "sum")])
-            .rename_columns(["event_type", "bucket", "n_first", "n_second"])
-        )
 
-    return (
-        ray.data.read_parquet(
-            f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"]
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["event_type", "bucket"])
-        .aggregate(
-            Sum(on="n_first", alias_name="n_first"),
-            Sum(on="n_second", alias_name="n_second"),
-        )
+    ds = ray.data.read_parquet(
+        f"{sf_dir}/events.parquet", columns=["ts", "event_type", "value"]
+    )
+    return group_count(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["event_type", "bucket"],
+        {"n_first": "n_first", "n_second": "n_second"},
+        count=None,
     )
 
 
@@ -2104,19 +1959,12 @@ def events_session_position_value(sf_dir: str):
         f"{sf_dir}/events.parquet",
         columns=["user_id", "ts", "event_id", "value"],
     )
-    from ray.data.aggregate import Sum
 
-    return (
-        bucketed_window(ds, kernel)
-        .map_batches(
-            lambda b: b.select(["pos", "n_events", "value_cents"]),
-            batch_format="pyarrow",
-        )
-        .groupby("pos")
-        .aggregate(
-            Sum(on="n_events", alias_name="n_events"),
-            Sum(on="value_cents", alias_name="value_cents"),
-        )
+    return group_count(
+        bucketed_window(ds, kernel),
+        "pos",
+        {"n_events": "n_events", "value_cents": "value_cents"},
+        count=None,
     )
 
 
@@ -2450,7 +2298,6 @@ def events_survival_km(sf_dir: str):
     partials, one user-bounded groupby merge, and the day histogram is
     calendar-bounded driver work."""
     import ray.data
-    from ray.data.aggregate import Max, Min
 
     BIG = np.iinfo(np.int64).max
 
@@ -2461,7 +2308,7 @@ def events_survival_km(sf_dir: str):
         et = b["event_type"].to_numpy(zero_copy_only=False)
         val = b["value"].to_numpy(zero_copy_only=False)
         hit = (et == "purchase") & (val >= 150)
-        t = pa.table(
+        return pa.table(
             {
                 "user_id": b["user_id"],
                 "t0": pa.array(ts),
@@ -2469,53 +2316,41 @@ def events_survival_km(sf_dir: str):
                 "tp": pa.array(np.where(hit, ts, BIG)),
             }
         )
-        return (
-            t.group_by("user_id")
-            .aggregate([("t0", "min"), ("tlast", "max"), ("tp", "min")])
-            .rename_columns(["user_id", "t0", "tlast", "tp"])
-        )
 
     US_PER_DAY = 86_400_000_000
 
     def day_hist(b: pa.Table) -> pa.Table:
-        # Per-batch duration histogram over the per-user rows: the
-        # user-bounded table never reaches the driver (VERDICT r4 item 1
-        # class — |users| is data-proportional at crawl scale).
+        # Per-user duration in days and event flag: the user-bounded table
+        # never reaches the driver (VERDICT r4 item 1 class — |users| is
+        # data-proportional at crawl scale).
         t0 = b["t0"].to_numpy(zero_copy_only=False)
         tp = b["tp"].to_numpy(zero_copy_only=False)
         tlast = b["tlast"].to_numpy(zero_copy_only=False)
         ev = tp != BIG
         d = (np.where(ev, tp, tlast) - t0) // US_PER_DAY
-        days, inv = np.unique(d, return_inverse=True)
-        n_event = np.bincount(inv, weights=ev, minlength=len(days))
-        n_total = np.bincount(inv, minlength=len(days))
         return pa.table(
             {
-                "d": pa.array(days.astype(np.int64)),
-                "n_event": pa.array(n_event.astype(np.int64)),
-                "n_censored": pa.array((n_total - n_event).astype(np.int64)),
+                "d": pa.array(d.astype(np.int64)),
+                "n_event": pa.array(ev.astype(np.int64)),
+                "n_censored": pa.array((~ev).astype(np.int64)),
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    hist = (
+    per_user = group_count(
         ray.data.read_parquet(
             f"{sf_dir}/events.parquet",
             columns=["user_id", "ts", "event_type", "value"],
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(
-            Min(on="t0", alias_name="t0"),
-            Max(on="tlast", alias_name="tlast"),
-            Min(on="tp", alias_name="tp"),
-        )
-        .map_batches(day_hist, batch_format="pyarrow")
-        .groupby("d")
-        .aggregate(
-            Sum(on="n_event", alias_name="n_event"),
-            Sum(on="n_censored", alias_name="n_censored"),
+        ).map_batches(partial, batch_format="pyarrow"),
+        "user_id",
+        count=None,
+        aggs={"t0": ("t0", "min"), "tlast": ("tlast", "max"), "tp": ("tp", "min")},
+    )
+    hist = (
+        group_count(
+            per_user.map_batches(day_hist, batch_format="pyarrow"),
+            "d",
+            {"n_event": "n_event", "n_censored": "n_censored"},
+            count=None,
         )
         .to_pandas()  # bounded: |distinct duration days| (calendar)
         .sort_values("d", ignore_index=True)
@@ -2569,31 +2404,25 @@ def events_hourly_topk_users(sf_dir: str, num_buckets: int = 32):
     beyond (window, user) partials and the 3-row-per-window result."""
     import pandas as pd
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["ts", "user_id"]
     )
 
     def partial(batch: pa.Table) -> pa.Table:
-        batch = batch.append_column(
-            "window_start", pc.floor_temporal(batch["ts"], unit="hour")
-        )
-        out = group_count_batch(
-            batch.drop_columns(["ts"]), ["window_start", "user_id"]
-        )
-        h = pc.cast(out["window_start"], pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        return out.append_column(
-            "bucket",
-            pa.array((h * 0x9E3779B9 & 0x7FFFFFFF) % num_buckets, pa.int64()),
+        ws = pc.floor_temporal(batch["ts"], unit="hour")
+        h = pc.cast(ws, pa.int64()).to_numpy(zero_copy_only=False)
+        return pa.table(
+            {
+                "bucket": pa.array((h * 0x9E3779B9 & 0x7FFFFFFF) % num_buckets, pa.int64()),
+                "window_start": ws,
+                "user_id": batch["user_id"],
+            }
         )
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["bucket", "window_start", "user_id"])
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
+    agg = group_count(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["bucket", "window_start", "user_id"],
     )
 
     def topk(g: "pd.DataFrame") -> "pd.DataFrame":
@@ -3346,8 +3175,6 @@ def events_entropy_rate(sf_dir: str):
     (one user-bucket shuffle, vectorized shifted compare); the exchange
     after that is the TYPES^2 transition matrix, never event rows.
     Double arithmetic order matches the oracle exactly."""
-    import pandas as pd
-
     import ray.data
 
     from sciscraper_ray.stages.window import bucket_type_transitions, bucketed_window
@@ -3577,8 +3404,6 @@ def events_bounce_rate(sf_dir: str):
     reduction is reduceat over session segments; the exchange after
     that is TYPES-bounded. Exact integers plus one identically-ordered
     double ratio."""
-    import pandas as pd
-
     import ray.data
 
     from sciscraper_ray.stages.window import bucketed_window
@@ -3659,8 +3484,6 @@ def events_mutual_info_type_hour(sf_dir: str):
     off a cells-bounded per-batch partial exchange (TYPES x 24 cells,
     never event rows); only the final ln-sum is a double, pinned at
     round(,8) like the PMI family."""
-    import pandas as pd
-
     import ray.data
 
     ds = ray.data.read_parquet(
@@ -3673,14 +3496,8 @@ def events_mutual_info_type_hour(sf_dir: str):
             .to_numpy(zero_copy_only=False)
             .astype(np.int64)
         )
-        t = batch["event_type"].to_numpy(zero_copy_only=False)
-        df = (
-            pd.DataFrame({"t": t, "h": h})
-            .value_counts()
-            .rename("c")
-            .reset_index()
-        )
-        return pa.Table.from_pandas(df, preserve_index=False)
+        t = pa.table({"t": batch["event_type"], "h": pa.array(h, pa.int64())})
+        return group_count_batch(t, ["t", "h"], count="c")
 
     joint = (
         ds.map_batches(partials, batch_format="pyarrow")
@@ -3741,7 +3558,6 @@ def events_dau_stickiness(sf_dir: str, mode: str = "auto"):
     import pandas as pd
 
     import ray.data
-    from ray.data.aggregate import Count
 
     from sciscraper_ray.pipelines.plan import driver_frame, resolve_plan
 
@@ -3778,18 +3594,13 @@ def events_dau_stickiness(sf_dir: str, mode: str = "auto"):
         # Global pair distinct via one hash-partitioned aggregate; both
         # downstream reductions consume it, so materialize once (object
         # store blocks, spillable — never the driver heap).
-        distinct = (
-            pairs_ds.groupby(["day", "user_id"])
-            .aggregate(Count(alias_name="c"))
-            .materialize()
-        )
+        distinct = group_count(pairs_ds, ["day", "user_id"], count="c").materialize()
         dau_df = (
-            distinct.groupby("day")
-            .aggregate(Count(alias_name="dau"))
+            group_count(distinct, "day", count="dau")
             .to_pandas()  # bounded: |days| rows
             .sort_values("day")
         )
-        mau = distinct.groupby("user_id").aggregate(Count(alias_name="c")).count()
+        mau = group_count(distinct, "user_id", count="c").count()
         return result_table(
             dau_df["day"].to_numpy(), dau_df["dau"].to_numpy(), int(mau)
         )

@@ -18,7 +18,7 @@ from sciscraper_ray.pipelines.queries.doc_analysis import (
     _WORDSCORE_SQL,
     _ident_suffix_ray,
 )
-from sciscraper_ray.stages.relational import group_count_batch
+from sciscraper_ray.stages.relational import group_count, group_count_batch
 
 
 # --------------------------------------------------------------------------
@@ -1094,7 +1094,6 @@ def warc_revisit_dedup(sf_dir: str):
     import pandas as pd
     import ray
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.pipelines.plan import driver_frame, resolve_plan
     from sciscraper_ray.kernels.md5 import md5_hash128, md5_hex
@@ -1143,12 +1142,13 @@ def warc_revisit_dedup(sf_dir: str):
             min_cnt=2,
         )
     else:
-        from ray.data.aggregate import Min
-
         dups = (
-            partials.groupby(["h_hi", "h_lo"])
-            .aggregate(
-                Min(on="val", alias_name="val"), Sum(on="cnt", alias_name="cnt")
+            group_count(
+                partials,
+                ["h_hi", "h_lo"],
+                {"cnt": "cnt"},
+                count=None,
+                aggs={"val": ("val", "min")},
             )
             .map_batches(
                 lambda b: b.filter(pc.greater(b["cnt"], 1)),
@@ -1211,14 +1211,11 @@ def warc_revisit_dedup(sf_dir: str):
             }
         )
 
-    return (
-        pages(sf_dir)
-        .map_batches(classify_roundtrip, batch_format="pyarrow")
-        .groupby("host")
-        .aggregate(
-            Sum(on="n_response", alias_name="n_response"),
-            Sum(on="n_revisit", alias_name="n_revisit"),
-        )
+    return group_count(
+        pages(sf_dir).map_batches(classify_roundtrip, batch_format="pyarrow"),
+        "host",
+        {"n_response": "n_response", "n_revisit": "n_revisit"},
+        count=None,
     )
 
 

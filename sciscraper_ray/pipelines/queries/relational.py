@@ -21,7 +21,7 @@ from sciscraper_ray.pipelines.queries._shared import (
 from sciscraper_ray.pipelines.queries.doc_analysis import (
     _WORDSCORE_SQL,
 )
-from sciscraper_ray.stages.relational import group_count_batch
+from sciscraper_ray.stages.relational import group_count, group_count_batch
 
 
 # --------------------------------------------------------------------------
@@ -48,7 +48,6 @@ def lineitem_pricing(sf_dir: str):
     map_batches, then a small groupby over the partials (SURVEY §4 shuffle
     inventory (2))."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -65,26 +64,16 @@ def lineitem_pricing(sf_dir: str):
         revenue = pc.multiply(
             batch["l_extendedprice"], pc.subtract(1, batch["l_discount"])
         )
-        batch = batch.append_column("revenue", revenue)
-        return group_count_batch(
-            batch,
-            ["l_returnflag", "l_linestatus"],
-            {
-                "l_quantity": "sum_qty",
-                "l_extendedprice": "sum_base_price",
-                "revenue": "sum_disc_price",
-            },
-        )
+        return batch.append_column("revenue", revenue)
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum(on="sum_qty", alias_name="sum_qty"),
-            Sum(on="sum_base_price", alias_name="sum_base_price"),
-            Sum(on="sum_disc_price", alias_name="sum_disc_price"),
-            Sum(on="cnt", alias_name="cnt"),
-        )
+    agg = group_count(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["l_returnflag", "l_linestatus"],
+        {
+            "l_quantity": "sum_qty",
+            "l_extendedprice": "sum_base_price",
+            "revenue": "sum_disc_price",
+        },
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -143,7 +132,6 @@ def orders_by_region(sf_dir: str, mode: str = "auto"):
     import pyarrow.parquet as pq
     import ray
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.pipelines.plan import parquet_row_bound
     from sciscraper_ray.stages.relational import BroadcastLookup, bucketed_hash_join
@@ -185,13 +173,9 @@ def orders_by_region(sf_dir: str, mode: str = "auto"):
             pa.Table.from_pandas(mapping, preserve_index=False)
         )
 
-        def lookup_and_partial(batch: pa.Table) -> pa.Table:
-            joined = BroadcastLookup(mapping_ref, on="o_custkey")(batch)
-            return group_count_batch(
-                joined, ["r_name"], {"o_totalprice": "total_price"}
-            )
-
-        partials = ds.map_batches(lookup_and_partial, batch_format="pyarrow")
+        partials = ds.map_batches(
+            BroadcastLookup(mapping_ref, on="o_custkey"), batch_format="pyarrow"
+        )
     else:
         cust_ds = ray.data.read_parquet(
             f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
@@ -206,17 +190,12 @@ def orders_by_region(sf_dir: str, mode: str = "auto"):
             ds, cust_ds, left_on="o_custkey", right_on="c_custkey"
         )
 
-        def region_partial(batch: pa.Table) -> pa.Table:
-            withreg = BroadcastLookup(nat2reg_ref, on="c_nationkey")(batch)
-            return group_count_batch(
-                withreg, ["r_name"], {"o_totalprice": "total_price"}
-            )
+        partials = joined.map_batches(
+            BroadcastLookup(nat2reg_ref, on="c_nationkey"), batch_format="pyarrow"
+        )
 
-        partials = joined.map_batches(region_partial, batch_format="pyarrow")
-
-    agg = partials.groupby("r_name").aggregate(
-        Sum(on="cnt", alias_name="order_cnt"),
-        Sum(on="total_price", alias_name="total_price"),
+    agg = group_count(
+        partials, "r_name", {"o_totalprice": "total_price"}, count="order_cnt"
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -249,18 +228,12 @@ def top_tokens_global(sf_dir: str, plan: str = "auto"):
     driver plan — one pandas hash groupby + partial sort — wins until the
     partial table nears the 50M-row bound, where the distributed
     sort-aggregate takes over automatically."""
-    from ray.data.aggregate import Sum
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
     from sciscraper_ray.pipelines.plan import driver_frame, resolve_plan
 
     def partial(batch: pa.Table) -> pa.Table:
-        tokens = tokenize_column(batch["text"])
-        flat = pc.list_flatten(tokens)
-        vc = flat.value_counts()
-        return pa.table(
-            {"token": vc.field("values"), "cnt": vc.field("counts")}
-        )
+        flat = pc.list_flatten(tokenize_column(batch["text"]))
+        return group_count_batch(pa.table({"token": flat}), ["token"])
 
     partials = _docs(sf_dir).map_batches(partial, batch_format="pyarrow")
     mode, partials = resolve_plan(partials, plan)
@@ -273,8 +246,7 @@ def top_tokens_global(sf_dir: str, plan: str = "auto"):
             .reset_index(drop=True)
         )
     return (
-        partials.groupby("token")
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
+        group_count(partials, "token", {"cnt": "cnt"}, count=None)
         .sort(key=["cnt", "token"], descending=[True, False])
         .limit(100)
     )
@@ -293,8 +265,6 @@ def source_token_tally(sf_dir: str):
     """E2+A4 analog (citation tally after explode): explode tokens with
     provenance, semi-join against the broadcast word set inside the batch,
     partial-count, then groupby (source, token)."""
-    from ray.data.aggregate import Sum
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     vocab = pa.array(sorted(TARGET_WORDS), type=pa.string())
@@ -304,19 +274,18 @@ def source_token_tally(sf_dir: str):
         flat = pc.list_flatten(tokens)
         parents = pc.list_parent_indices(tokens)
         mask = pc.is_in(flat, value_set=vocab)
-        exploded = pa.table(
+        return pa.table(
             {
                 "source": batch["source"].take(parents.filter(mask)),
                 "token": flat.filter(mask),
             }
         )
-        return group_count_batch(exploded, ["source", "token"])
 
-    return (
-        _docs(sf_dir, columns=("doc_id", "text", "source"))
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["source", "token"])
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
+    return group_count(
+        _docs(sf_dir, columns=("doc_id", "text", "source")).map_batches(
+            partial, batch_format="pyarrow"
+        ),
+        ["source", "token"],
     )
 
 
@@ -457,8 +426,6 @@ def citation_tally(sf_dir: str):
     (vectorized list_flatten + list_parent_indices, stagers.py:55-125
     semantics), then the citation tally groupby. Citations are synthesized
     deterministically from doc_id."""
-    from ray.data.aggregate import Min, Sum
-
     def explode(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
         cited = np.stack(
@@ -468,25 +435,18 @@ def citation_tally(sf_dir: str):
             pa.array(cited.ravel(), type=pa.int64()), 3
         ).cast(pa.list_(pa.int64()))
         parents = pc.list_parent_indices(lists)
-        exploded = pa.table(
+        return pa.table(
             {
                 "cited": pc.list_flatten(lists),
                 "doc_id": batch["doc_id"].take(parents),
             }
         )
-        # partial aggregate before the shuffle: cnt + min(source) per key
-        return group_count_batch(
-            exploded, ["cited"], aggs={"first_source": ("doc_id", "min")}
-        )
 
-    return (
-        _docs(sf_dir, columns=("doc_id",))
-        .map_batches(explode, batch_format="pyarrow")
-        .groupby("cited")
-        .aggregate(
-            Sum(on="cnt", alias_name="cnt"),
-            Min(on="first_source", alias_name="first_source"),
-        )
+    # cnt + min(source) per cited key
+    return group_count(
+        _docs(sf_dir, columns=("doc_id",)).map_batches(explode, batch_format="pyarrow"),
+        "cited",
+        aggs={"first_source": ("doc_id", "min")},
     )
 
 
@@ -642,7 +602,6 @@ def orders_q3_priority(sf_dir: str):
     half-even/half-away divergence entirely. Final top-10 sorts a
     per-order table already reduced to qualifying orders."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.stages.relational import bucketed_hash_join
 
@@ -682,23 +641,21 @@ def orders_q3_priority(sf_dir: str):
         )
         cts = cents(b["l_extendedprice"])
         bp = cents(b["l_discount"])
-        t = pa.table(
+        return pa.table(
             {
                 "l_orderkey": b["l_orderkey"],
                 "rev": pa.array(cts * (100 - bp), pa.int64()),
             }
         )
-        g = t.group_by("l_orderkey").aggregate([("rev", "sum")])
-        return g.rename_columns(["l_orderkey", "rev"])
 
-    li = (
+    li = group_count(
         ray.data.read_parquet(
             f"{sf_dir}/lineitem.parquet",
             columns=["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
-        )
-        .map_batches(li_partial, batch_format="pyarrow")
-        .groupby("l_orderkey")
-        .aggregate(Sum(on="rev", alias_name="revenue_c2"))
+        ).map_batches(li_partial, batch_format="pyarrow"),
+        "l_orderkey",
+        {"rev": "revenue_c2"},
+        count=None,
     )
 
     joined = bucketed_hash_join(
@@ -754,7 +711,6 @@ def lineitem_weighted_median(sf_dir: str):
     import pandas as pd
 
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -762,20 +718,19 @@ def lineitem_weighted_median(sf_dir: str):
     )
 
     def partial(b: pa.Table) -> pa.Table:
-        t = pa.table(
+        return pa.table(
             {
                 "flag": b["l_returnflag"],
                 "price": b["l_extendedprice"],
                 "q": b["l_quantity"],
             }
         )
-        g = t.group_by(["flag", "price"]).aggregate([("q", "sum")])
-        return g.rename_columns(["flag", "price", "q"])
 
-    merged = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["flag", "price"])
-        .aggregate(Sum(on="q", alias_name="q"))
+    merged = group_count(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["flag", "price"],
+        {"q": "q"},
+        count=None,
     )
 
     def pick(g: pd.DataFrame) -> pd.DataFrame:
@@ -826,7 +781,6 @@ def lineitem_price_qty_corr(sf_dir: str):
     block regardless of row count), a tiny groupby merges them, and the
     closed forms evaluate identically on both engines under round(,6)."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -857,17 +811,12 @@ def lineitem_price_qty_corr(sf_dir: str):
             }
         )
 
-    agg = (
-        ds.map_batches(moments, batch_format="pyarrow")
-        .groupby("flag")
-        .aggregate(
-            Sum(on="n_p", alias_name="n"),
-            Sum(on="sx_p", alias_name="sx"),
-            Sum(on="sy_p", alias_name="sy"),
-            Sum(on="sxy_p", alias_name="sxy"),
-            Sum(on="sxx_p", alias_name="sxx"),
-            Sum(on="syy_p", alias_name="syy"),
-        )
+    # the partial keeps its own float64 bincount sums so the bits match
+    agg = group_count(
+        ds.map_batches(moments, batch_format="pyarrow"),
+        "flag",
+        {f"{c}_p": c for c in ("n", "sx", "sy", "sxy", "sxx", "syy")},
+        count=None,
     )
 
     def finish(b: pa.Table) -> pa.Table:
@@ -920,19 +869,12 @@ def customer_order_dist(sf_dir: str):
     count, no data read) minus customers seen in orders. The full
     customer table never joins anything."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_custkey"]
     )
 
-    per = (
-        orders.map_batches(
-            lambda b: group_count_batch(b, ["o_custkey"]), batch_format="pyarrow"
-        )
-        .groupby("o_custkey")
-        .aggregate(Sum(on="cnt", alias_name="c_count"))
-    )
+    per = group_count(orders, "o_custkey", count="c_count")
 
     dist = (
         per.map_batches(
@@ -975,21 +917,19 @@ def _revenue_by(sf_dir: str, key: str, alias: str):
     x (100 - discount basis points). Per-batch Arrow partials, then one
     groupby-Sum."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     def partial(b: pa.Table) -> pa.Table:
         rev = cents(b["l_extendedprice"]) * (100 - cents(b["l_discount"]))
-        t = pa.table({key: b[key], "rev": pa.array(rev, pa.int64())})
-        return t.group_by(key).aggregate([("rev", "sum")]).rename_columns([key, "rev"])
+        return pa.table({key: b[key], "rev": pa.array(rev, pa.int64())})
 
-    return (
+    return group_count(
         ray.data.read_parquet(
             f"{sf_dir}/lineitem.parquet",
             columns=[key, "l_extendedprice", "l_discount"],
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(key)
-        .aggregate(Sum(on="rev", alias_name=alias))
+        ).map_batches(partial, batch_format="pyarrow"),
+        key,
+        {"rev": alias},
+        count=None,
     )
 
 
@@ -1084,7 +1024,6 @@ def customer_idle_highvalue(sf_dir: str):
     25-row nation tally."""
     import ray
     import ray.data
-    from ray.data.aggregate import Sum
 
     cust = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet",
@@ -1150,17 +1089,13 @@ def customer_idle_highvalue(sf_dir: str):
                     "bal": pa.array(bal[keep], pa.int64()),
                 }
             )
-            return group_count_batch(
-                t, ["n_name"], {"bal": "bal_p"}, count="numcust_p"
-            )
+            return group_count_batch(t, ["n_name"], {"bal": "totacctbal_c"}, count="numcust")
 
-    return (
-        cust.map_batches(IdleTally, batch_format="pyarrow", concurrency=(1, 4))
-        .groupby("n_name")
-        .aggregate(
-            Sum(on="numcust_p", alias_name="numcust"),
-            Sum(on="bal_p", alias_name="totacctbal_c"),
-        )
+    return group_count(
+        cust.map_batches(IdleTally, batch_format="pyarrow", concurrency=(1, 4)),
+        "n_name",
+        {"numcust": "numcust", "totacctbal_c": "totacctbal_c"},
+        count=None,
     )
 
 
@@ -1191,7 +1126,6 @@ def orders_grouping_sets(sf_dir: str):
     fact table four times."""
     import pandas as pd
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
@@ -1199,26 +1133,19 @@ def orders_grouping_sets(sf_dir: str):
     )
 
     def partial(b: pa.Table) -> pa.Table:
-        t = pa.table(
+        return pa.table(
             {
                 "priority": b["o_orderpriority"],
                 "status": b["o_orderstatus"],
                 "c": pa.array(cents(b["o_totalprice"])),
             }
         )
-        return group_count_batch(
-            t, ["priority", "status"], {"c": "total_p"}, count="cnt_p"
-        )
 
-    cells = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["priority", "status"])
-        .aggregate(
-            Sum(on="total_p", alias_name="total_c"),
-            Sum(on="cnt_p", alias_name="cnt"),
-        )
-        .to_pandas()  # bounded: |priorities| x |statuses| cells
-    )
+    cells = group_count(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["priority", "status"],
+        {"c": "total_c"},
+    ).to_pandas()  # bounded: |priorities| x |statuses| cells
     frames = [cells]
     for keys in (["priority"], ["status"], []):
         if keys:
@@ -1267,7 +1194,6 @@ def basket_part_pairs(sf_dir: str, num_buckets: int = 16):
     blow-up (sum of per-order C(w,2)), the classic guarantee that makes
     pair mining tractable at warehouse scale."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     li = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_partkey"]
@@ -1360,8 +1286,7 @@ def basket_part_pairs(sf_dir: str, num_buckets: int = 16):
             .reset_index(drop=True)
         )
     return (
-        pair_parts.groupby(["part_a", "part_b"])
-        .aggregate(Sum(on="c", alias_name="support"))
+        group_count(pair_parts, ["part_a", "part_b"], {"c": "support"}, count=None)
         .sort(
             key=["support", "part_a", "part_b"],
             descending=[True, False, False],
@@ -1402,7 +1327,6 @@ def orders_monthly_cumsum(sf_dir: str):
     a global windowed cumsum over raw rows would be a full sort for a
     quantity the month table already determines."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderdate", "o_totalprice"]
@@ -1414,15 +1338,14 @@ def orders_monthly_cumsum(sf_dir: str):
             pc.multiply(pc.year(d).cast(pa.int64()), 100),
             pc.month(d).cast(pa.int64()),
         )
-        t = pa.table({"month": month, "c": pa.array(cents(b["o_totalprice"]))})
-        return group_count_batch(t, ["month"], {"c": "rev_p"}, count="n_p")
+        return pa.table({"month": month, "c": pa.array(cents(b["o_totalprice"]))})
 
     m = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("month")
-        .aggregate(
-            Sum(on="rev_p", alias_name="rev_c"),
-            Sum(on="n_p", alias_name="n_orders"),
+        group_count(
+            ds.map_batches(partial, batch_format="pyarrow"),
+            "month",
+            {"c": "rev_c"},
+            count="n_orders",
         )
         .to_pandas()  # bounded: one row per calendar month
         .sort_values("month", kind="stable")
@@ -1619,40 +1542,31 @@ def returned_revenue_topk(sf_dir: str):
     sorts a per-customer table already reduced by two aggregations."""
     import ray
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.stages.relational import BroadcastLookup, bucketed_hash_join
 
     def li_partial(b: pa.Table) -> pa.Table:
         b = b.filter(pc.equal(b["l_returnflag"], "R"))
         rev = cents(b["l_extendedprice"]) * (100 - cents(b["l_discount"]))
-        t = pa.table({"l_orderkey": b["l_orderkey"], "rev": pa.array(rev, pa.int64())})
-        return t.group_by("l_orderkey").aggregate([("rev", "sum")]).rename_columns(
-            ["l_orderkey", "rev"]
-        )
+        return pa.table({"l_orderkey": b["l_orderkey"], "rev": pa.array(rev, pa.int64())})
 
-    li = (
+    li = group_count(
         ray.data.read_parquet(
             f"{sf_dir}/lineitem.parquet",
             columns=["l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"],
-        )
-        .map_batches(li_partial, batch_format="pyarrow")
-        .groupby("l_orderkey")
-        .aggregate(Sum(on="rev", alias_name="rev"))
+        ).map_batches(li_partial, batch_format="pyarrow"),
+        "l_orderkey",
+        {"rev": "rev"},
+        count=None,
     )
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"]
     )
-    per_cust = (
-        bucketed_hash_join(li, orders, left_on="l_orderkey", right_on="o_orderkey")
-        .map_batches(
-            lambda b: group_count_batch(b, ["o_custkey"], {"rev": "rev"}).select(
-                ["o_custkey", "rev"]
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby("o_custkey")
-        .aggregate(Sum(on="rev", alias_name="revenue_c2"))
+    per_cust = group_count(
+        bucketed_hash_join(li, orders, left_on="l_orderkey", right_on="o_orderkey"),
+        "o_custkey",
+        {"rev": "revenue_c2"},
+        count=None,
     )
     cust = ray.data.read_parquet(
         f"{sf_dir}/customer.parquet",
@@ -1709,7 +1623,6 @@ def small_qty_revenue(sf_dir: str):
     (qty * 5 * cnt < sum_qty) — no float-division boundary to diverge
     from the oracle at any scale."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.stages.relational import bucketed_hash_join
 
@@ -1717,17 +1630,14 @@ def small_qty_revenue(sf_dir: str):
         qty = np.round(b["l_quantity"].to_numpy(zero_copy_only=False)).astype(
             np.int64
         )
-        t = pa.table({"pk": b["l_partkey"], "q": pa.array(qty, pa.int64())})
-        return group_count_batch(t, ["pk"], {"q": "s"}, count="c")
+        return pa.table({"pk": b["l_partkey"], "q": pa.array(qty, pa.int64())})
 
     li_cols = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_partkey", "l_quantity", "l_extendedprice"],
     )
-    per_part = (
-        li_cols.map_batches(part_partial, batch_format="pyarrow")
-        .groupby("pk")
-        .aggregate(Sum(on="s", alias_name="s"), Sum(on="c", alias_name="c"))
+    per_part = group_count(
+        li_cols.map_batches(part_partial, batch_format="pyarrow"), "pk", {"q": "s"}, count="c"
     )
 
     lines = li_cols.map_batches(
@@ -1762,13 +1672,11 @@ def small_qty_revenue(sf_dir: str):
             }
         )
 
-    agg = (
-        joined.map_batches(small_partial, batch_format="pyarrow")
-        .groupby("k")
-        .aggregate(
-            Sum(on="n_small", alias_name="n_small"),
-            Sum(on="revenue_cents", alias_name="revenue_cents"),
-        )
+    agg = group_count(
+        joined.map_batches(small_partial, batch_format="pyarrow"),
+        "k",
+        {"n_small": "n_small", "revenue_cents": "revenue_cents"},
+        count=None,
     )
     return agg.map_batches(
         lambda b: b.select(["n_small", "revenue_cents"]), batch_format="pyarrow"
@@ -1798,7 +1706,6 @@ def large_order_customers(sf_dir: str):
     BEFORE any join, so both bucketed joins (orders, then customer) ship
     only the ~1% qualifying orders. Quantities are summed as integers."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.stages.relational import bucketed_hash_join
 
@@ -1806,20 +1713,17 @@ def large_order_customers(sf_dir: str):
         qty = np.round(b["l_quantity"].to_numpy(zero_copy_only=False)).astype(
             np.int64
         )
-        t = pa.table(
-            {"l_orderkey": b["l_orderkey"], "q": pa.array(qty, pa.int64())}
-        )
-        return t.group_by("l_orderkey").aggregate([("q", "sum")]).rename_columns(
-            ["l_orderkey", "sum_qty"]
-        )
+        return pa.table({"l_orderkey": b["l_orderkey"], "q": pa.array(qty, pa.int64())})
 
     big = (
-        ray.data.read_parquet(
-            f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_quantity"]
+        group_count(
+            ray.data.read_parquet(
+                f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_quantity"]
+            ).map_batches(qty_partial, batch_format="pyarrow"),
+            "l_orderkey",
+            {"q": "sum_qty"},
+            count=None,
         )
-        .map_batches(qty_partial, batch_format="pyarrow")
-        .groupby("l_orderkey")
-        .aggregate(Sum(on="sum_qty", alias_name="sum_qty"))
         .map_batches(
             lambda b: b.filter(pc.greater(b["sum_qty"], 250)),
             batch_format="pyarrow",
@@ -1887,21 +1791,14 @@ def brand_supplier_counts(sf_dir: str):
     import pyarrow.parquet as pq
     import ray
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.stages.relational import BroadcastLookup
 
-    def pair_partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"l_partkey": b["l_partkey"], "l_suppkey": b["l_suppkey"]})
-        return t.group_by(["l_partkey", "l_suppkey"]).aggregate([])
-
-    pairs = (
+    pairs = group_count(
         ray.data.read_parquet(
             f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"]
-        )
-        .map_batches(pair_partial, batch_format="pyarrow")
-        .groupby(["l_partkey", "l_suppkey"])
-        .count()
+        ),
+        ["l_partkey", "l_suppkey"],
     )
 
     part = (
@@ -1916,32 +1813,19 @@ def brand_supplier_counts(sf_dir: str):
     def attr_partial(b: pa.Table) -> pa.Table:
         b = pa.table({"p_partkey": b["l_partkey"], "l_suppkey": b["l_suppkey"]})
         b = BroadcastLookup(part_ref, on="p_partkey")(b)
-        return (
-            pa.table(
-                {
-                    "p_brand": b["p_brand"],
-                    "p_size": b["p_size"],
-                    "l_suppkey": b["l_suppkey"],
-                }
-            )
-            .group_by(["p_brand", "p_size", "l_suppkey"])
-            .aggregate([])
+        return pa.table(
+            {
+                "p_brand": b["p_brand"],
+                "p_size": b["p_size"],
+                "l_suppkey": b["l_suppkey"],
+            }
         )
 
-    triple = (
-        pairs.map_batches(attr_partial, batch_format="pyarrow")
-        .groupby(["p_brand", "p_size", "l_suppkey"])
-        .count()
+    triple = group_count(
+        pairs.map_batches(attr_partial, batch_format="pyarrow"),
+        ["p_brand", "p_size", "l_suppkey"],
     )
-
-    return (
-        triple.map_batches(
-            lambda b: group_count_batch(b, ["p_brand", "p_size"], count="supplier_cnt"),
-            batch_format="pyarrow",
-        )
-        .groupby(["p_brand", "p_size"])
-        .aggregate(Sum(on="supplier_cnt", alias_name="supplier_cnt"))
-    )
+    return group_count(triple, ["p_brand", "p_size"], count="supplier_cnt")
 
 
 @register(
@@ -1975,7 +1859,6 @@ def volume_shipping_pairs(sf_dir: str):
     import pyarrow.parquet as pq
     import ray
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.stages.relational import BroadcastLookup, bucketed_hash_join
 
@@ -2035,16 +1918,11 @@ def volume_shipping_pairs(sf_dir: str):
     )
     j2 = bucketed_hash_join(j1, cust, left_on="o_custkey", right_on="c_custkey")
 
-    def pair_partial(b: pa.Table) -> pa.Table:
-        b = BroadcastLookup(cust_nat_ref, on="c_nationkey")(b)
-        return group_count_batch(
-            b, ["supp_nation", "cust_nation", "l_year"], {"rev": "revenue_c2"}
-        ).select(["supp_nation", "cust_nation", "l_year", "revenue_c2"])
-
-    return (
-        j2.map_batches(pair_partial, batch_format="pyarrow")
-        .groupby(["supp_nation", "cust_nation", "l_year"])
-        .aggregate(Sum(on="revenue_c2", alias_name="revenue_c2"))
+    return group_count(
+        j2.map_batches(BroadcastLookup(cust_nat_ref, on="c_nationkey"), batch_format="pyarrow"),
+        ["supp_nation", "cust_nation", "l_year"],
+        {"rev": "revenue_c2"},
+        count=None,
     )
 
 
@@ -2077,7 +1955,6 @@ def disjunctive_revenue(sf_dir: str):
     import pyarrow.parquet as pq
     import ray
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.stages.relational import BroadcastLookup
 
@@ -2130,21 +2007,15 @@ def disjunctive_revenue(sf_dir: str):
             }
         )
 
-    return (
+    return group_count(
         ray.data.read_parquet(
             f"{sf_dir}/lineitem.parquet",
             columns=["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("k")
-        .aggregate(
-            Sum(on="n_lines", alias_name="n_lines"),
-            Sum(on="revenue_c2", alias_name="revenue_c2"),
-        )
-        .map_batches(
-            lambda b: b.select(["n_lines", "revenue_c2"]), batch_format="pyarrow"
-        )
-    )
+        ).map_batches(partial, batch_format="pyarrow"),
+        "k",
+        {"n_lines": "n_lines", "revenue_c2": "revenue_c2"},
+        count=None,
+    ).drop_columns(["k"])
 
 
 @register(
@@ -2175,7 +2046,6 @@ def cheapest_supplier_per_part(sf_dir: str):
     boundary), and takes Min(suppkey) per part. Both exchanges are
     part-bounded; lines never shuffle."""
     import ray.data
-    from ray.data.aggregate import Min
 
     from sciscraper_ray.stages.relational import bucketed_hash_join
 
@@ -2193,40 +2063,29 @@ def cheapest_supplier_per_part(sf_dir: str):
         batch_format="pyarrow",
     )
 
-    def min_partial(b: pa.Table) -> pa.Table:
-        return (
-            b.select(["l_partkey", "cents"])
-            .group_by("l_partkey")
-            .aggregate([("cents", "min")])
-            .rename_columns(["pk", "mc"])
-        )
-
-    per_part = (
-        lines.map_batches(min_partial, batch_format="pyarrow")
-        .groupby("pk")
-        .aggregate(Min(on="mc", alias_name="mc"))
+    per_part = group_count(
+        lines.rename_columns({"l_partkey": "pk"}),
+        "pk",
+        count=None,
+        aggs={"mc": ("cents", "min")},
     )
     joined = bucketed_hash_join(lines, per_part, left_on="l_partkey", right_on="pk")
 
     def argmin_partial(b: pa.Table) -> pa.Table:
         b = b.filter(pc.equal(b["cents"], b["mc"]))
-        return (
-            pa.table(
-                {
-                    "l_partkey": b["l_partkey"],
-                    "min_cents": b["mc"],
-                    "best_suppkey": b["l_suppkey"],
-                }
-            )
-            .group_by(["l_partkey", "min_cents"])
-            .aggregate([("best_suppkey", "min")])
-            .rename_columns(["l_partkey", "min_cents", "best_suppkey"])
+        return pa.table(
+            {
+                "l_partkey": b["l_partkey"],
+                "min_cents": b["mc"],
+                "l_suppkey": b["l_suppkey"],
+            }
         )
 
-    return (
-        joined.map_batches(argmin_partial, batch_format="pyarrow")
-        .groupby(["l_partkey", "min_cents"])
-        .aggregate(Min(on="best_suppkey", alias_name="best_suppkey"))
+    return group_count(
+        joined.map_batches(argmin_partial, batch_format="pyarrow"),
+        ["l_partkey", "min_cents"],
+        count=None,
+        aggs={"best_suppkey": ("l_suppkey", "min")},
     )
 
 
@@ -2257,24 +2116,16 @@ def late_shipment_trend(sf_dir: str):
     microseconds), and the output groupby is priority x quarter —
     constant-bounded."""
     import ray.data
-    from ray.data.aggregate import Max, Sum
 
     from sciscraper_ray.stages.relational import bucketed_hash_join
 
-    def ship_partial(b: pa.Table) -> pa.Table:
-        return (
-            b.group_by("l_orderkey")
-            .aggregate([("l_shipdate", "max")])
-            .rename_columns(["l_orderkey", "m"])
-        )
-
-    ms = (
+    ms = group_count(
         ray.data.read_parquet(
             f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_shipdate"]
-        )
-        .map_batches(ship_partial, batch_format="pyarrow")
-        .groupby("l_orderkey")
-        .aggregate(Max(on="m", alias_name="m"))
+        ),
+        "l_orderkey",
+        count=None,
+        aggs={"m": ("l_shipdate", "max")},
     )
     orders = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
@@ -2289,19 +2140,18 @@ def late_shipment_trend(sf_dir: str):
         od = b["o_orderdate"].to_numpy(zero_copy_only=False).astype("datetime64[us]")
         keep = m.astype(np.int64) > od.astype(np.int64) + _60D_US
         b = b.filter(pa.array(keep))
-        t = pa.table(
+        return pa.table(
             {
                 "o_orderpriority": b["o_orderpriority"],
                 "yr": pc.cast(pc.year(b["o_orderdate"]), pa.int64()),
                 "qtr": pc.cast(pc.quarter(b["o_orderdate"]), pa.int64()),
             }
         )
-        return group_count_batch(t, ["o_orderpriority", "yr", "qtr"], count="n_late")
 
-    return (
-        joined.map_batches(late_partial, batch_format="pyarrow")
-        .groupby(["o_orderpriority", "yr", "qtr"])
-        .aggregate(Sum(on="n_late", alias_name="n_late"))
+    return group_count(
+        joined.map_batches(late_partial, batch_format="pyarrow"),
+        ["o_orderpriority", "yr", "qtr"],
+        count="n_late",
     )
 
 
@@ -2329,28 +2179,24 @@ def orders_yoy_growth(sf_dir: str):
     nullable integer (first year null), landing as float64 on both
     engines."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     def partial(b: pa.Table) -> pa.Table:
-        t = pa.table(
+        return pa.table(
             {
                 "yr": pc.cast(pc.year(b["o_orderdate"]), pa.int64()),
                 "cents": pa.array(cents(b["o_totalprice"])),
             }
         )
-        return (
-            t.group_by("yr")
-            .aggregate([("cents", "sum")])
-            .rename_columns(["yr", "revenue_cents"])
-        )
 
     y = (
-        ray.data.read_parquet(
-            f"{sf_dir}/orders.parquet", columns=["o_orderdate", "o_totalprice"]
+        group_count(
+            ray.data.read_parquet(
+                f"{sf_dir}/orders.parquet", columns=["o_orderdate", "o_totalprice"]
+            ).map_batches(partial, batch_format="pyarrow"),
+            "yr",
+            {"cents": "revenue_cents"},
+            count=None,
         )
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("yr")
-        .aggregate(Sum(on="revenue_cents", alias_name="revenue_cents"))
         .to_pandas()  # bounded: |years|
         .sort_values("yr")
         .reset_index(drop=True)
@@ -2403,7 +2249,6 @@ def nation_revenue_hhi(sf_dir: str):
     import pyarrow.parquet as pq
     import ray
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.stages.relational import BroadcastLookup
 
@@ -2426,23 +2271,17 @@ def nation_revenue_hhi(sf_dir: str):
                 "cents": pa.array(cents(b["l_extendedprice"])),
             }
         )
-        t = BroadcastLookup(s2n_ref, on="s_suppkey")(t)
-        return (
-            t.group_by(["n_name", "s_suppkey"])
-            .aggregate([("cents", "sum")])
-            .rename_columns(["n_name", "s_suppkey", "cents"])
-        )
+        return BroadcastLookup(s2n_ref, on="s_suppkey")(t)
 
-    rev = (
+    rev = group_count(
         ray.data.read_parquet(
             f"{sf_dir}/lineitem.parquet",
             columns=["l_suppkey", "l_extendedprice"],
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["n_name", "s_suppkey"])
-        .aggregate(Sum(on="cents", alias_name="cents"))
-        .to_pandas()  # bounded: supplier dimension
-    )
+        ).map_batches(partial, batch_format="pyarrow"),
+        ["n_name", "s_suppkey"],
+        {"cents": "cents"},
+        count=None,
+    ).to_pandas()  # bounded: supplier dimension
     rows = []
     for n_name, g in rev.groupby("n_name", sort=True):
         cts = [int(c) for c in g["cents"]]
@@ -2484,7 +2323,6 @@ def lineitem_benford(sf_dir: str):
     cents magnitudes), tallied into a 9-row table: per-batch partials,
     one constant-bounded groupby."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     def partial(b: pa.Table) -> pa.Table:
         cts = cents(b["l_extendedprice"])
@@ -2495,15 +2333,13 @@ def lineitem_benford(sf_dir: str):
         # float log10 can undershoot at exact powers of ten: correct up
         high = digit >= 10
         digit[high] //= 10
-        return group_count_batch(pa.table({"digit": pa.array(digit, pa.int64())}), ["digit"])
+        return pa.table({"digit": pa.array(digit, pa.int64())})
 
-    return (
+    return group_count(
         ray.data.read_parquet(
             f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice"]
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("digit")
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
+        ).map_batches(partial, batch_format="pyarrow"),
+        "digit",
     )
 
 
@@ -2624,27 +2460,19 @@ def orders_pareto_cutoff(sf_dir: str):
     two-level scan corpus_heaps_law uses applies unchanged — range cells
     then carry-in bases)."""
     import ray.data
-    from ray.data.aggregate import Sum
 
-    pc_ds = (
+    pc_ds = group_count(
         ray.data.read_parquet(
             f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
-        )
-        .map_batches(
-            lambda b: group_count_batch(
-                pa.table(
-                    {
-                        "o_custkey": b["o_custkey"],
-                        "cents": pa.array(cents(b["o_totalprice"])),
-                    }
-                ),
-                ["o_custkey"],
-                {"cents": "cents"},
-            ).select(["o_custkey", "cents"]),
+        ).map_batches(
+            lambda b: pa.table(
+                {"o_custkey": b["o_custkey"], "cents": pa.array(cents(b["o_totalprice"]))}
+            ),
             batch_format="pyarrow",
-        )
-        .groupby("o_custkey")
-        .aggregate(Sum(on="cents", alias_name="cents"))
+        ),
+        "o_custkey",
+        {"cents": "cents"},
+        count=None,
     )
     from sciscraper_ray.pipelines.plan import driver_frame
 
@@ -2682,30 +2510,23 @@ def orders_fiscal_week_rollup(sf_dir: str):
     Parity pinned: pc.iso_week/iso_year == DuckDB weekofyear/isoyear.
     One |weeks|-bounded exchange over per-batch cents partials."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     def partial(b: pa.Table) -> pa.Table:
-        t = pa.table(
+        return pa.table(
             {
                 "iso_yr": pc.cast(pc.iso_year(b["o_orderdate"]), pa.int64()),
                 "iso_wk": pc.cast(pc.iso_week(b["o_orderdate"]), pa.int64()),
                 "cents": pa.array(cents(b["o_totalprice"])),
             }
         )
-        return group_count_batch(
-            t, ["iso_yr", "iso_wk"], {"cents": "revenue_cents"}, count="n_orders"
-        )
 
-    return (
+    return group_count(
         ray.data.read_parquet(
             f"{sf_dir}/orders.parquet", columns=["o_orderdate", "o_totalprice"]
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["iso_yr", "iso_wk"])
-        .aggregate(
-            Sum(on="n_orders", alias_name="n_orders"),
-            Sum(on="revenue_cents", alias_name="revenue_cents"),
-        )
+        ).map_batches(partial, batch_format="pyarrow"),
+        ["iso_yr", "iso_wk"],
+        {"cents": "revenue_cents"},
+        count="n_orders",
     )
 
 
@@ -2755,7 +2576,6 @@ def supplier_late_blame(sf_dir: str):
     import pandas as pd
 
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.stages.relational import bucketed_hash_join
     from sciscraper_ray.stages.window import bucketed_window
@@ -2798,10 +2618,11 @@ def supplier_late_blame(sf_dir: str):
             {"s_suppkey": uniq, "n_blame": cnt.astype(np.int64)}
         )
 
-    tallied = (
-        bucketed_window(joined, blame, key="l_orderkey")
-        .groupby("s_suppkey")
-        .aggregate(Sum(on="n_blame", alias_name="n_blame"))
+    tallied = group_count(
+        bucketed_window(joined, blame, key="l_orderkey"),
+        "s_suppkey",
+        {"n_blame": "n_blame"},
+        count=None,
     )
     return tallied.sort(
         ["n_blame", "s_suppkey"], descending=[True, False]
@@ -2864,7 +2685,6 @@ def market_share_q8(sf_dir: str):
 
     import ray
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.stages.relational import bucketed_hash_join
 
@@ -2973,21 +2793,7 @@ def market_share_q8(sf_dir: str):
         li, asia_orders, left_on="l_orderkey", right_on="o_orderkey"
     )
 
-    def year_partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"yr": b["yr"], "rev": b["rev"], "n2rev": b["n2rev"]})
-        return (
-            t.group_by("yr")
-            .aggregate([("rev", "sum"), ("n2rev", "sum")])
-            .rename_columns(["yr", "rev", "n2rev"])
-        )
-
-    agg = (
-        joined.map_batches(year_partial, batch_format="pyarrow")
-        .groupby("yr")
-        .aggregate(
-            Sum(on="rev", alias_name="rev"), Sum(on="n2rev", alias_name="n2rev")
-        )
-    )
+    agg = group_count(joined, "yr", {"rev": "rev", "n2rev": "n2rev"}, count=None)
 
     def finish(b: pa.Table) -> pa.Table:
         rev = b["rev"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -3055,7 +2861,6 @@ def lineitem_range_partition(sf_dir: str):
     exchange is B partial-count rows per batch. Ties at a boundary go
     left (count of boundaries strictly below, pinned on both engines)."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -3089,18 +2894,10 @@ def lineitem_range_partition(sf_dir: str):
     def hist_batch(b: pa.Table) -> pa.Table:
         price = b["l_extendedprice"].to_numpy(zero_copy_only=False)
         bucket = np.searchsorted(bounds, price, side="left").astype(np.int64)
-        uniq, cnt = np.unique(bucket, return_counts=True)
-        return pa.table(
-            {
-                "bucket": pa.array(uniq, pa.int64()),
-                "n_rows": pa.array(cnt.astype(np.int64)),
-            }
-        )
+        return pa.table({"bucket": pa.array(bucket, pa.int64())})
 
-    return (
-        ds.map_batches(hist_batch, batch_format="pyarrow")
-        .groupby("bucket")
-        .aggregate(Sum(on="n_rows", alias_name="n_rows"))
+    return group_count(
+        ds.map_batches(hist_batch, batch_format="pyarrow"), "bucket", count="n_rows"
     )
 
 
@@ -3141,7 +2938,6 @@ def forecast_discount_revenue(sf_dir: str):
     (never float bincount); the global groupby moves 3 rows per batch.
     Nothing here is sf-proportional except the scan itself."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     def partial(b: pa.Table) -> pa.Table:
         yr = pc.year(b["l_shipdate"]).to_numpy(zero_copy_only=False)
@@ -3161,19 +2957,16 @@ def forecast_discount_revenue(sf_dir: str):
             }
         )
 
-    agg = (
+    agg = group_count(
         ray.data.read_parquet(
             f"{sf_dir}/lineitem.parquet",
             columns=[
                 "l_shipdate", "l_discount", "l_quantity", "l_extendedprice",
             ],
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("disc_bp")
-        .aggregate(
-            Sum(on="n_lines", alias_name="n_lines"),
-            Sum(on="forecast_rev_cbp", alias_name="forecast_rev_cbp"),
-        )
+        ).map_batches(partial, batch_format="pyarrow"),
+        "disc_bp",
+        {"n_lines": "n_lines", "forecast_rev_cbp": "forecast_rev_cbp"},
+        count=None,
     )
     # empty discount bands (possible at tiny sf) don't exist in the oracle
     return agg.filter(lambda r: r["n_lines"] > 0)
@@ -3207,7 +3000,6 @@ def supplier_peak_revenue(sf_dir: str):
     name lookup streams the supplier table against the broadcast winner
     keyset (ties are O(1), so that side never grows), not a shuffle."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     def partial(b: pa.Table) -> pa.Table:
         ship = b["l_shipdate"].to_numpy(zero_copy_only=False)
@@ -3216,7 +3008,7 @@ def supplier_peak_revenue(sf_dir: str):
         keep = (ship >= lo) & (ship < hi)
         cts = cents(b["l_extendedprice"])
         bp = cents(b["l_discount"])
-        t = pa.table(
+        return pa.table(
             {
                 "s_suppkey": b["l_suppkey"].filter(pa.array(keep)),
                 "total_rev_c2": pa.array(
@@ -3224,22 +3016,16 @@ def supplier_peak_revenue(sf_dir: str):
                 ),
             }
         )
-        return (
-            t.group_by("s_suppkey")
-            .aggregate([("total_rev_c2", "sum")])
-            .rename_columns(["s_suppkey", "total_rev_c2"])
-        )
 
-    rev = (
+    rev = group_count(
         ray.data.read_parquet(
             f"{sf_dir}/lineitem.parquet",
             columns=["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"],
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("s_suppkey")
-        .aggregate(Sum(on="total_rev_c2", alias_name="total_rev_c2"))
-        .materialize()
-    )
+        ).map_batches(partial, batch_format="pyarrow"),
+        "s_suppkey",
+        {"total_rev_c2": "total_rev_c2"},
+        count=None,
+    ).materialize()
     peak = rev.max("total_rev_c2")
     winners = {
         int(r["s_suppkey"]): int(r["total_rev_c2"])
@@ -3302,7 +3088,6 @@ def excess_shipment_suppliers(sf_dir: str, plan: str = "auto"):
 
     import ray
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.pipelines.plan import (
         driver_frame,
@@ -3400,9 +3185,7 @@ def excess_shipment_suppliers(sf_dir: str, plan: str = "auto"):
             }
         )
 
-    pairs = partials.groupby("kk").aggregate(
-        Sum(on="q97", alias_name="q97"), Sum(on="qtot", alias_name="qtot")
-    )
+    pairs = group_count(partials, "kk", {"q97": "q97", "qtot": "qtot"}, count=None)
 
     def supplier_partial(b: pa.Table) -> pa.Table:
         excess = (
@@ -3412,18 +3195,12 @@ def excess_shipment_suppliers(sf_dir: str, plan: str = "auto"):
         supp = (
             b["kk"].to_numpy(zero_copy_only=False)[excess] // pmax
         ).astype(np.int64)
-        uniq, cnt = np.unique(supp, return_counts=True)
-        return pa.table(
-            {
-                "s_suppkey": pa.array(uniq, pa.int64()),
-                "n_excess_parts": pa.array(cnt.astype(np.int64)),
-            }
-        )
+        return pa.table({"s_suppkey": pa.array(supp, pa.int64())})
 
-    return (
-        pairs.map_batches(supplier_partial, batch_format="pyarrow")
-        .groupby("s_suppkey")
-        .aggregate(Sum(on="n_excess_parts", alias_name="n_excess_parts"))
+    return group_count(
+        pairs.map_batches(supplier_partial, batch_format="pyarrow"),
+        "s_suppkey",
+        count="n_excess_parts",
     )
 
 
@@ -3463,7 +3240,6 @@ def profit_by_nation_year(sf_dir: str):
 
     import ray
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.stages.relational import bucketed_hash_join
 
@@ -3579,17 +3355,13 @@ def profit_by_nation_year(sf_dir: str):
             b["natkey"].to_numpy(zero_copy_only=False) * 10_000
             + b["yr"].to_numpy(zero_copy_only=False)
         ).astype(np.int64)
-        t = pa.table({"kk": pa.array(kk), "margin": b["margin"]})
-        return (
-            t.group_by("kk")
-            .aggregate([("margin", "sum")])
-            .rename_columns(["kk", "margin"])
-        )
+        return pa.table({"kk": pa.array(kk), "margin": b["margin"]})
 
-    agg = (
-        joined.map_batches(nkyr_partial, batch_format="pyarrow")
-        .groupby("kk")
-        .aggregate(Sum(on="margin", alias_name="profit_c2"))
+    agg = group_count(
+        joined.map_batches(nkyr_partial, batch_format="pyarrow"),
+        "kk",
+        {"margin": "profit_c2"},
+        count=None,
     )
 
     def finish(b: pa.Table) -> pa.Table:
@@ -3719,7 +3491,6 @@ def lineitem_zorder_stats(sf_dir: str):
     vectorized bit arithmetic per batch; per-batch partial (bucket,
     count, mins, maxes) rows bound the exchange at 16 x batches."""
     import ray.data
-    from ray.data.aggregate import Max, Min, Sum
 
     def partial(b: pa.Table) -> pa.Table:
         days = (
@@ -3735,34 +3506,22 @@ def lineitem_zorder_stats(sf_dir: str):
         for i in range(16):
             z |= ((x >> i) & 1) << (2 * i)
             z |= ((y >> i) & 1) << (2 * i + 1)
-        t = pa.table(
+        return pa.table(
             {"bucket": pa.array(z >> 20, pa.int64()), "x": pa.array(x), "y": pa.array(y)}
         )
-        return group_count_batch(
-            t,
-            ["bucket"],
-            count="n_rows",
-            aggs={
-                "min_day": ("x", "min"),
-                "max_day": ("x", "max"),
-                "min_qty": ("y", "min"),
-                "max_qty": ("y", "max"),
-            },
-        )
 
-    agg = (
+    agg = group_count(
         ray.data.read_parquet(
             f"{sf_dir}/lineitem.parquet", columns=["l_shipdate", "l_quantity"]
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("bucket")
-        .aggregate(
-            Sum(on="n_rows", alias_name="n_rows"),
-            Min(on="min_day", alias_name="min_day"),
-            Max(on="max_day", alias_name="max_day"),
-            Min(on="min_qty", alias_name="min_qty"),
-            Max(on="max_qty", alias_name="max_qty"),
-        )
+        ).map_batches(partial, batch_format="pyarrow"),
+        "bucket",
+        count="n_rows",
+        aggs={
+            "min_day": ("x", "min"),
+            "max_day": ("x", "max"),
+            "min_qty": ("y", "min"),
+            "max_qty": ("y", "max"),
+        },
     )
 
     def finish(b: pa.Table) -> pa.Table:
@@ -3824,7 +3583,6 @@ def customer_segment_nation_independence(sf_dir: str):
     import pyarrow.parquet as pq
 
     import ray.data
-    from ray.data.aggregate import Sum
 
     nation = pq.read_table(
         f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
@@ -3833,20 +3591,14 @@ def customer_segment_nation_independence(sf_dir: str):
         zip(nation["n_nationkey"].to_pylist(), nation["n_name"].to_pylist())
     )
 
-    def partial(b: pa.Table) -> pa.Table:
-        t = pa.table({"seg": b["c_mktsegment"], "nk": b["c_nationkey"]})
-        return group_count_batch(t, ["seg", "nk"], count="obs")
-
-    cells = (
+    cells = group_count(
         ray.data.read_parquet(
             f"{sf_dir}/customer.parquet",
             columns=["c_mktsegment", "c_nationkey"],
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["seg", "nk"])
-        .aggregate(Sum(on="obs", alias_name="obs"))
-        .to_pandas()  # bounded: |segments| x |nations|
-    )
+        ).rename_columns({"c_mktsegment": "seg", "c_nationkey": "nk"}),
+        ["seg", "nk"],
+        count="obs",
+    ).to_pandas()  # bounded: |segments| x |nations|
     segs = sorted(cells["seg"].unique())
     nks = sorted(cells["nk"].unique())
     obs = {
@@ -4290,7 +4042,6 @@ def schema_evolution_union(sf_dir: str):
     import tempfile
 
     import ray.data
-    from ray.data.aggregate import Sum
 
     split = np.datetime64("1999-01-01")
     with tempfile.TemporaryDirectory(prefix="schema_evo_") as base:
@@ -4317,11 +4068,8 @@ def schema_evolution_union(sf_dir: str):
         )
 
         def tally(b: pa.Table, label) -> pa.Table:
-            t = pa.table(
+            return pa.table(
                 {"priority_label": label, "rev_c": pa.array(cents(b["o_totalprice"]))}
-            )
-            return group_count_batch(
-                t, ["priority_label"], {"rev_c": "rev_c"}, count="n_orders"
             )
 
         def label_v1(b: pa.Table) -> pa.Table:
@@ -4337,12 +4085,7 @@ def schema_evolution_union(sf_dir: str):
             label_v2, batch_format="pyarrow"
         )
         return (
-            d1.union(d2)
-            .groupby("priority_label")
-            .aggregate(
-                Sum(on="n_orders", alias_name="n_orders"),
-                Sum(on="rev_c", alias_name="rev_c"),
-            )
+            group_count(d1.union(d2), "priority_label", {"rev_c": "rev_c"}, count="n_orders")
             .materialize()
         )
 
@@ -4384,7 +4127,6 @@ def orders_incremental_agg(sf_dir: str):
     contract that lets a 10^12-row table absorb a daily delta with
     delta-sized work."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     split = np.datetime64("1999-01-01")
     orders = ray.data.read_parquet(
@@ -4398,26 +4140,20 @@ def orders_incremental_agg(sf_dir: str):
         mos = (dd.astype(np.int64) % 12) + 1
         month = yrs * 100 + mos
         phase = np.where(d < split, "base", "delta")
-        t = pa.table(
+        return pa.table(
             {
                 "phase": pa.array(phase, pa.string()),
                 "month": pa.array(month, pa.int64()),
                 "c": pa.array(cents(b["o_totalprice"])),
             }
         )
-        return group_count_batch(
-            t, ["phase", "month"], {"c": "rev_c"}, count="n_orders"
-        )
 
-    parts = (
-        orders.map_batches(partial, batch_format="pyarrow")
-        .groupby(["phase", "month"])
-        .aggregate(
-            Sum(on="n_orders", alias_name="n_orders"),
-            Sum(on="rev_c", alias_name="rev_c"),
-        )
-        .to_pandas()  # bounded: 2 x calendar months
-    )
+    parts = group_count(
+        orders.map_batches(partial, batch_format="pyarrow"),
+        ["phase", "month"],
+        {"c": "rev_c"},
+        count="n_orders",
+    ).to_pandas()  # bounded: 2 x calendar months
     merged = (
         parts.groupby("month", as_index=False)[["n_orders", "rev_c"]]
         .sum()
@@ -4738,29 +4474,23 @@ def orders_seasonal_decompose(sf_dir: str):
     with two np.slides; at 10^12 orders the exchange is month-grain
     partials and everything after is O(|months|)."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     def partial(b: pa.Table) -> pa.Table:
         ym = (
             pc.year(b["o_orderdate"]).to_numpy(zero_copy_only=False) * 100
             + pc.month(b["o_orderdate"]).to_numpy(zero_copy_only=False)
         ).astype(np.int64)
-        cts = cents(b["o_totalprice"])
-        u, inv = np.unique(ym, return_inverse=True)
-        return pa.table(
-            {
-                "ym": pa.array(u, pa.int64()),
-                "cents": pa.array(np.bincount(inv, cts).astype(np.int64)),
-            }
-        )
+        return pa.table({"ym": pa.array(ym), "cents": pa.array(cents(b["o_totalprice"]))})
 
     m = (
-        ray.data.read_parquet(
-            f"{sf_dir}/orders.parquet", columns=["o_orderdate", "o_totalprice"]
+        group_count(
+            ray.data.read_parquet(
+                f"{sf_dir}/orders.parquet", columns=["o_orderdate", "o_totalprice"]
+            ).map_batches(partial, batch_format="pyarrow"),
+            "ym",
+            {"cents": "cents"},
+            count=None,
         )
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("ym")
-        .aggregate(Sum(on="cents", alias_name="cents"))
         .to_pandas()  # bounded: calendar months (~80 rows)
         .sort_values("ym")
     )
@@ -4808,20 +4538,14 @@ def _monthly_order_cents(sf_dir: str):
     """Order totals per month in integer cents, as an (mi, cents) frame
     sorted by month index mi = year * 12 + month - 1. Per-batch partials
     bound the exchange by the month grid."""
-    import pandas as pd
-
     import ray.data
 
     def partials(batch: pa.Table) -> pa.Table:
         d = pc.cast(batch["o_orderdate"], pa.timestamp("us"))
         yr = pc.year(d).to_numpy(zero_copy_only=False).astype(np.int64)
         mo = pc.month(d).to_numpy(zero_copy_only=False).astype(np.int64)
-        df = (
-            pd.DataFrame({"mi": yr * 12 + mo - 1, "cents": cents(batch["o_totalprice"])})
-            .groupby("mi", as_index=False)
-            .sum()
-        )
-        return pa.Table.from_pandas(df, preserve_index=False)
+        t = pa.table({"mi": yr * 12 + mo - 1, "cents": cents(batch["o_totalprice"])})
+        return group_count_batch(t, ["mi"], {"cents": "cents"}, count=None)
 
     return (
         ray.data.read_parquet(
@@ -5017,8 +4741,6 @@ def lineitem_simpson_audit(sf_dir: str):
     load-bearing — numpy would wrap silently, flipping the sign); the
     int64 moment SUMS themselves stay in range to ~sf 10^4, and the
     DuckDB oracle errors loudly rather than wrapping past that."""
-    import pandas as pd
-
     import ray.data
 
     ds = ray.data.read_parquet(
@@ -5030,10 +4752,8 @@ def lineitem_simpson_audit(sf_dir: str):
         g = batch["l_returnflag"].to_numpy(zero_copy_only=False)
         d = cents(batch["l_discount"])
         q = batch["l_quantity"].to_numpy(zero_copy_only=False).astype(np.int64)
-        df = pd.DataFrame({"grp": g, "n": 1, "sdq": d * q, "sd": d, "sq": q})
-        return pa.Table.from_pandas(
-            df.groupby("grp", as_index=False).sum(), preserve_index=False
-        )
+        t = pa.table({"grp": g, "sdq": d * q, "sd": d, "sq": q})
+        return group_count_batch(t, ["grp"], {"sdq": "sdq", "sd": "sd", "sq": "sq"}, count="n")
 
     per = (
         ds.map_batches(moments, batch_format="pyarrow")

@@ -20,7 +20,7 @@ from sciscraper_ray.pipelines.queries.text_analysis import (
     _lang_sql,
     lang_id_batch,
 )
-from sciscraper_ray.stages.relational import group_count_batch
+from sciscraper_ray.stages.relational import group_count, group_count_batch
 
 
 # --------------------------------------------------------------------------
@@ -109,7 +109,6 @@ def doc_bm25_topk(sf_dir: str):
     fixed left-to-right add, so scores are IEEE-bit-identical (no
     rounding on either side)."""
     import ray
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
@@ -131,13 +130,12 @@ def doc_bm25_topk(sf_dir: str):
             }
         )
 
-    stats = (
-        _docs(sf_dir)
-        .map_batches(stats_partial, batch_format="pyarrow")
-        .groupby("term")
-        .aggregate(Sum(on="a", alias_name="a"), Sum(on="b", alias_name="b"))
-        .to_pandas()  # bounded: vocabulary term stats (broadcast side)
-    )
+    stats = group_count(
+        _docs(sf_dir).map_batches(stats_partial, batch_format="pyarrow"),
+        "term",
+        {"a": "a", "b": "b"},
+        count=None,
+    ).to_pandas()  # bounded: vocabulary term stats (broadcast side)
     srow = stats[stats["term"] == ""].iloc[0]
     n_docs, total_len = float(srow["a"]), float(srow["b"])
     df = {r["term"]: float(r["a"]) for _, r in stats.iterrows() if r["term"]}
@@ -320,8 +318,6 @@ def token_inverted_index(sf_dir: str):
     real scale each group writes a posting FILE (hive-partitioned by
     token hash) instead of returning a joined string — the operator
     shape is identical."""
-    import ray.data
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def pair_partial(batch: pa.Table) -> pa.Table:
@@ -530,8 +526,6 @@ def token_pair_counts(sf_dir: str):
     groupby-Sum -> sort(cnt desc, pair asc) -> limit. Pair key joins
     with a single space, unambiguous because the reference tokenizer
     splits on exactly that byte (docscraper.py:176-186)."""
-    from ray.data.aggregate import Sum
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -539,22 +533,15 @@ def token_pair_counts(sf_dir: str):
         flat = pc.list_flatten(tokens)
         n = len(flat)
         if n < 2:
-            return pa.table(
-                {"pair": pa.array([], pa.string()), "cnt": pa.array([], pa.int64())}
-            )
+            return pa.table({"pair": pa.array([], pa.string())})
         parents = pc.list_parent_indices(tokens).to_numpy(zero_copy_only=False)
         same_doc = pa.array(parents[:-1] == parents[1:])
         left = flat.slice(0, n - 1).filter(same_doc)
         right = flat.slice(1, n - 1).filter(same_doc)
-        pairs = pc.binary_join_element_wise(left, right, " ")
-        vc = pairs.value_counts()
-        return pa.table({"pair": vc.field("values"), "cnt": vc.field("counts")})
+        return pa.table({"pair": pc.binary_join_element_wise(left, right, " ")})
 
     return (
-        _docs(sf_dir)
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("pair")
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
+        group_count(_docs(sf_dir).map_batches(partial, batch_format="pyarrow"), "pair")
         .sort(key=["cnt", "pair"], descending=[True, False])
         .limit(50)
     )
@@ -672,23 +659,15 @@ def doc_unigram_freq_score(sf_dir: str):
     learned-weights twin). Zero shuffle in pass 2."""
     import pandas as pd
     import ray
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partial(batch: pa.Table) -> pa.Table:
-        tokens = tokenize_column(batch["text"])
-        flat = pc.list_flatten(tokens)
-        vc = flat.value_counts()
-        return pa.table({"token": vc.field("values"), "cnt": vc.field("counts")})
+        return pa.table({"token": pc.list_flatten(tokenize_column(batch["text"]))})
 
-    counts = (
-        _docs(sf_dir)
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
-        .to_pandas()  # bounded: vocabulary post-aggregate (broadcast side)
-    )
+    counts = group_count(
+        _docs(sf_dir).map_batches(partial, batch_format="pyarrow"), "token"
+    ).to_pandas()  # bounded: vocabulary post-aggregate (broadcast side)
     lut_ref = ray.put(
         pd.Series(counts["cnt"].to_numpy(np.int64), index=counts["token"])
     )
@@ -905,14 +884,10 @@ def doc_iqr_filter(sf_dir: str):
     smallest value with cum ≥ ceil(q·n) — then the integer Tukey fences
     [Q1 - 3·IQR/2, Q3 + 3·IQR/2] broadcast into a zero-shuffle stream
     filter. All-integer arithmetic end to end, so the oracle is exact."""
-    import pandas as pd
-    import ray
-
     src = _docs(sf_dir, columns=("doc_id", "n_chars"))
 
     def hist(batch: pa.Table) -> pa.Table:
-        vc = batch["n_chars"].value_counts()
-        return pa.table({"v": vc.field("values"), "c": vc.field("counts")})
+        return group_count_batch(pa.table({"v": batch["n_chars"]}), ["v"], count="c")
 
     h = (
         src.map_batches(hist, batch_format="pyarrow")
@@ -1335,8 +1310,6 @@ def host_topk_docs(sf_dir: str, plan: str = "auto"):
     any exchange. The merge itself is two-plan: driver pandas under the
     row limit, else one groupby-free repeat of the same partial pass
     after a hash repartition on host."""
-    import pandas as pd
-
     from sciscraper_ray.pipelines.plan import driver_frame, resolve_plan
     from sciscraper_ray.sources.page_synth import host_for
 
@@ -1493,14 +1466,7 @@ def doc_length_median_by_lang(sf_dir: str):
     src = _docs(sf_dir, columns=("doc_id", "lang", "n_chars"))
 
     def hist(batch: pa.Table) -> pa.Table:
-        df = (
-            batch.select(["lang", "n_chars"])
-            .to_pandas()  # bounded: worker-side batch conversion
-            .value_counts()
-            .rename("c")
-            .reset_index()
-        )
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return group_count_batch(batch, ["lang", "n_chars"], count="c")
 
     h = (
         src.map_batches(hist, batch_format="pyarrow")
@@ -1551,9 +1517,6 @@ def top_tokens_by_lang(sf_dir: str, plan: str = "auto"):
     rows, Heaps'-law small) through the shared two-plan merge; the final
     per-lang take is the same vectorized lexsort + segment-boundary
     pattern as host_topk_docs."""
-    import pandas as pd
-    from ray.data.aggregate import Sum
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
     from sciscraper_ray.pipelines.plan import driver_frame, resolve_plan
 
@@ -1561,14 +1524,8 @@ def top_tokens_by_lang(sf_dir: str, plan: str = "auto"):
         tokens = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(tokens)
         parents = pc.list_parent_indices(tokens).to_numpy(zero_copy_only=False)
-        langs = np.asarray(batch["lang"].to_pylist())[parents]
-        df = (
-            pd.DataFrame({"lang": langs, "token": flat.to_pylist()})
-            .value_counts()
-            .rename("cnt")
-            .reset_index()
-        )
-        return pa.Table.from_pandas(df, preserve_index=False)
+        t = pa.table({"lang": batch["lang"].take(parents), "token": flat})
+        return group_count_batch(t, ["lang", "token"])
 
     partials = _docs(sf_dir, columns=("lang", "text")).map_batches(
         partial, batch_format="pyarrow"
@@ -1578,11 +1535,9 @@ def top_tokens_by_lang(sf_dir: str, plan: str = "auto"):
         df = driver_frame(partials, what="top_tokens_by_lang")
         agg = df.groupby(["lang", "token"], as_index=False)["cnt"].sum()
     else:
-        agg = (
-            partials.groupby(["lang", "token"])
-            .aggregate(Sum(on="cnt", alias_name="cnt"))
-            .to_pandas()  # bounded: vocab x langs post-aggregate
-        )
+        agg = group_count(
+            partials, ["lang", "token"], {"cnt": "cnt"}, count=None
+        ).to_pandas()  # bounded: vocab x langs post-aggregate
     agg = agg.sort_values(["lang", "cnt", "token"], ascending=[True, False, True])
     agg["rank"] = agg.groupby("lang").cumcount() + 1
     out = agg[agg["rank"] <= 5].reset_index(drop=True)
@@ -1792,35 +1747,23 @@ def doc_bigram_lm_ppl(sf_dir: str):
     Zero shuffle in the score pass."""
     import pandas as pd
     import ray
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.kernels.tokenize import tokenize_column
     from sciscraper_ray.pipelines.queries.dedup import _ngram_positions
 
     def uni_partial(batch: pa.Table) -> pa.Table:
-        flat = pc.list_flatten(tokenize_column(batch["text"]))
-        vc = flat.value_counts()
-        return pa.table({"token": vc.field("values"), "cnt": vc.field("counts")})
+        return pa.table({"token": pc.list_flatten(tokenize_column(batch["text"]))})
 
     def bg_partial(batch: pa.Table) -> pa.Table:
         _, bgs = _ngram_positions(batch, 2)
-        vc = bgs.value_counts()
-        return pa.table({"bg": vc.field("values"), "cnt": vc.field("counts")})
+        return pa.table({"bg": bgs})
 
-    uni = (
-        _docs(sf_dir)
-        .map_batches(uni_partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
-        .to_pandas()  # bounded: vocab LM table (broadcast side)
-    )
-    bgc = (
-        _docs(sf_dir)
-        .map_batches(bg_partial, batch_format="pyarrow")
-        .groupby("bg")
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
-        .to_pandas()  # bounded: bigram LM table (broadcast side; must fit to ray.put)
-    )
+    uni = group_count(
+        _docs(sf_dir).map_batches(uni_partial, batch_format="pyarrow"), "token"
+    ).to_pandas()  # bounded: vocab LM table (broadcast side)
+    bgc = group_count(
+        _docs(sf_dir).map_batches(bg_partial, batch_format="pyarrow"), "bg"
+    ).to_pandas()  # bounded: bigram LM table (broadcast side; must fit to ray.put)
     vocab_size = len(uni)
     lm_ref = ray.put(
         (
@@ -1968,8 +1911,6 @@ def token_postings_delta_stats(sf_dir: str):
     per bucket a vectorized lexsort (token, doc) + shifted diff with
     same-token masking + np.maximum.reduceat over token segments — no
     per-token Python. Group count is O(buckets), not vocabulary."""
-    import ray.data
-
     def pair_partial(b: pa.Table) -> pa.Table:
         from sciscraper_ray.kernels.tokenize import tokenize_column
 
@@ -1987,17 +1928,14 @@ def token_postings_delta_stats(sf_dir: str):
                 "doc_id": pa.array(doc[keep], pa.int64()),
             }
         )
-        return t.group_by(["token", "doc_id"]).aggregate([])
+        return t
 
-    pairs = (
-        _docs(sf_dir, columns=("doc_id", "text"))
-        .map_batches(pair_partial, batch_format="pyarrow")
-        .groupby(["token", "doc_id"])
-        .count()
-        .map_batches(
-            lambda b: b.select(["token", "doc_id"]), batch_format="pyarrow"
-        )
-    )
+    pairs = group_count(
+        _docs(sf_dir, columns=("doc_id", "text")).map_batches(
+            pair_partial, batch_format="pyarrow"
+        ),
+        ["token", "doc_id"],
+    ).drop_columns(["cnt"])
 
     N_BUCKETS = 32
 
@@ -2223,7 +2161,6 @@ def warc_gzip_member_split(sf_dir: str):
     import zlib
 
     import pandas as pd
-    import ray.data
 
     with tempfile.TemporaryDirectory(prefix="warc_gz_") as base:
         def add_shard(b: pa.Table) -> pa.Table:
@@ -2364,7 +2301,6 @@ def doc_ccnet_ppl_bins(sf_dir: str):
 
     import ray
     import ray.data
-    from ray.data.aggregate import Count, Max, Min, Sum
 
     from sciscraper_ray.stages.relational import bucketed_hash_join
 
@@ -2400,14 +2336,7 @@ def doc_ccnet_ppl_bins(sf_dir: str):
         num_buckets=8,
     )
 
-    hist = (
-        joined.map_batches(
-            lambda b: group_count_batch(b, ["lang", "lp"]), batch_format="pyarrow"
-        )
-        .groupby(["lang", "lp"])
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
-        .to_pandas()  # bounded: resolution cells
-    )
+    hist = group_count(joined, ["lang", "lp"]).to_pandas()  # bounded: resolution cells
 
     thresholds: dict[str, tuple[int, int]] = {}
     for lang, g in hist.groupby("lang"):
@@ -2442,14 +2371,11 @@ def doc_ccnet_ppl_bins(sf_dir: str):
             }
         )
 
-    return (
-        joined.map_batches(assign, batch_format="pyarrow")
-        .groupby(["lang", "bin"])
-        .aggregate(
-            Count(alias_name="n_docs"),
-            Min(on="lp", alias_name="min_lp_micro"),
-            Max(on="lp", alias_name="max_lp_micro"),
-        )
+    return group_count(
+        joined.map_batches(assign, batch_format="pyarrow"),
+        ["lang", "bin"],
+        count="n_docs",
+        aggs={"min_lp_micro": ("lp", "min"), "max_lp_micro": ("lp", "max")},
     )
 
 
@@ -2740,15 +2666,12 @@ def retrieval_eval_mrr(sf_dir: str):
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    agg = (
-        _docs(sf_dir)
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["query_id", "doc_id"])
-        .aggregate(Sum(on="c", alias_name="c"))
-        .to_pandas()  # bounded: Q count rows + Q*k flag rows
-    )
+    agg = group_count(
+        _docs(sf_dir).map_batches(partial, batch_format="pyarrow"),
+        ["query_id", "doc_id"],
+        {"c": "c"},
+        count=None,
+    ).to_pandas()  # bounded: Q count rows + Q*k flag rows
     rows = []
     for qid, _terms in _BM25_QUERIES:
         g = agg[agg["query_id"] == qid]
@@ -2950,7 +2873,6 @@ def retrieval_bm25_prf(sf_dir: str):
     mirror the oracle literal-for-literal, so the final ranking is
     IEEE-bit-exact with no rounding."""
     import ray
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
@@ -2978,12 +2900,12 @@ def retrieval_bm25_prf(sf_dir: str):
         )
         return out
 
-    stats = (
-        ds.map_batches(stats_partial, batch_format="pyarrow")
-        .groupby("term")
-        .aggregate(Sum(on="a", alias_name="a"), Sum(on="b", alias_name="b"))
-        .to_pandas()  # bounded: vocabulary term stats (broadcast side)
-    )
+    stats = group_count(
+        ds.map_batches(stats_partial, batch_format="pyarrow"),
+        "term",
+        {"a": "a", "b": "b"},
+        count=None,
+    ).to_pandas()  # bounded: vocabulary term stats (broadcast side)
     srow = stats[stats["term"] == ""].iloc[0]
     n_docs, total_len = float(srow["a"]), float(srow["b"])
     avgdl = total_len / n_docs
@@ -3043,8 +2965,6 @@ def retrieval_bm25_prf(sf_dir: str):
     fb_ref = ray.put(fb_ids)
 
     def fb_tokens(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
         wanted = ray.get(fb_ref)
         keep = np.isin(
             batch["doc_id"].to_numpy(zero_copy_only=False), list(wanted)

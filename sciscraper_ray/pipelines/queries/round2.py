@@ -17,7 +17,7 @@ from sciscraper_ray.pipelines.queries._shared import (
     register,
 )
 from sciscraper_ray.pipelines.queries.dedup import _bigram_counts, _ngram_positions
-from sciscraper_ray.stages.relational import group_count_batch
+from sciscraper_ray.stages.relational import group_count, group_count_batch
 
 
 # ---------------------------------------------------------------------------
@@ -55,10 +55,7 @@ def lineitem_quantiles(sf_dir: str):
     )
 
     def histogram(batch: pa.Table) -> pa.Table:
-        agg = batch.group_by(["l_returnflag", "l_quantity"]).aggregate(
-            [("l_quantity", "count")]
-        )
-        return agg.rename_columns(["l_returnflag", "l_quantity", "cnt"])
+        return group_count_batch(batch, ["l_returnflag", "l_quantity"])
 
     # bounded: |flags| x |quantity domain| x blocks
     hist = ds.map_batches(histogram, batch_format="pyarrow").to_pandas()
@@ -131,10 +128,9 @@ def doc_repetition(sf_dir: str):
         total = np.zeros(len(batch), dtype=np.int64)
         rep = np.zeros(len(batch), dtype=np.int64)
         if len(pos):
-            pairs = pa.table({"p": pa.array(pos), "bg": bg})
-            per = pairs.group_by(["p", "bg"]).aggregate([("bg", "count")])
+            per = group_count_batch(pa.table({"p": pa.array(pos), "bg": bg}), ["p", "bg"])
             pv = per["p"].to_numpy()
-            cnt = per["bg_count"].to_numpy()
+            cnt = per["cnt"].to_numpy()
             np.add.at(total, pv, cnt)
             dup = cnt > 1
             np.add.at(rep, pv[dup], cnt[dup])
@@ -311,12 +307,8 @@ def token_zipf_slope(sf_dir: str, mode: str = "auto"):
         )
 
     if plan == "shuffle":
-        from ray.data.aggregate import Sum
-
-        ranked = (
-            parts_ds.groupby("token")
-            .aggregate(Sum(on="cnt", alias_name="cnt"))
-            .sort(key=["cnt", "token"], descending=[True, False])
+        ranked = group_count(parts_ds, "token", {"cnt": "cnt"}, count=None).sort(
+            key=["cnt", "token"], descending=[True, False]
         )
         n = 0
         sx = sy = sxy = sxx = 0.0
@@ -399,8 +391,6 @@ def doc_ngram_novelty(sf_dir: str, mode: str = "auto"):
     counts it for free."""
     import pandas as pd
 
-    from ray.data.aggregate import Count, Min
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
     from sciscraper_ray.pipelines.plan import driver_frame, resolve_plan
     from sciscraper_ray.stages.dedup import _hash_tokens128, _window_hashes128
@@ -463,19 +453,12 @@ def doc_ngram_novelty(sf_dir: str, mode: str = "auto"):
         # the tokenize/hash pass runs once (auto already did this — the
         # blocks live in the object store and spill, never on the driver).
         pairs_ds = pairs_ds.materialize()
-        winners = pairs_ds.groupby(["h_hi", "h_lo"]).aggregate(
-            Min(on="doc_id", alias_name="fdoc")
+        winners = group_count(
+            pairs_ds, ["h_hi", "h_lo"], count=None, aggs={"fdoc": ("doc_id", "min")}
         )
-        n_new_df = (
-            winners.groupby("fdoc")
-            .aggregate(Count(alias_name="n_new"))
-            .to_pandas()  # bounded: docs
-        )
-        totals_df = (
-            pairs_ds.groupby("doc_id")
-            .aggregate(Count(alias_name="n_grams"))
-            .to_pandas()  # bounded: docs
-        )
+        # bounded: docs
+        n_new_df = group_count(winners, "fdoc", count="n_new").to_pandas()
+        totals_df = group_count(pairs_ds, "doc_id", count="n_grams").to_pandas()
         if totals_df.empty:
             return result_table([], [], [])
         merged = totals_df.merge(
@@ -714,7 +697,6 @@ def events_sliding(sf_dir: str):
     int64 epoch seconds (no timestamp-unit drift across the aggregate
     round-trip)."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["ts", "value"]
@@ -727,21 +709,15 @@ def events_sliding(sf_dir: str):
         starts = np.concatenate(
             [(base - j) * _SLIDE_STEP_S for j in range(_SLIDE_PANES)]
         )
-        t = pa.table(
+        return pa.table(
             {
                 "w_start": pa.array(starts, type=pa.int64()),
                 "value": pa.array(np.tile(vals, _SLIDE_PANES)),
             }
         )
-        return group_count_batch(t, ["w_start"], {"value": "sum_value"})
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("w_start")
-        .aggregate(
-            Sum(on="cnt", alias_name="cnt"),
-            Sum(on="sum_value", alias_name="sum_value"),
-        )
+    agg = group_count(
+        ds.map_batches(partial, batch_format="pyarrow"), "w_start", {"value": "sum_value"}
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -934,7 +910,6 @@ def lineitem_moments(sf_dir: str):
     cancel; here variance/mean² is O(0.3) so float64 keeps ~10 clean
     digits, comfortably inside the 6-dp compare)."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet",
@@ -944,7 +919,7 @@ def lineitem_moments(sf_dir: str):
     def partial(batch: pa.Table) -> pa.Table:
         x = pc.cast(batch["l_quantity"], pa.float64())
         y = pc.cast(batch["l_extendedprice"], pa.float64())
-        t = pa.table(
+        return pa.table(
             {
                 "l_returnflag": batch["l_returnflag"],
                 "sx": x,
@@ -955,18 +930,10 @@ def lineitem_moments(sf_dir: str):
             }
         )
 
-        return group_count_batch(
-            t,
-            ["l_returnflag"],
-            {c: c for c in ["sx", "sy", "sxx", "syy", "sxy"]},
-        )
-
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("l_returnflag")
-        .aggregate(
-            *[Sum(on=c, alias_name=c) for c in ["cnt", "sx", "sy", "sxx", "syy", "sxy"]]
-        )
+    agg = group_count(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        "l_returnflag",
+        {c: c for c in ["sx", "sy", "sxx", "syy", "sxy"]},
     )
 
     def finish(b: pa.Table) -> pa.Table:
@@ -1017,24 +984,15 @@ def orders_rollup(sf_dir: str):
     import pandas as pd
 
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet",
         columns=["o_orderstatus", "o_orderpriority", "o_totalprice"],
     )
 
-    fine = (
-        ds.map_batches(
-            lambda b: group_count_batch(
-                b, ["o_orderstatus", "o_orderpriority"], {"o_totalprice": "total"}
-            ),
-            batch_format="pyarrow",
-        )
-        .groupby(["o_orderstatus", "o_orderpriority"])
-        .aggregate(Sum(on="cnt", alias_name="cnt"), Sum(on="total", alias_name="total"))
-        .to_pandas()  # bounded: |statuses| x |priorities|
-    )
+    fine = group_count(
+        ds, ["o_orderstatus", "o_orderpriority"], {"o_totalprice": "total"}
+    ).to_pandas()  # bounded: |statuses| x |priorities|
 
     levels = [fine.rename(columns={"o_orderstatus": "status", "o_orderpriority": "priority"})]
     by_status = fine.groupby("o_orderstatus", as_index=False)[["cnt", "total"]].sum()
@@ -1259,7 +1217,6 @@ def events_decayed_value(sf_dir: str):
     import pandas as pd
 
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"]
@@ -1271,18 +1228,9 @@ def events_decayed_value(sf_dir: str):
         ts_us = pc.cast(batch["ts"], pa.timestamp("us")).cast(pa.int64()).to_numpy()
         dt_days = (t_end_us - ts_us).astype(np.float64) / 1_000_000.0 / 86_400.0
         w = batch["value"].to_numpy(zero_copy_only=False) * np.exp(-dt_days)
-        t = pa.table(
-            {"user_id": batch["user_id"], "wv": pa.array(w, pa.float64())}
-        )
-        return group_count_batch(t, ["user_id"], {"wv": "wv"})
+        return pa.table({"user_id": batch["user_id"], "wv": pa.array(w, pa.float64())})
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(
-            Sum(on="wv", alias_name="wv"), Sum(on="cnt", alias_name="cnt")
-        )
-    )
+    agg = group_count(ds.map_batches(partial, batch_format="pyarrow"), "user_id", {"wv": "wv"})
 
     def finish(b: pa.Table) -> pa.Table:
         return pa.table(
@@ -1410,7 +1358,6 @@ def events_type_transitions(sf_dir: str):
     each bucket emits partials bounded by the type vocabulary squared,
     so the final groupby-Sum exchange is constant-size."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.stages.window import bucket_type_transitions, bucketed_window
 
@@ -1418,9 +1365,12 @@ def events_type_transitions(sf_dir: str):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "event_type"],
     )
-    return bucketed_window(ds, bucket_type_transitions).groupby(
-        ["from_type", "to_type"]
-    ).aggregate(Sum(on="cnt", alias_name="cnt"))
+    return group_count(
+        bucketed_window(ds, bucket_type_transitions),
+        ["from_type", "to_type"],
+        {"cnt": "cnt"},
+        count=None,
+    )
 
 
 _EVENT_TYPES = ["click", "error", "purchase", "signup", "view"]
@@ -1443,7 +1393,6 @@ def events_pivot_hourly(sf_dir: str):
     unknown types at scale would need a first distinct-keys pass to
     declare the columns, exactly like remove_empty_columns' pre-pass."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "ts"]
@@ -1455,17 +1404,13 @@ def events_pivot_hourly(sf_dir: str):
         cols = {"window_start": hour}
         for t in _EVENT_TYPES:
             cols[f"n_{t}"] = pc.cast(pc.equal(et, t), pa.int64())
-        return (
-            pa.table(cols)
-            .group_by("window_start")
-            .aggregate([(f"n_{t}", "sum") for t in _EVENT_TYPES])
-            .rename_columns(["window_start"] + [f"n_{t}" for t in _EVENT_TYPES])
-        )
+        return pa.table(cols)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("window_start")
-        .aggregate(*[Sum(on=f"n_{t}", alias_name=f"n_{t}") for t in _EVENT_TYPES])
+    return group_count(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        "window_start",
+        {f"n_{t}": f"n_{t}" for t in _EVENT_TYPES},
+        count=None,
     )
 
 
@@ -1543,38 +1488,13 @@ def events_distinct_users(sf_dir: str):
     groupby(pair) sum, then a tiny groupby(type) counting pair rows for
     n_users and summing c for cnt."""
     import ray.data
-    from ray.data.aggregate import Count, Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_type", "user_id"]
     )
 
-    pairs = (
-        ds.map_batches(
-            lambda b: group_count_batch(b, ["event_type", "user_id"]),
-            batch_format="pyarrow",
-        )
-        .groupby(["event_type", "user_id"])
-        .aggregate(Sum(on="cnt", alias_name="c"))
-    )
-
-    def fold(b: pa.Table) -> pa.Table:
-        t = b.group_by("event_type").aggregate([("c", "count"), ("c", "sum")])
-        return pa.table(
-            {
-                "event_type": t["event_type"],
-                "n_users": t["c_count"],
-                "cnt": t["c_sum"],
-            }
-        )
-
-    return (
-        pairs.map_batches(fold, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(
-            Sum(on="n_users", alias_name="n_users"), Sum(on="cnt", alias_name="cnt")
-        )
-    )
+    pairs = group_count(ds, ["event_type", "user_id"], count="c")
+    return group_count(pairs, "event_type", {"c": "cnt"}, count="n_users")
 
 
 @register(
@@ -1596,8 +1516,6 @@ def token_heavy_hitters(sf_dir: str):
     the broadcast candidate set plus the total token count (a sentinel
     key no real token can collide with), and the final integer-only
     filter needs no floats. The full vocabulary never shuffles."""
-    from ray.data.aggregate import Sum
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     inv_phi = 200
@@ -1605,41 +1523,31 @@ def token_heavy_hitters(sf_dir: str):
 
     def local_hitters(batch: pa.Table) -> pa.Table:
         flat = pc.list_flatten(tokenize_column(batch["text"]))
-        vc = flat.value_counts()
-        keep = pc.greater(pc.multiply(vc.field("counts"), inv_phi), len(flat))
-        return pa.table({"token": vc.field("values").filter(keep)})
+        vc = group_count_batch(pa.table({"token": flat}), ["token"])
+        keep = pc.greater(pc.multiply(vc["cnt"], inv_phi), len(flat))
+        return pa.table({"token": vc["token"].filter(keep)})
 
-    cand = (
-        _docs(sf_dir, columns=("text",))
-        .map_batches(local_hitters, batch_format="pyarrow")
-        .groupby("token")
-        .count()
-        .to_pandas()  # bounded: per-block heavy-hitter candidates
-    )
+    cand = group_count(
+        _docs(sf_dir, columns=("text",)).map_batches(local_hitters, batch_format="pyarrow"),
+        "token",
+    ).to_pandas()  # bounded: per-block heavy-hitter candidates
     cand_arr = pa.array(cand["token"].tolist(), pa.string())
 
     def count_candidates(batch: pa.Table) -> pa.Table:
         flat = pc.list_flatten(tokenize_column(batch["text"]))
-        hits = flat.filter(pc.is_in(flat, value_set=cand_arr))
-        vc = hits.value_counts()
-        return pa.table(
-            {
-                "token": pa.concat_arrays(
-                    [vc.field("values").cast(pa.string()), pa.array([sentinel])]
-                ),
-                "cnt": pa.concat_arrays(
-                    [vc.field("counts").cast(pa.int64()), pa.array([len(flat)], pa.int64())]
-                ),
-            }
-        )
+        hits = flat.filter(pc.is_in(flat, value_set=cand_arr)).cast(pa.string())
+        # the sentinel row carries the block's token total
+        n = np.ones(len(hits) + 1, np.int64)
+        n[-1] = len(flat)
+        token = pa.chunked_array(hits.chunks + [pa.array([sentinel])], pa.string())
+        return pa.table({"token": token, "n": n})
 
-    agg = (
-        _docs(sf_dir, columns=("text",))
-        .map_batches(count_candidates, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
-        .to_pandas()  # bounded: heavy-hitter candidate set
-    )
+    agg = group_count(
+        _docs(sf_dir, columns=("text",)).map_batches(count_candidates, batch_format="pyarrow"),
+        "token",
+        {"n": "cnt"},
+        count=None,
+    ).to_pandas()  # bounded: heavy-hitter candidate set
     n = int(agg.loc[agg["token"] == sentinel, "cnt"].iloc[0])
     out = agg[(agg["token"] != sentinel) & (agg["cnt"] * inv_phi > n)]
     return pa.table(
@@ -1671,7 +1579,6 @@ def embedding_group_centroid(sf_dir: str):
     doubles per batch, never the vectors. float32 inputs are widened to
     float64 BEFORE summing on both engines."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.stages.ann import _stack
 
@@ -1691,13 +1598,10 @@ def embedding_group_centroid(sf_dir: str):
             cols[f"c{i}"] = pa.array(sums[:, i], pa.float64())
         return pa.table(cols)
 
-    agg = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("label")
-        .aggregate(
-            Sum(on="cnt", alias_name="cnt"),
-            *[Sum(on=f"c{i}", alias_name=f"c{i}") for i in range(_EMB_DIM)],
-        )
+    # the partial keeps its own float64 sums (np.add.at) so the bits match
+    sums = {c: c for c in ["cnt", *[f"c{i}" for i in range(_EMB_DIM)]]}
+    agg = group_count(
+        ds.map_batches(partial, batch_format="pyarrow"), "label", sums, count=None
     )
 
     def finish(b: pa.Table) -> pa.Table:
@@ -1733,7 +1637,6 @@ def events_zscore(sf_dir: str):
     partials as `lineitem_moments`), which broadcast back into a
     full-stream vectorized map. No shuffle touches the event rows."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "event_type", "value"]
@@ -1748,18 +1651,14 @@ def events_zscore(sf_dir: str):
                 "sxx": pc.multiply(x, x),
             }
         )
-        return group_count_batch(t, ["event_type"], {"sx": "sx", "sxx": "sxx"})
+        return t
 
-    stats = (
-        ds.map_batches(moment_partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .aggregate(
-            Sum(on="cnt", alias_name="n"),
-            Sum(on="sx", alias_name="sx"),
-            Sum(on="sxx", alias_name="sxx"),
-        )
-        .to_pandas()  # bounded: |event types|
-    )
+    stats = group_count(
+        ds.map_batches(moment_partial, batch_format="pyarrow"),
+        "event_type",
+        {"sx": "sx", "sxx": "sxx"},
+        count="n",
+    ).to_pandas()  # bounded: |event types|
     n = stats["n"].to_numpy(np.float64)
     mu = stats["sx"].to_numpy() / n
     sd = np.sqrt((stats["sxx"].to_numpy() - stats["sx"].to_numpy() ** 2 / n) / (n - 1))
@@ -1809,7 +1708,6 @@ def events_funnel(sf_dir: str):
     one global row. Classic product-analytics pattern; the event stream
     itself never re-sorts."""
     import ray.data
-    from ray.data.aggregate import Min
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "ts"]
@@ -1821,19 +1719,16 @@ def events_funnel(sf_dir: str):
         users = batch["user_id"].to_numpy(zero_copy_only=False)
         ts_us = pc.cast(batch["ts"], pa.timestamp("us")).cast(pa.int64()).to_numpy()
         et = np.asarray(batch["event_type"].to_pylist())
-        uniq, inv = np.unique(users, return_inverse=True)
-        cols = {"user_id": pa.array(uniq, pa.int64())}
+        cols = {"user_id": pa.array(users, pa.int64())}
         for s in steps:
-            m = np.full(len(uniq), INF)
-            sel = et == s
-            np.minimum.at(m, inv[sel], ts_us[sel])
-            cols[f"t_{s}"] = pa.array(m, pa.int64())
+            cols[f"t_{s}"] = pa.array(np.where(et == s, ts_us, INF), pa.int64())
         return pa.table(cols)
 
-    mins = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(*[Min(on=f"t_{s}", alias_name=f"t_{s}") for s in steps])
+    mins = group_count(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        "user_id",
+        count=None,
+        aggs={f"t_{s}": (f"t_{s}", "min") for s in steps},
     )
 
     def flags(b: pa.Table) -> pa.Table:
@@ -1850,8 +1745,6 @@ def events_funnel(sf_dir: str):
                 "n_full_funnel": pa.array([int(full.sum())], pa.int64()),
             }
         )
-
-    import pandas as pd
 
     parts = mins.map_batches(flags, batch_format="pyarrow").to_pandas()  # bounded: one scalar row per block
     return pa.Table.from_pandas(
@@ -1969,7 +1862,6 @@ def customer_orders_leftjoin(sf_dir: str):
     hash — hash partitioning is key-complete per bucket, so outer
     semantics compose bucket-by-bucket with no driver involvement."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.stages.relational import bucketed_hash_join
 
@@ -1980,16 +1872,7 @@ def customer_orders_leftjoin(sf_dir: str):
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
     )
 
-    agg = (
-        orders.map_batches(
-            lambda b: group_count_batch(b, ["o_custkey"], {"o_totalprice": "spend"}),
-            batch_format="pyarrow",
-        )
-        .groupby("o_custkey")
-        .aggregate(
-            Sum(on="cnt", alias_name="n_orders"), Sum(on="spend", alias_name="spend")
-        )
-    )
+    agg = group_count(orders, "o_custkey", {"o_totalprice": "spend"}, count="n_orders")
 
     joined = bucketed_hash_join(
         cust, agg, left_on="c_custkey", right_on="o_custkey", how="left"
@@ -2124,7 +2007,6 @@ def _price_quantiles(sf_dir: str, pcts, what: str):
     import pyarrow.parquet as pq
 
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.pipelines.plan import driver_frame
 
@@ -2144,24 +2026,14 @@ def _price_quantiles(sf_dir: str, pcts, what: str):
         return cts, np.clip((cts - lo) // w, 0, NBINS - 1)
 
     def hist_partial(b: pa.Table) -> pa.Table:
-        cnt = np.bincount(binned(b)[1], minlength=NBINS)
-        nz = np.flatnonzero(cnt)
-        return pa.table(
-            {
-                "bin": pa.array(nz.astype(np.int64)),
-                "cnt": pa.array(cnt[nz].astype(np.int64)),
-            }
-        )
+        return pa.table({"bin": pa.array(binned(b)[1].astype(np.int64))})
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice"]
     )
-    hist = (
-        ds.map_batches(hist_partial, batch_format="pyarrow")
-        .groupby("bin")
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
-        .to_pandas()  # bounded: |bins|
-    )
+    hist = group_count(
+        ds.map_batches(hist_partial, batch_format="pyarrow"), "bin"
+    ).to_pandas()  # bounded: |bins|
     cnt = np.zeros(NBINS, np.int64)
     cnt[hist["bin"].to_numpy(np.int64)] = hist["cnt"].to_numpy(np.int64)
     cum = np.cumsum(cnt)
@@ -2339,7 +2211,6 @@ def orders_value_quantiles_by_segment(sf_dir: str):
 
     import ray
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.pipelines.plan import driver_frame
 
@@ -2377,25 +2248,19 @@ def orders_value_quantiles_by_segment(sf_dir: str):
                 b["o_custkey"].to_numpy(zero_copy_only=False)
             ].astype(np.int64)
             binned = np.clip((cts - lo) // w, 0, NBINS - 1)
-            key = sc * NBINS + binned
-            cnt = np.bincount(key, minlength=ns * NBINS)
-            nz = np.flatnonzero(cnt)
-            return pa.table(
-                {
-                    "k": pa.array(nz.astype(np.int64)),
-                    "cnt": pa.array(cnt[nz].astype(np.int64)),
-                }
+            return group_count_batch(
+                pa.table({"k": pa.array(sc * NBINS + binned, pa.int64())}), ["k"]
             )
 
     ds = ray.data.read_parquet(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
     )
-    hist = (
-        ds.map_batches(HistPartial, batch_format="pyarrow", concurrency=(1, 4))
-        .groupby("k")
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
-        .to_pandas()  # bounded: |bins|
-    )
+    hist = group_count(
+        ds.map_batches(HistPartial, batch_format="pyarrow", concurrency=(1, 4)),
+        "k",
+        {"cnt": "cnt"},
+        count=None,
+    ).to_pandas()  # bounded: |bins|
     cnt = np.zeros(ns * NBINS, np.int64)
     cnt[hist["k"].to_numpy(np.int64)] = hist["cnt"].to_numpy(np.int64)
     cnt = cnt.reshape(ns, NBINS)

@@ -38,7 +38,7 @@ from sciscraper_ray.stages.textstats import (  # noqa: E402
     lang_id_batch,
     quality_batch,
 )
-from sciscraper_ray.stages.relational import group_count_batch
+from sciscraper_ray.stages.relational import group_count, group_count_batch
 
 
 def _tokens_by(batch: pa.Table, col: str) -> pa.Table:
@@ -241,8 +241,6 @@ def doc_token_entropy(sf_dir: str):
     per-doc reductions are bincounts over the group->doc index. Both
     engines evaluate the identical closed form, so round(,6) pins the
     float comparison."""
-    import pandas as pd
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def entropy_batch(batch: pa.Table) -> pa.Table:
@@ -250,10 +248,9 @@ def doc_token_entropy(sf_dir: str):
         offs = np.asarray(toks.offsets, dtype=np.int64)
         lens = np.diff(offs)
         doc = np.repeat(np.arange(len(batch), dtype=np.int64), lens)
-        df = pd.DataFrame({"d": doc, "t": toks.flatten().to_pandas()})  # bounded: worker-side column conversion
-        grp = df.groupby(["d", "t"], sort=False).size()
-        d_idx = grp.index.get_level_values(0).to_numpy()
-        cv = grp.to_numpy().astype(np.float64)
+        grp = group_count_batch(pa.table({"d": doc, "t": toks.flatten()}), ["d", "t"])
+        d_idx = grp["d"].to_numpy()
+        cv = grp["cnt"].to_numpy().astype(np.float64)
         nb = len(batch)
         n = np.bincount(d_idx, weights=cv, minlength=nb)
         types = np.bincount(d_idx, minlength=nb).astype(np.int64)
@@ -313,7 +310,6 @@ def source_kl_divergence(sf_dir: str, plan: str = "auto"):
     Both engines evaluate p*log2(p/q) with double division, so round(,6)
     pins the comparison."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.pipelines.plan import driver_frame, resolve_plan
 
@@ -326,11 +322,9 @@ def source_kl_divergence(sf_dir: str, plan: str = "auto"):
         df = driver_frame(partials, what="source_kl_divergence")
         agg = df.groupby(["source", "token"], as_index=False)["cnt"].sum()
     else:
-        agg = (
-            partials.groupby(["source", "token"])
-            .aggregate(Sum(on="cnt", alias_name="cnt"))
-            .to_pandas()  # bounded: |sources| x vocab post-aggregate
-        )
+        agg = group_count(
+            partials, ["source", "token"], {"cnt": "cnt"}, count=None
+        ).to_pandas()  # bounded: |sources| x vocab post-aggregate
     c = agg["cnt"].to_numpy(np.float64)
     s_codes, s_uniq = pd.factorize(agg["source"], sort=True)
     t_codes, _ = pd.factorize(agg["token"], sort=False)
@@ -384,9 +378,6 @@ def token_window_cooc(sf_dir: str):
     locally, and the shuffle moves (w1, w2, cnt) partials bounded by the
     batch's pair vocabulary. The oracle runs the quadratic position
     self-join the engine never materializes."""
-    import pandas as pd
-    from ray.data.aggregate import Sum
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -403,26 +394,12 @@ def token_window_cooc(sf_dir: str):
             w2s.append(flat.slice(d, n - d).filter(same_doc))
         if not w1s:
             return pa.table(
-                {
-                    "w1": pa.array([], pa.string()),
-                    "w2": pa.array([], pa.string()),
-                    "cnt": pa.array([], pa.int64()),
-                }
+                {"w1": pa.array([], pa.string()), "w2": pa.array([], pa.string())}
             )
-        df = pd.DataFrame(
-            {
-                "w1": pa.concat_arrays([a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a for a in w1s]).to_pandas(),  # bounded: worker-side column conversion
-                "w2": pa.concat_arrays([a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a for a in w2s]).to_pandas(),  # bounded: worker-side column conversion
-            }
-        )
-        vc = df.value_counts().rename("cnt").reset_index()
-        return pa.Table.from_pandas(vc, preserve_index=False)
+        return pa.table({"w1": pa.concat_arrays(w1s), "w2": pa.concat_arrays(w2s)})
 
     return (
-        _docs(sf_dir)
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["w1", "w2"])
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
+        group_count(_docs(sf_dir).map_batches(partial, batch_format="pyarrow"), ["w1", "w2"])
         .sort(key=["cnt", "w1", "w2"], descending=[True, False, False])
         .limit(80)
     )
@@ -482,7 +459,6 @@ def corpus_heaps_law(sf_dir: str, plan: str = "auto"):
     final fit reduces |ranges| * 5 doubles. Identical closed form in the
     oracle."""
     import pandas as pd
-    from ray.data.aggregate import Min, Sum
 
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
@@ -503,33 +479,29 @@ def corpus_heaps_law(sf_dir: str, plan: str = "auto"):
         flat = pc.list_flatten(toks)
         parents = pc.list_parent_indices(toks).to_numpy(zero_copy_only=False)
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)[parents]
-        t = pa.table({"token": flat, "doc_id": pa.array(ids, pa.int64())})
-        g = t.group_by("token").aggregate([("doc_id", "min")])
-        return g.rename_columns(["token", "first_doc"])
-
-    import ray.data
+        return pa.table({"token": flat, "first_doc": pa.array(ids, pa.int64())})
 
     ds = _docs(sf_dir)
     counted = ds.map_batches(per_doc, batch_format="pyarrow").materialize()
 
     # vocabulary-bounded: one row per distinct token after the merge
-    firsts = (
-        ds.map_batches(token_firsts, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Min(on="first_doc", alias_name="first_doc"))
+    firsts = group_count(
+        ds.map_batches(token_firsts, batch_format="pyarrow"),
+        "token",
+        count=None,
+        aggs={"first_doc": ("first_doc", "min")},
     )
 
     def first_counts(b: pa.Table) -> pa.Table:
         ids = b["first_doc"].to_numpy(zero_copy_only=False)
-        t = pa.table(
+        return pa.table(
             {"doc_id": b["first_doc"], "rng": pa.array(ids // _HEAPS_W, pa.int64())}
         )
-        return group_count_batch(t, ["doc_id", "rng"], count="ft")
 
-    ft = (
-        firsts.map_batches(first_counts, batch_format="pyarrow")
-        .groupby(["doc_id", "rng"])
-        .aggregate(Sum(on="ft", alias_name="ft"))
+    ft = group_count(
+        firsts.map_batches(first_counts, batch_format="pyarrow"),
+        ["doc_id", "rng"],
+        count="ft",
     )
 
     # pass 1: coarse range totals -> tiny driver table -> base offsets
@@ -631,24 +603,16 @@ def doc_lang_confusion(sf_dir: str):
     vectorized lang_id pass as doc_lang_id and pre-aggregates to
     (declared, predicted, count) — the exchange is bounded by
     |langs|^2 x batches, never the document stream."""
-    import ray.data
-    from ray.data.aggregate import Sum
-
     def partial(batch: pa.Table) -> pa.Table:
         out = lang_id_batch(batch)
-        t = pa.table(
-            {"declared": batch["lang"], "predicted": out["lang_pred"]}
-        )
-        g = t.group_by(["declared", "predicted"]).aggregate(
-            [("predicted", "count")]
-        )
-        return g.rename_columns(["declared", "predicted", "c"])
+        return pa.table({"declared": batch["lang"], "predicted": out["lang_pred"]})
 
-    return (
-        _docs(sf_dir, columns=("doc_id", "text", "lang"))
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["declared", "predicted"])
-        .aggregate(Sum(on="c", alias_name="docs"))
+    return group_count(
+        _docs(sf_dir, columns=("doc_id", "text", "lang")).map_batches(
+            partial, batch_format="pyarrow"
+        ),
+        ["declared", "predicted"],
+        count="docs",
     )
 
 
@@ -685,29 +649,16 @@ def token_prefix_autocomplete(sf_dir: str):
     segment-boundary take over the merged vocabulary table — never a
     per-prefix loop. Ties break (count desc, token asc) on both
     engines."""
-    import pandas as pd
-    from ray.data.aggregate import Sum
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partial(batch: pa.Table) -> pa.Table:
         tokens = tokenize_column(batch["text"]).combine_chunks()
         flat = pc.list_flatten(tokens)
-        flat = flat.filter(
-            pc.greater_equal(pc.utf8_length(flat), 3)
-        )
-        vc = flat.value_counts()
-        return pa.table(
-            {"token": vc.field("values"), "cnt": vc.field("counts")}
-        )
+        return pa.table({"token": flat.filter(pc.greater_equal(pc.utf8_length(flat), 3))})
 
-    merged = (
-        _docs(sf_dir)
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
-        .to_pandas()  # bounded: vocabulary
-    )
+    merged = group_count(
+        _docs(sf_dir).map_batches(partial, batch_format="pyarrow"), "token"
+    ).to_pandas()  # bounded: vocabulary
     tok = merged["token"].to_numpy()
     cnt = merged["cnt"].to_numpy(np.int64)
     prefix = np.array([t[:3] for t in tok])
@@ -758,8 +709,6 @@ def doc_readability(sf_dir: str):
     engines evaluate the identical double expression per row, which is
     bit-deterministic (no reduction, no sum order), unlike a rounded
     value whose half-even/half-away boundary could diverge."""
-    import ray.data
-
     ds = _docs(sf_dir)
 
     def score(b: pa.Table) -> pa.Table:
@@ -828,9 +777,6 @@ def doc_sentence_stats(sf_dir: str):
     repeated onto the flat rows from the list offsets; the only
     exchange is the |langs|-bounded final groupby over per-batch
     partials."""
-    import ray.data
-    from ray.data.aggregate import Sum
-
     def partial(b: pa.Table) -> pa.Table:
         text = b["text"]
         if isinstance(text, pa.ChunkedArray):
@@ -849,24 +795,18 @@ def doc_sentence_stats(sf_dir: str):
         # matching SQL's unnest(NULL) producing no rows
         keep &= pc.is_valid(flat).to_numpy(zero_copy_only=False)
         lens = pc.utf8_length(flat).to_numpy(zero_copy_only=False).astype(np.int64)
-        t = pa.table(
+        return pa.table(
             {
                 "lang": pa.array(langs[keep].tolist(), pa.string()),
                 "chars": pa.array(lens[keep], pa.int64()),
             }
         )
-        return group_count_batch(
-            t, ["lang"], {"chars": "sum_chars"}, count="n_sentences"
-        )
 
-    return (
-        _docs(sf_dir, columns=("text", "lang"))
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(
-            Sum(on="n_sentences", alias_name="n_sentences"),
-            Sum(on="sum_chars", alias_name="sum_chars"),
-        )
+    return group_count(
+        _docs(sf_dir, columns=("text", "lang")).map_batches(partial, batch_format="pyarrow"),
+        "lang",
+        {"chars": "sum_chars"},
+        count="n_sentences",
     )
 
 
@@ -894,9 +834,6 @@ def source_simpson_diversity(sf_dir: str):
     Two bounded exchanges: per-batch (source, token) partial counts →
     vocab-bounded groupby; per-source moment partials → |sources|-bounded
     groupby."""
-    import ray.data
-    from ray.data.aggregate import Sum
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def tok_partial(b: pa.Table) -> pa.Table:
@@ -907,40 +844,36 @@ def source_simpson_diversity(sf_dir: str):
         src = np.repeat(np.asarray(b["source"].to_pylist(), object), counts)
         keep = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
         keep &= pc.is_valid(flat).to_numpy(zero_copy_only=False)
-        t = pa.table(
+        return pa.table(
             {
                 "source": pa.array(src[keep].tolist(), pa.string()),
                 "token": flat.filter(pa.array(keep)),
             }
         )
-        return group_count_batch(t, ["source", "token"], count="n")
 
-    per_token = (
-        _docs(sf_dir, columns=("text", "source"))
-        .map_batches(tok_partial, batch_format="pyarrow")
-        .groupby(["source", "token"])
-        .aggregate(Sum(on="n", alias_name="n"))
+    per_token = group_count(
+        _docs(sf_dir, columns=("text", "source")).map_batches(
+            tok_partial, batch_format="pyarrow"
+        ),
+        ["source", "token"],
+        count="n",
     )
 
     def moment_partial(b: pa.Table) -> pa.Table:
         n = b["n"].to_numpy(zero_copy_only=False)
-        t = pa.table(
+        return pa.table(
             {
                 "source": b["source"],
                 "num": pa.array(n * (n - 1), pa.int64()),
                 "N": pa.array(n, pa.int64()),
             }
         )
-        return (
-            t.group_by("source")
-            .aggregate([("num", "sum"), ("N", "sum")])
-            .rename_columns(["source", "num", "N"])
-        )
 
-    agg = (
-        per_token.map_batches(moment_partial, batch_format="pyarrow")
-        .groupby("source")
-        .aggregate(Sum(on="num", alias_name="num"), Sum(on="N", alias_name="N"))
+    agg = group_count(
+        per_token.map_batches(moment_partial, batch_format="pyarrow"),
+        "source",
+        {"num": "num", "N": "N"},
+        count=None,
     )
 
     def finish(b: pa.Table) -> pa.Table:
@@ -989,39 +922,21 @@ def char_trigram_topk(sf_dir: str):
     shuffle moves packed-int partial counts, never strings; only the 50
     winning keys decode back to text on the driver. Oracle parity:
     substring() indexes CHARACTERS on both engines."""
-    import ray.data
-    from ray.data.aggregate import Sum
-
     def partial(b: pa.Table) -> pa.Table:
         texts = [t for t in b["text"].to_pylist() if t is not None]
-        if not texts:
-            return pa.table(
-                {"key": pa.array([], pa.int64()), "cnt": pa.array([], pa.int64())}
-            )
         joined = "\x00".join(texts)
         cp = np.frombuffer(joined.encode("utf-32-le"), np.uint32).astype(np.int64)
         if len(cp) < 3:
-            return pa.table(
-                {"key": pa.array([], pa.int64()), "cnt": pa.array([], pa.int64())}
-            )
+            return pa.table({"key": pa.array([], pa.int64())})
         w = np.lib.stride_tricks.sliding_window_view(cp, 3)
         valid = (w != 0).all(axis=1)
         keys = w[valid, 0] | (w[valid, 1] << 21) | (w[valid, 2] << 42)
-        uk, counts = np.unique(keys, return_counts=True)
-        return pa.table(
-            {
-                "key": pa.array(uk, pa.int64()),
-                "cnt": pa.array(counts.astype(np.int64), pa.int64()),
-            }
-        )
+        return pa.table({"key": pa.array(keys, pa.int64())})
 
-    agg = (
-        _docs(sf_dir, columns=("text",))
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("key")
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
-        .to_pandas()  # bounded: distinct trigrams (alphabet³ ceiling)
-    )
+    agg = group_count(
+        _docs(sf_dir, columns=("text",)).map_batches(partial, batch_format="pyarrow"),
+        "key",
+    ).to_pandas()  # bounded: distinct trigrams (alphabet³ ceiling)
     agg["trigram"] = [
         chr(k & 0x1FFFFF) + chr((k >> 21) & 0x1FFFFF) + chr((k >> 42) & 0x1FFFFF)
         for k in agg["key"]
@@ -1054,9 +969,6 @@ def doc_ascii_ratio(sf_dir: str):
     mis-decoded upstream). Exact integer rationals (ascii_chars,
     total_chars); counting is one vectorized codepoint-range test over
     the batch's flat codepoint buffer. One |sources|-bounded exchange."""
-    import ray.data
-    from ray.data.aggregate import Sum
-
     def partial(b: pa.Table) -> pa.Table:
         srcs, asc, tot = [], [], []
         for s, t in zip(b["source"].to_pylist(), b["text"].to_pylist()):
@@ -1066,27 +978,21 @@ def doc_ascii_ratio(sf_dir: str):
             srcs.append(s)
             asc.append(int(((cp >= 0x20) & (cp <= 0x7E)).sum()))
             tot.append(len(cp))
-        t = pa.table(
+        return pa.table(
             {
                 "source": pa.array(srcs, pa.string()),
                 "ascii_chars": pa.array(asc, pa.int64()),
                 "total_chars": pa.array(tot, pa.int64()),
             }
         )
-        return (
-            t.group_by("source")
-            .aggregate([("ascii_chars", "sum"), ("total_chars", "sum")])
-            .rename_columns(["source", "ascii_chars", "total_chars"])
-        )
 
-    return (
-        _docs(sf_dir, columns=("text", "source"))
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("source")
-        .aggregate(
-            Sum(on="ascii_chars", alias_name="ascii_chars"),
-            Sum(on="total_chars", alias_name="total_chars"),
-        )
+    return group_count(
+        _docs(sf_dir, columns=("text", "source")).map_batches(
+            partial, batch_format="pyarrow"
+        ),
+        "source",
+        {"ascii_chars": "ascii_chars", "total_chars": "total_chars"},
+        count=None,
     )
 
 
@@ -1116,9 +1022,6 @@ def doc_hapax_trigrams(sf_dir: str):
     final tally groups the count=1 rows by doc. Trigram construction is
     three shifted views of the flat token buffer joined in one Arrow
     kernel, masked where a window crosses a document boundary."""
-    import ray.data
-    from ray.data.aggregate import Min, Sum
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partial(b: pa.Table) -> pa.Table:
@@ -1132,42 +1035,36 @@ def doc_hapax_trigrams(sf_dir: str):
         )
         if n < 3:
             return pa.table(
-                {
-                    "g": pa.array([], pa.string()),
-                    "c": pa.array([], pa.int64()),
-                    "d": pa.array([], pa.int64()),
-                }
+                {"g": pa.array([], pa.string()), "doc_id": pa.array([], pa.int64())}
             )
         grams = pc.binary_join_element_wise(
             flat.slice(0, n - 2), flat.slice(1, n - 2), flat.slice(2, n - 2),
             " ",
         )
         same_doc = doc[: n - 2] == doc[2:]
-        t = pa.table(
+        return pa.table(
             {
                 "g": grams.filter(pa.array(same_doc)),
                 "doc_id": pa.array(doc[: n - 2][same_doc], pa.int64()),
             }
         )
-        return group_count_batch(t, ["g"], count="c", aggs={"d": ("doc_id", "min")})
 
-    per_gram = (
-        _docs(sf_dir, columns=("doc_id", "text"))
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("g")
-        .aggregate(Sum(on="c", alias_name="c"), Min(on="d", alias_name="d"))
+    per_gram = group_count(
+        _docs(sf_dir, columns=("doc_id", "text")).map_batches(
+            partial, batch_format="pyarrow"
+        ),
+        "g",
+        count="c",
+        aggs={"d": ("doc_id", "min")},
     )
 
     def tally(b: pa.Table) -> pa.Table:
-        b = b.filter(pc.equal(b["c"], 1))
-        return group_count_batch(
-            pa.table({"doc_id": b["d"]}), ["doc_id"], count="n_hapax_trigrams"
-        )
+        return pa.table({"doc_id": b.filter(pc.equal(b["c"], 1))["d"]})
 
-    return (
-        per_gram.map_batches(tally, batch_format="pyarrow")
-        .groupby("doc_id")
-        .aggregate(Sum(on="n_hapax_trigrams", alias_name="n_hapax_trigrams"))
+    return group_count(
+        per_gram.map_batches(tally, batch_format="pyarrow"),
+        "doc_id",
+        count="n_hapax_trigrams",
     )
 
 
@@ -1201,9 +1098,6 @@ def doc_windowed_ttr(sf_dir: str):
     offsets, per-batch distinct (doc, window, token) via Arrow group_by,
     one distinct-triple groupby (bounded by token volume), then the
     doc-keyed rollup of window partials."""
-    import ray.data
-    from ray.data.aggregate import Sum
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partial(b: pa.Table) -> pa.Table:
@@ -1223,37 +1117,17 @@ def doc_windowed_ttr(sf_dir: str):
                 "token": flat.filter(pa.array(keep)),
             }
         )
-        return t.group_by(["doc_id", "w", "token"]).aggregate([])
+        return t
 
-    triples = (
-        _docs(sf_dir, columns=("doc_id", "text"))
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["doc_id", "w", "token"])
-        .count()
+    triples = group_count(
+        _docs(sf_dir, columns=("doc_id", "text")).map_batches(
+            partial, batch_format="pyarrow"
+        ),
+        ["doc_id", "w", "token"],
     )
 
-    wins = (
-        triples.map_batches(
-            lambda b: group_count_batch(b, ["doc_id", "w"], count="d"),
-            batch_format="pyarrow",
-        )
-        .groupby(["doc_id", "w"])
-        .aggregate(Sum(on="d", alias_name="d"))
-    )
-
-    def doc_partial(b: pa.Table) -> pa.Table:
-        return group_count_batch(
-            b, ["doc_id"], {"d": "sum_distinct"}, count="n_windows"
-        )
-
-    return (
-        wins.map_batches(doc_partial, batch_format="pyarrow")
-        .groupby("doc_id")
-        .aggregate(
-            Sum(on="n_windows", alias_name="n_windows"),
-            Sum(on="sum_distinct", alias_name="sum_distinct"),
-        )
-    )
+    wins = group_count(triples, ["doc_id", "w"], count="d")
+    return group_count(wins, "doc_id", {"d": "sum_distinct"}, count="n_windows")
 
 
 @register(
@@ -1279,9 +1153,6 @@ def token_burstiness(sf_dir: str):
     TF-IDF-family weighting rests on. Two bounded exchanges: per-batch
     (token, doc) count partials → (vocab x doc)-bounded groupby, then
     per-token moment partials → vocab-bounded groupby."""
-    import ray.data
-    from ray.data.aggregate import Max, Sum
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partial(b: pa.Table) -> pa.Table:
@@ -1300,28 +1171,17 @@ def token_burstiness(sf_dir: str):
                 "doc_id": pa.array(doc[keep], pa.int64()),
             }
         )
-        return group_count_batch(t, ["token", "doc_id"], count="tf")
+        return t
 
-    tf = (
-        _docs(sf_dir, columns=("doc_id", "text"))
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["token", "doc_id"])
-        .aggregate(Sum(on="tf", alias_name="tf"))
+    tf = group_count(
+        _docs(sf_dir, columns=("doc_id", "text")).map_batches(
+            partial, batch_format="pyarrow"
+        ),
+        ["token", "doc_id"],
+        count="tf",
     )
-
-    def moment_partial(b: pa.Table) -> pa.Table:
-        return group_count_batch(
-            b, ["token"], {"tf": "cf"}, count="df", aggs={"max_tf": ("tf", "max")}
-        )
-
-    return (
-        tf.map_batches(moment_partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(
-            Sum(on="cf", alias_name="cf"),
-            Sum(on="df", alias_name="df"),
-            Max(on="max_tf", alias_name="max_tf"),
-        )
+    return group_count(
+        tf, "token", {"tf": "cf"}, count="df", aggs={"max_tf": ("tf", "max")}
     )
 
 
@@ -1354,9 +1214,6 @@ def token_positional_bias(sf_dir: str):
     boilerplate classifiers feed on. Vectorized: per-batch flat-buffer
     ordinals, (doc, token) Min via Arrow group_by partials, then the
     vocab-bounded moment rollup."""
-    import ray.data
-    from ray.data.aggregate import Min, Sum
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partial(b: pa.Table) -> pa.Table:
@@ -1379,35 +1236,18 @@ def token_positional_bias(sf_dir: str):
                 "L": pa.array(L[keep], pa.int64()),
             }
         )
-        return (
-            t.group_by(["doc_id", "token"])
-            .aggregate([("fo", "min"), ("L", "min")])
-            .rename_columns(["doc_id", "token", "fo", "L"])
-        )
+        return t
 
-    first = (
-        _docs(sf_dir, columns=("doc_id", "text"))
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["doc_id", "token"])
-        .aggregate(
-            Min(on="fo", alias_name="fo"),
-            Min(on="L", alias_name="L"),
-        )
+    first = group_count(
+        _docs(sf_dir, columns=("doc_id", "text")).map_batches(
+            partial, batch_format="pyarrow"
+        ),
+        ["doc_id", "token"],
+        count=None,
+        aggs={"fo": ("fo", "min"), "L": ("L", "min")},
     )
-
-    def moment_partial(b: pa.Table) -> pa.Table:
-        sums = {"fo": "sum_first_ord", "L": "sum_doc_len"}
-        return group_count_batch(b, ["token"], sums, count="n_docs")
-
-    return (
-        first.map_batches(moment_partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(
-            Sum(on="n_docs", alias_name="n_docs"),
-            Sum(on="sum_first_ord", alias_name="sum_first_ord"),
-            Sum(on="sum_doc_len", alias_name="sum_doc_len"),
-        )
-    )
+    sums = {"fo": "sum_first_ord", "L": "sum_doc_len"}
+    return group_count(first, "token", sums, count="n_docs")
 
 
 @register(
@@ -1438,9 +1278,6 @@ def source_phrase_overlap(sf_dir: str):
     exact low-half + source-order filter; the pair tally is
     |sources|²-bounded. The 128-bit key makes a false shared-phrase a
     cryptographic event, same contract as dedup_exact."""
-    import ray.data
-    from ray.data.aggregate import Sum
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
     from sciscraper_ray.stages.relational import bucketed_hash_join
 
@@ -1476,17 +1313,14 @@ def source_phrase_overlap(sf_dir: str):
                 "h2": pa.array(h2, pa.int64()),
             }
         )
-        return t.group_by(["source", "h1", "h2"]).aggregate([])
+        return t
 
-    distinct = (
-        _docs(sf_dir, columns=("text", "source"))
-        .map_batches(gram_partial, batch_format="pyarrow")
-        .groupby(["source", "h1", "h2"])
-        .count()
-        .map_batches(
-            lambda b: b.select(["source", "h1", "h2"]), batch_format="pyarrow"
-        )
-    )
+    distinct = group_count(
+        _docs(sf_dir, columns=("text", "source")).map_batches(
+            gram_partial, batch_format="pyarrow"
+        ),
+        ["source", "h1", "h2"],
+    ).drop_columns(["cnt"])
     right = distinct.map_batches(
         lambda b: pa.table(
             {"source_b": b["source"], "g1": b["h1"], "g2": b["h2"]}
@@ -1501,13 +1335,12 @@ def source_phrase_overlap(sf_dir: str):
             pc.less(b["source"], b["source_b"]),
         )
         b = b.filter(keep)
-        t = pa.table({"source_a": b["source"], "source_b": b["source_b"]})
-        return group_count_batch(t, ["source_a", "source_b"], count="n_shared")
+        return pa.table({"source_a": b["source"], "source_b": b["source_b"]})
 
-    return (
-        joined.map_batches(pair_partial, batch_format="pyarrow")
-        .groupby(["source_a", "source_b"])
-        .aggregate(Sum(on="n_shared", alias_name="n_shared"))
+    return group_count(
+        joined.map_batches(pair_partial, batch_format="pyarrow"),
+        ["source_a", "source_b"],
+        count="n_shared",
     )
 
 
@@ -1529,9 +1362,6 @@ def lang_bpe_fertility(sf_dir: str):
     compression-ratio number that decides how expensive a language is
     to train on. One pass computes both counts (compiled regex + flat
     tokenize offsets); one |langs|-bounded exchange."""
-    import ray.data
-    from ray.data.aggregate import Sum
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
     from sciscraper_ray.stages.textstats import _BPE_RE
 
@@ -1551,25 +1381,19 @@ def lang_bpe_fertility(sf_dir: str):
         ).astype(np.int64)
         cum = np.concatenate(([0], np.cumsum(nonempty)))
         words = cum[offs[1:]] - cum[offs[:-1]]
-        t = pa.table(
+        return pa.table(
             {
                 "lang": b["lang"],
                 "sum_bpe": pa.array(bpe, pa.int64()),
                 "sum_words": pa.array(words, pa.int64()),
             }
         )
-        sums = {"sum_bpe": "sum_bpe", "sum_words": "sum_words"}
-        return group_count_batch(t, ["lang"], sums, count="n_docs")
 
-    return (
-        _docs(sf_dir, columns=("text", "lang"))
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(
-            Sum(on="sum_bpe", alias_name="sum_bpe"),
-            Sum(on="sum_words", alias_name="sum_words"),
-            Sum(on="n_docs", alias_name="n_docs"),
-        )
+    return group_count(
+        _docs(sf_dir, columns=("text", "lang")).map_batches(partial, batch_format="pyarrow"),
+        "lang",
+        {"sum_bpe": "sum_bpe", "sum_words": "sum_words"},
+        count="n_docs",
     )
 
 
@@ -1594,8 +1418,6 @@ def doc_lead_sentence(sf_dir: str):
     selection: trim + non-empty mask on the flat segment buffer, then
     one np.minimum.reduceat of masked positions per document — no
     Python per row; docs with no sentence yield null."""
-    import ray.data
-
     def partial(b: pa.Table) -> pa.Table:
         text = b["text"]
         if isinstance(text, pa.ChunkedArray):
@@ -1648,8 +1470,6 @@ def _trigram_count_hist(sf_dir: str):
     collapses the per-gram counts to the histogram. The driver receives
     only (distinct frequency, type count) rows.
     """
-    from ray.data.aggregate import Sum
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partial(b: pa.Table) -> pa.Table:
@@ -1658,9 +1478,7 @@ def _trigram_count_hist(sf_dir: str):
         flat = toks.values
         n = len(flat)
         if n < 3:
-            return pa.table(
-                {"g": pa.array([], pa.string()), "c": pa.array([], pa.int64())}
-            )
+            return pa.table({"g": pa.array([], pa.string())})
         doc = np.repeat(
             np.arange(len(b), dtype=np.int64), np.diff(offs)
         )
@@ -1669,22 +1487,18 @@ def _trigram_count_hist(sf_dir: str):
             " ",
         )
         same_doc = doc[: n - 2] == doc[2:]
-        t = pa.table({"g": grams.filter(pa.array(same_doc))})
-        return group_count_batch(t, ["g"], count="c")
+        return pa.table({"g": grams.filter(pa.array(same_doc))})
 
-    per_gram = (
-        _docs(sf_dir, columns=("doc_id", "text"))
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("g")
-        .aggregate(Sum(on="c", alias_name="r"))
+    per_gram = group_count(
+        _docs(sf_dir, columns=("doc_id", "text")).map_batches(
+            partial, batch_format="pyarrow"
+        ),
+        "g",
+        count="r",
     )
 
     return (
-        per_gram.map_batches(
-            lambda b: group_count_batch(b, ["r"], count="n_r"), batch_format="pyarrow"
-        )
-        .groupby("r")
-        .aggregate(Sum(on="n_r", alias_name="n_r"))
+        group_count(per_gram, "r", count="n_r")
         .to_pandas()  # bounded: |r frequency classes|
         .sort_values("r", ignore_index=True)
     )
@@ -1845,8 +1659,6 @@ def doc_sorted_lcp(sf_dir: str):
     stitches the B boundary LCPs (B = num ranges, not data-sized), and
     a broadcast patch pass fixes exactly those rows. Total exchange:
     one B-way partition of (doc_id, text) plus B boundary rows."""
-    import ray.data
-
     NUM_RANGES = 16
     SAMPLE_MOD = 13
 
@@ -1976,8 +1788,6 @@ def token_ams_f2(sf_dir: str):
     The exact true_f2 rides the trigram count HISTOGRAM (sum r^2*N_r),
     reusing _trigram_count_hist's one bounded exchange — the audit
     column is what costs a shuffle, never the sketch."""
-    from ray.data.aggregate import Sum
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def partial(b: pa.Table) -> pa.Table:
@@ -2004,10 +1814,14 @@ def token_ams_f2(sf_dir: str):
         )
 
     zj = (
-        _docs(sf_dir, columns=("doc_id", "text"))
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("j")
-        .aggregate(Sum(on="z", alias_name="z"))
+        group_count(
+            _docs(sf_dir, columns=("doc_id", "text")).map_batches(
+                partial, batch_format="pyarrow"
+            ),
+            "j",
+            {"z": "z"},
+            count=None,
+        )
         .to_pandas()  # bounded: |j positions|
         .sort_values("j", ignore_index=True)
     )
@@ -2068,8 +1882,6 @@ def token_rake_stats(sf_dir: str):
     computed per batch with np.cumsum over the flattened token stream
     (document boundaries salt the id so phrases never span docs); the
     per-word aggregate is vocabulary-bounded."""
-    from ray.data.aggregate import Sum
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     stops = set(_RAKE_STOPS)
@@ -2081,11 +1893,7 @@ def token_rake_stats(sf_dir: str):
         n = len(flat)
         if n == 0:
             return pa.table(
-                {
-                    "token": pa.array([], pa.string()),
-                    "freq": pa.array([], pa.int64()),
-                    "deg": pa.array([], pa.int64()),
-                }
+                {"token": pa.array([], pa.string()), "deg": pa.array([], pa.int64())}
             )
         doc = np.repeat(np.arange(len(b), dtype=np.int64), np.diff(offs))
         is_stop = pc.is_in(
@@ -2102,21 +1910,20 @@ def token_rake_stats(sf_dir: str):
         starts = np.flatnonzero(np.r_[True, kk[1:] != kk[:-1]])
         seg_len = np.diff(np.r_[starts, len(kk)])
         plen = np.repeat(seg_len, seg_len)
-        t = pa.table(
+        return pa.table(
             {
                 "token": pa.array(flat.filter(pa.array(keep))),
                 "deg": pa.array(plen.astype(np.int64)),
             }
         )
-        return group_count_batch(t, ["token"], {"deg": "deg"}, count="freq")
 
-    return (
-        _docs(sf_dir, columns=("doc_id", "text"))
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(
-            Sum(on="freq", alias_name="freq"), Sum(on="deg", alias_name="deg")
-        )
+    return group_count(
+        _docs(sf_dir, columns=("doc_id", "text")).map_batches(
+            partial, batch_format="pyarrow"
+        ),
+        "token",
+        {"deg": "deg"},
+        count="freq",
     )
 
 
@@ -2189,8 +1996,9 @@ def doc_texttiling_boundaries(sf_dir: str):
         mb = int(blk.max()) + 2
         dbk = doc * mb + blk
         key = dbk * v + wid
-        uk, c = np.unique(key, return_counts=True)
-        c = c.astype(np.int64)
+        t = group_count_batch(pa.table({"k": key}), ["k"], count="c").sort_by("k")
+        uk = t["k"].to_numpy()
+        c = t["c"].to_numpy()
         # norms per doc-block
         nn = np.zeros(len(b) * mb, np.int64)
         np.add.at(nn, uk // v, c * c)
@@ -2270,8 +2078,6 @@ def token_stupid_backoff(sf_dir: str):
     vocabulary-bounded, never corpus-bounded. Completes the LM
     smoothing family next to token_kn_continuation (KN),
     token_good_turing (GT) and doc_bigram_lm_ppl (add-k)."""
-    from ray.data.aggregate import Sum
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
     def bigram_partial(b: pa.Table) -> pa.Table:
@@ -2281,45 +2087,27 @@ def token_stupid_backoff(sf_dir: str):
         n = len(flat)
         if n < 2:
             return pa.table(
-                {
-                    "w1": pa.array([], pa.string()),
-                    "w2": pa.array([], pa.string()),
-                    "c12": pa.array([], pa.int64()),
-                }
+                {"w1": pa.array([], pa.string()), "w2": pa.array([], pa.string())}
             )
         doc = np.repeat(np.arange(len(b), dtype=np.int64), np.diff(offs))
         same = pa.array(doc[: n - 1] == doc[1:])
-        t = pa.table(
+        return pa.table(
             {
                 "w1": flat.slice(0, n - 1).filter(same),
                 "w2": flat.slice(1, n - 1).filter(same),
             }
         )
-        return group_count_batch(t, ["w1", "w2"], count="c12")
 
     def unigram_partial(b: pa.Table) -> pa.Table:
-        flat = pc.list_flatten(tokenize_column(b["text"]))
-        vc = flat.value_counts()
-        return pa.table(
-            {
-                "w": vc.field("values"),
-                "c": pc.cast(vc.field("counts"), pa.int64()),
-            }
-        )
+        return pa.table({"w": pc.list_flatten(tokenize_column(b["text"]))})
 
     docs = _docs(sf_dir, columns=("doc_id", "text"))
-    bi = (
-        docs.map_batches(bigram_partial, batch_format="pyarrow")
-        .groupby(["w1", "w2"])
-        .aggregate(Sum(on="c12", alias_name="c12"))
-        .to_pandas()  # bounded: bigram vocabulary post-aggregate (Heaps-law)
-    )
-    un = (
-        docs.map_batches(unigram_partial, batch_format="pyarrow")
-        .groupby("w")
-        .aggregate(Sum(on="c", alias_name="c"))
-        .to_pandas()  # bounded: vocabulary post-aggregate
-    )
+    bi = group_count(
+        docs.map_batches(bigram_partial, batch_format="pyarrow"), ["w1", "w2"], count="c12"
+    ).to_pandas()  # bounded: bigram vocabulary post-aggregate (Heaps-law)
+    un = group_count(
+        docs.map_batches(unigram_partial, batch_format="pyarrow"), "w", count="c"
+    ).to_pandas()  # bounded: vocabulary post-aggregate
     words = un["w"].tolist()
     c_of = dict(zip(words, un["c"].astype(int)))
     c12_of = {
@@ -2453,7 +2241,6 @@ def token_postings_varbyte_size(sf_dir: str):
     the vocab-bounded groupby becomes the bucketed lexsort segment scan
     the delta-stats op already documents — same outputs."""
     import pandas as pd
-    from ray.data.aggregate import Count
 
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
@@ -2536,7 +2323,6 @@ def token_chi2_keyness(sf_dir: str):
     stay under 2^53 here; at 10^12-token scale the driver fold swaps to
     Python big ints (the HHI lesson) with the same emitted doubles."""
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.kernels.tokenize import tokenize_column
 
@@ -2549,25 +2335,20 @@ def token_chi2_keyness(sf_dir: str):
         counts = np.diff(np.asarray(toks.offsets, np.int64))
         is_en = pc.equal(b["lang"], "en").to_numpy(zero_copy_only=False)
         grp = np.repeat(is_en.astype(np.int64), counts)
-        t = pa.table(
+        return pa.table(
             {
                 "token": toks.values,
                 "k_en": pa.array(grp, pa.int64()),
                 "k_rest": pa.array(1 - grp, pa.int64()),
             }
         )
-        g = t.group_by("token").aggregate([("k_en", "sum"), ("k_rest", "sum")])
-        return g.rename_columns(["token", "k_en", "k_rest"])
 
-    cnt = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(
-            Sum(on="k_en", alias_name="k_en"),
-            Sum(on="k_rest", alias_name="k_rest"),
-        )
-        .to_pandas()  # bounded: vocabulary
-    )
+    cnt = group_count(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        "token",
+        {"k_en": "k_en", "k_rest": "k_rest"},
+        count=None,
+    ).to_pandas()  # bounded: vocabulary
     k_en = cnt["k_en"].to_numpy(np.int64)
     k_rest = cnt["k_rest"].to_numpy(np.int64)
     n_en = int(k_en.sum())
@@ -3390,8 +3171,6 @@ def token_symspell_neighbors(sf_dir: str):
     handful of neighbors, OCR shards spike. Exchange is vocabulary-
     bounded end to end; the per-batch stage only emits distinct
     tokens."""
-    import pandas as pd
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
     from sciscraper_ray.pipelines.dedup import levenshtein_np
 
@@ -3488,24 +3267,16 @@ def token_subsample_mikolov(sf_dir: str):
     Per-batch (token, orig, kept) partials keep the exchange
     vocab-bounded; the oracle replays the same md5 coin and the same
     double threshold, collision-for-collision."""
-    import pandas as pd
-
     from sciscraper_ray.kernels.tokenize import tokenize_column
-    from ray.data.aggregate import Sum
 
     # pass 1: global frequencies (vocab-bounded)
     def freq_partial(batch: pa.Table) -> pa.Table:
         toks = tokenize_column(batch["text"]).combine_chunks()
-        flat = pc.list_flatten(toks)
-        return group_count_batch(pa.table({"token": flat}), ["token"])
+        return pa.table({"token": pc.list_flatten(toks)})
 
-    freq = (
-        _docs(sf_dir)
-        .map_batches(freq_partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
-        .to_pandas()  # bounded: |j cells| post-aggregate
-    )
+    freq = group_count(
+        _docs(sf_dir).map_batches(freq_partial, batch_format="pyarrow"), "token"
+    ).to_pandas()  # bounded: |j cells| post-aggregate
     total = float(freq["cnt"].sum())
     f = freq["cnt"].to_numpy(np.int64) / total
     keep_p = np.minimum(1.0, np.sqrt(_SUBSAMPLE_T / f) + _SUBSAMPLE_T / f)
@@ -3601,8 +3372,6 @@ def source_burrows_delta(sf_dir: str):
     z-profile matrix and all pairwise deltas are one vectorized pass.
     Population sd computed as sqrt(E[f^2]-E[f]^2) identically on both
     sides; round(,8) pins the 15-term averages."""
-    import pandas as pd
-
     def partials(batch: pa.Table) -> pa.Table:
         return group_count_batch(_tokens_by(batch, "source"), ["source", "token"])
 

@@ -22,7 +22,7 @@ from sciscraper_ray.pipelines.queries.retrieval import (
     _REF_TARGETS_SQL,
     _host_sql,
 )
-from sciscraper_ray.stages.relational import group_count_batch
+from sciscraper_ray.stages.relational import group_count, group_count_batch
 
 _ANF_HORIZON = 6  # neighborhood-function horizon: the curve flattens well
 
@@ -52,9 +52,6 @@ def page_link_graph(sf_dir: str):
     bounded by hosts², never per-link rows), then a tiny groupby-Sum.
     Link targets are the synthesizer's deterministic ``ref_targets`` so
     the oracle rebuilds the edge list from pure arithmetic."""
-    import pandas as pd
-    from ray.data.aggregate import Sum
-
     from sciscraper_ray.sources.page_synth import host_for, render_html
     from sciscraper_ray.stages.dom_select import select_links
 
@@ -70,19 +67,15 @@ def page_link_graph(sf_dir: str):
             for href, _anchor in select_links(page, "section.refs a"):
                 src.append(s)
                 dst.append(href.split("/")[2])
-        vc = (
-            pd.DataFrame({"src_host": src, "dst_host": dst})
-            .value_counts()
-            .rename("cnt")
-            .reset_index()
+        return pa.table(
+            {"src_host": pa.array(src, pa.string()), "dst_host": pa.array(dst, pa.string())}
         )
-        return pa.Table.from_pandas(vc, preserve_index=False)
 
-    return (
-        _docs(sf_dir, columns=("doc_id", "text", "lang"))
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["src_host", "dst_host"])
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
+    return group_count(
+        _docs(sf_dir, columns=("doc_id", "text", "lang")).map_batches(
+            partial, batch_format="pyarrow"
+        ),
+        ["src_host", "dst_host"],
     )
 
 
@@ -225,17 +218,12 @@ def link_indegree_histogram(sf_dir: str):
     (exchange bounded by distinct targets, never per-link rows), then
     per-block histogram partials over the degree column merge on the
     driver (rows = distinct degree VALUES — tiny by construction)."""
-    from ray.data.aggregate import Sum
-
     def deg_partial(batch: pa.Table) -> pa.Table:
         t = pa.table({"indegree": batch["cnt"]})
         return group_count_batch(t, ["indegree"], count="n_pages")
 
     parts = (
-        _doc_edges(sf_dir)
-        .map_batches(lambda b: group_count_batch(b, ["dst"]), batch_format="pyarrow")
-        .groupby("dst")
-        .aggregate(Sum(on="cnt", alias_name="cnt"))
+        group_count(_doc_edges(sf_dir), "dst")
         .map_batches(deg_partial, batch_format="pyarrow")
         .to_pandas()  # bounded: node id space (synth targets < 997)
     )
@@ -354,15 +342,8 @@ def crawl_schedule_waves(sf_dir: str):
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
         hosts = np.array([host_for(int(i)) for i in ids])
         rng = ids // _CRAWL_RANGE_W
-        import pandas as pd
-
-        vc = (
-            pd.DataFrame({"host": hosts, "rng": rng})
-            .value_counts()
-            .rename("c")
-            .reset_index()
-        )
-        return pa.Table.from_pandas(vc, preserve_index=False)
+        t = pa.table({"host": pa.array(hosts, pa.string()), "rng": pa.array(rng, pa.int64())})
+        return group_count_batch(t, ["host", "rng"], count="c")
 
     h = (
         src.map_batches(hist, batch_format="pyarrow")
@@ -451,8 +432,6 @@ def host_triangle_count(sf_dir: str):
     declared assumption for a host-level graph; a node-level triangle
     count would need degree-ordered wedge joins instead), then the
     triangle join runs vectorized on the driver-resident edge list."""
-    import pandas as pd
-
     from sciscraper_ray.sources.page_synth import host_for, ref_targets
 
     def edge_partials(batch: pa.Table) -> pa.Table:
@@ -526,19 +505,12 @@ def link_degree_assortativity(sf_dir: str):
     moment row — sums stay exact integers across engines, and only the
     final closed form (mirrored cast-to-double order) is floating."""
     import ray
-    from ray.data.aggregate import Sum
 
     edges = _doc_edges(sf_dir).materialize()  # reused: degree pass + moments
 
-    def ind_partial(b: pa.Table) -> pa.Table:
-        return group_count_batch(pa.table({"node": b["dst"]}), ["node"], count="d")
-
-    ind = (
-        edges.map_batches(ind_partial, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Sum(on="d", alias_name="d"))
-        .to_pandas()  # bounded: dst id space
-    )
+    ind = group_count(
+        edges.rename_columns({"dst": "node"}), "node", count="d"
+    ).to_pandas()  # bounded: dst id space
     lut = np.zeros(int(ind["node"].max()) + 1, np.int64)
     lut[ind["node"].to_numpy()] = ind["d"].to_numpy()
     lut_ref = ray.put(lut)
@@ -634,7 +606,6 @@ def node_clustering_coeff(sf_dir: str, num_buckets: int = 16):
     target arithmetic); at open-web scale steps (3)/(6) swap it for two
     more bucketed joins — same plan shape."""
     import ray
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.pipelines.graph import _dedup_edges, symmetrize, undirected
     from sciscraper_ray.stages.relational import bucketed_hash_join
@@ -644,13 +615,12 @@ def node_clustering_coeff(sf_dir: str, num_buckets: int = 16):
     und = _dedup_edges(raw.map_batches(undirected, batch_format="pyarrow"))
     und = und.materialize()  # reused: degrees, orientation, closure probe
 
-    def deg_partial(b: pa.Table) -> pa.Table:
-        return group_count_batch(symmetrize(b, u="node"), ["node"], count="d")
-
     deg = (
-        und.map_batches(deg_partial, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Sum(on="d", alias_name="d"))
+        group_count(
+            und.map_batches(symmetrize, fn_kwargs={"u": "node"}, batch_format="pyarrow"),
+            "node",
+            count="d",
+        )
         .to_pandas()  # bounded: node space (synth targets < 997)
         .sort_values("node", kind="stable")
     )
@@ -743,15 +713,11 @@ def node_clustering_coeff(sf_dir: str, num_buckets: int = 16):
                 b["ww"].to_numpy(zero_copy_only=False),
             ]
         )
-        t = pa.table({"node": pa.array(nodes, pa.int64())})
-        return group_count_batch(t, ["node"], count="t")
+        return pa.table({"node": pa.array(nodes, pa.int64())})
 
-    tri = (
-        closed.map_batches(corner_partial, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Sum(on="t", alias_name="t"))
-        .to_pandas()  # bounded: node id space (synth targets < 997)
-    )
+    tri = group_count(
+        closed.map_batches(corner_partial, batch_format="pyarrow"), "node", count="t"
+    ).to_pandas()  # bounded: node id space (synth targets < 997)
     out = deg.merge(tri, on="node", how="left")
     t = out["t"].fillna(0).to_numpy(np.int64)
     d = out["d"].to_numpy(np.int64)
@@ -794,18 +760,10 @@ def doc_cocitation_pairs(sf_dir: str, num_buckets: int = 16):
     as sum(indeg^2) — the documented skew risk, mitigated at open-web
     scale by an indeg cap on the expansion (a target cited by millions
     contributes no usable coupling signal)."""
-    import ray.data
-    from ray.data.aggregate import Sum
-
     links = _doc_edges(sf_dir)
 
-    def dedup_partial(b: pa.Table) -> pa.Table:
-        return b.group_by(["src", "dst"]).aggregate([])
-
     distinct = (
-        links.map_batches(dedup_partial, batch_format="pyarrow")
-        .groupby(["src", "dst"])
-        .count()
+        group_count(links, ["src", "dst"])
         .map_batches(
             lambda b: pa.table(
                 {
@@ -853,11 +811,11 @@ def doc_cocitation_pairs(sf_dir: str, num_buckets: int = 16):
             .reset_index()
         )
 
-    merged = (
-        distinct.groupby("bucket")
-        .map_groups(pairs, batch_format="pandas")
-        .groupby(["doc_a", "doc_b"])
-        .aggregate(Sum(on="c", alias_name="shared_refs"))
+    merged = group_count(
+        distinct.groupby("bucket").map_groups(pairs, batch_format="pandas"),
+        ["doc_a", "doc_b"],
+        {"c": "shared_refs"},
+        count=None,
     )
     return (
         merged.sort(
@@ -919,7 +877,6 @@ def graph_kcore_peel(sf_dir: str):
     shuffle. At open-web node counts the LUT swaps for two bucketed
     semi-joins per round; the round structure is unchanged."""
     import ray
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.pipelines.graph import _dedup_edges, symmetrize, undirected
 
@@ -928,16 +885,12 @@ def graph_kcore_peel(sf_dir: str):
     edges = _dedup_edges(raw.map_batches(undirected, batch_format="pyarrow"))
     edges = edges.materialize()  # rescanned once per peel round
 
-    def deg_partial(b: pa.Table) -> pa.Table:
-        return group_count_batch(symmetrize(b, u="node"), ["node"], count="d")
-
     def degrees(ds):
-        return (
-            ds.map_batches(deg_partial, batch_format="pyarrow")
-            .groupby("node")
-            .aggregate(Sum(on="d", alias_name="deg"))
-            .to_pandas()  # bounded: node space (synth targets < 997)
-        )
+        return group_count(
+            ds.map_batches(symmetrize, fn_kwargs={"u": "node"}, batch_format="pyarrow"),
+            "node",
+            count="deg",
+        ).to_pandas()  # bounded: node space (synth targets < 997)
 
     for _ in range(_KCORE_ROUNDS):
         deg = degrees(edges)
@@ -1015,15 +968,11 @@ def host_jaccard_overlap(sf_dir: str):
                 "t": b["dst"],
             }
         )
-        return t.group_by(["h", "t"]).aggregate([])
+        return t
 
-    hs = (
-        _doc_edges(sf_dir)
-        .map_batches(hp, batch_format="pyarrow")
-        .groupby(["h", "t"])
-        .count()
-        .to_pandas()  # bounded: |hosts| x target space (6 x 997)
-    )[["h", "t"]]
+    hs = group_count(
+        _doc_edges(sf_dir).map_batches(hp, batch_format="pyarrow"), ["h", "t"]
+    ).to_pandas()[["h", "t"]]  # bounded: |hosts| x target space (6 x 997)
 
     sizes = hs.groupby("h").size()
     pairs = hs.merge(hs, on="t")
@@ -1081,9 +1030,6 @@ def graph_two_hop_reach(sf_dir: str):
     orientation there is the fix at open-web scale); distinct (u, v)
     pairs then collapse through one packed-key groupby before the
     per-node count."""
-    import ray
-    from ray.data.aggregate import Sum
-
     from sciscraper_ray.pipelines.graph import _dedup_edges, symmetrize, undirected
     from sciscraper_ray.stages.relational import bucketed_hash_join
 
@@ -1113,23 +1059,9 @@ def graph_two_hop_reach(sf_dir: str):
     )
 
     pairs = (
-        direct.union(two_hop)
-        .map_batches(
-            lambda b: b.group_by(["u", "v2"]).aggregate([]),
-            batch_format="pyarrow",
-        )
-        .groupby(["u", "v2"])
-        .count()
+        group_count(direct.union(two_hop), ["u", "v2"])
     )
-
-    def reach_partial(b: pa.Table) -> pa.Table:
-        return group_count_batch(pa.table({"node": b["u"]}), ["node"], count="reach2")
-
-    return (
-        pairs.map_batches(reach_partial, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Sum(on="reach2", alias_name="reach2"))
-    )
+    return group_count(pairs.rename_columns({"u": "node"}), "node", count="reach2")
 
 
 @register(
@@ -1220,8 +1152,7 @@ def crawl_interleave_schedule(sf_dir: str):
     ranked = ranked.materialize()  # reused: histogram + slot pass
 
     counts = (
-        ranked.groupby("host")
-        .count()
+        group_count(ranked, "host", count="count()")
         .to_pandas()  # bounded: |hosts|
         .sort_values("host")
     )
@@ -1293,32 +1224,15 @@ def graph_wcc_sizes(sf_dir: str):
     same labels via a recursive-CTE transitive closure — tractable at
     fixture node counts, which is exactly why the engine ships the
     star algorithm instead."""
-    import ray.data
-    from ray.data.aggregate import Sum
-
     from sciscraper_ray.pipelines.graph import connected_components, undirected
 
     raw = _doc_edges(sf_dir)
 
     comp = connected_components(raw.map_batches(undirected, batch_format="pyarrow"))
 
-    sizes = (
-        comp.map_batches(
-            lambda b: group_count_batch(b, ["comp_id"], count="sz"),
-            batch_format="pyarrow",
-        )
-        .groupby("comp_id")
-        .aggregate(Sum(on="sz", alias_name="comp_size"))
-    )
+    sizes = group_count(comp, "comp_id", count="comp_size")
 
-    return (
-        sizes.map_batches(
-            lambda b: group_count_batch(b, ["comp_size"], count="n_components"),
-            batch_format="pyarrow",
-        )
-        .groupby("comp_size")
-        .aggregate(Sum(on="n_components", alias_name="n_components"))
-    )
+    return group_count(sizes, "comp_size", count="n_components")
 
 
 def _lp_oracle() -> str:
@@ -1374,56 +1288,19 @@ def graph_label_propagation(sf_dir: str):
     bucketed join + node-bucketed vectorized mode kernel); the
     histogram is two |distinct-size|-bounded groupbys."""
     import ray.data
-    from ray.data.aggregate import Count, Sum
 
-    from sciscraper_ray.pipelines.graph import label_propagation
+    from sciscraper_ray.pipelines.graph import _dedup_edges, label_propagation, undirected
 
     raw = _doc_edges(sf_dir)
-
-    def orient(b: pa.Table) -> pa.Table:
-        s = b["src"].to_numpy(zero_copy_only=False)
-        t = b["dst"].to_numpy(zero_copy_only=False)
-        keep = s != t
-        s, t = s[keep], t[keep]
-        tab = pa.table(
-            {
-                "a": pa.array(np.minimum(s, t), pa.int64()),
-                "b": pa.array(np.maximum(s, t), pa.int64()),
-            }
-        )
-        # local pre-dedup shrinks the distinct shuffle's exchange
-        return tab.group_by(["a", "b"]).aggregate([]).rename_columns(["a", "b"])
-
-    distinct = (
-        raw.map_batches(orient, batch_format="pyarrow")
-        .groupby(["a", "b"])
-        .aggregate(Count(alias_name="_m"))
-        .map_batches(
-            lambda b: b.select(["a", "b"]), batch_format="pyarrow"
-        )
-    )
+    distinct = _dedup_edges(raw.map_batches(undirected, batch_format="pyarrow"))
 
     labels = label_propagation(distinct, rounds=_LP_ROUNDS)
     if isinstance(labels, pa.Table):
         labels = ray.data.from_arrow(labels)
 
-    sizes = (
-        labels.map_batches(
-            lambda b: group_count_batch(b, ["lbl"], count="sz"),
-            batch_format="pyarrow",
-        )
-        .groupby("lbl")
-        .aggregate(Sum(on="sz", alias_name="comm_size"))
-    )
+    sizes = group_count(labels, "lbl", count="comm_size")
 
-    return (
-        sizes.map_batches(
-            lambda b: group_count_batch(b, ["comm_size"], count="n_communities"),
-            batch_format="pyarrow",
-        )
-        .groupby("comm_size")
-        .aggregate(Sum(on="n_communities", alias_name="n_communities"))
-    )
+    return group_count(sizes, "comm_size", count="n_communities")
 
 
 @register(
@@ -1459,7 +1336,6 @@ def link_neighbor_degree_curve(sf_dir: str):
     the final groupby is degree-bounded, never edge-bounded."""
     import ray
     import ray.data
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.sources.page_synth import _LINK_MOD
 
@@ -1474,22 +1350,11 @@ def link_neighbor_degree_curve(sf_dir: str):
     docs = _docs(sf_dir, columns=("doc_id",))
 
     def indeg_partial(b: pa.Table) -> pa.Table:
-        _, dst = edges_of(b)
-        cnt = np.bincount(dst, minlength=_LINK_MOD)
-        nz = np.flatnonzero(cnt)
-        return pa.table(
-            {
-                "node": pa.array(nz.astype(np.int64)),
-                "d": pa.array(cnt[nz].astype(np.int64)),
-            }
-        )
+        return pa.table({"node": pa.array(edges_of(b)[1].astype(np.int64))})
 
-    ind_df = (
-        docs.map_batches(indeg_partial, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Sum(on="d", alias_name="d"))
-        .to_pandas()  # bounded: node id space (synth targets < 997)
-    )
+    ind_df = group_count(
+        docs.map_batches(indeg_partial, batch_format="pyarrow"), "node", count="d"
+    ).to_pandas()  # bounded: node id space (synth targets < 997)
     indeg = np.zeros(_LINK_MOD, np.int64)
     indeg[ind_df["node"].to_numpy(np.int64)] = ind_df["d"].to_numpy(np.int64)
     indeg_ref = ray.put(indeg)
@@ -1512,13 +1377,11 @@ def link_neighbor_degree_curve(sf_dir: str):
                 t, ["src_indeg"], {"dy": "sum_dst_indeg"}, count="n_edges"
             )
 
-    return (
-        docs.map_batches(CurvePartial, batch_format="pyarrow", concurrency=(1, 4))
-        .groupby("src_indeg")
-        .aggregate(
-            Sum(on="n_edges", alias_name="n_edges"),
-            Sum(on="sum_dst_indeg", alias_name="sum_dst_indeg"),
-        )
+    return group_count(
+        docs.map_batches(CurvePartial, batch_format="pyarrow", concurrency=(1, 4)),
+        "src_indeg",
+        {"n_edges": "n_edges", "sum_dst_indeg": "sum_dst_indeg"},
+        count=None,
     )
 
 
@@ -1581,7 +1444,6 @@ def link_jaccard_prediction(sf_dir: str, num_buckets: int = 16):
     the bucketed co-partitioned join, same plan shape as
     node_clustering_coeff documents."""
     import pandas as pd
-    from ray.data.aggregate import Sum
 
     from sciscraper_ray.pipelines.graph import _dedup_edges, undirected
 
@@ -1628,17 +1490,11 @@ def link_jaccard_prediction(sf_dir: str, num_buckets: int = 16):
         lo, hi = np.minimum(wv, ww), np.maximum(wv, ww)
         return pd.DataFrame({"k": (lo << 32) | hi})
 
-    cand = (
-        adj.groupby("bucket")
-        .map_groups(wedge_pairs, batch_format="pandas")
-        .map_batches(
-            lambda b: group_count_batch(b, ["k"], count="common"),
-            batch_format="pyarrow",
-        )
-        .groupby("k")
-        .aggregate(Sum(on="common", alias_name="common"))
-        .to_pandas()  # bounded: candidate pairs (node space < 997 here)
-    )
+    cand = group_count(
+        adj.groupby("bucket").map_groups(wedge_pairs, batch_format="pandas"),
+        "k",
+        count="common",
+    ).to_pandas()  # bounded: candidate pairs (node space < 997 here)
     edges = und.to_pandas()  # bounded: synth edge set (node space < 997)
     ea = edges["a"].to_numpy(np.int64)
     eb = edges["b"].to_numpy(np.int64)
@@ -2096,23 +1952,22 @@ def link_reciprocity(sf_dir: str):
         df = pd.DataFrame({"key": key, "bit": bit}).drop_duplicates()
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    from ray.data.aggregate import Sum
-
     # Distributed fold (ADVICE r4): global dedup of directed edges on the
     # packed (key, bit) pair, then sum direction bits per unordered key —
     # only two scalars ever reach the driver.
     distinct = (
-        _docs(sf_dir, columns=("doc_id", "text", "lang"))
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["key", "bit"])
-        .count()
-        .drop_columns(["count()"])
+        group_count(
+            _docs(sf_dir, columns=("doc_id", "text", "lang")).map_batches(
+                partial, batch_format="pyarrow"
+            ),
+            ["key", "bit"],
+        )
+        .drop_columns(["cnt"])
         .materialize()
     )
     n_edges = distinct.count()
     n_recip = 2 * (
-        distinct.groupby("key")
-        .aggregate(Sum(on="bit", alias_name="bits"))
+        group_count(distinct, "key", {"bit": "bits"}, count=None)
         .map_batches(
             lambda b: b.filter(pc.equal(b["bits"], 3)), batch_format="pyarrow"
         )
@@ -2198,8 +2053,6 @@ def graph_rich_club(sf_dir: str):
         df = pd.DataFrame({"a": aa, "b": bb}).drop_duplicates()
         return pa.Table.from_pandas(df, preserve_index=False)
 
-    from ray.data.aggregate import Sum
-
     from sciscraper_ray.pipelines.plan import driver_frame
 
     # Distributed fold (ADVICE r4): dedup undirected pairs with one
@@ -2207,11 +2060,13 @@ def graph_rich_club(sf_dir: str):
     # deduped edge keys and the node-bounded degree table, both behind
     # the 50M fail-fast guard.
     und_ds = (
-        _docs(sf_dir, columns=("doc_id", "text", "lang"))
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["a", "b"])
-        .count()
-        .drop_columns(["count()"])
+        group_count(
+            _docs(sf_dir, columns=("doc_id", "text", "lang")).map_batches(
+                partial, batch_format="pyarrow"
+            ),
+            ["a", "b"],
+        )
+        .drop_columns(["cnt"])
         .materialize()
     )
 
@@ -2222,18 +2077,10 @@ def graph_rich_club(sf_dir: str):
                 b["b"].to_numpy(zero_copy_only=False),
             ]
         )
-        uniq, cnt = np.unique(both, return_counts=True)
-        return pa.table(
-            {
-                "node": pa.array(uniq.astype(np.int64)),
-                "d": pa.array(cnt.astype(np.int64)),
-            }
-        )
+        return pa.table({"node": pa.array(both.astype(np.int64))})
 
     deg_df = driver_frame(
-        und_ds.map_batches(deg_partial, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Sum(on="d", alias_name="d")),
+        group_count(und_ds.map_batches(deg_partial, batch_format="pyarrow"), "node", count="d"),
         what="graph_rich_club (degree table)",
     ).sort_values("node", ignore_index=True)
     und = driver_frame(und_ds, what="graph_rich_club (edges)")
@@ -2290,18 +2137,10 @@ def link_powerlaw_alpha(sf_dir: str):
     is one vectorized log pass. Exact integer n and d_min; alpha is a
     double whose ln-sum matches the oracle at the canonical 12-digit
     comparison (same PMI-family convention)."""
-    import pandas as pd
-
     def partials(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
         dst = np.concatenate([(ids * 17 + 13) % 997, (ids * 29 + 7) % 997])
-        uniq, cnt = np.unique(dst, return_counts=True)
-        return pa.table(
-            {
-                "dst": pa.array(uniq.astype(np.int64), pa.int64()),
-                "d": pa.array(cnt.astype(np.int64), pa.int64()),
-            }
-        )
+        return group_count_batch(pa.table({"dst": pa.array(dst, pa.int64())}), ["dst"], count="d")
 
     ind = (
         _docs(sf_dir, columns=("doc_id",))

@@ -21,7 +21,7 @@ gram rows):
   driver  — distinct (h, doc, c) partials stream to the driver; the
             frequency merge + per-doc reduction is one np.lexsort +
             reduceat pass (pure C).
-  shuffle — freq(h) via groupby(h) native Sum/Max aggregates; per-doc
+  shuffle — freq(h) via ``group_count`` on h (Sum/Max merge); per-doc
             duplicate counts recovered WITHOUT a join by the
             singleton-owner trick: a gram with global freq == 1 has
             exactly one (owner) document, so
@@ -36,6 +36,7 @@ import pyarrow as pa
 import ray.data
 
 from sciscraper_ray.pipelines.plan import resolve_plan
+from sciscraper_ray.stages.relational import group_count, group_count_batch
 
 _P = (1 << 31) - 1  # Mersenne prime
 
@@ -74,24 +75,29 @@ def dup_substring_mass(
         output with zero counts."""
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         texts = batch[text_col].to_pylist()
-        hs, ds_, cs = [], [], []
+        hs, ds_, empty = [np.empty(0, np.int64)], [np.empty(0, np.int64)], []
         for i, t in zip(ids, texts):
             h = kgram_pair_hashes(t, k, w1, w2)
             if len(h) == 0:
-                hs.append(np.array([-1], np.int64))
-                ds_.append(np.array([i], np.int64))
-                cs.append(np.array([0], np.int64))
+                empty.append(i)
                 continue
-            uh, c = np.unique(h, return_counts=True)
-            hs.append(uh)
-            ds_.append(np.full(len(uh), i, np.int64))
-            cs.append(c.astype(np.int64))
-        return pa.table(
+            hs.append(h)
+            ds_.append(np.full(len(h), i, np.int64))
+        pairs = pa.table(
             {
                 "h": pa.array(np.concatenate(hs), pa.int64()),
                 "doc_id": pa.array(np.concatenate(ds_), pa.int64()),
-                "c": pa.array(np.concatenate(cs), pa.int64()),
             }
+        )
+        sentinels = pa.table(
+            {
+                "h": pa.array(np.full(len(empty), -1, np.int64)),
+                "doc_id": pa.array(np.asarray(empty, np.int64)),
+                "c": pa.array(np.zeros(len(empty), np.int64)),
+            }
+        )
+        return pa.concat_tables(
+            [group_count_batch(pairs, ["h", "doc_id"], count="c"), sentinels]
         )
 
     grams = ds.map_batches(gram_partial, batch_format="pyarrow")
@@ -134,35 +140,30 @@ def dup_substring_mass(
             }
         )
 
-    from ray.data.aggregate import Max, Sum
-
-    # per-doc totals: one row per doc per batch already, just rename
+    # per-doc gram totals; the once-seen grams are counted below
     def doc_totals(b: pa.Table) -> pa.Table:
-        t = b.group_by("doc_id").aggregate([("c", "sum")])
         return pa.table(
             {
-                "doc_id": t["doc_id"],
-                "n_grams": t["c_sum"],
-                "n_single": pa.array(np.zeros(len(t), np.int64)),
+                "doc_id": b["doc_id"],
+                "n_grams": b["c"],
+                "n_single": pa.array(np.zeros(len(b), np.int64)),
             }
         )
 
     totals = grams.map_batches(doc_totals, batch_format="pyarrow")
-
-    freq = grams.groupby("h").aggregate(
-        Sum(on="c", alias_name="total"), Max(on="doc_id", alias_name="owner")
+    freq = group_count(
+        grams, "h", {"c": "total"}, count=None, aggs={"owner": ("doc_id", "max")}
     )
 
     def singles(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
         keep = b.filter(pc.equal(b["total"], 1))
-        t = keep.group_by("owner").aggregate([("total", "count")])
         return pa.table(
             {
-                "doc_id": t["owner"],
-                "n_grams": pa.array(np.zeros(len(t), np.int64)),
-                "n_single": t["total_count"],
+                "doc_id": keep["owner"],
+                "n_grams": pa.array(np.zeros(len(keep), np.int64)),
+                "n_single": pa.array(np.ones(len(keep), np.int64)),
             }
         )
 
@@ -181,12 +182,9 @@ def dup_substring_mass(
             }
         )
 
-    return (
-        totals.union(single_rows)
-        .groupby("doc_id")
-        .aggregate(
-            Sum(on="n_grams", alias_name="n_grams"),
-            Sum(on="n_single", alias_name="n_single"),
-        )
-        .map_batches(finish, batch_format="pyarrow")
-    )
+    return group_count(
+        totals.union(single_rows),
+        "doc_id",
+        {"n_grams": "n_grams", "n_single": "n_single"},
+        count=None,
+    ).map_batches(finish, batch_format="pyarrow")

@@ -115,8 +115,6 @@ def winner_filter(
     lets 'auto' pick the plan without the materialize barrier."""
     import pyarrow.compute as pc
 
-    from ray.data.aggregate import Max, Min, Sum
-
     from sciscraper_ray.pipelines.plan import (
         DRIVER_PLAN_LIMIT,
         driver_frame,
@@ -151,16 +149,18 @@ def winner_filter(
             min_cnt=2,
         )
     else:
-        agg = Max if spec.agg_name == "max" else Min
-        dups = (
-            partials.groupby(["h_hi", "h_lo"])
-            .aggregate(agg(on="val", alias_name="val"),
-                       Sum(on="cnt", alias_name="cnt"))
-            .map_batches(
-                lambda b: b.filter(pc.greater(b["cnt"], 1)),
-                batch_format="pyarrow",
-            )  # only colliding keys reach the driver
-        ).to_pandas()
+        from sciscraper_ray.stages.relational import group_count
+
+        dups = group_count(
+            partials,
+            ["h_hi", "h_lo"],
+            {"cnt": "cnt"},
+            count=None,
+            aggs={"val": ("val", spec.agg_name)},
+        ).map_batches(
+            lambda b: b.filter(pc.greater(b["cnt"], 1)),
+            batch_format="pyarrow",
+        ).to_pandas()  # only colliding keys reach the driver
 
     return apply_winner_filter(ds, spec, dups)
 

@@ -1,9 +1,13 @@
-"""Relational-tier building blocks: partial aggregation and broadcast joins.
+"""Relational-tier building blocks: grouped aggregation and broadcast joins.
 
 Scale notes (SURVEY §4):
-- Every ``groupby`` here is fed by a per-batch PARTIAL aggregate emitted
-  from ``map_batches`` — at 100 TB the shuffle moves one row per (key,
-  batch), not one row per input row.
+- Every distributed grouped aggregate goes through ``group_count``: a
+  per-block PARTIAL aggregate (``group_count_batch``) mapped over each
+  block, one shuffle on the key, and a merge that sums the partial counts
+  and sums (max/min of the partial max/min). At 100 TB the shuffle moves
+  one row per (key, block), not one row per input row. ``ray.data.aggregate``
+  is imported here and nowhere else, so a salted or size-picked plan
+  changes one function.
 - Small sides (dimension tables, key→attribute maps) are broadcast with
   ``ray.put`` once and fetched per actor/task, never shuffled
   (the reference's positional joins J1/J2 become key joins; J3 enrichment
@@ -23,27 +27,97 @@ def group_count_batch(
     keys: list[str],
     agg_cols: dict[str, str] | None = None,
     *,
-    count: str = "cnt",
+    count: str | None = "cnt",
     aggs: dict[str, tuple[str, str]] | None = None,
 ) -> pa.Table:
     """Partial per-batch groupby: count(*) plus optional sums.
 
     ``agg_cols`` maps input column -> output sum-column name; ``aggs`` maps
     output name -> (input column, Arrow hash aggregate) for any other
-    per-group aggregate (``("ts", "max")``). Output has one row per
-    distinct key combination in this batch with columns
-    ``keys + [count] + list(agg_cols.values()) + list(aggs)`` — feed it to
-    a global ``groupby(keys).aggregate(Sum(...))`` to finish.
+    per-group aggregate (``("ts", "max")``). ``count=None`` leaves the
+    count out. Output has one row per distinct key combination in this
+    batch with columns ``keys + [count] + list(agg_cols.values()) +
+    list(aggs)``; ``group_count`` maps it over a Dataset and merges.
     """
     agg_cols = agg_cols or {}
     aggs = aggs or {}
-    spec = [("__one", "sum")] + [(c, "sum") for c in agg_cols] + list(aggs.values())
+    spec = [(c, "sum") for c in agg_cols] + list(aggs.values())
+    if count is not None:
+        spec.insert(0, ("__one", "sum"))
     t = batch.append_column("__one", pa.array(np.ones(len(batch), np.int64)))
     out = t.group_by(keys).aggregate(spec)
     renames = {"__one_sum": count}
     renames.update({f"{c}_sum": name for c, name in agg_cols.items()})
     renames.update({f"{c}_{fn}": name for name, (c, fn) in aggs.items()})
     return out.rename_columns([renames.get(c, c) for c in out.column_names])
+
+
+def _null_filler(t: pa.DataType) -> pa.Scalar:
+    """A valid value of type ``t`` that stands in for a null key in the
+    shuffle (the null mask beside the keys keeps the two apart)."""
+    if pa.types.is_string(t) or pa.types.is_large_string(t):
+        return pa.scalar("", t)
+    if pa.types.is_binary(t) or pa.types.is_large_binary(t):
+        return pa.scalar(b"", t)
+    return pa.scalar(False if pa.types.is_boolean(t) else 0, t)
+
+
+def group_count(
+    ds,
+    keys: str | list[str],
+    agg_cols: dict[str, str] | None = None,
+    *,
+    count: str | None = "cnt",
+    aggs: dict[str, tuple[str, str]] | None = None,
+):
+    """Distributed grouped count/sum/max/min of a Dataset: the twin of
+    ``group_count_batch``, with the same spec and output columns.
+
+    ``group_count_batch`` runs per block (no ``batch_size``, so Ray fuses
+    it into the map before it), then one ``groupby(keys).aggregate`` sums
+    the counts and sums and takes the max/min of ``aggs``. A null key is
+    its own group, as in SQL ``GROUP BY``: Ray's sort shuffle cannot order
+    ``None`` against a string, so the keys are shuffled with nulls filled
+    plus one bit mask of which keys were null (one column, not one per
+    key: each shuffle key column costs time per group), and the nulls
+    come back after the merge.
+    """
+    from ray.data.aggregate import Max, Min, Sum
+
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    agg_cols = agg_cols or {}
+    aggs = aggs or {}
+
+    def partial(batch: pa.Table) -> pa.Table:
+        out = group_count_batch(batch, keys, agg_cols, count=count, aggs=aggs)
+        mask = np.zeros(len(out), np.int64)
+        for bit, k in enumerate(keys):
+            col = out[k]
+            if col.null_count and not pa.types.is_null(col.type):
+                mask |= pc.is_null(col).to_numpy().astype(np.int64) << bit
+                filled = pc.fill_null(col, _null_filler(col.type))
+                out = out.set_column(out.schema.get_field_index(k), k, filled)
+        return out.append_column("__nulls", pa.array(mask))
+
+    def restore(batch: pa.Table) -> pa.Table:
+        for bit, k in enumerate(keys):
+            is_null = pc.not_equal(pc.bit_wise_and(batch["__nulls"], 1 << bit), 0)
+            i = batch.schema.get_field_index(k)
+            null = pa.scalar(None, batch[k].type)
+            batch = batch.set_column(i, k, pc.if_else(is_null, null, batch[k]))
+        return batch.drop_columns(["__nulls"])
+
+    sums = ([count] if count is not None else []) + list(agg_cols.values())
+    merge = [Sum(on=c, alias_name=c) for c in sums] + [
+        {"max": Max, "min": Min}[fn](on=name, alias_name=name)
+        for name, (_, fn) in aggs.items()
+    ]
+    return (
+        ds.map_batches(partial, batch_format="pyarrow")
+        .groupby(keys + ["__nulls"])
+        .aggregate(*merge)
+        .map_batches(restore, batch_format="pyarrow")
+    )
 
 
 def keep_latest_batch(batch: pd.DataFrame, key: str, order: list[str]) -> pd.DataFrame:
@@ -108,44 +182,22 @@ def salted_group_count(
 
     Phase 1 groups by ``(salt, key)`` where salt = row_position % salts,
     spreading each hot key across ``salts`` reducers; phase 2 collapses the
-    salted partials with a second (tiny) groupby on the bare key. Combined
-    with per-batch partial aggregation the shuffle carries at most
-    ``salts`` rows per hot key, never the raw row stream.
+    salted partials with a second (tiny) ``group_count`` on the bare key
+    that sums the phase-1 counts. Combined with per-batch partial
+    aggregation the shuffle carries at most ``salts`` rows per hot key,
+    never the raw row stream.
     """
-    import numpy as np
-    import pyarrow as pa
-
-    from ray.data.aggregate import Sum
-
     agg_cols = agg_cols or {}
 
-    def phase1_partial(batch: pa.Table) -> pa.Table:
-        salt = pa.array(
-            (np.arange(len(batch)) % salts).astype(np.int32)
-        )
-        t = batch.append_column("__salt", salt)
-        return group_count_batch(t, ["__salt", key], agg_cols)
+    def salt(batch: pa.Table) -> pa.Table:
+        s = pa.array((np.arange(len(batch)) % salts).astype(np.int32))
+        return batch.append_column("__salt", s)
 
-    salted = (
-        ds.map_batches(phase1_partial, batch_format="pyarrow")
-        .groupby(["__salt", key])
-        .aggregate(
-            Sum(on="cnt", alias_name="cnt"),
-            *[Sum(on=name, alias_name=name) for name in agg_cols.values()],
-        )
+    salted = group_count(
+        ds.map_batches(salt, batch_format="pyarrow"), ["__salt", key], agg_cols
     )
-
-    def drop_salt(batch: pa.Table) -> pa.Table:
-        return batch.drop_columns(["__salt"])
-
-    return (
-        salted.map_batches(drop_salt, batch_format="pyarrow")
-        .groupby(key)
-        .aggregate(
-            Sum(on="cnt", alias_name="cnt"),
-            *[Sum(on=name, alias_name=name) for name in agg_cols.values()],
-        )
-    )
+    sums = {c: c for c in ["cnt", *agg_cols.values()]}
+    return group_count(salted, key, sums, count=None)
 
 
 def bucketed_hash_join(
@@ -177,8 +229,6 @@ def bucketed_hash_join(
     thousands of buckets; skewed keys get the salted variant of
     ``salted_group_count`` applied to the bucket id).
     """
-    import ray.data
-
     _MIX = 0x9E3779B97F4A7C15
 
     def tag(on: str, side: int, other_cols: dict[str, pa.DataType]):

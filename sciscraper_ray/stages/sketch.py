@@ -2,9 +2,9 @@
 
 The textbook distributed-sketch shape on Ray Data: ``map_batches`` emits a
 PARTIAL register table (≤ m rows per batch — (bucket, max rho)), a tiny
-``groupby(bucket).aggregate(Max)`` merges them, and the driver reads m
-rows total regardless of corpus size. Registers are built from an
-md5-derived hash so an exact SQL oracle can recompute the IDENTICAL
+``group_count`` max merge (``stages/relational``) combines them, and the
+driver reads m rows total regardless of corpus size. Registers are built
+from an md5-derived hash so an exact SQL oracle can recompute the IDENTICAL
 register table from first principles (the estimate itself is then a pure
 function of the registers, unit-tested for accuracy).
 

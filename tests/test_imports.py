@@ -62,3 +62,66 @@ def test_every_package_import_resolves():
         if not _resolves(module, name)
     ]
     assert not dangling, "\n".join(dangling)
+
+
+def _bound(alias: ast.alias) -> str:
+    return alias.asname or alias.name.split(".")[0]
+
+
+def _imports_by_scope(tree: ast.AST) -> dict:
+    """scope node (the module or a function) -> the imports directly in it."""
+    out = {}
+
+    def visit(node: ast.AST, scope: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                out.setdefault(scope, []).append(child)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child if inner else scope)
+
+    visit(tree, tree)
+    return out
+
+
+def _unused_imports(path: Path):
+    """(line, name) for each import in ``path`` whose bound name nothing in
+    its scope (the module, or the function it sits in) reads."""
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    exported = {
+        e.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for e in ast.walk(node.value)
+        if isinstance(e, ast.Constant)
+    }
+    for scope, imports in _imports_by_scope(tree).items():
+        read = {
+            n.id
+            for n in ast.walk(scope)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        } | exported
+        for node in imports:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            span = range(node.lineno - 1, node.end_lineno)
+            if any("noqa: F401" in lines[i] for i in span):
+                continue
+            for alias in node.names:
+                if _bound(alias) not in read:
+                    yield node.lineno, _bound(alias)
+
+
+def test_no_unused_imports():
+    # Package __init__ modules import to re-export; they are not checked.
+    unused = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / "sciscraper_ray").rglob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in _unused_imports(path)
+    ]
+    assert not unused, "imports that nothing in their scope reads:\n" + "\n".join(
+        unused
+    )

@@ -44,6 +44,18 @@ These lints fail with the file:line list on:
     renaming identifiers and string literals, for functions of at least
     6 lines (``def`` to last line) with at least 2 statements besides
     the docstring.
+
+The distributed grouped aggregate has one owner too,
+``stages/relational.group_count``: a per-block ``group_count_batch``, one
+shuffle on the key and a merge it derives from the same spec. These lints
+fail with the file:line list on:
+
+  * an import of ``ray.data.aggregate`` outside ``stages/relational.py``;
+  * a per-block tally inside a function or lambda passed to
+    ``map_batches``: ``value_counts(``, ``np.unique(..., return_counts=True)``,
+    a pandas ``groupby(...)`` that ends in ``.sum()`` or ``.size()``, or an
+    Arrow ``(col, "count")`` aggregate. The map keeps the key derivation;
+    ``group_count`` or ``group_count_batch`` counts.
 """
 
 import ast
@@ -55,6 +67,7 @@ MD5_OWNER = PKG / "kernels" / "md5.py"
 TOKENIZE_OWNER = PKG / "kernels" / "tokenize.py"
 CENTS_OWNER = (PKG / "pipelines" / "queries" / "_shared.py", "cents")
 COUNT_OWNER = (PKG / "stages" / "relational.py", "group_count_batch")
+AGGREGATE_OWNER = PKG / "stages" / "relational.py"
 DUP_MIN_LINES = 6
 DUP_MIN_STMTS = 2
 
@@ -270,4 +283,92 @@ def test_no_structural_duplicates():
     assert not dups, (
         "function bodies equal up to renaming; give the rule one owner:\n"
         + "\n".join(" = ".join(g) for g in dups)
+    )
+
+
+def _imports_aggregate(node: ast.AST) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "ray.data.aggregate"
+    return isinstance(node, ast.Import) and any(
+        a.name == "ray.data.aggregate" for a in node.names
+    )
+
+
+def test_grouped_aggregate_has_one_owner():
+    offenders = [
+        _node_where(path, n)
+        for path, tree in _trees()
+        if path != AGGREGATE_OWNER
+        for n in ast.walk(tree)
+        if _imports_aggregate(n)
+    ]
+    assert not offenders, (
+        "ray.data.aggregate imported outside stages/relational.py (use "
+        "group_count(ds, keys, sums, count=..., aggs=...)):\n" + "\n".join(offenders)
+    )
+
+
+def _mapped_functions(tree: ast.AST, parents: dict):
+    """Each function or lambda passed to ``map_batches`` in ``tree``."""
+    defs = defaultdict(list)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs[node.name].append(node)
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "map_batches"
+            and node.args
+        ):
+            continue
+        fn = node.args[0]
+        if isinstance(fn, ast.Lambda):
+            yield fn
+        elif isinstance(fn, ast.Name):
+            fdef = (ast.FunctionDef, ast.AsyncFunctionDef)
+            scope = _enclosing(node, parents, fdef)
+            near = [d for d in defs[fn.id] if _enclosing(d, parents, fdef) is scope]
+            yield from near or defs[fn.id]
+
+
+def _is_tally(node: ast.AST) -> bool:
+    if isinstance(node, ast.Tuple):
+        return (
+            len(node.elts) == 2
+            and all(isinstance(e, ast.Constant) for e in node.elts)
+            and node.elts[1].value == "count"
+        )
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    attr = node.func.attr
+    if attr == "value_counts":
+        return True
+    if attr == "unique" and ast.unparse(node.func.value) == "np":
+        return any(
+            k.arg == "return_counts"
+            and isinstance(k.value, ast.Constant)
+            and k.value.value is True
+            for k in node.keywords
+        )
+    return attr in ("sum", "size") and any(
+        isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "groupby"
+        for n in ast.walk(node.func.value)
+    )
+
+
+def test_mapped_partials_do_not_tally():
+    offenders = set()
+    for path, tree in _trees():
+        parents = _parents(tree)
+        for fn in _mapped_functions(tree, parents):
+            offenders |= {
+                _node_where(path, n) for n in ast.walk(fn) if _is_tally(n)
+            }
+    assert not offenders, (
+        "per-block tally inside a map_batches function (map the keys, "
+        "count with group_count / group_count_batch):\n"
+        + "\n".join(sorted(offenders))
     )

@@ -124,3 +124,58 @@ def test_orders_by_region_plan_parity(ray_session):
         bc["total_price"].to_numpy(), bk["total_price"].to_numpy(), atol=1e-6
     )
     assert len(bc) > 0
+
+
+def test_group_count_matches_pandas_with_null_keys(ray_session):
+    """The owner's merge keeps a null key as its own group (SQL GROUP BY,
+    pandas ``dropna=False``) for string and int keys, over several blocks
+    and an empty one, with the count, sums and max/min."""
+    import ray.data
+
+    from sciscraper_ray.stages.relational import group_count
+
+    blocks = [
+        {"s": ["a", None, "b", None], "i": [1, None, 2, 1], "v": [1, 2, 3, 4]},
+        {"s": [], "i": [], "v": []},
+        {"s": [None, "a", "c"], "i": [None, None, 3], "v": [5, 6, 7]},
+        {"s": ["b"], "i": [2], "v": [8]},
+    ]
+    schema = pa.schema([("s", pa.string()), ("i", pa.int64()), ("v", pa.int64())])
+    ds = ray.data.from_arrow([pa.table(b, schema=schema) for b in blocks])
+    frame = pd.concat([pd.DataFrame(b) for b in blocks if b["v"]], ignore_index=True)
+    frame["i"] = frame["i"].astype("Int64")
+
+    for keys in (["s"], ["i"], ["s", "i"]):
+        got = (
+            group_count(
+                ds,
+                keys,
+                {"v": "sum_v"},
+                count="n",
+                aggs={"max_v": ("v", "max"), "min_v": ("v", "min")},
+            )
+            .to_pandas()
+            .astype({"i": "Int64"} if "i" in keys else {})
+        )
+        want = (
+            frame.groupby(keys, dropna=False)
+            .agg(
+                n=("v", "size"),
+                sum_v=("v", "sum"),
+                max_v=("v", "max"),
+                min_v=("v", "min"),
+            )
+            .reset_index()
+        )
+        assert list(got.columns) == keys + ["n", "sum_v", "max_v", "min_v"]
+
+        def rows(df):
+            cells = df.astype(object).where(df.notna(), None)
+            return sorted(map(repr, cells.values.tolist()))
+
+        assert rows(got) == rows(want[list(got.columns)]), keys
+
+    # count=None leaves the count out; a string key alone names the group
+    got = group_count(ds, "s", {"v": "v"}, count=None).to_pandas()
+    assert list(got.columns) == ["s", "v"]
+    assert sorted(got["v"].tolist()) == [7, 7, 11, 11]
