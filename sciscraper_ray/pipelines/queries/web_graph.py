@@ -721,7 +721,10 @@ def node_clustering_coeff(sf_dir: str, num_buckets: int = 16):
     out = deg.merge(tri, on="node", how="left")
     t = out["t"].fillna(0).to_numpy(np.int64)
     d = out["d"].to_numpy(np.int64)
-    coeff = np.where(d >= 2, np.round(2.0 * t / (d * (d - 1)), 6), 0.0)
+    # only nodes of degree >= 2 have a wedge to close: divide those lanes
+    coeff = np.zeros(len(d))
+    np.divide(2.0 * t, d * (d - 1), out=coeff, where=d >= 2)
+    coeff = np.round(coeff, 6)
     return pa.table(
         {
             "node": pa.array(out["node"].to_numpy(), pa.int64()),

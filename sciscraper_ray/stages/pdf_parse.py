@@ -14,6 +14,15 @@ advances — char/word spacing and horizontal scaling applied per spec
 ``x_tolerance``, words joined with single spaces, lines with newlines,
 pages with a single space.
 
+A page's glyphs are glyph runs ``(text, x, y, step)``: character k of
+``text`` sits at ``x + k*step`` and advances by ``step``. A string shown
+at a fixed metric on an unrotated baseline is one run; any other string
+is one 1-character run per character, the ``(char, x, y, advance)``
+glyph. The assemblers (``glyphs_to_text``, ``split_columns``) give the
+text the per-character rules give over the runs split into characters;
+they take a longer run whole where that is exact, and split the page
+into 1-character runs where it might not be.
+
 Fonts that declare no metric for a code (and payloads with no page tree,
 e.g. raw fragments) fall back to the fixed 0.6 em advance the synthetic
 writer uses (sources/pdf_write.py) — documented there as the shared
@@ -39,8 +48,10 @@ of two lanes, which differ only in how operands are found and parsed:
 from __future__ import annotations
 
 import bisect
+import math
 import re
 import zlib
+from operator import itemgetter
 
 from sciscraper_ray.stages.pdf_doc import (
     FontInfo,
@@ -55,6 +66,9 @@ _LENGTH_RE = re.compile(rb"/Length\s+(\d+)")
 X_TOLERANCE = 1.0
 Y_TOLERANCE = 3.0
 DEFAULT_CHAR_EM = 0.6
+
+# (text, x, y, step): character k of text at x + k*step (see _interpreter)
+GlyphRun = tuple[str, float, float, float]
 
 
 class _TextState:
@@ -96,8 +110,8 @@ def _hex_string(body: bytes) -> bytes:
 def _tokenize(stream: bytes):
     """Content-stream tokens: numbers, names, (strings)/<hex> as raw BYTES
     (codes, not text — the font maps codes to unicode), [arrays],
-    operators. Whitespace runs and regular-token spans scan via compiled
-    regex (C), not per-char Python."""
+    operators (as bytes). Whitespace runs and regular-token spans scan
+    via compiled regex (C), not per-char Python."""
     i, n = 0, len(stream)
     ws_match = _WS_RUN_RE.match
     tok_match = _REG_TOK_RE.match
@@ -170,33 +184,34 @@ def _tokenize(stream: bytes):
                 try:
                     yield ("num", float(tok))
                 except ValueError:
-                    yield ("op", tok.decode("latin-1"))
+                    yield ("op", tok)
             else:
-                yield ("op", tok.decode("latin-1"))
+                yield ("op", tok)
             i = j if j > i else i + 1
 
 
 def _token_lane(stream: bytes, run) -> None:
     """Feed ``run`` every operator of ``stream`` with its operand stack,
-    tokenized by ``_tokenize``: the rules for any stream at all."""
+    tokenized by ``_tokenize``: the rules for any stream at all. An open
+    ``[`` waits on the stack as ``None`` until its ``]`` folds the values
+    above it into a list."""
     stack: list = []
     for kind, val in _tokenize(stream):
-        if kind in ("num", "str", "name"):
-            stack.append((kind, val))
-            continue
-        if kind == "arr_open":
-            stack.append(("arr_open", None))
-            continue
-        if kind == "arr_close":
+        if kind == "op":
+            run(val, stack)
+            stack = []  # operands are consumed by their operator
+        elif kind == "arr_open":
+            stack.append(None)
+        elif kind == "arr_close":
             arr = []
-            while stack and stack[-1][0] != "arr_open":
+            while stack and stack[-1] is not None:
                 arr.append(stack.pop())
             if stack:
                 stack.pop()
-            stack.append(("arr", list(reversed(arr))))
-            continue
-        run(val, stack)
-        stack = []  # operands are consumed by their operator
+            arr.reverse()
+            stack.append(arr)
+        else:
+            stack.append(val)
 
 
 # The regex lane: one pattern tiles a whole stream into (operands,
@@ -238,23 +253,23 @@ _OPERAND_TOKEN_RE = re.compile(
 
 def _operands(span: bytes) -> list:
     """Operand stack of a covered operand span, as ``_token_lane`` builds
-    it: (kind, value) pairs, an array as ("arr", [its scalars])."""
+    it: bare values, an array as a list of its scalars."""
     stack: list = []
     top = stack
     for m in _OPERAND_TOKEN_RE.finditer(span):
         k = m.lastindex
         if k == 1:
-            top.append(("num", float(m.group(1))))
+            top.append(float(m.group(1)))
         elif k == 2:
-            top.append(("name", m.group(2).decode("latin-1")))
+            top.append(m.group(2).decode("latin-1"))
         elif k == 3:
-            top.append(("str", m.group(3)))
+            top.append(m.group(3))
         elif k == 4:
-            top.append(("str", _hex_string(m.group(4))))
+            top.append(_hex_string(m.group(4)))
         elif k == 5:
             top = []
         else:  # `]`
-            stack.append(("arr", top))
+            stack.append(top)
             top = stack
     return stack
 
@@ -267,14 +282,14 @@ def _regex_lane(stream: bytes, run) -> bool:
         return False
     for nums, lit, other, op in _PAIR_RE.findall(stream):
         if nums:
-            stack = [("num", float(t)) for t in nums.split()]
+            stack = list(map(float, nums.split()))
         elif lit:
-            stack = [("str", lit[1:-1])]
+            stack = [lit[1:-1]]
         elif other:
             stack = _operands(other)
         else:
             stack = []
-        run(op.decode("latin-1"), stack)
+        run(op, stack)
     return True
 
 
@@ -289,17 +304,25 @@ def _default_chars(raw: bytes) -> str:
 
 def _interpreter(fonts: dict[str, FontInfo] | None):
     """(glyphs, run) for one content stream: ``run(op, stack)`` applies
-    one operator to its operand stack, appending (char, x, y, advance)
-    placements to ``glyphs``. Both lanes drive the same ``run``.
+    one operator (bytes) to its operand stack, appending glyph runs to
+    ``glyphs``. Both lanes drive the same ``run``. An operand is a bare
+    value: a
+    ``float`` for a number, ``bytes`` for a string, a ``str`` for a name
+    and a ``list`` for an array; ``run`` dispatches on those types.
 
-    x/y are device coordinates (text matrix composed with the q/Q/cm
-    graphics state); advance is the full device-space displacement
-    (glyph width + Tc/Tw, scaled) — what the line assembler needs to
-    detect word gaps."""
+    A glyph run ``(text, x, y, step)`` places ``len(text)`` characters on
+    one baseline: character k sits at ``x + k*step`` and advances by
+    ``step``. The fixed-metric fast path of ``draw`` appends one run per
+    shown string; the general path (font widths, spacing, rotation,
+    ligatures) appends one 1-character run per character, the
+    ``(char, x, y, advance)`` glyph. x/y are device coordinates (text
+    matrix composed with the q/Q/cm graphics state); step is the full
+    device-space displacement (glyph width + Tc/Tw, scaled) — what the
+    line assembler needs to detect word gaps."""
     st = _TextState()
     ctm = [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
     ctm_stack: list[list[float]] = []
-    glyphs: list[tuple[str, float, float, float]] = []
+    glyphs: list[GlyphRun] = []
 
     def draw(raw: bytes) -> None:
         f = st.font
@@ -311,26 +334,25 @@ def _interpreter(fonts: dict[str, FontInfo] | None):
             chars = _default_chars(raw)
         else:
             units = f.decode(raw)
-        size, tc, tw, hscale = st.size, st.tc, st.tw, st.hscale
+        size = st.size
         tm = st.tm
         a, b, tx, ty = tm[0], tm[1], tm[4], tm[5]
         c0, c1, c2, c3, c4, c5 = ctm
         em = DEFAULT_CHAR_EM * size
-        if trivial and tc == 0.0 and tw == 0.0 and b == 0.0 and c1 == 0.0:
+        if trivial and st.tc == 0.0 and st.tw == 0.0 and b == 0.0 and c1 == 0.0:
             # batch fast path (the synthetic writer's shape: fixed metric,
-            # no spacing params, unrotated matrices): constant advance,
-            # positions by arithmetic progression
-            adv = em * hscale
-            dev = adv * a * c0
+            # no spacing params, unrotated matrices): constant advance, so
+            # the whole string is one glyph run
+            adv = em * st.hscale
             x0 = tx * c0 + ty * c2 + c4
             y0 = tx * c1 + ty * c3 + c5
-            glyphs.extend(
-                (ch, x0 + k * dev, y0, dev) for k, ch in enumerate(chars)
-            )
+            if chars:
+                glyphs.append((chars, x0, y0, adv * a * c0))
             n_units = len(chars)
             tm[4] = tx + adv * n_units * a
             tm[5] = ty + adv * n_units * b
             return
+        tc, tw, hscale = st.tc, st.tw, st.hscale
         if trivial:
             units = [(ord(ch), ch) for ch in chars]
         append = glyphs.append
@@ -370,25 +392,24 @@ def _interpreter(fonts: dict[str, FontInfo] | None):
         tm[4] = tx
         tm[5] = ty
 
-    def run(op: str, stack: list) -> None:
+    def run(op: bytes, stack: list) -> None:
         nonlocal ctm
         # the two operators of every positioned word come first
-        if op == "Tj" and stack and stack[-1][0] == "str":
-            draw(stack[-1][1])
-        elif op == "Tm" and len(stack) >= 6:
-            vals = [s[1] for s in stack[-6:]]
-            st.tm = vals
-            st.lm = list(vals)
-        elif op == "BT":
+        if op == b"Tj" and stack and isinstance(stack[-1], bytes):
+            draw(stack[-1])
+        elif op == b"Tm" and len(stack) >= 6:
+            st.tm = stack[-6:]
+            st.lm = stack[-6:]
+        elif op == b"BT":
             st.tm = [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
             st.lm = list(st.tm)
-        elif op == "q":
+        elif op == b"q":
             ctm_stack.append(list(ctm))
-        elif op == "Q":
+        elif op == b"Q":
             if ctm_stack:
                 ctm = ctm_stack.pop()
-        elif op == "cm" and len(stack) >= 6:
-            a, b, c, d, e, f_ = (s[1] for s in stack[-6:])
+        elif op == b"cm" and len(stack) >= 6:
+            a, b, c, d, e, f_ = stack[-6:]
             ctm = [
                 a * ctm[0] + b * ctm[2],
                 a * ctm[1] + b * ctm[3],
@@ -397,38 +418,38 @@ def _interpreter(fonts: dict[str, FontInfo] | None):
                 e * ctm[0] + f_ * ctm[2] + ctm[4],
                 e * ctm[1] + f_ * ctm[3] + ctm[5],
             ]
-        elif op == "Tf" and len(stack) >= 2:
-            if fonts and stack[-2][0] == "name":
-                st.font = fonts.get(stack[-2][1])
-            st.size = stack[-1][1]
-        elif op == "Tc" and stack:
-            st.tc = stack[-1][1]
-        elif op == "Tw" and stack:
-            st.tw = stack[-1][1]
-        elif op == "Tz" and stack:
-            st.hscale = stack[-1][1] / 100.0
-        elif op in ("Td", "TD") and len(stack) >= 2:
-            tx, ty = stack[-2][1], stack[-1][1]
-            if op == "TD":
+        elif op == b"Tf" and len(stack) >= 2:
+            if fonts and isinstance(stack[-2], str):
+                st.font = fonts.get(stack[-2])
+            st.size = stack[-1]
+        elif op == b"Tc" and stack:
+            st.tc = stack[-1]
+        elif op == b"Tw" and stack:
+            st.tw = stack[-1]
+        elif op == b"Tz" and stack:
+            st.hscale = stack[-1] / 100.0
+        elif op in (b"Td", b"TD") and len(stack) >= 2:
+            tx, ty = stack[-2], stack[-1]
+            if op == b"TD":
                 st.leading = -ty
             st.translate_line(tx, ty)
-        elif op == "TL" and stack:
-            st.leading = stack[-1][1]
-        elif op == "T*":
+        elif op == b"TL" and stack:
+            st.leading = stack[-1]
+        elif op == b"T*":
             st.translate_line(0.0, -st.leading)
-        elif op == "'" and stack and stack[-1][0] == "str":
+        elif op == b"'" and stack and isinstance(stack[-1], bytes):
             st.translate_line(0.0, -st.leading)
-            draw(stack[-1][1])
-        elif op == '"' and len(stack) >= 3 and stack[-1][0] == "str":
-            st.tw = stack[-3][1]
-            st.tc = stack[-2][1]
+            draw(stack[-1])
+        elif op == b'"' and len(stack) >= 3 and isinstance(stack[-1], bytes):
+            st.tw = stack[-3]
+            st.tc = stack[-2]
             st.translate_line(0.0, -st.leading)
-            draw(stack[-1][1])
-        elif op == "TJ" and stack and stack[-1][0] == "arr":
-            for k, v in stack[-1][1]:
-                if k == "str":
+            draw(stack[-1])
+        elif op == b"TJ" and stack and isinstance(stack[-1], list):
+            for v in stack[-1]:
+                if isinstance(v, bytes):
                     draw(v)
-                elif k == "num":
+                elif isinstance(v, float):
                     tx = -v / 1000.0 * st.size * st.hscale
                     st.tm[4] += tx * st.tm[0]
                     st.tm[5] += tx * st.tm[1]
@@ -438,66 +459,167 @@ def _interpreter(fonts: dict[str, FontInfo] | None):
 
 def _extract_glyphs(
     stream: bytes, fonts: dict[str, FontInfo] | None = None
-) -> list[tuple[str, float, float, float]]:
-    """(char, x, y, advance) glyph placements from one content stream:
-    the regex lane when its pattern covers the stream, else the token
-    lane (see ``_interpreter`` for the coordinates)."""
+) -> list[GlyphRun]:
+    """Glyph runs ``(text, x, y, step)`` from one content stream: the
+    regex lane when its pattern covers the stream, else the token lane
+    (see ``_interpreter`` for the run record and the coordinates)."""
     glyphs, run = _interpreter(fonts)
     if not _regex_lane(stream, run):
         _token_lane(stream, run)
     return glyphs
 
 
-def glyphs_to_text(
-    glyphs: list[tuple[str, float, float, float]],
-    x_tolerance: float = X_TOLERANCE,
-    y_tolerance: float = Y_TOLERANCE,
-) -> str:
-    """pdfplumber-style assembly: cluster lines by y (within y_tolerance),
-    split words on whitespace glyphs or x-gaps > x_tolerance (using each
-    glyph's own advance), single-space words, newline lines."""
-    if not glyphs:
-        return ""
-    arr = sorted(glyphs, key=lambda g: (-g[2], g[1]))
-    lines: list[list[tuple[str, float, float, float]]] = []
-    for g in arr:
+# A run of two or more characters is handled whole only where every
+# coordinate it implies lies within this many tolerances of 0: there the
+# rounding of ``x + k*step`` keeps each gap between its characters (0 in
+# exact arithmetic) far below the tolerance the gap is compared with.
+_WHOLE_RUN_RANGE = 2.0**40
+
+
+def _whole_runs(glyphs: list[GlyphRun], tolerance: float) -> bool:
+    """Whether every run of two or more characters can be assembled whole:
+    a positive or zero step, finite coordinates within
+    ``tolerance * _WHOLE_RUN_RANGE`` of 0, and no NaN coordinate on the
+    page (NaN sort keys order runs and characters differently)."""
+    lim = tolerance * _WHOLE_RUN_RANGE
+    multi = nan = False
+    for text, x, y, step in glyphs:
+        n = len(text)
+        if n == 1:
+            nan = nan or x != x or y != y
+        elif n and step >= 0.0 and -lim < x and x + n * step < lim and (
+            abs(y) < math.inf
+        ):
+            multi = True
+        else:
+            return False
+    return not (multi and nan)
+
+
+def _char_runs(glyphs: list[GlyphRun]) -> list[GlyphRun]:
+    """The glyph list split into 1-character runs, in emission order:
+    character k of a longer run sits at ``x + k*step``."""
+    out = []
+    for g in glyphs:
+        text, x, y, step = g
+        if len(text) == 1:
+            out.append(g)
+        else:
+            out.extend((ch, x + k * step, y, step) for k, ch in enumerate(text))
+    return out
+
+
+def _assemble(
+    glyphs: list[GlyphRun], x_tolerance: float, y_tolerance: float
+) -> str | None:
+    """``glyphs_to_text`` over runs; None when two runs on one line overlap
+    in x, or tie with a run whose characters span more than one x, so that
+    their characters would interleave."""
+    lines: list[list[GlyphRun]] = []
+    for g in sorted(glyphs, key=lambda g: (-g[2], g[1])):
         if lines and abs(lines[-1][0][2] - g[2]) <= y_tolerance:
             lines[-1].append(g)
         else:
             lines.append([g])
     out_lines = []
     for line in lines:
-        line.sort(key=lambda g: g[1])
+        line.sort(key=itemgetter(1))
         words: list[str] = []
         cur: list[str] = []
-        prev_end: float | None = None
-        for ch, x, _, w in line:
-            gap_break = prev_end is not None and (x - prev_end) > x_tolerance
-            if ch.isspace() or gap_break:
-                if cur:
+        prev_end = prev_last = None
+        prev_point = True
+        for text, x, _, step in line:
+            if prev_end is not None:
+                if not prev_point and x <= prev_last:
+                    return None
+                if (x - prev_end) > x_tolerance and cur:
                     words.append("".join(cur))
                     cur = []
-            if not ch.isspace():
-                cur.append(ch)
-            prev_end = x + w
+            n = len(text)
+            if n == 1:
+                if text.isspace():
+                    if cur:
+                        words.append("".join(cur))
+                        cur = []
+                else:
+                    cur.append(text)
+                prev_end = x + step
+                prev_point = True
+                continue
+            # a whole run: no gap inside it breaks a word, whitespace does
+            if text[0].isspace() and cur:
+                words.append("".join(cur))
+                cur = []
+            parts = text.split()
+            if parts:
+                cur.append(parts[0])
+                if len(parts) > 1:
+                    words.append("".join(cur))
+                    words.extend(parts[1:-1])
+                    cur = [parts[-1]]
+                if text[-1].isspace():
+                    words.append("".join(cur))
+                    cur = []
+            prev_last = x + (n - 1) * step
+            prev_end = prev_last + step
+            prev_point = prev_last == x
         if cur:
             words.append("".join(cur))
         out_lines.append(" ".join(words))
     return "\n".join(out_lines)
 
 
+def glyphs_to_text(
+    glyphs: list[GlyphRun],
+    x_tolerance: float = X_TOLERANCE,
+    y_tolerance: float = Y_TOLERANCE,
+) -> str:
+    """pdfplumber-style assembly of glyph runs ``(text, x, y, step)``:
+    cluster lines by y (within y_tolerance), split words on whitespace or
+    x-gaps > x_tolerance, single-space words, newline lines.
+
+    The text is what the same rules give character by character
+    (character k of a run at ``x + k*step``, advancing by ``step``). A
+    run is taken whole: ``str.split`` gives the words inside it, the gap
+    rule applies between runs, and a run ends at
+    ``(x + (n-1)*step) + step``, the float the per-character rule
+    computes. A page where that could differ — two runs on one line
+    overlapping in x, or tying with a run whose characters span more
+    than one x; a longer run with a negative step or with a non-finite
+    or huge coordinate (``_whole_runs``); a NaN coordinate beside a
+    longer run — is assembled from its glyph list split into
+    1-character runs, in emission order; on 1-character runs the two
+    readings are the same."""
+    if not glyphs:
+        return ""
+    if y_tolerance >= 0.0 and _whole_runs(glyphs, x_tolerance):
+        text = _assemble(glyphs, x_tolerance, y_tolerance)
+        if text is not None:
+            return text
+    return _assemble(_char_runs(glyphs), x_tolerance, y_tolerance)
+
+
 def split_columns(
-    glyphs: list[tuple[str, float, float, float]], gutter_min: float = 24.0
-) -> list[list[tuple[str, float, float, float]]]:
-    """Cluster glyphs into COLUMN bands by projecting every glyph's
+    glyphs: list[GlyphRun], gutter_min: float = 24.0
+) -> list[list[GlyphRun]]:
+    """Cluster glyph runs into COLUMN bands by projecting every run's
     x-interval onto the x-axis and splitting at empty gaps wider than
     ``gutter_min`` — a gutter must be empty across EVERY line of the
     page, so ragged right edges and ordinary word gaps (one em or less)
-    can never fake one. Returns bands left-to-right; a page with no
-    gutter comes back as a single band."""
+    can never fake one. A run's interval reaches its end,
+    ``(x + (n-1)*step) + step``: cut at its first character, a long run
+    would leave a fake gutter behind it. A page whose longer runs cannot
+    be measured whole (see ``_whole_runs``) is split into 1-character
+    runs first. Returns bands
+    left-to-right; a page with no gutter comes back as a single band."""
     if not glyphs:
         return []
-    iv = sorted((g[1], g[1] + g[3]) for g in glyphs)
+    if not _whole_runs(glyphs, gutter_min):
+        glyphs = _char_runs(glyphs)
+    iv = sorted(
+        (x, x + step if len(text) == 1 else x + (len(text) - 1) * step + step)
+        for text, x, _, step in glyphs
+    )
     bands = [[iv[0][0], iv[0][1]]]
     for x0, x1 in iv[1:]:
         if x0 > bands[-1][1] + gutter_min:
@@ -507,14 +629,14 @@ def split_columns(
     if len(bands) == 1:
         return [list(glyphs)]
     starts = [b[0] for b in bands]
-    out: list[list[tuple[str, float, float, float]]] = [[] for _ in bands]
+    out: list[list[GlyphRun]] = [[] for _ in bands]
     for g in glyphs:
         out[bisect.bisect_right(starts, g[1]) - 1].append(g)
     return out
 
 
 def glyphs_to_reading_order(
-    glyphs: list[tuple[str, float, float, float]],
+    glyphs: list[GlyphRun],
     x_tolerance: float = X_TOLERANCE,
     y_tolerance: float = Y_TOLERANCE,
     gutter_min: float = 24.0,

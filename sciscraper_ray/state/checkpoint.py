@@ -18,12 +18,13 @@ fragment) while the data tier streams.
 
 Each wave is one Ray Data execution whose plan fuses into a single
 ``ReadParquet->tag->...->Write`` task operator. The write task writes its
-rows, reads back the files it wrote and returns a (fragment, rows, hash)
-partial per file; the driver adds the partials per fragment and commits
-them, so it never re-reads output. A wave is read by
-``plan.read_at_full_width`` on a DataContext seeded so that every task of
-the operator can start at once (``_seed_wave_context``): a wave of at
-least two files per CPU runs one task per CPU, in one round.
+rows, reads back the files it wrote, hashes their rows in one call and
+returns a (fragment, rows, hash) partial per file; the driver adds the
+partials per fragment and commits them, so it never re-reads output. A
+wave is read by ``plan.read_at_full_width`` on a DataContext seeded so
+that every task of the operator can start at once
+(``_seed_wave_context``): a wave of at least two files per CPU runs one
+task per CPU, in one round.
 
 The reference restarts from scratch and overwrites its day-stamped CSV
 (/root/reference/src/fetch.py:236-263); this is the scale replacement.
@@ -36,6 +37,7 @@ import shutil
 import time
 import uuid
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -47,8 +49,8 @@ from sciscraper_ray.state.lineage import (  # noqa: F401 — content_hash_of_dir
     HASH_MASK,
     LINEAGE_SCHEMA,
     content_hash_of_dir,
-    content_hash_of_files,
     fragment_id,
+    row_hashes,
 )
 
 # Pre-sample output estimate for a wave's write-terminated operator (see
@@ -139,6 +141,11 @@ class _LineageSink(Datasink):
     ``(fragment_id, rows, content_hash)`` of that file read back from
     disk. ``run_resumable`` sums them per fragment.
 
+    A task reads back every file it wrote and hashes those rows in one
+    ``row_hashes`` call, then sums the hashes per file: the row hash is
+    additive over any split of the rows, so the per-file sums are what
+    ``content_hash_of_dir`` gives for the same files.
+
     Each file is written with ``pq.write_table``, not Arrow's dataset
     writer (``pyarrow.dataset.write_dataset``): that one raises a wave
     task's peak memory by about 12 MiB on perfbench's ``pdf_resume`` (99 →
@@ -156,14 +163,20 @@ class _LineageSink(Datasink):
             return []
         fids = table["fragment_id"]
         data = table.drop_columns(["fragment_id"])
-        partials = []
+        written = []
         for i, fid in enumerate(pc.unique(fids).to_pylist()):
             frag_dir = os.path.join(self.data_dir, f"fragment_id={fid}")
             os.makedirs(frag_dir, exist_ok=True)
             path = os.path.join(frag_dir, f"{self.write_id}_{ctx.task_idx:06}-{i}.parquet")
             pq.write_table(data.filter(pc.equal(fids, fid)), path)
-            h, rows = content_hash_of_files([path], self.columns)
-            partials.append((fid, rows, h))
+            written.append((fid, pq.ParquetFile(path).read()))
+        hashes = row_hashes(pa.concat_tables([t for _, t in written]), self.columns)
+        partials = []
+        start = 0
+        for fid, t in written:
+            end = start + t.num_rows
+            partials.append((fid, t.num_rows, int(hashes[start:end].sum(dtype=np.uint64))))
+            start = end
         return partials
 
     def on_write_complete(self, write_result) -> None:

@@ -127,6 +127,97 @@ def test_content_hash_sees_long_list_differences():
     assert content_hash(a) == content_hash(a)
 
 
+def _typed_table() -> pa.Table:
+    """Five rows over the column types a resume output holds, with nulls
+    at every depth, NaN, an empty list next to a null list, and the
+    int-with-one-null column that pandas read as float64 in one part and
+    int32 in another."""
+    import datetime
+
+    utc = datetime.timezone.utc
+    return pa.table(
+        {
+            "int": pa.array([1, None, -3, 0, 2**31 - 1], pa.int32()),
+            "u64": pa.array([0, 2**64 - 1, None, 5, 7], pa.uint64()),
+            "f": pa.array([1.5, float("nan"), None, 0.0, -2.25], pa.float64()),
+            "b": pa.array([True, False, None, True, False]),
+            "s": pa.array(["a", "", None, "xyz", "\u00fcn\u00ef"], pa.string()),
+            "ls": pa.array(["a", "", None, "xyz", "b" * 300], pa.large_string()),
+            "bin": pa.array([b"\x00", b"", None, b"ab", b"\xff\x00"], pa.binary()),
+            "ts": pa.array(
+                [datetime.datetime(2020, 1, 1, tzinfo=utc), None,
+                 datetime.datetime(2021, 6, 1, 12, tzinfo=utc),
+                 datetime.datetime(1969, 12, 31, tzinfo=utc),
+                 datetime.datetime(2020, 1, 1, 0, 0, 0, 1, tzinfo=utc)],
+                pa.timestamp("us", tz="UTC"),
+            ),
+            "strs": pa.array([["a", "b"], [], None, ["", None], ["b", "a"]], pa.list_(pa.string())),
+            "recs": pa.array(
+                [[{"k": 1, "v": "x"}], None, [None, {"k": None, "v": "y"}], [],
+                 [{"k": 1, "v": None}]],
+                pa.list_(pa.struct([("k", pa.int64()), ("v", pa.string())])),
+            ),
+            "nested": pa.array(
+                [[[1], None], [[]], None, [None], [[1, None]]], pa.list_(pa.list_(pa.int64()))
+            ),
+        }
+    )
+
+
+def _every_split(n: int):
+    """Every way to cut ``range(n)`` into contiguous non-empty parts."""
+    for mask in range(2 ** max(n - 1, 0)):
+        cuts = [0] + [i + 1 for i in range(n - 1) if mask >> i & 1] + [n]
+        yield list(zip(cuts, cuts[1:]))
+
+
+def test_content_hash_is_additive_over_every_split():
+    """content_hash is a sum of row hashes, so the parts of any split of
+    the rows (files, row groups, write tasks) must add up to the whole."""
+    from sciscraper_ray.state.lineage import HASH_MASK
+
+    one_null = pa.table({"a": pa.array([1, None], pa.int32()), "s": ["x", "y"]})
+    for table in (one_null, _typed_table()):
+        whole = content_hash(table)
+        splits = 0
+        for parts in _every_split(table.num_rows):
+            slices = [table.slice(a, b - a) for a, b in parts]
+            assert sum(content_hash(t) for t in slices) & HASH_MASK == whole, parts
+            assert content_hash(pa.concat_tables(slices)) == whole
+            splits += 1
+        assert splits == 2 ** (table.num_rows - 1)
+
+
+def test_content_hash_sees_a_change_to_any_value():
+    """Replacing one value with another row's different value, or with a
+    null, in any column, changes the hash."""
+    table = _typed_table()
+    whole = content_hash(table)
+    rows = table.to_pylist()
+    changed = 0
+    for col in table.column_names:
+        values = [r[col] for r in rows]
+        for i, v in enumerate(values):
+            other = next(w for w in values if repr(w) != repr(v))
+            for new in (other, None) if v is not None else (other,):
+                edited = [dict(r) for r in rows]
+                edited[i][col] = new
+                edited = pa.Table.from_pylist(edited, schema=table.schema)
+                assert content_hash(edited) != whole, (col, i, new)
+                changed += 1
+    assert changed == 2 * table.num_columns * table.num_rows - table.num_columns
+    # the rows are hashed whole: values swapped between rows of one
+    # column, or between the columns of one row, change the hash
+    t = pa.table({"a": [1, 2], "b": [3, 4]})
+    assert content_hash(t) != content_hash(pa.table({"a": [1, 2], "b": [4, 3]}))
+    assert content_hash(t) != content_hash(pa.table({"a": [3, 2], "b": [1, 4]}))
+    # NaN is one value, whatever its payload bits
+    import numpy as np
+
+    payload_nan = np.array([0x7FF8000000000001], np.uint64).view(np.float64)
+    assert content_hash(pa.table({"f": payload_nan})) == content_hash(pa.table({"f": [float("nan")]}))
+
+
 def test_fragment_id_portable_across_roots(tmp_path):
     """Moving/symlinking the input tree must not invalidate the manifest:
     the id depends on the root-RELATIVE path + size only (ADVICE r1)."""

@@ -1,4 +1,5 @@
-"""The PDF content-stream regex lane against the token lane.
+"""The PDF content-stream regex lane against the token lane, and the
+glyph-run assembler against the per-character one.
 
 ``stages/pdf_parse._extract_glyphs`` interprets a stream through the
 regex lane when its cover pattern tiles the whole stream, and through
@@ -6,10 +7,18 @@ regex lane when its cover pattern tiles the whole stream, and through
 operator dispatch, so on every stream the glyph list (or the exception)
 must equal what the token lane alone gives. The token lane is the
 oracle: fix a divergence in the regex lane, never in ``_tokenize``.
+
+The glyph list holds runs ``(text, x, y, step)``: character k at
+``x + k*step``. ``glyphs_to_text`` and ``glyphs_to_reading_order`` over
+runs must give what the per-character assembler kept below
+(``reference_text``, the assembler before runs existed) gives over the
+runs split into characters.
 """
 
 from __future__ import annotations
 
+import bisect
+import math
 import time
 
 from hypothesis import given, settings
@@ -29,6 +38,9 @@ from sciscraper_ray.stages.pdf_parse import (
     _interpreter,
     _regex_lane,
     _token_lane,
+    _tokenize,
+    glyphs_to_reading_order,
+    glyphs_to_text,
 )
 
 # A /Widths font with an /Encoding remap and a ligature ToUnicode entry,
@@ -295,3 +307,201 @@ def test_crafted_streams_finish_in_bounded_time():
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0, (label, elapsed)
         assert _COVER_RE.fullmatch(stream) is None, label
+
+
+# ---------------------------------------------------------------------------
+# glyph runs: the run assembler against the per-character assembler
+
+
+def characters(runs: list[tuple]) -> list[tuple]:
+    """Runs split into 1-character glyphs, in emission order: character k
+    of a longer run at ``x + k*step``, advancing by ``step``."""
+    out = []
+    for run in runs:
+        text, x, y, step = run
+        if len(text) == 1:
+            out.append(run)
+        else:
+            out.extend((ch, x + k * step, y, step) for k, ch in enumerate(text))
+    return out
+
+
+def reference_text(glyphs, x_tolerance=1.0, y_tolerance=3.0) -> str:
+    """The per-character ``glyphs_to_text``: lines by y, words split on
+    whitespace glyphs or x-gaps > x_tolerance."""
+    if not glyphs:
+        return ""
+    arr = sorted(glyphs, key=lambda g: (-g[2], g[1]))
+    lines = []
+    for g in arr:
+        if lines and abs(lines[-1][0][2] - g[2]) <= y_tolerance:
+            lines[-1].append(g)
+        else:
+            lines.append([g])
+    out_lines = []
+    for line in lines:
+        line.sort(key=lambda g: g[1])
+        words, cur = [], []
+        prev_end = None
+        for ch, x, _, w in line:
+            gap_break = prev_end is not None and (x - prev_end) > x_tolerance
+            if ch.isspace() or gap_break:
+                if cur:
+                    words.append("".join(cur))
+                    cur = []
+            if not ch.isspace():
+                cur.append(ch)
+            prev_end = x + w
+        if cur:
+            words.append("".join(cur))
+        out_lines.append(" ".join(words))
+    return "\n".join(out_lines)
+
+
+def reference_split_columns(glyphs, gutter_min=24.0):
+    """The per-character ``split_columns``."""
+    if not glyphs:
+        return []
+    iv = sorted((g[1], g[1] + g[3]) for g in glyphs)
+    bands = [[iv[0][0], iv[0][1]]]
+    for x0, x1 in iv[1:]:
+        if x0 > bands[-1][1] + gutter_min:
+            bands.append([x0, x1])
+        elif x1 > bands[-1][1]:
+            bands[-1][1] = x1
+    if len(bands) == 1:
+        return [list(glyphs)]
+    starts = [b[0] for b in bands]
+    out = [[] for _ in bands]
+    for g in glyphs:
+        out[bisect.bisect_right(starts, g[1]) - 1].append(g)
+    return out
+
+
+def reference_reading_order(glyphs) -> str:
+    parts = [reference_text(c).replace("\n", " ") for c in reference_split_columns(glyphs)]
+    return " ".join(p for p in parts if p)
+
+
+def assert_runs_assemble_like_characters(runs, x_tolerance=1.0, y_tolerance=3.0):
+    chars = characters(runs)
+    assert glyphs_to_text(runs, x_tolerance, y_tolerance) == reference_text(
+        chars, x_tolerance, y_tolerance
+    ), runs
+    if (x_tolerance, y_tolerance) == (1.0, 3.0):
+        assert glyphs_to_reading_order(runs) == reference_reading_order(chars), runs
+
+
+def test_builder_streams_draw_one_run_per_shown_string():
+    """The writer shows one string per word with ``Tj``; each non-empty
+    one must become one glyph run, so the assembler sees words, not
+    characters (an empty string draws nothing)."""
+    n = 0
+    for payload in _builder_payloads():
+        for content, fonts in _page_contents(payload):
+            tokens = list(_tokenize(content))
+            strings = [val for kind, val in tokens if kind == "str"]
+            assert sum(1 for kind, val in tokens if kind == "op" and val == b"Tj") == len(strings)
+            runs = _extract_glyphs(content, fonts)
+            assert len(runs) == sum(1 for s in strings if s), content[:200]
+            assert any(len(text) > 1 for text, *_ in runs)
+            n += 1
+    assert n == 11
+
+
+def test_builder_pages_assemble_like_characters():
+    seen = 0
+    for payload in _builder_payloads():
+        for content, fonts in _page_contents(payload):
+            step = max(1, len(content) // 97)
+            for cut in [len(content), *range(0, len(content), step)]:
+                try:
+                    runs = _extract_glyphs(content[:cut], fonts)
+                except Exception:  # noqa: BLE001 - a cut operand may not parse
+                    continue
+                assert_runs_assemble_like_characters(runs)
+                seen += bool(runs)
+    assert seen > 100
+
+
+def test_long_run_spans_its_extent_in_the_column_split():
+    """A run reaching past a later run's start leaves no gutter there."""
+    runs = [("a" * 40, 72.0, 700.0, 6.0), ("b", 200.0, 686.0, 6.0), ("c", 330.0, 672.0, 6.0)]
+    assert glyphs_to_reading_order(runs) == reference_reading_order(characters(runs))
+    assert glyphs_to_reading_order(runs) == "a" * 40 + " b c"
+
+
+def test_nan_coordinate_sorts_runs_and_characters_apart():
+    """Python's sort places a NaN key by the comparisons it happens to
+    make, which differ between a run and its characters: here the run
+    order puts "z" after the NaN glyph and the character order before
+    it. A page with a NaN coordinate and a longer run goes by
+    characters."""
+    runs = [
+        ("bcdef", 10.0, 700.0, 6.0),
+        ("n", math.nan, 700.0, 6.0),
+        ("q", 40.0, 700.0, 6.0),
+        ("z", 2.0, 700.0, 6.0),
+    ]
+    assert_runs_assemble_like_characters(runs)
+    assert_runs_assemble_like_characters([(t, x, y if t != "n" else math.nan, s) for t, x, y, s in runs])
+
+
+_coord = st.one_of(
+    st.sampled_from([0.0, 6.0, 12.0, 72.0, 72.5, 700.0, 703.0, -0.0, -12.0]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 1e17]),
+    st.floats(-1000, 1000),
+)
+_step = st.one_of(
+    st.sampled_from([6.0, 7.2, 0.0, -6.0, 0.5, 1e-300, 30.0]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300]),
+    st.floats(-20, 40),
+)
+_y = st.one_of(
+    st.sampled_from([700.0, 700.0, 701.5, 703.0, 704.0, 686.0, 0.0]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300]),
+    st.floats(-10, 800),
+)
+# words, edge and inner whitespace, all-whitespace runs, ligature letters
+_text = st.text("ab fi\t\xa0\ufb01x", min_size=1, max_size=6)
+
+
+@st.composite
+def glyph_runs(draw) -> list[tuple]:
+    """Run lists with overlapping runs, equal-x ties between runs of
+    different y, zero and negative steps, zero-width ligature glyphs and
+    non-finite or huge coordinates."""
+    runs = []
+    for _ in range(draw(st.integers(0, 10))):
+        text = draw(_text)
+        x = draw(st.one_of(_coord, st.sampled_from([r[1] for r in runs] or [0.0])))
+        y = draw(st.one_of(_y, st.sampled_from([r[2] for r in runs] or [0.0])))
+        runs.append((text, x, y, draw(_step)))
+        if draw(st.booleans()) and len(text) == 1:
+            # a ligature's zero-width tail at the pen end
+            runs.append((draw(_text)[:1], x + runs[-1][3], y, 0.0))
+    return runs
+
+
+@st.composite
+def line_runs(draw) -> list[tuple]:
+    """Well-formed runs, most of them on shared lines: the whole-run path."""
+    runs = []
+    for _ in range(draw(st.integers(1, 12))):
+        text = draw(_text)
+        x = float(draw(st.integers(0, 60))) * 6.0 + draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]))
+        y = draw(st.sampled_from([720.0, 719.0, 706.0, 692.0, 500.0]))
+        runs.append((text, x, y, draw(st.sampled_from([6.0, 0.0, 7.2, 1.0]))))
+    return runs
+
+
+@settings(max_examples=600, deadline=None)
+@given(runs=glyph_runs())
+def test_any_runs_assemble_like_characters(runs):
+    assert_runs_assemble_like_characters(runs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(runs=line_runs(), x_tol=st.sampled_from([1.0, 0.0, 0.5, 8.0]), y_tol=st.sampled_from([3.0, 0.0, -1.0]))
+def test_line_runs_assemble_like_characters(runs, x_tol, y_tol):
+    assert_runs_assemble_like_characters(runs, x_tol, y_tol)

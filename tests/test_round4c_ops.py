@@ -249,6 +249,19 @@ def test_node_clustering_coeff_matches_bruteforce(ray_session):
     assert got["triangles"].sum() > 0
 
 
+def test_node_clustering_coeff_raises_no_runtime_warning(ray_session):
+    """Nodes of degree below 2 have no wedge: their coefficient is 0
+    without a 0/0 division (the driver-side merge raised RuntimeWarning)."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _df(QUERIES["node_clustering_coeff"](SF))
+    low = got[got["d"] < 2]
+    assert len(low) > 0  # the case the warning came from is exercised
+    assert (low["clustering"] == 0.0).all()
+
+
 def test_link_degree_assortativity_matches_numpy(ray_session):
     got = _df(QUERIES["link_degree_assortativity"](SF))
     docs = pd.read_parquet(SF + "/documents.parquet", columns=["doc_id"])
